@@ -25,55 +25,23 @@ import time
 sys.dont_write_bytecode = True
 
 from kernel import K_NOMINAL_S  # noqa: E402
+from tracing import SPAN_NAMES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT_DIR = ".perfbench"
-#: Set-up is timed in this many fresh processes (the measuring one included).
-SETUP_SAMPLES = 5
+#: Set-up is timed in this many fresh processes (the measuring one included),
+#: half of them before the measuring one and half after, so that the median
+#: spans the run's length rather than one moment of the host.
+SETUP_SAMPLES = 11
 #: Everything must finish within this many seconds of the start.
 DEADLINE_S = 170.0
 TAIL_BEYOND = 10
 
-#: Per-layer seconds (inclusive, or self time) per op, from the traced run.
-LAYER_SECONDS = {
-    "cli.main_s": ("total_s", "cli.main"),
-    "circuit.parse_qasm_s": ("total_s", "circuit.parse_qasm"),
-    "circuit.write_qasm_s": ("total_s", "circuit.write_qasm"),
-    "circuit.esp_s": ("total_s", "circuit.esp"),
-    "circuit.segment_and_synthesize_self_s": ("self_s", "circuit.segment_and_synthesize"),
-    "mapping.optimize_mapping_s": ("total_s", "mapping.optimize_mapping"),
-    "mapping.initial_mapping_s": ("total_s", "mapping.initial_mapping"),
-    "mapping.mapping_objective_s": ("total_s", "mapping.mapping_objective"),
-    "arch.remove_vertex_s": ("total_s", "arch.remove_vertex"),
-    "arch.articulation_points_s": ("total_s", "arch.articulation_points"),
-    "arch.has_hamiltonian_path_s": ("total_s", "arch.has_hamiltonian_path"),
-    "arch.induced_subgraph_s": ("total_s", "arch.induced_subgraph"),
-    "synth.synthesize_s": ("total_s", "synth.synthesize"),
-    "synth.synthesize_self_s": ("self_s", "synth.synthesize"),
-    "synth.replay_is_valid_s": ("total_s", "synth.replay_is_valid"),
-    "synth.eliminate_column_s": ("total_s", "synth.eliminate_column"),
-    "synth.eliminate_row_s": ("total_s", "synth.eliminate_row"),
-    "synth.verification_failure_s": ("total_s", "synth.verification_failure"),
-    "steiner.tree_s": ("total_s", "steiner.tree"),
-    "gf2.solve_s": ("total_s", "gf2.solve"),
-    "gf2.rank_s": ("total_s", "gf2.rank"),
-}
-#: Per-op counts: metric -> counter.
-LAYER_COUNTS = {
-    "mapping.optimize_mapping_calls": "mapping.optimize_mapping_calls",
-    "mapping.initial_mapping_calls": "mapping.initial_mapping_calls",
-    "mapping.mapping_objective_calls": "mapping.mapping_objective_calls",
-    "arch.remove_vertex_calls": "arch.remove_vertex_calls",
-    "arch.articulation_points_calls": "arch.articulation_points_calls",
-    "arch.has_hamiltonian_path_calls": "arch.has_hamiltonian_path_calls",
-    "synth.synthesize_calls": "synth.synthesize_calls",
-    "synth.eliminate_column_gates": "synth.eliminate_column_gates",
-    "synth.eliminate_row_gates": "synth.eliminate_row_gates",
-    "steiner.tree_calls": "steiner.tree_calls",
-    "gf2.solve_calls": "gf2.solve_calls",
-}
-#: Ratios of two counters; 0 where the layer does not run.
+#: Per-layer metrics are per op and read by name: ``*_calls`` and ``*_gates``
+#: read the counter of that name, ``X_self_s`` the self seconds of span X,
+#: other ``X_s`` its inclusive seconds, ``bench.*`` come from the untraced run,
+#: and these are ratios of two counters (0 where the layer does not run).
 LAYER_RATIOS = {
     "mapping.distinct_candidate_ratio": ("mapping.mapping_objective_calls", "mapping.initial_mapping_calls"),
     "arch.ham_found_ratio": ("arch.ham_found", "arch.has_hamiltonian_path_calls"),
@@ -99,6 +67,7 @@ def _parse_args(argv=None) -> argparse.Namespace:
 
 def _child_env() -> dict:
     env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     src = os.path.abspath("src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.update(
@@ -106,7 +75,9 @@ def _child_env() -> dict:
         OPENBLAS_NUM_THREADS="1",
         MKL_NUM_THREADS="1",
         PYTHONHASHSEED="0",
-        PYTHONDONTWRITEBYTECODE="1",
+        # Bytecode lives in the benchmark's own cache, whatever src/ holds,
+        # and is written by an untimed warm-up worker before set-up is timed.
+        PYTHONPYCACHEPREFIX=os.path.abspath(os.path.join(OUT_DIR, "pycache")),
     )
     return env
 
@@ -178,15 +149,23 @@ def _end_to_end(run: dict, setups: list[float]) -> tuple[dict, dict]:
     return metrics, diagnostics
 
 
-def _per_layer(traced: dict, untraced: dict) -> dict:
-    trace = traced["trace"]
+def _layer_value(name: str, trace: dict, ops: int) -> float:
     counts = trace["counts"]
-    ops = traced["ops"]
-    metrics = {name: trace[kind].get(span, 0.0) / ops for name, (kind, span) in LAYER_SECONDS.items()}
-    metrics.update((name, counts.get(key, 0) / ops) for name, key in LAYER_COUNTS.items())
-    for name, (num, den) in LAYER_RATIOS.items():
-        metrics[name] = counts[num] / counts[den] if counts.get(den) else 0.0
-    first = untraced["norm_s"][:ops]
+    if name in LAYER_RATIOS:
+        num, den = LAYER_RATIOS[name]
+        return counts[num] / counts[den] if counts.get(den) else 0.0
+    if name.endswith(("_calls", "_gates")):
+        return counts.get(name, 0) / ops
+    kind, span = ("self_s", name[: -len("_self_s")]) if name.endswith("_self_s") else ("total_s", name[:-2])
+    if not name.endswith("_s") or span not in SPAN_NAMES:
+        raise BenchError(f"per-layer metric {name} names no traced span")
+    return trace[kind].get(span, 0.0) / ops
+
+
+def _per_layer(names, traced: dict, untraced: dict) -> dict:
+    metrics = {name: _layer_value(name, traced["trace"], traced["ops"])
+               for name in names if not name.startswith("bench.")}
+    first = untraced["norm_s"][: traced["ops"]]
     metrics["bench.host_speed"] = K_NOMINAL_S / statistics.median(untraced["kernel_s"])
     metrics["bench.raw_wall_s"] = statistics.median(untraced["raw_s"])
     metrics["bench.trace_overhead"] = math.fsum(traced["norm_s"]) / math.fsum(first)
@@ -211,15 +190,17 @@ def run(args: argparse.Namespace) -> tuple[dict, dict]:
         traced = runner.worker("trace", spans=os.path.join(OUT_DIR, f"spans-{tag}.json"))
         if traced["digest"] != untraced["digest"]:
             raise BenchError("traced outputs differ from untraced outputs")
-        metrics = _per_layer(traced, untraced)
+        metrics = _per_layer(units, traced, untraced)
         diagnostics = {"ops": traced["ops"], "counts": traced["trace"]["counts"],
                        "output_digest": traced["digest"]}
         attempted = untraced["ops"] + traced["ops"]
         failed = untraced["failed"] + traced["failed"]
     else:
-        setups = [runner.worker("setup")["setup_s"] for _ in range(SETUP_SAMPLES - 1)]
+        runner.worker("setup")  # warm-up: fills the bytecode cache, untimed
+        setups = [runner.worker("setup")["setup_s"] for _ in range(SETUP_SAMPLES // 2)]
         measured = runner.worker("measure")
         setups.append(measured["setup_s"])
+        setups += [runner.worker("setup")["setup_s"] for _ in range(SETUP_SAMPLES - len(setups))]
         metrics, diagnostics = _end_to_end(measured, setups)
         attempted, failed = measured["ops"], measured["failed"]
     if set(metrics) != set(units):

@@ -8,7 +8,7 @@ installed in the namespace of every *calling* module (``mapping.remove_vertex``,
 Each wrapped call is a span (name, start, end, parent, op id).  Per-name
 call counts, inclusive time and self time (duration minus the time of the
 spans directly inside it) are kept for every op; the full span list is kept
-for the first ``span_log_ops`` ops only, because a compile op makes tens of
+for the first ``SPAN_LOG_OPS`` ops only, because a compile op makes tens of
 thousands of spans.
 """
 from __future__ import annotations
@@ -40,6 +40,10 @@ SPAN_POINTS = [
     ("steiner.tree", "steiner", "min_noise_steiner_tree", ("synth",)),
     ("gf2.solve", "gf2", "solve_gf2", ("synth",)),
 ]
+#: Every span name: the points above plus ``ParityMatrix.rank``.
+SPAN_NAMES = frozenset([point[0] for point in SPAN_POINTS] + ["gf2.rank"])
+#: Ops whose every span is kept in ``Tracer.spans``.
+SPAN_LOG_OPS = 1
 
 
 def _module(name: str):
@@ -63,8 +67,7 @@ def _observe(name: str, args: tuple, result, counts: Counter) -> None:
 
 
 class Tracer:
-    def __init__(self, span_log_ops: int) -> None:
-        self.span_log_ops = span_log_ops
+    def __init__(self) -> None:
         self.op = -1
         self.spans: list[list] = []  # [name, start, end, parent id or -1, op id]
         self._stack: list[list] = []  # [span id or -1, seconds of child spans]
@@ -94,7 +97,7 @@ class Tracer:
 
         def traced(*args, **kwargs):
             span = None
-            if self.op < self.span_log_ops:
+            if self.op < SPAN_LOG_OPS:
                 span = [name, 0.0, 0.0, stack[-1][0] if stack else -1, self.op]
                 self.spans.append(span)
             frame = [len(self.spans) - 1 if span else -1, 0.0]

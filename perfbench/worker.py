@@ -2,16 +2,16 @@
 set-up) run its closed loop of ops and write a JSON result file.
 
     python3 perfbench/worker.py --workload NAME --seed N --mode MODE \
-        --seconds S --result FILE
+        --seconds S --result FILE [--spans FILE]
 
 MODE is ``setup`` (time set-up only), ``measure`` (untraced ops for S
 seconds, at least ``quality_ops`` of them) or ``trace`` (exactly
-``quality_ops`` traced ops).  One client, one thread: each op starts when
-the previous one has been checked.  The reference kernel is timed before the
-first op and after every op; an op's normalized seconds are its wall seconds
-times ``K_NOMINAL_S`` over the mean of the two kernel timings around it.
-Checks run outside the timed region.  Run it from the root of a checkout,
-with ``src`` on ``PYTHONPATH``.
+``quality_ops`` traced ops; the first op's spans go to ``--spans``).  One
+client, one thread: each op starts when the previous one has been checked.
+The reference kernel is timed before the first op and after every op; an
+op's normalized seconds are its wall seconds times ``K_NOMINAL_S`` over the
+mean of the two kernel timings around it.  Checks run outside the timed
+region.  Run it from the root of a checkout, with ``src`` on ``PYTHONPATH``.
 """
 from __future__ import annotations
 
@@ -26,9 +26,6 @@ import traceback
 
 from kernel import K_NOMINAL_S, time_kernel
 
-#: Ops of a traced run whose every span is kept and written out.
-SPAN_LOG_OPS = 1
-
 
 def _parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -37,8 +34,11 @@ def _parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--mode", choices=("setup", "measure", "trace"), required=True)
     p.add_argument("--seconds", type=float, default=0.0)
     p.add_argument("--result", required=True)
-    p.add_argument("--spans", help="trace mode: write the logged spans here")
-    return p.parse_args(argv)
+    p.add_argument("--spans", help="where trace mode writes the logged spans (required there)")
+    args = p.parse_args(argv)
+    if args.mode == "trace" and not args.spans:
+        p.error("--mode trace needs --spans")
+    return args
 
 
 def _run_ops(wl, args, kernel_before: float) -> dict:
@@ -49,7 +49,7 @@ def _run_ops(wl, args, kernel_before: float) -> dict:
     if args.mode == "trace":
         from tracing import Tracer
 
-        tracer = Tracer(SPAN_LOG_OPS)
+        tracer = Tracer()
         tracer.install()
         run_op = tracer.wrap("bench.op", wl.run_op)
     kernels = [kernel_before]
@@ -98,9 +98,8 @@ def _run_ops(wl, args, kernel_before: float) -> dict:
     }
     if tracer is not None:
         out["trace"] = {"total_s": tracer.total_s, "self_s": tracer.self_s, "counts": tracer.counts}
-        if args.spans:
-            with open(args.spans, "w", encoding="utf-8") as fh:
-                json.dump(tracer.spans, fh)
+        with open(args.spans, "w", encoding="utf-8") as fh:
+            json.dump(tracer.spans, fh)
     return out
 
 
