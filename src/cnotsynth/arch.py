@@ -2,15 +2,18 @@
 
 A coupling graph describes which physical-qubit pairs support a CNOT and at
 what error rate.  Graphs are immutable after construction; ``remove_vertex``
-returns a new graph.  Expensive structural queries (articulation points,
-Hamiltonian-path search) are memoized per graph value because the mapping
-search revisits the same residual graphs many times.
+returns a new graph.  Each graph also carries a bitmask view, built on first
+use: one int neighbour mask per vertex id and one mask of all vertices.  A
+residual graph of the mapping search is then just an int vertex mask over
+one base graph, and connectivity, cut points and Hamiltonian paths are
+computed on that mask without building a new graph.  Memoizing those
+queries is left to the caller (the mapping search keeps one memo per
+search).
 """
 from __future__ import annotations
 
 import re
 import warnings
-from collections import deque
 from typing import Iterable, Iterator
 
 HAMILTONIAN_VERTEX_LIMIT = 32
@@ -33,7 +36,7 @@ class CouplingGraph:
     rates but ignore the display ``name`` and calibration extras.
     """
 
-    __slots__ = ("vertices", "edge_error", "adj", "name", "one_qubit_error", "_hash")
+    __slots__ = ("vertices", "edge_error", "adj", "name", "one_qubit_error", "_hash", "_masks")
 
     def __init__(
         self,
@@ -68,6 +71,7 @@ class CouplingGraph:
         self.name = name
         self.one_qubit_error = one_qubit_error
         self._hash: int | None = None
+        self._masks: tuple[tuple[int, ...], int] | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -97,31 +101,38 @@ class CouplingGraph:
         """Edges as (u, v, error) triples sorted by (u, v), u < v."""
         return [(u, v, self.edge_error[(u, v)]) for u, v in sorted(self.edge_error)]
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        start = next(iter(self.vertices))
-        return len(self._component(start)) == self.num_vertices
+    def _mask_view(self) -> tuple[tuple[int, ...], int]:
+        if self._masks is None:
+            nbr = [0] * (max(self.vertices, default=-1) + 1)
+            for u, v in self.edge_error:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+            self._masks = (tuple(nbr), sum(1 << v for v in self.vertices))
+        return self._masks
 
-    def _component(self, start: int) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Entry v has bit w set iff (v, w) is an edge; indexed by vertex id."""
+        return self._mask_view()[0]
+
+    @property
+    def vertex_mask(self) -> int:
+        """Bit v is set iff v is a vertex."""
+        return self._mask_view()[1]
+
+    def is_connected(self, mask: int | None = None) -> bool:
+        """Whether the vertices in ``mask`` (default: all) induce a connected subgraph."""
+        nbr, mask = _residual_mask(self, mask)
+        return not mask or _flood(nbr, mask & -mask, mask) == mask
 
     def components(self) -> list[frozenset[int]]:
-        remaining = set(self.vertices)
+        nbr, remaining = self._mask_view()
         out = []
         while remaining:
-            comp = self._component(min(remaining))
-            out.append(frozenset(comp))
-            remaining -= comp
-        return sorted(out, key=min)
+            comp = _flood(nbr, remaining & -remaining, remaining)
+            out.append(frozenset(mask_vertices(comp)))
+            remaining &= ~comp
+        return out
 
     def _key(self) -> tuple:
         return (self.vertices, tuple(sorted(self.edge_error.items())))
@@ -139,6 +150,28 @@ class CouplingGraph:
     def __repr__(self) -> str:
         label = self.name or "graph"
         return f"CouplingGraph({label}: {self.num_vertices} vertices, {self.num_edges} edges)"
+
+
+def mask_vertices(mask: int) -> Iterator[int]:
+    """The vertex ids whose bits are set in ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _flood(nbr: tuple[int, ...], start: int, allowed: int) -> int:
+    """Mask of the vertices reachable from the ``start`` bits inside ``allowed``."""
+    reach = frontier = start
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & allowed & ~reach
+        reach |= frontier
+    return reach
 
 
 def remove_vertex(graph: CouplingGraph, v: int) -> CouplingGraph:
@@ -164,68 +197,74 @@ def induced_subgraph(graph: CouplingGraph, vertices: Iterable[int]) -> CouplingG
     return CouplingGraph(keep, edges, name=graph.name, one_qubit_error=graph.one_qubit_error)
 
 
+def _residual_mask(graph: CouplingGraph, mask: int | None) -> tuple[tuple[int, ...], int]:
+    nbr, full = graph._mask_view()
+    if mask is None:
+        return nbr, full
+    if mask & ~full:
+        raise ArchError(f"vertices {list(mask_vertices(mask & ~full))} not in graph")
+    return nbr, mask
+
+
 # ---------------------------------------------------------------------------
 # Articulation points / key qubits
 # ---------------------------------------------------------------------------
 
-_ARTICULATION_CACHE: dict[CouplingGraph, frozenset[int]] = {}
-
-
-def articulation_points(graph: CouplingGraph) -> frozenset[int]:
+def articulation_points(graph: CouplingGraph, mask: int | None = None) -> frozenset[int]:
     """Vertices whose removal disconnects the graph (cut points).
 
-    Computed with an iterative lowpoint DFS.  Requires a connected input.
+    With ``mask``, the query is about the subgraph induced by the vertices
+    set in it.  Computed with an iterative lowpoint DFS that visits
+    neighbours in ascending id order.  Requires a connected input.
     """
-    if not graph.is_connected():
-        raise ArchError("articulation points are defined here for connected graphs only")
-    cached = _ARTICULATION_CACHE.get(graph)
-    if cached is not None:
-        return cached
-
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    nbr, mask = _residual_mask(graph, mask)
+    if not mask:
+        return frozenset()
+    root_bit = mask & -mask
+    root = root_bit.bit_length() - 1
+    disc = [0] * len(nbr)
+    low = [0] * len(nbr)
     points: set[int] = set()
-    timer = 0
-    verts = sorted(graph.vertices)
-    if verts:
-        root = verts[0]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        # Stack entries: (vertex, parent, iterator over neighbors).
-        stack: list[tuple[int, int | None, Iterator[int]]] = [(root, None, iter(graph.adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == root:
-                    root_children += 1
-                stack.append((w, v, iter(graph.adj[w])))
-                advanced = True
-                break
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p != root and low[v] >= disc[p]:
-                    points.add(p)
-        if root_children > 1:
-            points.add(root)
-
-    result = frozenset(points)
-    if len(_ARTICULATION_CACHE) > 200_000:
-        _ARTICULATION_CACHE.clear()
-    _ARTICULATION_CACHE[graph] = result
-    return result
+    seen = root_bit
+    timer = 1
+    root_children = 0
+    # Every vertex already seen when v is discovered is an ancestor of v, so
+    # v's back edges are known at discovery; the tree edges out of v are
+    # then found one at a time among its still-unseen neighbours.
+    path = [root]
+    while path:
+        v = path[-1]
+        fresh = nbr[v] & mask & ~seen
+        if fresh:
+            bit = fresh & -fresh
+            w = bit.bit_length() - 1
+            seen |= bit
+            lw = disc[w] = timer
+            timer += 1
+            back = nbr[w] & seen & ~(1 << v)
+            while back:
+                b = back & -back
+                d = disc[b.bit_length() - 1]
+                if d < lw:
+                    lw = d
+                back ^= b
+            low[w] = lw
+            if v == root:
+                root_children += 1
+            path.append(w)
+            continue
+        path.pop()
+        if path:
+            p = path[-1]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if p != root and low[v] >= disc[p]:
+                points.add(p)
+    if seen != mask:
+        raise ArchError("articulation points are defined here for connected graphs only")
+    if root_children > 1:
+        points.add(root)
+    return frozenset(points)
 
 
 def key_qubits(graph: CouplingGraph) -> frozenset[int]:
@@ -237,84 +276,54 @@ def key_qubits(graph: CouplingGraph) -> frozenset[int]:
 # Hamiltonian path search
 # ---------------------------------------------------------------------------
 
-_HAM_CACHE: dict[CouplingGraph, tuple[int, ...] | None] = {}
-
-
-def has_hamiltonian_path(graph: CouplingGraph) -> tuple[int, ...] | None:
+def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple[int, ...] | None:
     """Deterministic exhaustive Hamiltonian-path search.
 
-    Tries start vertices in ascending id order and neighbors in ascending id
-    order; the first complete path found is returned.  Connectivity pruning
-    only discards branches that cannot complete, so the returned path is the
-    same one plain backtracking would find.
+    With ``mask``, the search runs on the subgraph induced by the vertices
+    set in it.  Tries start vertices in ascending id order and neighbors in
+    ascending id order; the first complete path found is returned.
+    Connectivity pruning only discards branches that cannot complete, so the
+    returned path is the same one plain backtracking would find.
 
     Returns:
         The path as a vertex tuple, or ``None`` when no Hamiltonian path
         exists.  Guardrail: at most 32 vertices.
     """
-    n = graph.num_vertices
+    nbr, mask = _residual_mask(graph, mask)
+    n = mask.bit_count()
     if n > HAMILTONIAN_VERTEX_LIMIT:
         raise ArchError(f"Hamiltonian-path search limited to {HAMILTONIAN_VERTEX_LIMIT} vertices, got {n}")
     if n == 0:
         return None
-    cached_missing = object()
-    cached = _HAM_CACHE.get(graph, cached_missing)
-    if cached is not cached_missing:
-        return cached  # type: ignore[return-value]
-
-    result = _hamiltonian_search(graph)
-    if len(_HAM_CACHE) > 200_000:
-        _HAM_CACHE.clear()
-    _HAM_CACHE[graph] = result
-    return result
-
-
-def _hamiltonian_search(graph: CouplingGraph) -> tuple[int, ...] | None:
-    n = graph.num_vertices
-    verts = sorted(graph.vertices)
     if n == 1:
-        return (verts[0],)
-    if not graph.is_connected():
+        return (mask.bit_length() - 1,)
+    if _flood(nbr, mask & -mask, mask) != mask:
         return None
     # More than two degree-1 vertices cannot all be path endpoints.
-    if sum(1 for v in verts if graph.degree(v) == 1) > 2:
+    if sum(1 for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1) > 2:
         return None
 
-    adj = graph.adj
-
-    def remaining_connected(current: int, visited: set[int]) -> bool:
-        # The unvisited vertices plus the path head must form one component.
-        target = n - len(visited) + 1
-        seen = {current}
-        queue = deque([current])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen and (w == current or w not in visited):
-                    seen.add(w)
-                    queue.append(w)
-                    count += 1
-        return count == target
-
     path: list[int] = []
-    visited: set[int] = set()
 
-    def extend(v: int) -> bool:
+    def extend(v: int, unvisited: int) -> bool:
+        # ``unvisited`` excludes v; the path can only complete while the
+        # unvisited vertices plus the path head form one component.
         path.append(v)
-        visited.add(v)
-        if len(path) == n:
+        if not unvisited:
             return True
-        if remaining_connected(v, visited):
-            for w in adj[v]:
-                if w not in visited and extend(w):
+        allowed = unvisited | (1 << v)
+        if _flood(nbr, 1 << v, allowed) == allowed:
+            step = nbr[v] & unvisited
+            while step:
+                bit = step & -step
+                if extend(bit.bit_length() - 1, unvisited ^ bit):
                     return True
+                step ^= bit
         path.pop()
-        visited.remove(v)
         return False
 
-    for start in verts:
-        if extend(start):
+    for start in mask_vertices(mask):
+        if extend(start, mask & ~(1 << start)):
             return tuple(path)
     return None
 

@@ -7,8 +7,12 @@ index order, to non-cut vertices of the shrinking graph; once the residual
 graph carries a Hamiltonian path covering exactly the remaining quota, the
 rest of the assignment follows that path.
 
-Tabu search perturbs the seed vertex of that construction and keeps a
-bounded table of the best-scoring mappings found.
+No residual graph is ever built: it is the base graph's vertex mask with the
+assigned vertices' bits cleared, and its cut points and Hamiltonian path are
+computed on that mask (see ``arch``).  Tabu search perturbs the seed vertex
+of the construction and keeps a bounded table of the best-scoring mappings
+found; one ``MappingSearch`` memo, keyed by mask, serves all constructions
+and scores of a search and is dropped when the search returns.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ from .arch import (
     has_hamiltonian_path,
     induced_subgraph,
     key_qubits,
-    remove_vertex,
+    mask_vertices,
+    remove_vertex,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 )
 
 
@@ -77,11 +82,73 @@ def _as_rng(rng: random.Random | int) -> random.Random:
     return rng if isinstance(rng, random.Random) else random.Random(rng)
 
 
+class MappingSearch:
+    """State shared by the constructions and scores of one mapping search.
+
+    A residual graph is an int vertex mask over the base graph.  The base
+    graph's connectivity, key qubits and per-vertex mean edge errors are
+    computed once, and one memo keyed by mask holds the non-cut vertices and
+    Hamiltonian path of residual graphs and the connectivity product of
+    mapped vertex sets.  ``tabu_search_table`` makes one per search and
+    drops it on return, so nothing is kept between searches.
+    """
+
+    __slots__ = ("graph", "connected", "keys", "mean_error", "_non_cut", "_path", "_product")
+
+    def __init__(self, graph: CouplingGraph) -> None:
+        self.graph = graph
+        self.connected = graph.is_connected()
+        self.keys = key_qubits(graph) if self.connected else frozenset()
+        # Mean error of the full-graph edges at each vertex; 0.0 for an
+        # isolated vertex, which adds no cost.
+        self.mean_error: dict[int, float] = {}
+        for v in graph.vertices:
+            nbrs = graph.neighbors(v)
+            self.mean_error[v] = sum(graph.error(v, w) for w in nbrs) / len(nbrs) if nbrs else 0.0
+        self._non_cut: dict[int, tuple[int, ...]] = {}
+        self._path: dict[int, tuple[int, ...] | None] = {}
+        self._product: dict[int, float] = {}
+
+    @classmethod
+    def of(cls, graph: CouplingGraph, search: MappingSearch | None) -> MappingSearch:
+        if search is None:
+            return cls(graph)
+        if search.graph is not graph:
+            raise ValueError("search state belongs to a different graph")
+        return search
+
+    def non_cut(self, residual: int) -> tuple[int, ...]:
+        """Non-cut vertices of a connected residual graph, in ascending order."""
+        choices = self._non_cut.get(residual)
+        if choices is None:
+            cuts = articulation_points(self.graph, residual)
+            choices = tuple(v for v in mask_vertices(residual) if v not in cuts)
+            self._non_cut[residual] = choices
+        return choices
+
+    def hamiltonian_path(self, residual: int) -> tuple[int, ...] | None:
+        if residual not in self._path:
+            self._path[residual] = has_hamiltonian_path(self.graph, residual)
+        return self._path[residual]
+
+    def connectivity_product(self, assign: Sequence[int]) -> float:
+        """Product of connectivity factors over the subgraph induced by ``assign``."""
+        mask = 0
+        for v in assign:
+            mask |= 1 << v
+        prod = self._product.get(mask)
+        if prod is None:
+            prod = _connectivity_product(induced_subgraph(self.graph, assign))
+            self._product[mask] = prod
+        return prod
+
+
 def initial_mapping(
     graph: CouplingGraph,
     n: int,
     key_order: Sequence[int],
     rng: random.Random | int,
+    search: MappingSearch | None = None,
 ) -> Mapping:
     """Key-qubit priority initial mapping.
 
@@ -97,43 +164,47 @@ def initial_mapping(
         key_order: candidate seed vertices; only entry 0 is consumed, and all
             entries must be key qubits of ``graph``.
         rng: random.Random instance or a seed.
+        search: state of the enclosing search over ``graph``; a fresh one
+            is made when omitted.
 
     Returns:
         A mapping whose removal replay keeps the residual graph connected.
     """
     rng = _as_rng(rng)
-    if not graph.is_connected():
+    search = MappingSearch.of(graph, search)
+    if not search.connected:
         raise ValueError("initial mapping requires a connected coupling graph")
     if not 1 <= n <= graph.num_vertices:
         raise ValueError(f"n={n} outside [1, {graph.num_vertices}]")
     order = [int(v) for v in key_order]
     if not order:
         raise ValueError("key_order must be non-empty")
-    keys = key_qubits(graph)
-    bad = [v for v in order if v not in keys]
+    bad = [v for v in order if v not in search.keys]
     if bad:
         raise ValueError(f"key_order entries {bad} are cut points or absent")
 
     assign: list[int] = []
-    residual = graph
+    residual = graph.vertex_mask
+    size = graph.num_vertices
     while len(assign) < n:
         quota = n - len(assign)
         # The path shortcut is an optimization; beyond the exhaustive-search
         # guardrail, key-qubit removal alone still terminates correctly.
-        if residual.num_vertices == quota and quota <= HAMILTONIAN_VERTEX_LIMIT:
-            path = has_hamiltonian_path(residual)
+        if size == quota and quota <= HAMILTONIAN_VERTEX_LIMIT:
+            path = search.hamiltonian_path(residual)
             if path is not None:
                 assign.extend(path)
                 break
         if not assign:
             v = order[0]
         else:
-            choices = sorted(residual.vertices - articulation_points(residual))
+            choices = search.non_cut(residual)
             if not choices:  # connected graphs always have a non-cut vertex
                 raise RuntimeError("residual graph has no non-cut vertex")
             v = choices[rng.randrange(len(choices))]
         assign.append(v)
-        residual = remove_vertex(residual, v)
+        residual &= ~(1 << v)
+        size -= 1
     return Mapping(tuple(assign))
 
 
@@ -141,10 +212,10 @@ def replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
     """Check that removing assign[0], assign[1], ... never disconnects the residual graph."""
     if not set(mapping.assign) <= graph.vertices:
         return False
-    residual = graph
+    residual = graph.vertex_mask
     for v in mapping.assign[:-1]:
-        residual = remove_vertex(residual, v)
-        if not residual.is_connected():
+        residual &= ~(1 << v)
+        if not graph.is_connected(residual):
             return False
     return True
 
@@ -153,19 +224,12 @@ def replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
 # Objective
 # ---------------------------------------------------------------------------
 
-_SP_CACHE: dict[CouplingGraph, tuple] = {}
-_PRODUCT_CACHE: dict[CouplingGraph, float] = {}
-
-
 def _shortest_path_data(graph: CouplingGraph):
     """All-pairs hop distances, shortest-path counts, and per-vertex totals.
 
     ``through[v]`` counts, over all vertex pairs (s, t) with s < t and
     v not in {s, t}, the shortest s-t paths passing through v.
     """
-    cached = _SP_CACHE.get(graph)
-    if cached is not None:
-        return cached
     verts = sorted(graph.vertices)
     pos = {v: i for i, v in enumerate(verts)}
     size = len(verts)
@@ -197,11 +261,7 @@ def _shortest_path_data(graph: CouplingGraph):
                     continue
                 if dist[si][vi] > 0 and dist[vi][ti] > 0 and dist[si][vi] + dist[vi][ti] == dst:
                     through[vi] += sigma[si][vi] * sigma[vi][ti]
-    data = (verts, pos, dist, sigma, through)
-    if len(_SP_CACHE) > 50_000:
-        _SP_CACHE.clear()
-    _SP_CACHE[graph] = data
-    return data
+    return verts, pos, dist, sigma, through
 
 
 def _pair_factor(data, graph: CouplingGraph, i: int, j: int) -> float:
@@ -237,9 +297,6 @@ def connectivity_factor(subgraph: CouplingGraph, i: int, j: int) -> float:
 
 
 def _connectivity_product(subgraph: CouplingGraph) -> float:
-    cached = _PRODUCT_CACHE.get(subgraph)
-    if cached is not None:
-        return cached
     data = _shortest_path_data(subgraph)
     verts = data[0]
     prod = 1.0
@@ -250,31 +307,27 @@ def _connectivity_product(subgraph: CouplingGraph) -> float:
                 break
         if prod == 0.0:
             break
-    if len(_PRODUCT_CACHE) > 50_000:
-        _PRODUCT_CACHE.clear()
-    _PRODUCT_CACHE[subgraph] = prod
     return prod
 
 
-def mapping_objective(graph: CouplingGraph, mapping: Mapping) -> float:
+def mapping_objective(graph: CouplingGraph, mapping: Mapping, search: MappingSearch | None = None) -> float:
     """Mapping score: connectivity product minus position-weighted error cost.
 
     The first term multiplies connectivity factors over all mapped pairs on
     the induced subgraph; the second sums (m+1) times the mean error of the
     full-graph edges incident to assign[m].  Later-removed qubits carry more
     weight, so low-error vertices should be kept until the end.  Higher is
-    better.
+    better.  ``search`` is the state of the enclosing search over ``graph``;
+    a fresh one is made when omitted.
     """
     missing = set(mapping.assign) - graph.vertices
     if missing:
         raise ValueError(f"mapping uses unknown vertices {sorted(missing)}")
-    sub = induced_subgraph(graph, mapping.assign)
-    score = _connectivity_product(sub)
+    search = MappingSearch.of(graph, search)
+    score = search.connectivity_product(mapping.assign)
+    mean_error = search.mean_error
     for m, v in enumerate(mapping.assign):
-        nbrs = graph.neighbors(v)
-        if nbrs:
-            mean_err = sum(graph.error(v, w) for w in nbrs) / len(nbrs)
-            score -= (m + 1) * mean_err
+        score -= (m + 1) * mean_error[v]
     return score
 
 
@@ -292,35 +345,39 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     current table average are admitted; the table is trimmed back to
     ``tabu_len`` by dropping its lowest-scoring entry.
     """
-    base_order = sorted(key_qubits(graph))
-    seed_map = initial_mapping(graph, n, base_order, substream(config.seed, "seed"))
+    search = MappingSearch(graph)
+    base_order = sorted(search.keys)
+    seed_map = initial_mapping(graph, n, base_order, substream(config.seed, "seed"), search)
 
     scores: dict[tuple[int, ...], float] = {}
 
     def score(m: Mapping) -> float:
         s = scores.get(m.assign)
         if s is None:
-            s = mapping_objective(graph, m)
+            s = mapping_objective(graph, m, search)
             scores[m.assign] = s
         return s
 
+    # table_scores[i] is the score of table[i].
     table: list[Mapping] = [seed_map]
-    score(seed_map)
+    table_scores = [score(seed_map)]
     for it in range(config.iterations):
         for k in range(config.tabu_len):
             rng = substream(config.seed, it, k)
             offset = rng.randrange(len(base_order))
             order = base_order[offset:] + base_order[:offset]
-            cand = initial_mapping(graph, n, order, rng)
-            if any(cand.assign == t.assign for t in table):
+            cand = initial_mapping(graph, n, order, rng, search)
+            if cand in table:
                 continue
-            avg = sum(score(t) for t in table) / len(table)
-            if score(cand) >= avg:
+            s = score(cand)
+            if s >= sum(table_scores) / len(table):
                 table.append(cand)
+                table_scores.append(s)
                 if len(table) > config.tabu_len:
-                    worst = min(range(len(table)), key=lambda i: score(table[i]))
+                    worst = table_scores.index(min(table_scores))
                     del table[worst]
-    return [(m, score(m)) for m in table]
+                    del table_scores[worst]
+    return list(zip(table, table_scores))
 
 
 def optimize_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None = None) -> Mapping:

@@ -314,21 +314,30 @@ def synthesize(
 
 
 def verification_failure(m_original: ParityMatrix, result: SynthesisResult) -> str | None:
-    """Recheck a synthesis result from scratch; None means it is sound.
+    """Recheck a synthesis result from scratch; None means it is sound."""
+    return gate_list_failure(m_original, result.graph, result.mapping, result.gates)
 
-    Rebuilds the parity matrix from the physical gate list (translated back
-    to matrix rows through the mapping) and compares it against the original;
-    also confirms every gate sits on a coupling edge.
+
+def gate_list_failure(
+    m_original: ParityMatrix,
+    graph: CouplingGraph,
+    mapping: Mapping,
+    gates: Sequence[CNOT],
+) -> str | None:
+    """Check physical CNOTs against a logical parity matrix; None means sound.
+
+    Confirms every gate sits on a coupling edge, then rebuilds the parity
+    matrix from the gate list (translated back to matrix rows through the
+    mapping, spare qubits as ancillas) and compares it against the original.
     """
-    graph = result.graph
     n = m_original.n
-    for k, g in enumerate(result.gates):
+    for k, g in enumerate(gates):
         if not graph.has_edge(g.control, g.target):
             return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
-    assign = extended_assign(graph, result.mapping)
+    assign = extended_assign(graph, mapping)
     phys_to_row = {p: r for r, p in enumerate(assign)}
     rebuilt = ParityMatrix.identity(graph.num_vertices)
-    for g in result.gates:
+    for g in gates:
         rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
     bits = rebuilt.bits
     for r in range(n):

@@ -1,6 +1,14 @@
+import random
+
 import pytest
 
-from conftest import brute_force_articulation, brute_force_hamiltonian, random_connected_graph
+from conftest import (
+    bfs_connected,
+    brute_force_articulation,
+    brute_force_hamiltonian,
+    random_connected_graph,
+    reference_hamiltonian_path,
+)
 from cnotsynth.arch import (
     ArchError,
     CouplingGraph,
@@ -9,6 +17,7 @@ from cnotsynth.arch import (
     has_hamiltonian_path,
     induced_subgraph,
     key_qubits,
+    mask_vertices,
     parse_arch,
     remove_vertex,
     write_arch,
@@ -231,3 +240,69 @@ class TestInducedSubgraph:
     def test_unknown_vertex(self):
         with pytest.raises(ArchError):
             induced_subgraph(builtin("quito"), [0, 9])
+
+
+def residual_masks(graph, seed, count=25):
+    """Random vertex subsets of ``graph`` as (induced subgraph, mask) pairs."""
+    rng = random.Random(seed)
+    verts = sorted(graph.vertices)
+    for _ in range(count):
+        keep = rng.sample(verts, rng.randint(1, len(verts)))
+        yield induced_subgraph(graph, keep), sum(1 << v for v in keep)
+
+
+class TestResidualMasks:
+    def test_mask_view(self):
+        g = remove_vertex(builtin("quito"), 1)
+        assert g.vertex_mask == 0b11101
+        assert g.neighbor_masks[3] == 0b10000 and g.neighbor_masks[1] == 0
+        assert list(mask_vertices(g.vertex_mask)) == [0, 2, 3, 4]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_connectivity_against_bfs(self, seed):
+        g = random_connected_graph(4 + seed % 9, seed)
+        for sub, mask in residual_masks(g, seed):
+            assert g.is_connected(mask) == bfs_connected(sub)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_articulation_against_brute_force(self, seed):
+        g = random_connected_graph(4 + seed % 9, seed)  # up to 12 vertices
+        for sub, mask in residual_masks(g, seed):
+            if bfs_connected(sub):
+                assert articulation_points(g, mask) == brute_force_articulation(sub)
+            else:
+                with pytest.raises(ArchError, match="connected"):
+                    articulation_points(g, mask)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_hamiltonian_against_permutation_check(self, seed):
+        g = random_connected_graph(4 + seed % 5, seed + 100)  # up to 8 vertices
+        for sub, mask in residual_masks(g, seed):
+            found = has_hamiltonian_path(g, mask)
+            assert found == reference_hamiltonian_path(sub)
+            if found is None:
+                assert brute_force_hamiltonian(sub) is None
+            else:
+                assert sorted(found) == sorted(sub.vertices)
+                assert all(g.has_edge(a, b) for a, b in zip(found, found[1:]))
+
+    def test_empty_mask(self):
+        g = builtin("quito")
+        assert articulation_points(g, 0) == frozenset()
+        assert has_hamiltonian_path(g, 0) is None
+        assert g.is_connected(0)
+
+    def test_foreign_vertices_rejected(self):
+        g = builtin("quito")
+        with pytest.raises(ArchError, match="not in graph"):
+            articulation_points(g, 1 << 7)
+        with pytest.raises(ArchError, match="not in graph"):
+            has_hamiltonian_path(g, 0b11 | 1 << 9)
+        with pytest.raises(ArchError, match="not in graph"):
+            remove_vertex(g, 2).is_connected(0b111)
+
+    def test_guardrail_counts_mask_vertices(self):
+        g = builtin("linear(40)")
+        assert has_hamiltonian_path(g, (1 << 32) - 1) == tuple(range(32))
+        with pytest.raises(ArchError, match="limited"):
+            has_hamiltonian_path(g, (1 << 33) - 1)

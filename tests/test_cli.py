@@ -79,6 +79,28 @@ class TestSynthCommand:
             outs.append((out.read_bytes(), mp.read_bytes(), capsys.readouterr().out))
         assert outs[0] == outs[1]
 
+    def test_cnot_free_circuit_searches_once(self, tmp_path, monkeypatch, capsys):
+        import cnotsynth.cli
+        import cnotsynth.mapping
+        import cnotsynth.synth
+
+        calls = []
+        real = cnotsynth.mapping.optimize_mapping
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (cnotsynth.cli, cnotsynth.mapping, cnotsynth.synth):
+            monkeypatch.setattr(module, "optimize_mapping", counting)
+        p = tmp_path / "hx.qasm"
+        p.write_text("qreg q[3]; creg c[3];\nh q[0];\nx q[1];\nh q[2];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        assert main(["synth", str(p), "--arch", "quito", *FAST,
+                     "--out", str(tmp_path / "o.qasm"), "--map-out", str(mapping)]) == 0
+        assert len(calls) == 1
+        assert json.loads(mapping.read_text())["assign"] == list(real(*calls[0]).assign)
+
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.qasm"
         p.write_text("qreg q[2]; bogus q[0];", encoding="utf-8")
@@ -133,6 +155,26 @@ class TestVerifyCommand:
         out.write_text("\n".join(lines[:cut] + lines[cut + 1:]) + "\n", encoding="utf-8")
         assert main(["verify", inp, str(out), str(mapping)]) == 1
         assert "mismatch" in capsys.readouterr().out
+
+    def test_off_edge_gate_exits_1(self, tmp_path, capsys):
+        # (0,4) is not a quito coupling edge, although the parity matches.
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; cx q[0],q[4];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "n": 5, "assign": [0, 1, 2, 3, 4]}), encoding="utf-8")
+        assert main(["verify", str(p), str(p), str(mapping)]) == 1
+        out = capsys.readouterr().out
+        assert "not a coupling edge" in out and "equivalent" not in out
+
+    def test_qubit_outside_device_exits_2(self, tmp_path, capsys):
+        original = tmp_path / "o.qasm"
+        original.write_text("qreg q[2];\n", encoding="utf-8")
+        synthesized = tmp_path / "s.qasm"
+        synthesized.write_text("qreg q[9]; cx q[0],q[8]; cx q[0],q[8];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "n": 2, "assign": [0, 1]}), encoding="utf-8")
+        assert main(["verify", str(original), str(synthesized), str(mapping)]) == 2
+        assert "outside the device" in capsys.readouterr().err
 
     def test_identity_pair(self, tmp_path, capsys):
         p = tmp_path / "id.qasm"

@@ -4,10 +4,17 @@ from collections import Counter
 
 import pytest
 
-from conftest import enumerate_shortest_paths, random_connected_graph
+from conftest import (
+    enumerate_shortest_paths,
+    random_connected_graph,
+    reference_articulation_points,
+    reference_initial_mapping,
+    reference_replay_is_valid,
+)
 from cnotsynth.arch import CouplingGraph, builtin, induced_subgraph, key_qubits
 from cnotsynth.mapping import (
     Mapping,
+    MappingSearch,
     TabuConfig,
     connectivity_factor,
     initial_mapping,
@@ -219,3 +226,79 @@ class TestOptimizeMapping:
             TabuConfig(tabu_len=0)
         with pytest.raises(ValueError):
             TabuConfig(iterations=-1)
+
+
+BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",
+                   "linear(7)", "linear(40)", "grid(3,4)", "grid(5,5)"]
+
+
+def _check_against_reference(g, sizes, constructions):
+    keys = sorted(key_qubits(g))
+    assert keys == sorted(g.vertices - reference_articulation_points(g))
+    search = MappingSearch(g)
+    for n in sizes:
+        for k in range(constructions):
+            order = keys[k % len(keys):] + keys[:k % len(keys)]
+            shared = initial_mapping(g, n, order, random.Random(k), search)
+            fresh = initial_mapping(g, n, order, random.Random(k))
+            want = reference_initial_mapping(g, n, order, random.Random(k))
+            assert shared == fresh == want
+            assert replay_is_valid(g, shared) and reference_replay_is_valid(g, shared)
+    # Arbitrary vertex orders fail the replay check often; verdicts must agree.
+    rng = random.Random(g.num_vertices)
+    for _ in range(20):
+        assign = tuple(rng.sample(sorted(g.vertices), rng.randint(1, g.num_vertices)))
+        assert replay_is_valid(g, Mapping(assign)) == reference_replay_is_valid(g, Mapping(assign))
+
+
+class TestAgainstRebuiltResidualReference:
+    """The mask-based construction equals the one that rebuilds residual graphs."""
+
+    @pytest.mark.parametrize("size", range(2, 21))
+    def test_random_graphs(self, size):
+        for seed in range(3):
+            g = random_connected_graph(size, 7000 + 31 * size + seed)
+            _check_against_reference(g, sorted({1, max(1, size // 2), size - 1, size}), 3)
+
+    @pytest.mark.parametrize("name", BUILTIN_DEVICES)
+    def test_builtin_devices(self, name):
+        g = builtin(name)
+        v = g.num_vertices
+        _check_against_reference(g, sorted({1, v // 2, v - 1, v}), 2)
+
+    def test_search_state_is_bound_to_its_graph(self):
+        search = MappingSearch(builtin("quito"))
+        with pytest.raises(ValueError, match="different graph"):
+            initial_mapping(builtin("quito"), 5, [0], 0, search)
+
+
+#: ``optimize_mapping(builtin(name), n, TabuConfig(seed=seed)).assign``,
+#: recorded before the search moved to vertex bitmasks.
+GOLDEN_ASSIGN = {
+    ('quito', 5, 0): (0, 2, 1, 3, 4),
+    ('quito', 5, 1): (0, 2, 1, 3, 4),
+    ('quito', 5, 2): (0, 2, 1, 3, 4),
+    ('guadalupe', 12, 0): (2, 3, 5, 0, 15, 9, 8, 6, 11, 14, 13, 12),
+    ('guadalupe', 12, 1): (2, 3, 5, 0, 1, 9, 8, 11, 14, 6, 15, 13),
+    ('guadalupe', 12, 2): (3, 0, 5, 9, 2, 8, 15, 6, 11, 14, 13, 12),
+    ('guadalupe', 16, 0): (4, 6, 7, 10, 9, 0, 1, 2, 3, 5, 8, 11, 14, 13, 12, 15),
+    ('guadalupe', 16, 1): (4, 6, 7, 10, 0, 1, 9, 2, 3, 5, 8, 11, 14, 13, 12, 15),
+    ('guadalupe', 16, 2): (4, 6, 7, 9, 10, 0, 1, 2, 3, 5, 8, 11, 14, 13, 12, 15),
+    ('tokyo', 20, 0): (0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 15, 16, 17, 11, 12, 13, 18, 14, 19),
+    ('tokyo', 20, 1): (0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 15, 16, 17, 11, 12, 13, 18, 14, 19),
+    ('tokyo', 20, 2): (0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 15, 16, 17, 11, 12, 13, 18, 14, 19),
+    ('grid(5,5)', 25, 0): (0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11, 12, 13, 14, 19, 18, 17, 16, 15, 20, 21, 22, 23, 24),
+    ('grid(5,5)', 25, 1): (0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11, 12, 13, 14, 19, 18, 17, 16, 15, 20, 21, 22, 23, 24),
+    ('grid(5,5)', 25, 2): (0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11, 12, 13, 14, 19, 18, 17, 16, 15, 20, 21, 22, 23, 24),
+    ('linear(40)', 40, 0): (39, 0, 1, 38, 37, 2, 36, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35),
+    ('linear(40)', 40, 1): (39, 0, 38, 37, 36, 1, 2, 35, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34),
+    ('linear(40)', 40, 2): (0, 1, 39, 38, 2, 37, 3, 36, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35),
+}
+
+
+class TestGoldenMappings:
+    @pytest.mark.parametrize("name,n", sorted({(name, n) for name, n, _ in GOLDEN_ASSIGN}))
+    def test_default_config(self, name, n):
+        g = builtin(name)
+        for seed in range(3):
+            assert optimize_mapping(g, n, TabuConfig(seed=seed)).assign == GOLDEN_ASSIGN[(name, n, seed)]
