@@ -58,7 +58,6 @@ from .synth import (
     eliminate_row,
     synthesize,
     target_aided_rows,
-    target_aided_rows_bruteforce,
     verify_equivalence,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "solve_gf2",
     "synthesize",
     "target_aided_rows",
-    "target_aided_rows_bruteforce",
     "verify_equivalence",
     "write_arch",
     "write_qasm",

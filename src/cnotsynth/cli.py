@@ -8,7 +8,6 @@ reports.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -38,7 +37,7 @@ from .circuit import (
 )
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix
-from .mapping import Mapping, TabuConfig, optimize_mapping
+from .mapping import Mapping, TabuConfig, derive_seed, optimize_mapping
 from .synth import gate_list_failure, synthesize, verification_failure
 
 EXIT_OK = 0
@@ -84,11 +83,6 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8", newline="")
-
-
-def _derive_seed(seed: int, *key) -> int:
-    digest = hashlib.blake2b(repr((seed, key)).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def _fmt(x: float | None, places: int = 6) -> str:
@@ -305,7 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for size in sizes:
             group: list[BenchRow] = []
             for j in range(args.instances):
-                cseed = _derive_seed(args.seed, name, size, j)
+                cseed = derive_seed(args.seed, name, size, j)
                 circ = random_cnot_circuit(n, size, cseed)
                 m = ParityMatrix.from_circuit(circ.cnot_pairs(), n)
                 t0 = time.perf_counter()

@@ -1,9 +1,12 @@
-"""Dense GF(2) parity-matrix algebra for CNOT circuits.
+"""GF(2) parity-matrix algebra for CNOT circuits, on Python-int rows.
 
 A CNOT circuit on n qubits acts linearly on qubit parities.  The action is
 captured by an n x n Boolean matrix: starting from the identity, every gate
 CNOT(control, target) XORs the control row into the target row.  Row i,
 column j is 1 iff the output parity of qubit i includes input qubit j.
+
+Each row is one Python int whose bit j holds column j, so a row operation is
+a single XOR and rank and solve share one bitwise elimination (``_basis``).
 """
 from __future__ import annotations
 
@@ -14,29 +17,50 @@ import numpy as np
 
 
 class ParityMatrix:
-    """Square GF(2) matrix stored as a uint8 numpy array.
+    """Square GF(2) matrix; bit j of ``rows[r]`` is entry (r, j).
 
-    Mutating operations (``row_xor``) act in place; ``rank`` and
-    ``is_identity`` never modify the matrix.
+    The constructor takes any square 0/1 array-like (entries reduced mod 2);
+    ``from_rows`` wraps int rows directly.  Mutating operations (``row_xor``)
+    act in place; ``rank`` and ``is_identity`` never modify the matrix.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("rows",)
 
     def __init__(self, bits) -> None:
         arr = np.array(bits, dtype=np.uint8) % 2
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"parity matrix must be square and non-empty, got shape {arr.shape}")
-        self.bits = arr
+        packed = np.packbits(arr, axis=1, bitorder="little")
+        self.rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[int]) -> "ParityMatrix":
+        """Matrix over a copy of ``rows``; bit j of row r is entry (r, j)."""
+        m = cls.__new__(cls)
+        m.rows = list(rows)
+        n = len(m.rows)
+        if n < 1 or any(r < 0 or r >> n for r in m.rows):
+            raise ValueError(f"expected 1 or more rows of {n} bits each")
+        return m
 
     @property
     def n(self) -> int:
-        return self.bits.shape[0]
+        return len(self.rows)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """A fresh n x n uint8 array of the entries."""
+        n = self.n
+        width = (n + 7) // 8
+        data = b"".join(r.to_bytes(width, "little") for r in self.rows)
+        packed = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+        return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
     @classmethod
     def identity(cls, n: int) -> "ParityMatrix":
         if n < 1:
             raise ValueError("qubit count must be >= 1")
-        return cls(np.eye(n, dtype=np.uint8))
+        return cls.from_rows(1 << i for i in range(n))
 
     @classmethod
     def from_circuit(cls, gates: Iterable[tuple[int, int]], n: int) -> "ParityMatrix":
@@ -51,123 +75,87 @@ class ParityMatrix:
             to the identity, gate by gate.  Always invertible.
         """
         m = cls.identity(n)
+        rows = m.rows
         for k, (control, target) in enumerate(gates):
             if not (0 <= control < n and 0 <= target < n):
                 raise ValueError(f"gate {k}: qubit index out of range for n={n}: ({control},{target})")
             if control == target:
                 raise ValueError(f"gate {k}: control and target coincide ({control})")
-            m.bits[target] ^= m.bits[control]
+            rows[target] ^= rows[control]
         return m
 
     def row_xor(self, src: int, dst: int) -> "ParityMatrix":
         """XOR row ``src`` into row ``dst`` in place.  Involution per (src, dst)."""
         if src == dst:
             raise ValueError("row_xor requires src != dst")
-        n = self.n
+        rows = self.rows
+        n = len(rows)
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"row index out of range for n={n}: ({src},{dst})")
-        self.bits[dst] ^= self.bits[src]
+        rows[dst] ^= rows[src]
         return self
 
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.bits, np.eye(self.n, dtype=np.uint8)))
+        return all(r == 1 << i for i, r in enumerate(self.rows))
 
     def rank(self) -> int:
-        """GF(2) rank via Gaussian elimination on a copy."""
-        return gf2_rank(self.bits)
+        return gf2_rank(self.rows)
 
     def copy(self) -> "ParityMatrix":
-        return ParityMatrix(self.bits)
+        return ParityMatrix.from_rows(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ParityMatrix):
-            return bool(np.array_equal(self.bits, other.bits))
+            return self.rows == other.rows
         return NotImplemented
 
     def __repr__(self) -> str:
-        rows = ",".join("".join(str(int(b)) for b in row) for row in self.bits)
-        return f"ParityMatrix({self.n}x{self.n}: {rows})"
+        n = self.n
+        rows = ",".join("".join(str(r >> j & 1) for j in range(n)) for r in self.rows)
+        return f"ParityMatrix({n}x{n}: {rows})"
 
 
-def gf2_rank(matrix) -> int:
-    """Rank of a (not necessarily square) binary matrix over GF(2)."""
-    mat = (np.array(matrix, dtype=np.uint8) % 2).copy()
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = mat.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and mat[r, col]:
-                mat[r] ^= mat[rank]
-        rank += 1
-        if rank == rows:
+def _reduce(basis: dict[int, tuple[int, int]], row: int, mask: int) -> tuple[int, int]:
+    """Cancel the pivots of ``row`` against ``basis``, folding their row masks into ``mask``."""
+    while row:
+        entry = basis.get(row & -row)
+        if entry is None:
             break
-    return rank
+        row ^= entry[0]
+        mask ^= entry[1]
+    return row, mask
 
 
-def solve_gf2(rows, y) -> np.ndarray | None:
-    """Find a row subset of ``rows`` whose XOR equals ``y``.
+def _basis(rows: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """Echelon basis of ``rows`` keyed by pivot (each entry's lowest set bit).
 
-    Solves x^T A = y over GF(2) for A of shape (m, k) and y of length k.
+    Row k joins only if it is independent of rows 0..k-1, as the value left
+    after reduction by the earlier entries; every entry carries the mask of
+    input rows whose XOR it is, so only independent rows ever appear in a mask.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+    for k, row in enumerate(rows):
+        row, mask = _reduce(basis, row, 1 << k)
+        if row:
+            basis[row & -row] = (row, mask)
+    return basis
+
+
+def gf2_rank(rows: Sequence[int]) -> int:
+    """GF(2) rank of int rows (bit j of a row is column j)."""
+    return len(_basis(rows))
+
+
+def solve_gf2(rows: Sequence[int], y: int) -> int | None:
+    """Find a subset of ``rows`` whose XOR equals ``y``.
 
     Returns:
-        A 0/1 indicator vector of length m (free variables fixed to 0), or
+        A mask whose bit k selects ``rows[k]``, drawn only from rows that are
+        independent of the rows before them (so the answer is unique), or
         ``None`` when ``y`` is outside the row span.
     """
-    A = np.array(rows, dtype=np.uint8) % 2
-    b = np.array(y, dtype=np.uint8) % 2
-    if A.ndim != 2 or A.shape[0] < 1:
-        raise ValueError("coefficient matrix must be non-empty and 2-d")
-    m, k = A.shape
-    if b.shape != (k,):
-        raise ValueError(f"dimension mismatch: matrix has {k} columns, vector has shape {b.shape}")
-
-    # Gauss-Jordan on [A^T | y]: unknowns select rows of A.
-    aug = np.concatenate([A.T, b[:, None]], axis=1)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = None
-        for rr in range(r, k):
-            if aug[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        for rr in range(k):
-            if rr != r and aug[rr, c]:
-                aug[rr] ^= aug[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == k:
-            break
-    if np.any(aug[r:, m]):
-        return None
-    x = np.zeros(m, dtype=np.uint8)
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i, m]
-    return x
-
-
-def xor_rows(matrix, indices: Sequence[int]) -> np.ndarray:
-    """XOR of the selected rows; the all-zero vector for an empty selection."""
-    mat = np.asarray(matrix, dtype=np.uint8)
-    out = np.zeros(mat.shape[1], dtype=np.uint8)
-    for i in indices:
-        out ^= mat[i]
-    return out
+    rest, mask = _reduce(_basis(rows), y, 0)
+    return None if rest else mask
 
 
 def random_invertible(n: int, seed: int) -> ParityMatrix:

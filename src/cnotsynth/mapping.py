@@ -72,10 +72,15 @@ class TabuConfig:
             raise ValueError("iterations must be >= 0")
 
 
-def substream(seed: int, *key) -> random.Random:
-    """Independent RNG derived from (seed, key); reproducible in isolation."""
+def derive_seed(seed: int, *key) -> int:
+    """64-bit seed derived from (seed, key) by hashing; reproducible in isolation."""
     digest = hashlib.blake2b(repr((seed, key)).encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return int.from_bytes(digest, "big")
+
+
+def substream(seed: int, *key) -> random.Random:
+    """Independent RNG seeded with ``derive_seed(seed, *key)``."""
+    return random.Random(derive_seed(seed, *key))
 
 
 def _as_rng(rng: random.Random | int) -> random.Random:

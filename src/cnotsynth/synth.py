@@ -18,18 +18,14 @@ the logical qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .arch import CouplingGraph, remove_vertex
-from .circuit import CNOT, Circuit, depth
-from .gf2 import ParityMatrix, solve_gf2, xor_rows
+from .circuit import CNOT, Circuit
+from .circuit import depth as circuit_depth
+from .gf2 import ParityMatrix, solve_gf2
 from .mapping import Mapping, TabuConfig, optimize_mapping, replay_is_valid
 from .steiner import min_noise_steiner_tree, postorder, preorder
-
-BRUTEFORCE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -40,15 +36,22 @@ class SynthesisResult:
     reverse-cascade order; ``recorded_ops`` is the raw (control, target) row
     operation log in elimination order over matrix row indices (indices >= n
     are ancilla rows, which only occur when the device has spare qubits).
+    ``cnot_count`` and ``depth`` are computed from ``gates`` when read.
     """
 
     gates: tuple[CNOT, ...]
     mapping: Mapping
     recorded_ops: tuple[tuple[int, int], ...]
-    cnot_count: int
-    depth: int
     graph: CouplingGraph
     n: int
+
+    @property
+    def cnot_count(self) -> int:
+        return len(self.gates)
+
+    @property
+    def depth(self) -> int:
+        return circuit_depth(self.physical_circuit())
 
     def physical_circuit(self) -> Circuit:
         return Circuit(max(self.graph.vertices) + 1, self.gates)
@@ -64,55 +67,27 @@ def extended_assign(graph: CouplingGraph, mapping: Mapping) -> tuple[int, ...]:
 # Target-aided rows
 # ---------------------------------------------------------------------------
 
-def _layer_target(m: ParityMatrix, i: int, order: Sequence[int] | None):
-    rows = m.n
-    if order is None:
-        seq = range(rows)
-    else:
-        seq = list(order)
-        if sorted(seq) != list(range(rows)):
-            raise ValueError("order must be a permutation of the row indices")
-    if not 0 <= i < rows:
-        raise ValueError(f"layer index {i} outside [0,{rows})")
-    target = seq[i]
-    rest = list(seq[i + 1:])
-    y = m.bits[target].copy()
-    y[target] ^= 1
-    return target, rest, y
-
-
-def target_aided_rows(m: ParityMatrix, i: int, order: Sequence[int] | None = None) -> set[int]:
+def target_aided_rows(m: ParityMatrix, i: int) -> set[int]:
     """Rows below layer i whose XOR equals row i plus its unit vector.
 
     Found by solving the GF(2) linear system over the remaining rows; for an
     invertible matrix with layers before i eliminated the solution exists and
     is unique.  Returns the empty set when row i is already a unit vector.
     """
-    target, rest, y = _layer_target(m, i, order)
-    if not y.any():
+    rows = m.rows
+    if not 0 <= i < len(rows):
+        raise ValueError(f"layer index {i} outside [0,{len(rows)})")
+    y = rows[i] ^ (1 << i)
+    if not y:
         return set()
-    if not rest:
-        raise RuntimeError(f"no rows left to aid elimination of row {target}")
-    x = solve_gf2(m.bits[rest], y)
+    if i + 1 == len(rows):
+        raise RuntimeError(f"no rows left to aid elimination of row {i}")
+    x = solve_gf2(rows[i + 1:], y)
     if x is None:
         raise RuntimeError(
-            f"no target-aided row set for row {target}; matrix is singular or layers are out of order"
+            f"no target-aided row set for row {i}; matrix is singular or layers are out of order"
         )
-    return {rest[j] for j in np.nonzero(x)[0]}
-
-
-def target_aided_rows_bruteforce(m: ParityMatrix, i: int, order: Sequence[int] | None = None) -> set[int]:
-    """Subset-enumeration oracle for ``target_aided_rows`` (rows <= 10)."""
-    if m.n > BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute-force matcher limited to {BRUTEFORCE_LIMIT} rows, got {m.n}")
-    target, rest, y = _layer_target(m, i, order)
-    if not y.any():
-        return set()
-    for size in range(1, len(rest) + 1):
-        for combo in combinations(rest, size):
-            if np.array_equal(xor_rows(m.bits, combo), y):
-                return set(combo)
-    raise RuntimeError(f"no target-aided row set for row {target}")
+    return {i + 1 + j for j in range(x.bit_length()) if x >> j & 1}
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +99,18 @@ def _placement(m: ParityMatrix, mapping: Mapping):
         raise ValueError(f"mapping covers {mapping.n} rows but matrix has {m.n}")
     return mapping.assign, mapping.inverse()
 
+
+def _column_ones(m: ParityMatrix, i: int) -> list[int]:
+    return [r for r, row in enumerate(m.rows) if row >> i & 1]
+
+
 def _check_unit_column(m: ParityMatrix, i: int) -> None:
-    col = m.bits[:, i]
-    if col[i] != 1 or int(col.sum()) != 1:
+    if _column_ones(m, i) != [i]:
         raise RuntimeError(f"column {i} failed to reduce to a unit vector")
 
 
 def _check_unit_row(m: ParityMatrix, i: int) -> None:
-    row = m.bits[i]
-    if row[i] != 1 or int(row.sum()) != 1:
+    if m.rows[i] != 1 << i:
         raise RuntimeError(f"row {i} failed to reduce to a unit vector")
 
 
@@ -156,8 +134,7 @@ def eliminate_column(
     root = assign[i]
     if root not in residual.vertices:
         raise RuntimeError(f"layer qubit {root} missing from residual graph")
-    ones = np.nonzero(m.bits[:, i])[0]
-    terminals = {assign[j] for j in ones}
+    terminals = {assign[j] for j in _column_ones(m, i)}
     outside = terminals - residual.vertices
     if outside:
         raise RuntimeError(
@@ -168,13 +145,14 @@ def eliminate_column(
 
     tree = min_noise_steiner_tree(residual, root, terminals)
     order = postorder(tree)
+    rows, bit = m.rows, 1 << i
     ops: list[tuple[int, int]] = []
     for c_phys in order:
         if c_phys == root:
             continue
         k_phys = tree.parent[c_phys]
         c, k = phys_to_row[c_phys], phys_to_row[k_phys]
-        if m.bits[k, i] == 0 and m.bits[c, i] == 1:
+        if not rows[k] & bit and rows[c] & bit:
             m.row_xor(c, k)
             ops.append((c, k))
     for c_phys in order:
@@ -238,18 +216,14 @@ def eliminate_row(
 # ---------------------------------------------------------------------------
 
 def _embed(m: ParityMatrix, size: int) -> ParityMatrix:
-    if size == m.n:
-        return m.copy()
-    bits = np.eye(size, dtype=np.uint8)
-    bits[: m.n, : m.n] = m.bits
-    return ParityMatrix(bits)
+    """``m`` extended to ``size`` rows by the identity on the ancilla rows."""
+    return ParityMatrix.from_rows(m.rows + [1 << r for r in range(m.n, size)])
 
 
-def _blocks_ok(bits: np.ndarray, n: int) -> bool:
-    return (
-        bool(np.array_equal(bits[:n, :n], np.eye(n, dtype=np.uint8)))
-        and not bits[:n, n:].any()
-        and not bits[n:, :n].any()
+def _blocks_ok(rows: list[int], n: int) -> bool:
+    logical = (1 << n) - 1
+    return all(row == 1 << r for r, row in enumerate(rows[:n])) and not any(
+        row & logical for row in rows[n:]
     )
 
 
@@ -297,20 +271,11 @@ def synthesize(
         recorded.extend(eliminate_column(work, residual, full, i))
         recorded.extend(eliminate_row(work, residual, full, i))
         residual = remove_vertex(residual, assign[i])
-    if not _blocks_ok(work.bits, n):
+    if not _blocks_ok(work.rows, n):
         raise RuntimeError("elimination finished without reaching the identity")
 
     gates = tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
-    phys = Circuit(max(graph.vertices) + 1, gates) if gates else None
-    return SynthesisResult(
-        gates=gates,
-        mapping=mapping,
-        recorded_ops=tuple(recorded),
-        cnot_count=len(gates),
-        depth=depth(phys) if phys else 0,
-        graph=graph,
-        n=n,
-    )
+    return SynthesisResult(gates=gates, mapping=mapping, recorded_ops=tuple(recorded), graph=graph, n=n)
 
 
 def verification_failure(m_original: ParityMatrix, result: SynthesisResult) -> str | None:
@@ -339,15 +304,16 @@ def gate_list_failure(
     rebuilt = ParityMatrix.identity(graph.num_vertices)
     for g in gates:
         rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
-    bits = rebuilt.bits
+    rows = rebuilt.rows
+    logical = (1 << n) - 1
     for r in range(n):
-        if not np.array_equal(bits[r, :n], m_original.bits[r]):
+        if rows[r] & logical != m_original.rows[r]:
             return f"row {r} of the rebuilt parity matrix differs from the original"
-        if bits[r, n:].any():
+        if rows[r] >> n:
             return f"row {r} depends on ancilla qubits"
-    if bits[n:, :n].any():
-        r = n + int(np.nonzero(bits[n:, :n].any(axis=1))[0][0])
-        return f"ancilla row {r} depends on logical qubits"
+    for r in range(n, len(rows)):
+        if rows[r] & logical:
+            return f"ancilla row {r} depends on logical qubits"
     return None
 
 

@@ -1,12 +1,18 @@
-"""Shared test helpers: seeded random graphs, brute-force oracles, and a
-reference mapping construction that rebuilds every residual graph."""
+"""Shared test helpers: seeded random graphs, brute-force oracles, a
+reference mapping construction that rebuilds every residual graph, and the
+numpy GF(2) solver that the bitwise one replaced."""
 from __future__ import annotations
 
 import itertools
 import random
 from collections import deque
+from functools import reduce
+from operator import xor
+
+import numpy as np
 
 from cnotsynth.arch import HAMILTONIAN_VERTEX_LIMIT, CouplingGraph, remove_vertex
+from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping
 
 
@@ -213,3 +219,93 @@ def reference_replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
         if not bfs_connected(residual):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# GF(2) oracles
+# ---------------------------------------------------------------------------
+
+BRUTEFORCE_LIMIT = 10
+
+
+def xor_rows(matrix, indices) -> np.ndarray:
+    """XOR of the selected rows of a 0/1 array; the all-zero vector for an empty selection."""
+    mat = np.asarray(matrix, dtype=np.uint8)
+    out = np.zeros(mat.shape[1], dtype=np.uint8)
+    for i in indices:
+        out ^= mat[i]
+    return out
+
+
+def target_aided_rows_bruteforce(m: ParityMatrix, i: int) -> set[int]:
+    """Subset-enumeration oracle for ``target_aided_rows`` (rows <= 10)."""
+    if m.n > BRUTEFORCE_LIMIT:
+        raise ValueError(f"brute-force matcher limited to {BRUTEFORCE_LIMIT} rows, got {m.n}")
+    rows = m.rows
+    y = rows[i] ^ (1 << i)
+    if not y:
+        return set()
+    rest = range(i + 1, m.n)
+    for size in range(1, len(rest) + 1):
+        for combo in itertools.combinations(rest, size):
+            if reduce(xor, (rows[k] for k in combo)) == y:
+                return set(combo)
+    raise RuntimeError(f"no target-aided row set for row {i}")
+
+
+def reference_gf2_rank(matrix) -> int:
+    """Numpy Gauss-Jordan rank over GF(2), column by column."""
+    mat = (np.array(matrix, dtype=np.uint8) % 2).copy()
+    rows, cols = mat.shape
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if mat[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            mat[[rank, pivot]] = mat[[pivot, rank]]
+        for r in range(rows):
+            if r != rank and mat[r, col]:
+                mat[r] ^= mat[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def reference_solve_gf2(rows, y):
+    """Numpy Gauss-Jordan on [A^T | y]: a 0/1 row indicator with free variables
+    fixed to 0, or ``None`` when ``y`` is outside the row span."""
+    A = np.array(rows, dtype=np.uint8) % 2
+    b = np.array(y, dtype=np.uint8) % 2
+    m, k = A.shape
+    aug = np.concatenate([A.T, b[:, None]], axis=1)
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(m):
+        pivot = None
+        for rr in range(r, k):
+            if aug[rr, c]:
+                pivot = rr
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            aug[[r, pivot]] = aug[[pivot, r]]
+        for rr in range(k):
+            if rr != r and aug[rr, c]:
+                aug[rr] ^= aug[r]
+        pivot_cols.append(c)
+        r += 1
+        if r == k:
+            break
+    if np.any(aug[r:, m]):
+        return None
+    x = np.zeros(m, dtype=np.uint8)
+    for i, c in enumerate(pivot_cols):
+        x[c] = aug[i, m]
+    return x

@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_simple_paths, random_connected_graph
+from conftest import all_simple_paths, random_connected_graph, target_aided_rows_bruteforce, xor_rows
 from cnotsynth.arch import CouplingGraph, builtin, has_hamiltonian_path, key_qubits
 from cnotsynth.circuit import CNOT, Circuit, monte_carlo_fidelity, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
-from cnotsynth.gf2 import ParityMatrix, random_invertible, xor_rows
+from cnotsynth.gf2 import ParityMatrix, random_invertible
 from cnotsynth.mapping import (
     Mapping,
     TabuConfig,
@@ -30,7 +30,6 @@ from cnotsynth.synth import (
     eliminate_row,
     synthesize,
     target_aided_rows,
-    target_aided_rows_bruteforce,
     verify_equivalence,
 )
 

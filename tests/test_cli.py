@@ -215,6 +215,22 @@ class TestBenchCommand:
         payload = json.loads(out.read_text())
         assert payload[0]["arch"] == "quito" and payload[-1]["aggregate"] is True
 
+    def test_golden_json_report(self, tmp_path):
+        # Captured before the instance seeds moved onto mapping.derive_seed;
+        # every field except the wall-clock ms.
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "2",
+                     "--seed", "1", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        for row in payload:
+            del row["ms"]
+        common = {"input_gates": 10, "mc_fidelity": None, "n": 5}
+        assert payload == [
+            {**common, "aggregate": False, "arch": "quito", "cnot": 17, "depth": 15, "esp": 0.8515874413057307},
+            {**common, "aggregate": False, "arch": "quito", "cnot": 4, "depth": 4, "esp": 0.9609437000963355},
+            {**common, "aggregate": True, "arch": "quito:mean", "cnot": 10.5, "depth": 9.5, "esp": 0.9062655707010331},
+        ]
+
     def test_quito_sweep_up_to_10000_gates_stays_bounded(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["bench", "--arch", "quito", "--sizes", "10,100,1000,10000",

@@ -1,13 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnotsynth.gf2 import ParityMatrix, gf2_rank, random_invertible, solve_gf2, xor_rows
+from conftest import reference_gf2_rank, reference_solve_gf2
+from cnotsynth.gf2 import ParityMatrix, gf2_rank, random_invertible, solve_gf2
 
 
 def mat(rows):
     return ParityMatrix(np.array(rows, dtype=np.uint8))
+
+
+def row_int(row) -> int:
+    """Int row of a 0/1 sequence: entry j becomes bit j."""
+    return sum(1 << j for j, b in enumerate(row) if b)
 
 
 class TestFromCircuit:
@@ -81,7 +89,7 @@ class TestRankIdentity:
         assert m.is_identity() and m.rank() == 4
 
     def test_zeros_rank(self):
-        assert gf2_rank(np.zeros((3, 3), dtype=np.uint8)) == 0
+        assert gf2_rank([0, 0, 0]) == 0
 
     def test_equal_rows_rank_one(self):
         assert mat([[1, 1], [1, 1]]).rank() == 1
@@ -94,29 +102,71 @@ class TestRankIdentity:
 
 class TestSolve:
     def test_identity_system(self):
-        x = solve_gf2(np.eye(3, dtype=np.uint8), [1, 0, 1])
-        assert x.tolist() == [1, 0, 1]
+        assert solve_gf2([0b001, 0b010, 0b100], 0b101) == 0b101
 
     def test_two_row_combination(self):
-        x = solve_gf2([[1, 1, 0], [0, 1, 1]], [1, 0, 1])
-        assert x.tolist() == [1, 1]
+        # Rows [1,1,0] and [0,1,1] XOR to [1,0,1].
+        assert solve_gf2([0b011, 0b110], 0b101) == 0b11
 
     def test_no_solution(self):
-        assert solve_gf2([[1, 1, 0]], [0, 0, 1]) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            solve_gf2([[1, 0]], [1, 0, 1])
+        assert solve_gf2([0b011], 0b100) is None
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_solution_rexors_to_target(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        y = rng.integers(0, 2, size=cols, dtype=np.uint8)
+        rng = random.Random(seed)
+        a = [rng.getrandbits(cols) for _ in range(rows)]
+        y = rng.getrandbits(cols)
         x = solve_gf2(a, y)
         if x is not None:
-            assert np.array_equal(xor_rows(a, np.nonzero(x)[0]), y)
+            acc = 0
+            for k, row in enumerate(a):
+                if x >> k & 1:
+                    acc ^= row
+            assert acc == y
+
+
+def dependent_system(m: int, k: int, seed: int):
+    """An m x k 0/1 system of rank at most ``seed % (min(m, k) + 1)``, plus a
+    target that is in the row span for even seeds and random for odd ones."""
+    rng = np.random.default_rng(seed)
+    r = seed % (min(m, k) + 1)
+    base = rng.integers(0, 2, size=(r, k), dtype=np.uint8)
+    mix = rng.integers(0, 2, size=(m, r), dtype=np.uint8)
+    a = (mix.astype(np.int64) @ base % 2).astype(np.uint8)
+    # Overwrite a few rows with fresh random ones so that rank and row order vary.
+    for row in rng.choice(m, size=int(rng.integers(0, m // 3 + 1)), replace=False):
+        a[row] = rng.integers(0, 2, size=k, dtype=np.uint8)
+    if seed % 2 == 0:
+        y = rng.integers(0, 2, size=m, dtype=np.uint8).astype(np.int64) @ a % 2
+    else:
+        y = rng.integers(0, 2, size=k)
+    return a, y.astype(np.uint8)
+
+
+class TestAgainstNumpyReference:
+    """The bitwise elimination returns exactly what the numpy Gauss-Jordan did."""
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_solve_and_rank_match(self, m, k, seed):
+        a, y = dependent_system(m, k, seed)
+        rows = [row_int(row) for row in a]
+        want = reference_solve_gf2(a, y)
+        got = solve_gf2(rows, row_int(y))
+        if want is None:
+            assert got is None
+        else:
+            assert got == row_int(want)
+        assert gf2_rank(rows) == reference_gf2_rank(a)
+
+    def test_duplicate_rows_pick_the_first(self):
+        # Rows 0 and 1 are equal: the earlier, independent one is chosen.
+        assert solve_gf2([0b01, 0b01, 0b10], 0b11) == 0b101
+        assert reference_solve_gf2([[1, 0], [1, 0], [0, 1]], [1, 1]).tolist() == [1, 0, 1]
+
+    def test_empty_target(self):
+        assert solve_gf2([0b1, 0b1], 0) == 0
 
 
 class TestRandomInvertible:
@@ -150,3 +200,30 @@ class TestConstruction:
 
     def test_values_reduced_mod_2(self):
         assert ParityMatrix([[3, 0], [2, 1]]) == mat([[1, 0], [0, 1]])
+
+    def test_rows_hold_entries_as_bits(self):
+        m = mat([[1, 1, 0], [0, 0, 1], [1, 0, 1]])
+        assert m.rows == [0b011, 0b100, 0b101]
+
+    def test_from_rows_rejects_wide_or_negative_rows(self):
+        with pytest.raises(ValueError):
+            ParityMatrix.from_rows([0b1, 0b100])
+        with pytest.raises(ValueError):
+            ParityMatrix.from_rows([1, -1])
+        with pytest.raises(ValueError):
+            ParityMatrix.from_rows([])
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
+    def test_bits_round_trip(self, n):
+        arr = np.random.default_rng(n).integers(0, 2, size=(n, n), dtype=np.uint8)
+        m = ParityMatrix(arr)
+        bits = m.bits
+        assert bits.dtype == np.uint8 and np.array_equal(bits, arr)
+        assert ParityMatrix(bits) == m
+        assert ParityMatrix.from_rows(m.rows) == m
+        assert all(m.rows[r] >> j & 1 == arr[r, j] for r in range(n) for j in range(n))
+
+    def test_bits_is_a_fresh_array(self):
+        m = ParityMatrix.identity(3)
+        m.bits[0, 1] = 1
+        assert m.is_identity()
