@@ -1,17 +1,20 @@
 """Error-weighted coupling graphs: parsing, device catalog, cut points, Hamiltonian paths.
 
 A coupling graph describes which physical-qubit pairs support a CNOT and at
-what error rate.  Graphs are immutable after construction; ``remove_vertex``
-returns a new graph.  Each graph also carries a bitmask view, built on first
-use: one int neighbour mask per vertex id and one mask of all vertices.  A
-residual graph of the mapping search is then just an int vertex mask over
-one base graph, and connectivity, cut points and Hamiltonian paths are
-computed on that mask without building a new graph.  Memoizing those
-queries is left to the caller (the mapping search keeps one memo per
-search).
+what error rate.  Graphs are immutable after construction.  Each graph
+keeps one adjacency, as bitmasks: one int neighbour mask per vertex id and
+one mask of all vertices, plus one weight row per vertex id holding the
+``-ln(1 - e)`` routing weight of each incident edge.  A residual graph, in
+the mapping search, in layer elimination and in the mapping objective, is
+an int vertex mask over one base graph; connectivity, cut points and
+Hamiltonian paths take that mask and never build a new graph.
+``remove_vertex`` and ``induced_subgraph`` still build one for callers that
+want a standalone graph.  Memoizing mask queries is left to the caller (the
+mapping search keeps one memo per search).
 """
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from typing import Iterable, Iterator
@@ -28,15 +31,26 @@ class ArchError(ValueError):
     """Malformed architecture description."""
 
 
+def edge_weight(error: float) -> float:
+    """Additive routing weight -ln(1 - e); zero-error edges weigh 0."""
+    return -math.log1p(-error)
+
+
 class CouplingGraph:
     """Undirected physical-qubit graph with per-edge CNOT error rates.
 
     Vertices are integer ids (not necessarily contiguous once vertices have
     been removed).  Equality and hashing cover vertices, edges and error
     rates but ignore the display ``name`` and calibration extras.
+
+    ``neighbor_masks[v]`` has bit w set iff (v, w) is an edge, and bit v of
+    ``vertex_mask`` is set iff v is a vertex.  ``weight_rows[v]`` lists
+    ``(w, edge_weight(e))`` for every edge (v, w), w ascending.  All three
+    are indexed by vertex id; ids that are not vertices have no neighbours.
     """
 
-    __slots__ = ("vertices", "edge_error", "adj", "name", "one_qubit_error", "_hash", "_masks")
+    __slots__ = ("vertices", "edge_error", "neighbor_masks", "vertex_mask", "weight_rows",
+                 "name", "one_qubit_error", "_hash")
 
     def __init__(
         self,
@@ -49,7 +63,9 @@ class CouplingGraph:
         if any(v < 0 for v in vset):
             raise ArchError("vertex ids must be non-negative")
         edge_error: dict[tuple[int, int], float] = {}
-        adj: dict[int, set[int]] = {v: set() for v in vset}
+        size = max(vset, default=-1) + 1
+        nbr = [0] * size
+        rows: list[list[tuple[int, float]]] = [[] for _ in range(size)]
         for u, v, err in edges:
             u, v = int(u), int(v)
             if u == v:
@@ -63,15 +79,19 @@ class CouplingGraph:
             if key in edge_error:
                 raise ArchError(f"duplicate edge ({key[0]},{key[1]})")
             edge_error[key] = err
-            adj[u].add(v)
-            adj[v].add(u)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            weight = edge_weight(err)
+            rows[u].append((v, weight))
+            rows[v].append((u, weight))
         self.vertices = vset
         self.edge_error = edge_error
-        self.adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        self.neighbor_masks = tuple(nbr)
+        self.vertex_mask = sum(1 << v for v in vset)
+        self.weight_rows = tuple(tuple(sorted(row)) for row in rows)
         self.name = name
         self.one_qubit_error = one_qubit_error
         self._hash: int | None = None
-        self._masks: tuple[tuple[int, ...], int] | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -82,10 +102,16 @@ class CouplingGraph:
         return len(self.edge_error)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        """Neighbours of vertex ``v`` in ascending order."""
+        return tuple(mask_vertices(self._neighbor_mask(v)))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._neighbor_mask(v).bit_count()
+
+    def _neighbor_mask(self, v: int) -> int:
+        if v not in self.vertices:
+            raise KeyError(v)
+        return self.neighbor_masks[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_error
@@ -101,32 +127,13 @@ class CouplingGraph:
         """Edges as (u, v, error) triples sorted by (u, v), u < v."""
         return [(u, v, self.edge_error[(u, v)]) for u, v in sorted(self.edge_error)]
 
-    def _mask_view(self) -> tuple[tuple[int, ...], int]:
-        if self._masks is None:
-            nbr = [0] * (max(self.vertices, default=-1) + 1)
-            for u, v in self.edge_error:
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-            self._masks = (tuple(nbr), sum(1 << v for v in self.vertices))
-        return self._masks
-
-    @property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Entry v has bit w set iff (v, w) is an edge; indexed by vertex id."""
-        return self._mask_view()[0]
-
-    @property
-    def vertex_mask(self) -> int:
-        """Bit v is set iff v is a vertex."""
-        return self._mask_view()[1]
-
     def is_connected(self, mask: int | None = None) -> bool:
         """Whether the vertices in ``mask`` (default: all) induce a connected subgraph."""
         nbr, mask = _residual_mask(self, mask)
         return not mask or _flood(nbr, mask & -mask, mask) == mask
 
     def components(self) -> list[frozenset[int]]:
-        nbr, remaining = self._mask_view()
+        nbr, remaining = self.neighbor_masks, self.vertex_mask
         out = []
         while remaining:
             comp = _flood(nbr, remaining & -remaining, remaining)
@@ -198,7 +205,7 @@ def induced_subgraph(graph: CouplingGraph, vertices: Iterable[int]) -> CouplingG
 
 
 def _residual_mask(graph: CouplingGraph, mask: int | None) -> tuple[tuple[int, ...], int]:
-    nbr, full = graph._mask_view()
+    nbr, full = graph.neighbor_masks, graph.vertex_mask
     if mask is None:
         return nbr, full
     if mask & ~full:

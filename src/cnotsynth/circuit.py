@@ -28,7 +28,23 @@ class OneQubit(NamedTuple):
 
 
 class Measure(NamedTuple):
+    """Measurement of ``qubit`` into classical bit ``clbit``.
+
+    ``clbit`` is ``None`` when the bit has the qubit's index, so
+    ``Measure(q)`` measures q into bit q; ``measure_into`` builds that form.
+    """
+
     qubit: int
+    clbit: int | None = None
+
+    @property
+    def bit(self) -> int:
+        return self.qubit if self.clbit is None else self.clbit
+
+
+def measure_into(qubit: int, clbit: int) -> Measure:
+    """Measurement of ``qubit`` into bit ``clbit``, with ``clbit`` unset when equal."""
+    return Measure(qubit, None if clbit == qubit else clbit)
 
 
 Gate = CNOT | OneQubit | Measure
@@ -53,10 +69,14 @@ class Circuit:
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
         for k, g in enumerate(self.gates):
-            if isinstance(g, CNOT) and g.control == g.target:
-                raise ValueError(f"gate {k}: control and target coincide ({g.control})")
-            if isinstance(g, OneQubit) and g.kind not in _ONE_QUBIT_KINDS:
-                raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
+            if isinstance(g, CNOT):
+                if g.control == g.target:
+                    raise ValueError(f"gate {k}: control and target coincide ({g.control})")
+            elif isinstance(g, OneQubit):
+                if g.kind not in _ONE_QUBIT_KINDS:
+                    raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
+            elif g.bit < 0:
+                raise ValueError(f"gate {k}: negative classical bit {g.bit}")
             for q in gate_qubits(g):
                 if not 0 <= q < self.n:
                     raise ValueError(f"gate {k}: qubit {q} outside [0,{self.n})")
@@ -188,7 +208,7 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"unknown classical register {cname!r}", line, col)
             if cidx >= creg[1]:
                 raise QasmError(f"register size mismatch: {cname}[{cidx}] exceeds size {creg[1]}", line, col)
-            gates.append(Measure(q))
+            gates.append(measure_into(q, cidx))
             continue
         word = _RE_GATE_WORD.match(stmt)
         if word and word.group(1) not in ("qreg", "creg", "measure", "cx", "h", "x", "z", "include", "OPENQASM"):
@@ -201,12 +221,17 @@ def parse_qasm(text: str) -> Circuit:
 
 
 def write_qasm(circuit: Circuit) -> str:
-    """Serialize to the QASM subset, one statement per line."""
+    """Serialize to the QASM subset, one statement per line.
+
+    The classical register has one bit per qubit, or more when a
+    measurement targets a higher bit.
+    """
+    bits = [g.bit + 1 for g in circuit.gates if isinstance(g, Measure)]
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{circuit.n}];",
-        f"creg c[{circuit.n}];",
+        f"creg c[{max([circuit.n, *bits])}];",
     ]
     for g in circuit.gates:
         if isinstance(g, CNOT):
@@ -214,7 +239,7 @@ def write_qasm(circuit: Circuit) -> str:
         elif isinstance(g, OneQubit):
             lines.append(f"{g.kind} q[{g.qubit}];")
         else:
-            lines.append(f"measure q[{g.qubit}] -> c[{g.qubit}];")
+            lines.append(f"measure q[{g.qubit}] -> c[{g.bit}];")
     return "\n".join(lines) + "\n"
 
 
@@ -356,9 +381,10 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
 
     One mapping is computed for the whole circuit; every CNOT run is
     synthesized under it, and single-qubit gates and measurements are
-    relocated to their mapped physical qubits.  The output circuit is the
-    interleaving of relocated runs and synthesized runs in original order,
-    over the device's physical qubits.
+    relocated to their mapped physical qubits (a measurement keeps its
+    classical bit).  The output circuit is the interleaving of relocated
+    runs and synthesized runs in original order, over the device's physical
+    qubits.
 
     Returns:
         (physical Circuit, list of per-run synthesis results).
@@ -386,5 +412,5 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
                 if isinstance(g, OneQubit):
                     out.append(OneQubit(g.kind, mapping.physical(g.qubit)))
                 else:
-                    out.append(Measure(mapping.physical(g.qubit)))  # type: ignore[union-attr]
+                    out.append(measure_into(mapping.physical(g.qubit), g.bit))  # type: ignore[union-attr]
     return Circuit(n_out, tuple(out)), results

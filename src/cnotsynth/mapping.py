@@ -9,16 +9,17 @@ rest of the assignment follows that path.
 
 No residual graph is ever built: it is the base graph's vertex mask with the
 assigned vertices' bits cleared, and its cut points and Hamiltonian path are
-computed on that mask (see ``arch``).  Tabu search perturbs the seed vertex
-of the construction and keeps a bounded table of the best-scoring mappings
-found; one ``MappingSearch`` memo, keyed by mask, serves all constructions
-and scores of a search and is dropped when the search returns.
+computed on that mask (see ``arch``).  The objective's subgraph induced by
+the mapped qubits is likewise the mask of those qubits.  Tabu search
+perturbs the seed vertex of the construction and keeps a bounded table of
+the best-scoring mappings found; one ``MappingSearch`` memo, keyed by mask,
+serves all constructions and scores of a search and is dropped when the
+search returns.
 """
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,11 +28,11 @@ from .arch import (
     CouplingGraph,
     articulation_points,
     has_hamiltonian_path,
-    induced_subgraph,
     key_qubits,
     mask_vertices,
-    remove_vertex,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 )
+from .arch import induced_subgraph  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
+from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class MappingSearch:
             mask |= 1 << v
         prod = self._product.get(mask)
         if prod is None:
-            prod = _connectivity_product(induced_subgraph(self.graph, assign))
+            prod = _connectivity_product(self.graph, mask)
             self._product[mask] = prod
         return prod
 
@@ -229,62 +230,68 @@ def replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _shortest_path_data(graph: CouplingGraph):
+def _shortest_path_data(graph: CouplingGraph, mask: int):
     """All-pairs hop distances, shortest-path counts, and per-vertex totals.
 
-    ``through[v]`` counts, over all vertex pairs (s, t) with s < t and
-    v not in {s, t}, the shortest s-t paths passing through v.
+    Computed on the subgraph induced by ``mask``.  ``dist[s][t]`` (-1 when
+    unreachable) and ``sigma[s][t]`` are indexed by vertex id for s in the
+    mask; ``through[v]`` counts, over all vertex pairs (s, t) with s < t and
+    v not in {s, t}, the shortest s-t paths passing through v.  Per source,
+    ``below[v]`` counts the shortest paths from v onward to every farther
+    vertex (Brandes' accumulation), so ``sigma[s][v] * below[v]`` counts the
+    shortest s-t paths through v over all t; each pair is met from both ends.
     """
-    verts = sorted(graph.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    size = len(verts)
-    dist = [[-1] * size for _ in range(size)]
-    sigma = [[0] * size for _ in range(size)]
-    for si, s in enumerate(verts):
-        d, g = dist[si], sigma[si]
-        d[si] = 0
-        g[si] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            vi = pos[v]
-            for w in graph.neighbors(v):
-                wi = pos[w]
-                if d[wi] < 0:
-                    d[wi] = d[vi] + 1
-                    queue.append(w)
-                if d[wi] == d[vi] + 1:
-                    g[wi] += g[vi]
+    nbr = graph.neighbor_masks
+    size = len(nbr)
+    dist: list[list[int] | None] = [None] * size
+    sigma: list[list[int] | None] = [None] * size
     through = [0] * size
-    for si in range(size):
-        for ti in range(si + 1, size):
-            dst = dist[si][ti]
-            if dst < 0:
-                continue
-            for vi in range(size):
-                if vi == si or vi == ti:
-                    continue
-                if dist[si][vi] > 0 and dist[vi][ti] > 0 and dist[si][vi] + dist[vi][ti] == dst:
-                    through[vi] += sigma[si][vi] * sigma[vi][ti]
-    return verts, pos, dist, sigma, through
+    for s in mask_vertices(mask):
+        d = [-1] * size
+        g = [0] * size
+        d[s] = 0
+        g[s] = 1
+        layers = [1 << s]
+        seen = 1 << s
+        while True:
+            last = layers[-1]
+            step = 0
+            for v in mask_vertices(last):
+                step |= nbr[v]
+            step &= mask & ~seen
+            if not step:
+                break
+            for w in mask_vertices(step):
+                d[w] = len(layers)
+                g[w] = sum(g[v] for v in mask_vertices(nbr[w] & last))
+            seen |= step
+            layers.append(step)
+        below = [0] * size
+        for k in range(len(layers) - 2, 0, -1):
+            farther = layers[k + 1]
+            for v in mask_vertices(layers[k]):
+                below[v] = b = sum(1 + below[w] for w in mask_vertices(nbr[v] & farther))
+                through[v] += g[v] * b
+        dist[s] = d
+        sigma[s] = g
+    return mask, dist, sigma, [t // 2 for t in through]
 
 
 def _pair_factor(data, graph: CouplingGraph, i: int, j: int) -> float:
-    verts, pos, dist, sigma, through = data
+    mask, dist, sigma, through = data
     if graph.has_edge(i, j):
         return 1.0
-    ii, jj = pos[i], pos[j]
-    if dist[ii][jj] < 0:
+    di, dj, si, sj = dist[i], dist[j], sigma[i], sigma[j]
+    if di[j] < 0:
         return 0.0
-    sij = sigma[ii][jj]
     total = 0.0
-    for vi in range(len(verts)):
-        if vi == ii or vi == jj:
+    for v in mask_vertices(mask):
+        if v == i or v == j:
             continue
-        cnt = sigma[ii][vi] * sigma[vi][jj]
-        if cnt and dist[ii][vi] + dist[vi][jj] == dist[ii][jj]:
-            total += cnt / through[vi]
-    return min(1.0, max(0.0, total / sij))
+        cnt = si[v] * sj[v]
+        if cnt and di[v] + dj[v] == di[j]:
+            total += cnt / through[v]
+    return min(1.0, max(0.0, total / si[j]))
 
 
 def connectivity_factor(subgraph: CouplingGraph, i: int, j: int) -> float:
@@ -298,16 +305,17 @@ def connectivity_factor(subgraph: CouplingGraph, i: int, j: int) -> float:
         raise ValueError("connectivity factor needs two distinct vertices")
     if i not in subgraph.vertices or j not in subgraph.vertices:
         raise ValueError(f"({i},{j}) must be subgraph vertices")
-    return _pair_factor(_shortest_path_data(subgraph), subgraph, i, j)
+    return _pair_factor(_shortest_path_data(subgraph, subgraph.vertex_mask), subgraph, i, j)
 
 
-def _connectivity_product(subgraph: CouplingGraph) -> float:
-    data = _shortest_path_data(subgraph)
-    verts = data[0]
+def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
+    """Product of connectivity factors over all pairs of the subgraph induced by ``mask``."""
+    data = _shortest_path_data(graph, mask)
+    verts = list(mask_vertices(mask))
     prod = 1.0
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
-            prod *= _pair_factor(data, subgraph, verts[a], verts[b])
+            prod *= _pair_factor(data, graph, verts[a], verts[b])
             if prod == 0.0:
                 break
         if prod == 0.0:

@@ -2,22 +2,20 @@
 
 Maximizing the product of (1 - e) over a path's edges is equivalent to
 minimizing the sum of -ln(1 - e), so path selection runs Dijkstra on those
-additive weights.  All tie-breaking is fixed (fewer hops, then the
-lexicographically smallest vertex sequence; terminals joined in ascending id
-order) so that synthesis output is reproducible.
+additive weights, read from the graph's precomputed weight rows.  A Steiner
+tree over a residual graph takes the residual as an int vertex mask over
+the base graph and routes only through vertices set in it.  All
+tie-breaking is fixed (fewer hops, then the lexicographically smallest
+vertex sequence; terminals joined in ascending id order) so that synthesis
+output is reproducible.
 """
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Iterable, Sequence
 
-from .arch import CouplingGraph
-
-
-def edge_weight(error: float) -> float:
-    """Additive routing weight -ln(1 - e); zero-error edges weigh 0."""
-    return -math.log1p(-error)
+from .arch import CouplingGraph, _residual_mask
+from .arch import edge_weight  # noqa: F401  (kept public in this module)
 
 
 def path_fidelity(graph: CouplingGraph, path: Sequence[int]) -> float:
@@ -28,8 +26,8 @@ def path_fidelity(graph: CouplingGraph, path: Sequence[int]) -> float:
     return f
 
 
-def _dijkstra_path(graph: CouplingGraph, sources: Iterable[int], target: int) -> list[int]:
-    """Min-weight path from any source to target.
+def _dijkstra_path(graph: CouplingGraph, sources: Iterable[int], target: int, mask: int) -> list[int]:
+    """Min-weight path from any source to target through vertices set in ``mask``.
 
     Labels are (weight, hops, path) tuples, so ties resolve to fewer hops and
     then to the lexicographically smallest vertex sequence.
@@ -38,18 +36,18 @@ def _dijkstra_path(graph: CouplingGraph, sources: Iterable[int], target: int) ->
     if not heap:
         raise ValueError("at least one source vertex required")
     heapq.heapify(heap)
-    settled: set[int] = set()
+    rows = graph.weight_rows
+    unsettled = mask
     while heap:
         dist, hops, path = heapq.heappop(heap)
         v = path[-1]
-        if v in settled:
+        if not unsettled >> v & 1:
             continue
-        settled.add(v)
+        unsettled ^= 1 << v
         if v == target:
             return list(path)
-        for w in graph.neighbors(v):
-            if w not in settled:
-                weight = edge_weight(graph.error(v, w))
+        for w, weight in rows[v]:
+            if unsettled >> w & 1:
                 heapq.heappush(heap, (dist + weight, hops + 1, path + (w,)))
     raise ValueError(f"vertex {target} unreachable from {sorted(set(sources))}")
 
@@ -60,7 +58,7 @@ def best_path(graph: CouplingGraph, s: int, t: int) -> list[int]:
         raise ValueError(f"endpoints ({s},{t}) must be graph vertices")
     if s == t:
         return [s]
-    return _dijkstra_path(graph, (s,), t)
+    return _dijkstra_path(graph, (s,), t, graph.vertex_mask)
 
 
 class SteinerTree:
@@ -86,29 +84,36 @@ class SteinerTree:
         return f"SteinerTree(root={self.root}, vertices={sorted(self.vertices)})"
 
 
-def min_noise_steiner_tree(graph: CouplingGraph, root: int, terminals: Iterable[int]) -> SteinerTree:
+def min_noise_steiner_tree(
+    graph: CouplingGraph,
+    root: int,
+    terminals: Iterable[int],
+    mask: int | None = None,
+) -> SteinerTree:
     """Greedy minimum-noise Steiner tree.
 
     Starting from {root}, each still-unconnected terminal (ascending id
     order) is joined through the cheapest -ln(1 - e) path from any current
     tree vertex; all path vertices join the tree.  Heuristic, not an optimal
-    Steiner tree.
+    Steiner tree.  With ``mask``, the tree lies in the subgraph induced by
+    the vertices set in it.
     """
+    _, mask = _residual_mask(graph, mask)
     terms = frozenset(int(t) for t in terminals)
     if not terms:
         raise ValueError("terminals must be non-empty")
-    if root not in graph.vertices:
+    if not mask >> root & 1:
         raise ValueError(f"root {root} not in graph")
-    missing = terms - graph.vertices
+    missing = sorted(t for t in terms if not mask >> t & 1)
     if missing:
-        raise ValueError(f"terminals {sorted(missing)} not in graph")
+        raise ValueError(f"terminals {missing} not in graph")
 
     tree: set[int] = {root}
     parent: dict[int, int] = {}
     for t in sorted(terms):
         if t in tree:
             continue
-        path = _dijkstra_path(graph, tree, t)
+        path = _dijkstra_path(graph, tree, t, mask)
         for a, b in zip(path, path[1:]):
             if b not in tree:
                 parent[b] = a

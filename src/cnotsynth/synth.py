@@ -3,9 +3,10 @@
 The parity matrix is driven to the identity one layer (column i, then row i)
 at a time.  Row operations are confined to edges of a minimum-noise Steiner
 tree over the residual coupling graph, and after each layer the physical
-qubit hosting logical i is removed from the residual graph.  The synthesized
-circuit is the reverse cascade of the recorded row operations, mapped to
-physical ids.
+qubit hosting logical i is removed from the residual graph.  The residual
+graph is an int vertex mask over the device graph, so removing a qubit
+clears one bit and no graph is rebuilt.  The synthesized circuit is the
+reverse cascade of the recorded row operations, mapped to physical ids.
 
 When the matrix is smaller than the device, spare physical qubits act as
 clean ancillas: the matrix is embedded into a device-sized one (identity on
@@ -20,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arch import CouplingGraph, remove_vertex
+from .arch import CouplingGraph
+from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 from .circuit import CNOT, Circuit
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix, solve_gf2
@@ -94,10 +96,16 @@ def target_aided_rows(m: ParityMatrix, i: int) -> set[int]:
 # Layer elimination
 # ---------------------------------------------------------------------------
 
-def _placement(m: ParityMatrix, mapping: Mapping):
+def _placement(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping, residual: int | None):
     if mapping.n != m.n:
         raise ValueError(f"mapping covers {mapping.n} rows but matrix has {m.n}")
-    return mapping.assign, mapping.inverse()
+    return mapping.assign, mapping.inverse(), graph.vertex_mask if residual is None else residual
+
+
+def _check_inside(residual: int, qubits: set[int]) -> None:
+    outside = sorted(q for q in qubits if not residual >> q & 1)
+    if outside:
+        raise RuntimeError(f"qubits {outside} outside residual graph; mapping replay invariant violated")
 
 
 def _column_ones(m: ParityMatrix, i: int) -> list[int]:
@@ -116,34 +124,30 @@ def _check_unit_row(m: ParityMatrix, i: int) -> None:
 
 def eliminate_column(
     m: ParityMatrix,
-    residual: CouplingGraph,
+    graph: CouplingGraph,
     mapping: Mapping,
     i: int,
+    residual: int | None = None,
 ) -> list[tuple[int, int]]:
     """Reduce column i to its unit vector using residual-graph edges only.
 
-    A minimum-noise Steiner tree is grown over the qubits hosting the
-    column's 1-entries, rooted at the qubit hosting row i.  A postorder pass
-    first fills 0-valued tree vertices from a 1-valued child; a second
-    postorder pass XORs every vertex into each of its children, clearing all
-    entries except the root's.
+    The residual graph is the subgraph of ``graph`` induced by the vertex
+    mask ``residual`` (default: all of ``graph``).  A minimum-noise Steiner
+    tree is grown over the qubits hosting the column's 1-entries, rooted at
+    the qubit hosting row i.  A postorder pass first fills 0-valued tree
+    vertices from a 1-valued child; a second postorder pass XORs every
+    vertex into each of its children, clearing all entries except the root's.
 
     Returns the recorded (control, target) row operations.
     """
-    assign, phys_to_row = _placement(m, mapping)
+    assign, phys_to_row, residual = _placement(m, graph, mapping, residual)
     root = assign[i]
-    if root not in residual.vertices:
-        raise RuntimeError(f"layer qubit {root} missing from residual graph")
     terminals = {assign[j] for j in _column_ones(m, i)}
-    outside = terminals - residual.vertices
-    if outside:
-        raise RuntimeError(
-            f"terminals {sorted(outside)} outside residual graph; mapping replay invariant violated"
-        )
     if not terminals:
         raise RuntimeError(f"column {i} is all zeros; matrix is singular")
+    _check_inside(residual, terminals | {root})
 
-    tree = min_noise_steiner_tree(residual, root, terminals)
+    tree = min_noise_steiner_tree(graph, root, terminals, residual)
     order = postorder(tree)
     rows, bit = m.rows, 1 << i
     ops: list[tuple[int, int]] = []
@@ -166,31 +170,29 @@ def eliminate_column(
 
 def eliminate_row(
     m: ParityMatrix,
-    residual: CouplingGraph,
+    graph: CouplingGraph,
     mapping: Mapping,
     i: int,
+    residual: int | None = None,
 ) -> list[tuple[int, int]]:
     """Reduce row i to its unit vector, assuming column i is already unit.
 
-    The target-aided row set S is located first; a minimum-noise Steiner tree
+    The residual graph is given as in ``eliminate_column``.  The
+    target-aided row set S is located first; a minimum-noise Steiner tree
     then spans the qubits hosting S, rooted at the qubit hosting row i.  A
     preorder pass folds every tree vertex outside S into its parent, and a
     postorder pass folds every vertex into its parent, leaving row i equal to
     its former value XOR the rows of S, i.e. the unit vector.
     """
-    assign, phys_to_row = _placement(m, mapping)
+    assign, phys_to_row, residual = _placement(m, graph, mapping, residual)
     aid = target_aided_rows(m, i)
     if not aid:
         return []
     root = assign[i]
     aid_phys = {assign[k] for k in aid}
-    outside = (aid_phys | {root}) - residual.vertices
-    if outside:
-        raise RuntimeError(
-            f"aiding qubits {sorted(outside)} outside residual graph; mapping replay invariant violated"
-        )
+    _check_inside(residual, aid_phys | {root})
 
-    tree = min_noise_steiner_tree(residual, root, aid_phys | {root})
+    tree = min_noise_steiner_tree(graph, root, aid_phys | {root}, residual)
     ops: list[tuple[int, int]] = []
     for r_phys in preorder(tree):
         if r_phys == root or r_phys in aid_phys:
@@ -265,12 +267,12 @@ def synthesize(
     assign = extended_assign(graph, mapping)
     full = Mapping(assign)
     work = _embed(m, graph.num_vertices)
-    residual = graph
+    residual = graph.vertex_mask
     recorded: list[tuple[int, int]] = []
     for i in range(n):
-        recorded.extend(eliminate_column(work, residual, full, i))
-        recorded.extend(eliminate_row(work, residual, full, i))
-        residual = remove_vertex(residual, assign[i])
+        recorded.extend(eliminate_column(work, graph, full, i, residual))
+        recorded.extend(eliminate_row(work, graph, full, i, residual))
+        residual &= ~(1 << assign[i])
     if not _blocks_ok(work.rows, n):
         raise RuntimeError("elimination finished without reaching the identity")
 

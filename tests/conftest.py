@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random graphs, brute-force oracles, a
-reference mapping construction that rebuilds every residual graph, and the
-numpy GF(2) solver that the bitwise one replaced."""
+reference mapping construction that rebuilds every residual graph, the
+triple-loop shortest-path counts that the mask accumulation replaced, and
+the numpy GF(2) solver that the bitwise one replaced."""
 from __future__ import annotations
 
 import itertools
@@ -110,7 +111,7 @@ def enumerate_shortest_paths(graph: CouplingGraph, s: int, t: int) -> list[list[
 # the tests require identical results.
 
 def reference_articulation_points(graph: CouplingGraph) -> frozenset[int]:
-    """Iterative lowpoint DFS over ``graph.adj``, neighbours in ascending order."""
+    """Iterative lowpoint DFS, neighbours in ascending order."""
     assert bfs_connected(graph)
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -122,7 +123,7 @@ def reference_articulation_points(graph: CouplingGraph) -> frozenset[int]:
     disc[root] = low[root] = 0
     timer = 1
     root_children = 0
-    stack = [(root, None, iter(graph.adj[root]))]
+    stack = [(root, None, iter(graph.neighbors(root)))]
     while stack:
         v, parent, it = stack[-1]
         advanced = False
@@ -136,7 +137,7 @@ def reference_articulation_points(graph: CouplingGraph) -> frozenset[int]:
             timer += 1
             if v == root:
                 root_children += 1
-            stack.append((w, v, iter(graph.adj[w])))
+            stack.append((w, v, iter(graph.neighbors(w))))
             advanced = True
             break
         if advanced:
@@ -153,8 +154,8 @@ def reference_articulation_points(graph: CouplingGraph) -> frozenset[int]:
 
 
 def reference_hamiltonian_path(graph: CouplingGraph):
-    """Backtracking over ``graph.adj``: starts and neighbours in ascending order,
-    with the same connectivity pruning as the library."""
+    """Backtracking with starts and neighbours in ascending order, and the
+    same connectivity pruning as the library."""
     n = graph.num_vertices
     verts = sorted(graph.vertices)
     if n == 0:
@@ -174,7 +175,7 @@ def reference_hamiltonian_path(graph: CouplingGraph):
         if len(path) == n:
             return True
         if len(bfs_component(graph, v, frozenset(visited - {v}))) == n - len(visited) + 1:
-            for w in graph.adj[v]:
+            for w in graph.neighbors(v):
                 if w not in visited and extend(w):
                     return True
         path.pop()
@@ -219,6 +220,43 @@ def reference_replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
         if not bfs_connected(residual):
             return False
     return True
+
+
+def reference_shortest_path_data(graph: CouplingGraph):
+    """Breadth-first hop distances and path counts, then ``through[v]`` from a
+    loop over vertex triples; arrays are indexed by position in ``verts``."""
+    verts = sorted(graph.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    size = len(verts)
+    dist = [[-1] * size for _ in range(size)]
+    sigma = [[0] * size for _ in range(size)]
+    for si, s in enumerate(verts):
+        d, g = dist[si], sigma[si]
+        d[si] = 0
+        g[si] = 1
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            vi = pos[v]
+            for w in graph.neighbors(v):
+                wi = pos[w]
+                if d[wi] < 0:
+                    d[wi] = d[vi] + 1
+                    queue.append(w)
+                if d[wi] == d[vi] + 1:
+                    g[wi] += g[vi]
+    through = [0] * size
+    for si in range(size):
+        for ti in range(si + 1, size):
+            dst = dist[si][ti]
+            if dst < 0:
+                continue
+            for vi in range(size):
+                if vi == si or vi == ti:
+                    continue
+                if dist[si][vi] > 0 and dist[vi][ti] > 0 and dist[si][vi] + dist[vi][ti] == dst:
+                    through[vi] += sigma[si][vi] * sigma[vi][ti]
+    return verts, pos, dist, sigma, through
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cnotsynth.arch import (
     has_hamiltonian_path,
     induced_subgraph,
     key_qubits,
+    edge_weight,
     mask_vertices,
     parse_arch,
     remove_vertex,
@@ -285,6 +286,30 @@ class TestResidualMasks:
             else:
                 assert sorted(found) == sorted(sub.vertices)
                 assert all(g.has_edge(a, b) for a, b in zip(found, found[1:]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_adjacency_after_removals(self, seed):
+        # Edges arrive in random order; removals leave gaps in the ids and
+        # may drop the highest one.
+        rng = random.Random(seed)
+        edges = random_connected_graph(4 + seed, seed + 300).edges()
+        g = CouplingGraph(range(4 + seed), rng.sample(edges, len(edges)))
+        for v in rng.sample(sorted(g.vertices), 1 + seed // 3) + [max(g.vertices)]:
+            if v in g.vertices:
+                g = remove_vertex(g, v)
+        for v in range(-1, 4 + seed + 1):
+            if v not in g.vertices:
+                with pytest.raises(KeyError):
+                    g.neighbors(v)
+                with pytest.raises(KeyError):
+                    g.degree(v)
+                continue
+            want = sorted({b for a, b, _ in g.edges() if a == v} | {a for a, b, _ in g.edges() if b == v})
+            assert g.neighbors(v) == tuple(want)
+            assert g.degree(v) == len(want)
+            assert g.weight_rows[v] == tuple((w, edge_weight(g.error(v, w))) for w in want)
+        assert all(not g.weight_rows[v] and not g.neighbor_masks[v]
+                   for v in range(len(g.neighbor_masks)) if v not in g.vertices)
 
     def test_empty_mask(self):
         g = builtin("quito")

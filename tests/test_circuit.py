@@ -23,7 +23,7 @@ from cnotsynth.circuit import (
     write_qasm,
 )
 from cnotsynth.gf2 import ParityMatrix
-from cnotsynth.mapping import TabuConfig
+from cnotsynth.mapping import Mapping, TabuConfig
 from cnotsynth.synth import extended_assign
 
 SMALL_CONFIG = TabuConfig(tabu_len=4, iterations=2, seed=0)
@@ -55,6 +55,20 @@ class TestQasm:
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[2];\nmeasure q[2] -> c[2];\n'
         c = parse_qasm(text)
         assert c.gates == (OneQubit("h", 0), CNOT(0, 2), Measure(2))
+
+    def test_measure_keeps_classical_bit(self):
+        text = "qreg q[3]; creg c[5]; measure q[0] -> c[4]; measure q[1] -> c[1]; measure q[2] -> c[0];"
+        c = parse_qasm(text)
+        assert c.gates == (Measure(0, 4), Measure(1), Measure(2, 0))
+        assert [m.bit for m in c.gates] == [4, 1, 0]
+        out = write_qasm(c)
+        assert "creg c[5];" in out
+        assert "measure q[0] -> c[4];\nmeasure q[1] -> c[1];\nmeasure q[2] -> c[0];" in out
+        assert parse_qasm(out) == c
+
+    def test_negative_classical_bit_rejected(self):
+        with pytest.raises(ValueError, match="classical bit"):
+            Circuit(2, (Measure(0, -1),))
 
     def test_comments_ignored(self):
         c = parse_qasm("// top\nqreg q[2]; // registers\ncx q[0],q[1]; // gate\n")
@@ -294,6 +308,14 @@ class TestSegmentation:
             for gate in res.gates:
                 rebuilt.row_xor(p2r[gate.control], p2r[gate.target])
             assert (rebuilt.bits[: circ.n, : circ.n] == original.bits).all()
+
+    def test_measurements_keep_their_classical_bits(self):
+        g = builtin("quito")
+        mapping = Mapping((4, 3, 1))
+        circ = Circuit(3, (Measure(0, 2), Measure(1), Measure(2, 0), Measure(1, 4)))
+        out, _ = segment_and_synthesize(circ, g, SMALL_CONFIG, mapping=mapping)
+        assert [(m.qubit, m.bit) for m in out.gates] == [(4, 2), (3, 1), (1, 0), (3, 4)]
+        assert out.gates[3] == Measure(3, 4) and out.gates[1] == Measure(3, 1)
 
     def test_one_qubit_gates_relocated_through_mapping(self):
         circ = Circuit(3, (OneQubit("x", 1),))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cnotsynth.circuit import random_cnot_circuit, write_qasm
+from cnotsynth.circuit import Measure, parse_qasm, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
 
 FAST = ["--tabu-len", "4", "--iterations", "2"]
@@ -116,6 +116,19 @@ class TestSynthCommand:
         assert main(["synth", str(p), "--arch", "quito", *FAST, "--out", str(out)]) == 0
         text = out.read_text()
         assert "h q[" in text and "measure q[" in text
+
+    def test_mixed_circuit_keeps_measurement_bits(self, tmp_path, capsys):
+        bits = [3, 0, 5, 1, 4, 2]
+        lines = ["qreg q[6]; creg c[6];", "h q[0];", "cx q[0],q[3]; cx q[1],q[5]; cx q[2],q[4];", "x q[5];"]
+        lines += [f"measure q[{q}] -> c[{b}];" for q, b in enumerate(bits)]
+        p = tmp_path / "mixed.qasm"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, mapping = tmp_path / "out.qasm", tmp_path / "map.json"
+        assert main(["synth", str(p), "--arch", "guadalupe", *FAST,
+                     "--out", str(out), "--map-out", str(mapping)]) == 0
+        assign = json.loads(mapping.read_text())["assign"]
+        measures = [g for g in parse_qasm(out.read_text()).gates if isinstance(g, Measure)]
+        assert [(g.qubit, g.bit) for g in measures] == [(assign[q], b) for q, b in enumerate(bits)]
 
     def test_stdout_carries_only_qasm_without_out_flag(self, tmp_path, capsys):
         inp = write_random_qasm(tmp_path / "in.qasm", m=10, seed=6)

@@ -10,8 +10,9 @@ from conftest import (
     reference_articulation_points,
     reference_initial_mapping,
     reference_replay_is_valid,
+    reference_shortest_path_data,
 )
-from cnotsynth.arch import CouplingGraph, builtin, induced_subgraph, key_qubits
+from cnotsynth.arch import CouplingGraph, builtin, induced_subgraph, key_qubits, mask_vertices
 from cnotsynth.mapping import (
     Mapping,
     MappingSearch,
@@ -24,6 +25,7 @@ from cnotsynth.mapping import (
     substream,
     tabu_search_table,
 )
+from cnotsynth.mapping import _connectivity_product, _shortest_path_data
 
 
 def brute_force_connectivity_factor(graph, i, j):
@@ -270,6 +272,39 @@ class TestAgainstRebuiltResidualReference:
         search = MappingSearch(builtin("quito"))
         with pytest.raises(ValueError, match="different graph"):
             initial_mapping(builtin("quito"), 5, [0], 0, search)
+
+
+class TestShortestPathData:
+    """The per-source accumulation equals the triple loop it replaced."""
+
+    @pytest.mark.parametrize("size", range(2, 21))
+    def test_random_graphs_and_masks(self, size):
+        disconnected = 0
+        for seed in range(3):
+            g = random_connected_graph(size, 5000 + 31 * size + seed)
+            rng = random.Random(seed)
+            masks = [g.vertex_mask]
+            for _ in range(12):
+                masks.append(sum(1 << v for v in rng.sample(sorted(g.vertices), rng.randint(1, size))))
+            for mask in masks:
+                sub = induced_subgraph(g, mask_vertices(mask))
+                disconnected += not sub.is_connected()
+                verts, pos, want_dist, want_sigma, want_through = reference_shortest_path_data(sub)
+                _, dist, sigma, through = _shortest_path_data(g, mask)
+                for s in verts:
+                    assert [dist[s][t] for t in verts] == [want_dist[pos[s]][pos[t]] for t in verts]
+                    assert [sigma[s][t] for t in verts] == [want_sigma[pos[s]][pos[t]] for t in verts]
+                assert [through[v] for v in verts] == want_through
+                assert not any(through[v] for v in range(len(through)) if not mask >> v & 1)
+                assert _connectivity_product(g, mask) == _connectivity_product(sub, sub.vertex_mask)
+        assert size < 4 or disconnected
+
+    def test_search_product_uses_the_mapped_subgraph(self):
+        g = builtin("guadalupe")
+        search = MappingSearch(g)
+        for assign in [(0, 1, 2), (0, 2), (4, 7, 10, 12, 6), tuple(range(16))]:
+            sub = induced_subgraph(g, assign)
+            assert search.connectivity_product(assign) == _connectivity_product(sub, sub.vertex_mask)
 
 
 #: ``optimize_mapping(builtin(name), n, TabuConfig(seed=seed)).assign``,

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from conftest import all_simple_paths, random_connected_graph
-from cnotsynth.arch import ArchError, CouplingGraph, builtin
+from cnotsynth.arch import ArchError, CouplingGraph, builtin, induced_subgraph
 from cnotsynth.steiner import (
     SteinerTree,
     best_path,
@@ -131,6 +132,53 @@ class TestMinNoiseSteinerTree:
         # every leaf is a terminal
         leaves = t.vertices - set(t.parent.values()) - {t.root}
         assert leaves <= terminals
+
+
+def _masked_trees(g, seed, count=10):
+    """Random (mask, induced subgraph, root, terminals) draws; the terminals
+    lie in the root's component of the subgraph."""
+    rng = random.Random(seed)
+    verts = sorted(g.vertices)
+    for _ in range(count):
+        keep = rng.sample(verts, rng.randint(1, len(verts)))
+        sub = induced_subgraph(g, keep)
+        root = rng.choice(keep)
+        comp = sorted(next(c for c in sub.components() if root in c))
+        yield sum(1 << v for v in keep), sub, root, rng.sample(comp, rng.randint(1, len(comp)))
+
+
+class TestResidualMask:
+    """A tree inside a vertex mask equals the tree on the induced subgraph."""
+
+    @staticmethod
+    def _check(g, seed):
+        for mask, sub, root, terms in _masked_trees(g, seed):
+            got = min_noise_steiner_tree(g, root, terms, mask)
+            want = min_noise_steiner_tree(sub, root, terms)
+            assert got.parent == want.parent and got.children == want.children
+            assert got.vertices <= sub.vertices
+
+    @pytest.mark.parametrize("size", range(2, 21))
+    def test_random_graphs(self, size):
+        for seed in range(3):
+            self._check(random_connected_graph(size, 9000 + 31 * size + seed), seed)
+
+    @pytest.mark.parametrize("name", ["guadalupe", "tokyo", "grid(4,4)", "grid(8,8)"])
+    def test_uniform_and_calibrated_devices(self, name):
+        # Uniform errors tie constantly, so these exercise the tie-break.
+        for seed in range(3):
+            self._check(builtin(name), seed)
+
+    def test_mask_bounds_the_route(self):
+        g = builtin("linear(5)")
+        with pytest.raises(ValueError, match="unreachable"):
+            min_noise_steiner_tree(g, 0, {4}, 0b11011)
+        with pytest.raises(ValueError, match="root 2 not in graph"):
+            min_noise_steiner_tree(g, 2, {4}, 0b11011)
+        with pytest.raises(ValueError, match=r"terminals \[2\] not in graph"):
+            min_noise_steiner_tree(g, 0, {1, 2}, 0b11011)
+        with pytest.raises(ArchError, match="not in graph"):
+            min_noise_steiner_tree(g, 0, {1}, 1 << 7 | 0b11)
 
 
 class TestTraversals:

@@ -169,6 +169,45 @@ class TestEliminateRow:
         assert m.is_identity()
 
 
+class TestResidualMaskElimination:
+    """Elimination inside a vertex mask emits the ops it emits on the
+    residual graph rebuilt by ``remove_vertex``."""
+
+    @staticmethod
+    def _check(g, mapping, m):
+        masked, rebuilt = m.copy(), m.copy()
+        residual, residual_graph = g.vertex_mask, g
+        for i in range(m.n):
+            for eliminate in (eliminate_column, eliminate_row):
+                assert eliminate(masked, g, mapping, i, residual) == eliminate(rebuilt, residual_graph, mapping, i)
+            residual &= ~(1 << mapping.assign[i])
+            residual_graph = remove_vertex(residual_graph, mapping.assign[i])
+        assert masked.rows == rebuilt.rows and masked.is_identity()
+
+    @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(4,4)"])
+    def test_builtin_devices(self, name):
+        from cnotsynth.mapping import optimize_mapping
+
+        g = builtin(name)
+        mapping = optimize_mapping(g, g.num_vertices, TabuConfig(iterations=0))
+        for seed in range(3):
+            self._check(g, mapping, random_invertible(g.num_vertices, 8700 + seed))
+
+    @pytest.mark.parametrize("size", [2, 5, 9, 14])
+    def test_random_graphs(self, size):
+        from cnotsynth.mapping import optimize_mapping
+
+        for seed in range(3):
+            g = random_connected_graph(size, 8800 + size + seed)
+            mapping = optimize_mapping(g, size, TabuConfig(iterations=0))
+            self._check(g, mapping, random_invertible(size, 8900 + seed))
+
+    def test_qubit_outside_mask_detected(self):
+        m = ParityMatrix.from_circuit([(0, 4)], 5)
+        with pytest.raises(RuntimeError, match="residual"):
+            eliminate_column(m, builtin("quito"), Mapping((0, 1, 2, 3, 4)), 0, 0b01111)
+
+
 class TestSynthesize:
     def test_identity_gives_no_gates(self):
         res = synthesize(ParityMatrix.identity(5), builtin("quito"), SMALL_CONFIG)
