@@ -4,18 +4,20 @@ Maximizing the product of (1 - e) over a path's edges is equivalent to
 minimizing the sum of -ln(1 - e), so path selection runs Dijkstra on those
 additive weights, read from the graph's precomputed weight rows.  A Steiner
 tree over a residual graph takes the residual as an int vertex mask over
-the base graph and routes only through vertices set in it.  All
-tie-breaking is fixed (fewer hops, then the lexicographically smallest
-vertex sequence; terminals joined in ascending id order) so that synthesis
-output is reproducible.
+the base graph and routes only through vertices set in it.  Each tree runs
+one Dijkstra for its whole life: one heap and one label table indexed by
+vertex id, resumed for each terminal and reseeded with every vertex that
+joins the tree, so no search restarts from scratch.  ``best_path`` is the
+one-terminal tree.  All tie-breaking is fixed (fewer hops, then the
+lexicographically smallest vertex sequence; terminals joined in ascending
+id order) so that synthesis output is reproducible.
 """
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .arch import CouplingGraph, _residual_mask
-from .arch import edge_weight  # noqa: F401  (kept public in this module)
+from .arch import CouplingGraph, _residual_mask, mask_vertices
 
 
 def path_fidelity(graph: CouplingGraph, path: Sequence[int]) -> float:
@@ -26,39 +28,20 @@ def path_fidelity(graph: CouplingGraph, path: Sequence[int]) -> float:
     return f
 
 
-def _dijkstra_path(graph: CouplingGraph, sources: Iterable[int], target: int, mask: int) -> list[int]:
-    """Min-weight path from any source to target through vertices set in ``mask``.
-
-    Labels are (weight, hops, path) tuples, so ties resolve to fewer hops and
-    then to the lexicographically smallest vertex sequence.
-    """
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,)) for s in sorted(set(sources))]
-    if not heap:
-        raise ValueError("at least one source vertex required")
-    heapq.heapify(heap)
-    rows = graph.weight_rows
-    unsettled = mask
-    while heap:
-        dist, hops, path = heapq.heappop(heap)
-        v = path[-1]
-        if not unsettled >> v & 1:
-            continue
-        unsettled ^= 1 << v
-        if v == target:
-            return list(path)
-        for w, weight in rows[v]:
-            if unsettled >> w & 1:
-                heapq.heappush(heap, (dist + weight, hops + 1, path + (w,)))
-    raise ValueError(f"vertex {target} unreachable from {sorted(set(sources))}")
-
-
 def best_path(graph: CouplingGraph, s: int, t: int) -> list[int]:
-    """The s-t path maximizing path_fidelity (deterministic tie-breaking)."""
+    """The s-t path maximizing path_fidelity (deterministic tie-breaking).
+
+    It is the one-terminal Steiner tree rooted at s, read back along its
+    parent links from t.
+    """
     if s not in graph.vertices or t not in graph.vertices:
         raise ValueError(f"endpoints ({s},{t}) must be graph vertices")
-    if s == t:
-        return [s]
-    return _dijkstra_path(graph, (s,), t, graph.vertex_mask)
+    parent = min_noise_steiner_tree(graph, s, (t,)).parent
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 class SteinerTree:
@@ -97,6 +80,16 @@ def min_noise_steiner_tree(
     tree vertex; all path vertices join the tree.  Heuristic, not an optimal
     Steiner tree.  With ``mask``, the tree lies in the subgraph induced by
     the vertices set in it.
+
+    One Dijkstra serves the whole tree.  ``label[v]`` is v's best label so
+    far, a (weight, hops, path) tuple whose weight is summed along the path
+    from its source, so ties break on fewer hops and then on the smallest
+    vertex sequence.  A terminal's label is final once the heap's smallest
+    entry is no smaller, since extending a label never makes it smaller; the
+    search pauses there.  Each vertex that joins the tree is pushed as a
+    source of weight 0, and a label is replaced only by a strictly smaller
+    one, so every label is the best from the tree as it now stands, as if
+    the search had restarted from it.
     """
     _, mask = _residual_mask(graph, mask)
     terms = frozenset(int(t) for t in terminals)
@@ -108,16 +101,46 @@ def min_noise_steiner_tree(
     if missing:
         raise ValueError(f"terminals {missing} not in graph")
 
-    tree: set[int] = {root}
+    rows = graph.weight_rows
+    label: list[tuple[float, int, tuple[int, ...]] | None] = [None] * len(rows)
+    label[root] = source = (0.0, 0, (root,))
+    heap = [source]
+    tree = 1 << root
     parent: dict[int, int] = {}
     for t in sorted(terms):
-        if t in tree:
+        if tree >> t & 1:
             continue
-        path = _dijkstra_path(graph, tree, t, mask)
+        while heap and (label[t] is None or heap[0] < label[t]):
+            item = heappop(heap)
+            dist, hops, path = item
+            v = path[-1]
+            if label[v] is not item:
+                continue  # superseded by a smaller label
+            hops += 1
+            for w, weight in rows[v]:
+                if not mask >> w & 1:
+                    continue
+                d = dist + weight
+                old = label[w]
+                if old is None or d < old[0]:
+                    new = (d, hops, path + (w,))
+                elif d == old[0]:
+                    new = (d, hops, path + (w,))
+                    if not new < old:
+                        continue
+                else:
+                    continue
+                label[w] = new
+                heappush(heap, new)
+        found = label[t]
+        if found is None:
+            raise ValueError(f"vertex {t} unreachable from {list(mask_vertices(tree))}")
+        path = found[2]
         for a, b in zip(path, path[1:]):
-            if b not in tree:
-                parent[b] = a
-                tree.add(b)
+            parent[b] = a
+            tree |= 1 << b
+            label[b] = source = (0.0, 0, (b,))
+            heappush(heap, source)
     return SteinerTree(root, parent, terms)
 
 

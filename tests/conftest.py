@@ -1,9 +1,11 @@
 """Shared test helpers: seeded random graphs, brute-force oracles, a
 reference mapping construction that rebuilds every residual graph, the
-triple-loop shortest-path counts that the mask accumulation replaced, and
-the numpy GF(2) solver that the bitwise one replaced."""
+triple-loop shortest-path counts that the mask accumulation replaced, the
+restart-per-terminal Steiner tree that the resumable one replaced, and the
+numpy GF(2) solver that the bitwise one replaced."""
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import deque
@@ -12,9 +14,10 @@ from operator import xor
 
 import numpy as np
 
-from cnotsynth.arch import HAMILTONIAN_VERTEX_LIMIT, CouplingGraph, remove_vertex
+from cnotsynth.arch import HAMILTONIAN_VERTEX_LIMIT, CouplingGraph, _residual_mask, remove_vertex
 from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping
+from cnotsynth.steiner import SteinerTree
 
 
 def random_connected_graph(n: int, seed: int, extra_edges: int | None = None) -> CouplingGraph:
@@ -257,6 +260,61 @@ def reference_shortest_path_data(graph: CouplingGraph):
                 if dist[si][vi] > 0 and dist[vi][ti] > 0 and dist[si][vi] + dist[vi][ti] == dst:
                     through[vi] += sigma[si][vi] * sigma[vi][ti]
     return verts, pos, dist, sigma, through
+
+
+# ---------------------------------------------------------------------------
+# Reference Steiner tree: a fresh Dijkstra from the whole tree per terminal
+# ---------------------------------------------------------------------------
+
+def reference_dijkstra_path(graph: CouplingGraph, sources, target: int, mask: int) -> list[int]:
+    """Min-weight path from any source to target through vertices set in ``mask``.
+
+    Labels are (weight, hops, path) tuples, so ties resolve to fewer hops and
+    then to the lexicographically smallest vertex sequence.
+    """
+    heap = [(0.0, 0, (s,)) for s in sorted(set(sources))]
+    if not heap:
+        raise ValueError("at least one source vertex required")
+    heapq.heapify(heap)
+    rows = graph.weight_rows
+    unsettled = mask
+    while heap:
+        dist, hops, path = heapq.heappop(heap)
+        v = path[-1]
+        if not unsettled >> v & 1:
+            continue
+        unsettled ^= 1 << v
+        if v == target:
+            return list(path)
+        for w, weight in rows[v]:
+            if unsettled >> w & 1:
+                heapq.heappush(heap, (dist + weight, hops + 1, path + (w,)))
+    raise ValueError(f"vertex {target} unreachable from {sorted(set(sources))}")
+
+
+def reference_min_noise_steiner_tree(graph: CouplingGraph, root: int, terminals, mask: int | None = None) -> SteinerTree:
+    """Greedy minimum-noise Steiner tree that reruns Dijkstra from every tree
+    vertex for each terminal it joins (ascending id order)."""
+    _, mask = _residual_mask(graph, mask)
+    terms = frozenset(int(t) for t in terminals)
+    if not terms:
+        raise ValueError("terminals must be non-empty")
+    if not mask >> root & 1:
+        raise ValueError(f"root {root} not in graph")
+    missing = sorted(t for t in terms if not mask >> t & 1)
+    if missing:
+        raise ValueError(f"terminals {missing} not in graph")
+    tree: set[int] = {root}
+    parent: dict[int, int] = {}
+    for t in sorted(terms):
+        if t in tree:
+            continue
+        path = reference_dijkstra_path(graph, tree, t, mask)
+        for a, b in zip(path, path[1:]):
+            if b not in tree:
+                parent[b] = a
+                tree.add(b)
+    return SteinerTree(root, parent, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-from conftest import all_simple_paths, random_connected_graph
-from cnotsynth.arch import ArchError, CouplingGraph, builtin, induced_subgraph
+from conftest import (
+    all_simple_paths,
+    random_connected_graph,
+    reference_dijkstra_path,
+    reference_min_noise_steiner_tree,
+)
+from cnotsynth.arch import ArchError, CouplingGraph, builtin, edge_weight, induced_subgraph
 from cnotsynth.steiner import (
     SteinerTree,
     best_path,
-    edge_weight,
     min_noise_steiner_tree,
     path_fidelity,
     postorder,
@@ -179,6 +183,65 @@ class TestResidualMask:
             min_noise_steiner_tree(g, 0, {1, 2}, 0b11011)
         with pytest.raises(ArchError, match="not in graph"):
             min_noise_steiner_tree(g, 0, {1}, 1 << 7 | 0b11)
+
+
+def _reweighted(g, errors, seed):
+    """``g`` with every edge error drawn from the few values in ``errors``."""
+    rng = random.Random(seed)
+    return CouplingGraph(g.vertices, [(u, v, rng.choice(errors)) for u, v, _ in g.edges()])
+
+
+TIED_ERRORS = (0.007, 0.01, 0.013, 0.02, 0.03, 0.1)
+
+
+class TestMatchesReference:
+    """The one-label-table tree equals the tree of a fresh Dijkstra per
+    terminal (``conftest.reference_min_noise_steiner_tree``)."""
+
+    @staticmethod
+    def _check(g, seed):
+        for mask, _, root, terms in _masked_trees(g, seed, 12):
+            got = min_noise_steiner_tree(g, root, terms, mask)
+            want = reference_min_noise_steiner_tree(g, root, terms, mask)
+            assert got.parent == want.parent and got.children == want.children
+
+    @pytest.mark.parametrize("size", range(2, 31))
+    def test_random_graphs(self, size):
+        for seed in range(4):
+            self._check(random_connected_graph(size, 7000 + 37 * size + seed), seed)
+
+    @pytest.mark.parametrize("size", [4, 8, 12, 16, 20, 24, 30])
+    def test_repeated_error_values(self, size):
+        # Few distinct weights make equal float sums along different paths.
+        for seed in range(4):
+            base = random_connected_graph(size, 8000 + 41 * size + seed, extra_edges=2 * size)
+            self._check(_reweighted(base, TIED_ERRORS, seed), seed)
+
+    @pytest.mark.parametrize("name", ["tokyo", "grid(4,4)", "grid(6,6)", "grid(8,8)"])
+    def test_uniform_error_devices(self, name):
+        for seed in range(4):
+            self._check(builtin(name), seed)
+
+    @pytest.mark.parametrize("name", ["guadalupe", "grid(5,5)"])
+    def test_zero_error_edges(self, name):
+        # Weight-0 edges tie labels on weight, so hops and paths decide.
+        g = builtin(name)
+        self._check(CouplingGraph(g.vertices, [(u, v, 0.0) for u, v, _ in g.edges()]), 1)
+        self._check(_reweighted(g, (0.0, 0.0, 0.01), 2), 2)
+
+    def test_later_terminal_unreachable(self):
+        # 1 and 2 join first; the mask cuts 5 off from the grown tree.
+        g = builtin("linear(6)")
+        mask = 0b110111
+        for build in (min_noise_steiner_tree, reference_min_noise_steiner_tree):
+            with pytest.raises(ValueError, match="unreachable"):
+                build(g, 0, {1, 2, 5}, mask)
+
+    @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(4,4)"])
+    def test_best_path_matches_reference(self, name):
+        g = builtin(name)
+        for s, t in itertools.permutations(sorted(g.vertices), 2):
+            assert best_path(g, s, t) == reference_dijkstra_path(g, (s,), t, g.vertex_mask)
 
 
 class TestTraversals:
