@@ -50,7 +50,7 @@ class CouplingGraph:
     """
 
     __slots__ = ("vertices", "edge_error", "neighbor_masks", "vertex_mask", "weight_rows",
-                 "name", "one_qubit_error", "_hash")
+                 "name", "one_qubit_error")
 
     def __init__(
         self,
@@ -91,7 +91,6 @@ class CouplingGraph:
         self.weight_rows = tuple(tuple(sorted(row)) for row in rows)
         self.name = name
         self.one_qubit_error = one_qubit_error
-        self._hash: int | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -132,15 +131,6 @@ class CouplingGraph:
         nbr, mask = _residual_mask(self, mask)
         return not mask or _flood(nbr, mask & -mask, mask) == mask
 
-    def components(self) -> list[frozenset[int]]:
-        nbr, remaining = self.neighbor_masks, self.vertex_mask
-        out = []
-        while remaining:
-            comp = _flood(nbr, remaining & -remaining, remaining)
-            out.append(frozenset(mask_vertices(comp)))
-            remaining &= ~comp
-        return out
-
     def _key(self) -> tuple:
         return (self.vertices, tuple(sorted(self.edge_error.items())))
 
@@ -150,9 +140,7 @@ class CouplingGraph:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
         label = self.name or "graph"
@@ -384,20 +372,6 @@ def parse_arch(text: str) -> CouplingGraph:
     if not graph.is_connected():
         warnings.warn("architecture graph is disconnected; synthesis will reject it", stacklevel=2)
     return graph
-
-
-def write_arch(graph: CouplingGraph) -> str:
-    """Serialize to the architecture file format (edges sorted by endpoints).
-
-    Requires contiguous vertex ids 0..N-1 so that the round trip is lossless.
-    """
-    n = graph.num_vertices
-    if graph.vertices != frozenset(range(n)):
-        raise ArchError("write_arch requires contiguous vertex ids 0..N-1")
-    lines = [f"qubits {n}"]
-    for u, v, err in graph.edges():
-        lines.append(f"edge {u} {v} {err!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

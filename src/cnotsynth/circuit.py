@@ -334,27 +334,6 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
     return float(np.mean(~state.any(axis=1)))
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    esp: float
-    mc_fidelity: float | None
-    shots: int
-    seed: int
-
-
-def fidelity_report(
-    circuit: Circuit,
-    graph: CouplingGraph,
-    shots: int = 0,
-    seed: int = 0,
-    one_q_error: float | None = None,
-) -> FidelityReport:
-    """ESP plus, when shots > 0, the Monte-Carlo estimate."""
-    analytic = esp(circuit, graph, one_q_error)
-    mc = monte_carlo_fidelity(circuit, graph, shots, seed) if shots > 0 else None
-    return FidelityReport(esp=analytic, mc_fidelity=mc, shots=shots, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Mixed-circuit segmentation
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def cmd_arch(args: argparse.Namespace) -> int:
             "name": graph.name or args.arch,
             "qubits": graph.num_vertices,
             "edges": [[u, v, e] for u, v, e in graph.edges()],
-            "connected": graph.is_connected(),
+            "connected": connected,
             "articulation_points": cuts,
             "key_qubits": keys,
             "hamiltonian_path": list(ham) if ham else None,
@@ -383,6 +383,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         mc = monte_carlo_fidelity(circ, graph, args.shots, args.seed)
     if args.format == "json":
         print(json.dumps({"esp": analytic, "mc_fidelity": mc, "shots": args.shots, "seed": args.seed}, sort_keys=True))
+    elif args.format == "csv":
+        print("esp,mc_fidelity,shots,seed")
+        print(f"{_fmt(analytic)},{_fmt(mc)},{args.shots},{args.seed}")
     else:
         mc_text = _fmt(mc) or "-"
         print(f"esp={_fmt(analytic)} mc_fidelity={mc_text} shots={args.shots} seed={args.seed}")
@@ -455,10 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ArchError, QasmError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # InputError, ArchError and QasmError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -294,20 +294,6 @@ def _pair_factor(data, graph: CouplingGraph, i: int, j: int) -> float:
     return min(1.0, max(0.0, total / si[j]))
 
 
-def connectivity_factor(subgraph: CouplingGraph, i: int, j: int) -> float:
-    """Betweenness-style connectivity factor of a vertex pair in [0, 1].
-
-    1 for adjacent pairs, 0 for disconnected pairs; otherwise the sum over
-    intermediate vertices v of (shortest i-j paths through v) / (all
-    shortest paths through v), divided by the number of shortest i-j paths.
-    """
-    if i == j:
-        raise ValueError("connectivity factor needs two distinct vertices")
-    if i not in subgraph.vertices or j not in subgraph.vertices:
-        raise ValueError(f"({i},{j}) must be subgraph vertices")
-    return _pair_factor(_shortest_path_data(subgraph, subgraph.vertex_mask), subgraph, i, j)
-
-
 def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
     """Product of connectivity factors over all pairs of the subgraph induced by ``mask``."""
     data = _shortest_path_data(graph, mask)
@@ -362,35 +348,23 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     base_order = sorted(search.keys)
     seed_map = initial_mapping(graph, n, base_order, substream(config.seed, "seed"), search)
 
-    scores: dict[tuple[int, ...], float] = {}
-
-    def score(m: Mapping) -> float:
-        s = scores.get(m.assign)
-        if s is None:
-            s = mapping_objective(graph, m, search)
-            scores[m.assign] = s
-        return s
-
-    # table_scores[i] is the score of table[i].
-    table: list[Mapping] = [seed_map]
-    table_scores = [score(seed_map)]
+    # Assignment -> score.  Insertion order is the table order, which fixes
+    # the float sum of the mean and the first-minimum choice of the worst.
+    table = {seed_map.assign: mapping_objective(graph, seed_map, search)}
     for it in range(config.iterations):
         for k in range(config.tabu_len):
             rng = substream(config.seed, it, k)
             offset = rng.randrange(len(base_order))
             order = base_order[offset:] + base_order[:offset]
             cand = initial_mapping(graph, n, order, rng, search)
-            if cand in table:
+            if cand.assign in table:
                 continue
-            s = score(cand)
-            if s >= sum(table_scores) / len(table):
-                table.append(cand)
-                table_scores.append(s)
+            s = mapping_objective(graph, cand, search)
+            if s >= sum(table.values()) / len(table):
+                table[cand.assign] = s
                 if len(table) > config.tabu_len:
-                    worst = table_scores.index(min(table_scores))
-                    del table[worst]
-                    del table_scores[worst]
-    return list(zip(table, table_scores))
+                    del table[min(table, key=table.__getitem__)]
+    return [(Mapping(a), s) for a, s in table.items()]
 
 
 def optimize_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None = None) -> Mapping:

@@ -21,8 +21,12 @@ from cnotsynth.arch import (
     mask_vertices,
     parse_arch,
     remove_vertex,
-    write_arch,
 )
+
+
+def arch_text(g):
+    """``g`` in the architecture file format, error rates at full precision."""
+    return f"qubits {g.num_vertices}\n" + "".join(f"edge {u} {v} {e!r}\n" for u, v, e in g.edges())
 
 
 def cycle(n):
@@ -88,12 +92,12 @@ class TestParseWrite:
     @pytest.mark.parametrize("name", ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo"])
     def test_round_trip_builtins(self, name):
         g = builtin(name)
-        assert parse_arch(write_arch(g)) == g
+        assert parse_arch(arch_text(g)) == g
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_random(self, seed):
         g = random_connected_graph(7, seed)
-        assert parse_arch(write_arch(g)) == g
+        assert parse_arch(arch_text(g)) == g
 
     def test_endpoint_outside_range(self):
         with pytest.raises(ArchError, match="outside"):
@@ -102,11 +106,6 @@ class TestParseWrite:
     def test_bad_qubit_count(self):
         with pytest.raises(ArchError, match="qubit count"):
             parse_arch("qubits zero\n")
-
-    def test_writer_needs_contiguous_ids(self):
-        g = remove_vertex(builtin("quito"), 0)
-        with pytest.raises(ArchError, match="contiguous"):
-            write_arch(g)
 
 
 class TestBuiltins:
@@ -217,7 +216,7 @@ class TestRemoveVertex:
 
     def test_quito_remove_cut_point(self):
         g = remove_vertex(builtin("quito"), 1)
-        assert g.components() == [frozenset({0}), frozenset({2}), frozenset({3, 4})]
+        assert g.vertices == {0, 2, 3, 4} and [(u, v) for u, v, _ in g.edges()] == [(3, 4)]
 
     def test_quito_remove_leaf(self):
         g = remove_vertex(builtin("quito"), 4)

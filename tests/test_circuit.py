@@ -14,7 +14,6 @@ from cnotsynth.circuit import (
     QasmError,
     depth,
     esp,
-    fidelity_report,
     monte_carlo_fidelity,
     parse_qasm,
     random_cnot_circuit,
@@ -245,12 +244,6 @@ class TestMonteCarlo:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="shots"):
             monte_carlo_fidelity(Circuit(2, (CNOT(0, 1),)), builtin("linear(2)"), 0, 0)
-
-    def test_report(self):
-        rep = fidelity_report(Circuit(5, (CNOT(0, 1),)), builtin("quito"), shots=100, seed=2)
-        assert rep.mc_fidelity is not None and 0 <= rep.mc_fidelity <= 1
-        rep0 = fidelity_report(Circuit(5, (CNOT(0, 1),)), builtin("quito"))
-        assert rep0.mc_fidelity is None
 
 
 def bernstein_vazirani(n, secret):

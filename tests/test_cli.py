@@ -273,3 +273,14 @@ class TestFidelityCommand:
         p = tmp_path / "c.qasm"
         p.write_text("qreg q[5]; cx q[0],q[4];\n", encoding="utf-8")
         assert main(["fidelity", str(p), "--arch", "quito"]) == 2
+
+    def test_csv_format(self, tmp_path, capsys):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; cx q[0],q[1];\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "esp,mc_fidelity,shots,seed\n0.983690,,0,0\n"
+        flags = ["fidelity", str(p), "--arch", "quito", "--shots", "2000", "--seed", "4"]
+        assert main([*flags, "--format", "json"]) == 0
+        mc = json.loads(capsys.readouterr().out)["mc_fidelity"]
+        assert main([*flags, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["esp,mc_fidelity,shots,seed", f"0.983690,{mc:.6f},2000,4"]

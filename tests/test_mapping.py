@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,6 @@ from cnotsynth.mapping import (
     Mapping,
     MappingSearch,
     TabuConfig,
-    connectivity_factor,
     initial_mapping,
     mapping_objective,
     optimize_mapping,
@@ -25,7 +26,7 @@ from cnotsynth.mapping import (
     substream,
     tabu_search_table,
 )
-from cnotsynth.mapping import _connectivity_product, _shortest_path_data
+from cnotsynth.mapping import _connectivity_product, _pair_factor, _shortest_path_data
 
 
 def brute_force_connectivity_factor(graph, i, j):
@@ -133,35 +134,35 @@ class TestMappingType:
 
 
 class TestConnectivityFactor:
+    """The connectivity product over a whole graph, against path enumeration."""
+
     def test_adjacent_pair_is_one(self):
-        assert connectivity_factor(builtin("quito"), 0, 1) == 1.0
+        assert _connectivity_product(builtin("quito"), 0b11) == 1.0
 
     def test_disconnected_pair_is_zero(self):
         g = CouplingGraph(range(4), [(0, 1, 0.01), (2, 3, 0.01)])
-        assert connectivity_factor(g, 0, 3) == 0.0
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            connectivity_factor(builtin("quito"), 2, 2)
+        assert _connectivity_product(g, g.vertex_mask) == 0.0
 
     def test_path_of_three(self):
         # Single shortest path 0-1-2; vertex 1 carries every shortest path.
         g = builtin("linear(3)")
-        assert connectivity_factor(g, 0, 2) == pytest.approx(1.0)
+        assert _connectivity_product(g, g.vertex_mask) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_symmetry(self, seed):
+        # The product takes each unordered pair once, in ascending order.
         g = random_connected_graph(7, 60 + seed)
+        data = _shortest_path_data(g, g.vertex_mask)
         for i, j in itertools.combinations(sorted(g.vertices), 2):
-            assert connectivity_factor(g, i, j) == connectivity_factor(g, j, i)
+            assert _pair_factor(data, g, i, j) == _pair_factor(data, g, j, i)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_against_path_enumeration(self, seed):
         g = random_connected_graph(6, 260 + seed)
+        want = 1.0
         for i, j in itertools.combinations(sorted(g.vertices), 2):
-            got = connectivity_factor(g, i, j)
-            want = brute_force_connectivity_factor(g, i, j)
-            assert got == pytest.approx(want, abs=1e-12)
+            want *= brute_force_connectivity_factor(g, i, j)
+        assert _connectivity_product(g, g.vertex_mask) == pytest.approx(want, rel=1e-9)
 
 
 class TestObjective:
@@ -337,3 +338,17 @@ class TestGoldenMappings:
         g = builtin(name)
         for seed in range(3):
             assert optimize_mapping(g, n, TabuConfig(seed=seed)).assign == GOLDEN_ASSIGN[(name, n, seed)]
+
+
+#: ``tabu_search_table(builtin(name), n, TabuConfig(seed=seed))`` keyed by
+#: ``"name n seed"``: each entry's assignment and ``score.hex()``, in table
+#: order, recorded while the table was kept as parallel lists.
+GOLDEN_TABLES = json.loads((Path(__file__).parent / "golden_tabu_tables.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenTabuTables:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_TABLES))
+    def test_default_config(self, key):
+        name, n, seed = key.split()
+        table = tabu_search_table(builtin(name), int(n), TabuConfig(seed=int(seed)))
+        assert [[list(m.assign), s.hex()] for m, s in table] == GOLDEN_TABLES[key]

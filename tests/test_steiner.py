@@ -10,7 +10,7 @@ from conftest import (
     reference_dijkstra_path,
     reference_min_noise_steiner_tree,
 )
-from cnotsynth.arch import ArchError, CouplingGraph, builtin, edge_weight, induced_subgraph
+from cnotsynth.arch import ArchError, CouplingGraph, _flood, builtin, edge_weight, induced_subgraph, mask_vertices
 from cnotsynth.steiner import (
     SteinerTree,
     best_path,
@@ -145,10 +145,10 @@ def _masked_trees(g, seed, count=10):
     verts = sorted(g.vertices)
     for _ in range(count):
         keep = rng.sample(verts, rng.randint(1, len(verts)))
-        sub = induced_subgraph(g, keep)
+        mask = sum(1 << v for v in keep)
         root = rng.choice(keep)
-        comp = sorted(next(c for c in sub.components() if root in c))
-        yield sum(1 << v for v in keep), sub, root, rng.sample(comp, rng.randint(1, len(comp)))
+        comp = list(mask_vertices(_flood(g.neighbor_masks, 1 << root, mask)))
+        yield mask, induced_subgraph(g, keep), root, rng.sample(comp, rng.randint(1, len(comp)))
 
 
 class TestResidualMask:
