@@ -368,11 +368,9 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     Returns:
         (physical Circuit, list of per-run synthesis results).
     """
-    from .mapping import TabuConfig, optimize_mapping
+    from .mapping import optimize_mapping
     from .synth import synthesize
 
-    if config is None:
-        config = TabuConfig()
     if mapping is None:
         mapping = optimize_mapping(graph, circuit.n, config)
     n_out = max(graph.vertices) + 1
@@ -383,7 +381,7 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
             from .gf2 import ParityMatrix
 
             m = ParityMatrix.from_circuit([(g.control, g.target) for g in run], circuit.n)
-            res = synthesize(m, graph, config, mapping=mapping)
+            res = synthesize(m, graph, mapping=mapping)
             out.extend(res.gates)
             results.append(res)
         else:

@@ -54,11 +54,11 @@ def load_arch(name_or_path: str) -> CouplingGraph:
     """Resolve a built-in name or an architecture file path."""
     try:
         return builtin(name_or_path)
-    except ArchError:
-        pass
+    except ArchError as exc:
+        builtin_error = exc
     path = Path(name_or_path)
     if not path.exists():
-        raise InputError(f"unknown architecture and no such file: {name_or_path!r}")
+        raise InputError(f"no such file {name_or_path!r}, and not a built-in: {builtin_error}")
     try:
         graph = parse_arch(path.read_text(encoding="utf-8"))
     except ArchError as exc:
@@ -83,6 +83,11 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def _check_shots(shots: int) -> None:
+    if shots < 0:
+        raise InputError(f"--shots must be >= 0, got {shots}")
 
 
 def _fmt(x: float | None, places: int = 6) -> str:
@@ -146,6 +151,7 @@ def _mapping_payload(arch_spec: str, mapping: Mapping) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_shots(args.shots)
     graph = load_arch(args.arch)
     if not graph.is_connected():
         raise InputError(f"architecture {args.arch!r} is disconnected; synthesis needs a connected graph")
@@ -155,7 +161,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = TabuConfig(tabu_len=args.tabu_len, iterations=args.iterations, seed=args.seed)
 
     mapping = optimize_mapping(graph, circ.n, config)
-    out_circuit, results = segment_and_synthesize(circ, graph, config, mapping=mapping)
+    out_circuit, results = segment_and_synthesize(circ, graph, mapping=mapping)
     cnot_runs = [run for kind, run in segment_runs(circ.gates) if kind == "cnot"]
     for res, run in zip(results, cnot_runs):
         original = ParityMatrix.from_circuit([(g.control, g.target) for g in run], circ.n)
@@ -274,6 +280,7 @@ class BenchRow:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_shots(args.shots)
     arch_names = [a.strip() for a in args.arch.split(",") if a.strip()]
     sizes = []
     for tok in args.sizes.split(","):
@@ -303,7 +310,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 circ = random_cnot_circuit(n, size, cseed)
                 m = ParityMatrix.from_circuit(circ.cnot_pairs(), n)
                 t0 = time.perf_counter()
-                res = synthesize(m, graph, config, mapping=mapping)
+                res = synthesize(m, graph, mapping=mapping)
                 ms = (time.perf_counter() - t0) * 1e3
                 failure = verification_failure(m, res)
                 if failure is not None:
@@ -370,6 +377,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    _check_shots(args.shots)
     graph = load_arch(args.arch)
     circ = _read_circuit(args.input)
     try:

@@ -2,19 +2,20 @@
 
 Layer-by-layer elimination removes the physical qubit hosting each finished
 logical qubit, so the initial mapping must keep every residual graph
-connected.  A mapping is built by assigning logical qubits, in increasing
-index order, to non-cut vertices of the shrinking graph; once the residual
-graph carries a Hamiltonian path covering exactly the remaining quota, the
-rest of the assignment follows that path.
+connected.  A mapping is built from one seed vertex (a key qubit) by
+assigning logical qubits, in increasing index order, to non-cut vertices of
+the shrinking graph; when the mapping covers the whole device and the
+residual graph carries a Hamiltonian path, the rest of the assignment
+follows that path.
 
 No residual graph is ever built: it is the base graph's vertex mask with the
 assigned vertices' bits cleared, and its cut points and Hamiltonian path are
 computed on that mask (see ``arch``).  The objective's subgraph induced by
 the mapped qubits is likewise the mask of those qubits.  Tabu search
 perturbs the seed vertex of the construction and keeps a bounded table of
-the best-scoring mappings found; one ``MappingSearch`` memo, keyed by mask,
-serves all constructions and scores of a search and is dropped when the
-search returns.
+the best-scoring mappings found.  A ``MappingSearch`` is the one context
+that constructions and scores take: it holds the graph and a memo keyed by
+mask, and is dropped when the search returns.
 """
 from __future__ import annotations
 
@@ -84,27 +85,25 @@ def substream(seed: int, *key) -> random.Random:
     return random.Random(derive_seed(seed, *key))
 
 
-def _as_rng(rng: random.Random | int) -> random.Random:
-    return rng if isinstance(rng, random.Random) else random.Random(rng)
-
-
 class MappingSearch:
-    """State shared by the constructions and scores of one mapping search.
+    """The one context of a mapping search: its graph and shared state.
 
-    A residual graph is an int vertex mask over the base graph.  The base
-    graph's connectivity, key qubits and per-vertex mean edge errors are
-    computed once, and one memo keyed by mask holds the non-cut vertices and
-    Hamiltonian path of residual graphs and the connectivity product of
-    mapped vertex sets.  ``tabu_search_table`` makes one per search and
-    drops it on return, so nothing is kept between searches.
+    Constructions and scores take the search and read the graph from it.  A
+    residual graph is an int vertex mask over the base graph.  The base
+    graph's key qubits and per-vertex mean edge errors are computed once, and
+    one memo keyed by mask holds the non-cut vertices and Hamiltonian path of
+    residual graphs and the connectivity product of mapped vertex sets.
+    ``tabu_search_table`` makes one per search and drops it on return, so
+    nothing is kept between searches.
     """
 
-    __slots__ = ("graph", "connected", "keys", "mean_error", "_non_cut", "_path", "_product")
+    __slots__ = ("graph", "keys", "mean_error", "_non_cut", "_path", "_product")
 
     def __init__(self, graph: CouplingGraph) -> None:
+        if not graph.is_connected():
+            raise ValueError("mapping search requires a connected coupling graph")
         self.graph = graph
-        self.connected = graph.is_connected()
-        self.keys = key_qubits(graph) if self.connected else frozenset()
+        self.keys = key_qubits(graph)
         # Mean error of the full-graph edges at each vertex; 0.0 for an
         # isolated vertex, which adds no cost.
         self.mean_error: dict[int, float] = {}
@@ -114,14 +113,6 @@ class MappingSearch:
         self._non_cut: dict[int, tuple[int, ...]] = {}
         self._path: dict[int, tuple[int, ...] | None] = {}
         self._product: dict[int, float] = {}
-
-    @classmethod
-    def of(cls, graph: CouplingGraph, search: MappingSearch | None) -> MappingSearch:
-        if search is None:
-            return cls(graph)
-        if search.graph is not graph:
-            raise ValueError("search state belongs to a different graph")
-        return search
 
     def non_cut(self, residual: int) -> tuple[int, ...]:
         """Non-cut vertices of a connected residual graph, in ascending order."""
@@ -149,60 +140,45 @@ class MappingSearch:
         return prod
 
 
-def initial_mapping(
-    graph: CouplingGraph,
-    n: int,
-    key_order: Sequence[int],
-    rng: random.Random | int,
-    search: MappingSearch | None = None,
-) -> Mapping:
+def initial_mapping(search: MappingSearch, n: int, first: int, rng: random.Random) -> Mapping:
     """Key-qubit priority initial mapping.
 
-    Logical 0 goes to key_order[0]; afterwards each step assigns the next
-    logical index to a uniformly random non-cut vertex of the residual graph
-    and removes it.  Whenever the residual graph has a Hamiltonian path
-    covering exactly the remaining quota, the remaining logical qubits follow
-    the path and the construction stops.
+    Logical 0 goes to the seed vertex ``first``; afterwards each step assigns
+    the next logical index to a uniformly random non-cut vertex of the
+    residual graph and removes it.  When the mapping covers the whole device
+    and the residual graph has a Hamiltonian path, the remaining logical
+    qubits follow the path and the construction stops.
 
     Args:
-        graph: connected coupling graph.
+        search: the search over a connected coupling graph.
         n: number of logical qubits, 1 <= n <= number of vertices.
-        key_order: candidate seed vertices; only entry 0 is consumed, and all
-            entries must be key qubits of ``graph``.
-        rng: random.Random instance or a seed.
-        search: state of the enclosing search over ``graph``; a fresh one
-            is made when omitted.
+        first: seed vertex, a key qubit of the graph.
+        rng: source of the non-cut vertex choices.
 
     Returns:
         A mapping whose removal replay keeps the residual graph connected.
     """
-    rng = _as_rng(rng)
-    search = MappingSearch.of(graph, search)
-    if not search.connected:
-        raise ValueError("initial mapping requires a connected coupling graph")
+    graph = search.graph
     if not 1 <= n <= graph.num_vertices:
         raise ValueError(f"n={n} outside [1, {graph.num_vertices}]")
-    order = [int(v) for v in key_order]
-    if not order:
-        raise ValueError("key_order must be non-empty")
-    bad = [v for v in order if v not in search.keys]
-    if bad:
-        raise ValueError(f"key_order entries {bad} are cut points or absent")
+    if first not in search.keys:
+        raise ValueError(f"seed vertex {first} is a cut point or absent")
 
+    # The residual graph has exactly the remaining quota of vertices at every
+    # step iff the mapping covers the device.  The path shortcut is an
+    # optimization; beyond the exhaustive-search guardrail, key-qubit removal
+    # alone still terminates correctly.
+    full = n == graph.num_vertices
     assign: list[int] = []
     residual = graph.vertex_mask
-    size = graph.num_vertices
     while len(assign) < n:
-        quota = n - len(assign)
-        # The path shortcut is an optimization; beyond the exhaustive-search
-        # guardrail, key-qubit removal alone still terminates correctly.
-        if size == quota and quota <= HAMILTONIAN_VERTEX_LIMIT:
+        if full and n - len(assign) <= HAMILTONIAN_VERTEX_LIMIT:
             path = search.hamiltonian_path(residual)
             if path is not None:
                 assign.extend(path)
                 break
         if not assign:
-            v = order[0]
+            v = first
         else:
             choices = search.non_cut(residual)
             if not choices:  # connected graphs always have a non-cut vertex
@@ -210,7 +186,6 @@ def initial_mapping(
             v = choices[rng.randrange(len(choices))]
         assign.append(v)
         residual &= ~(1 << v)
-        size -= 1
     return Mapping(tuple(assign))
 
 
@@ -309,20 +284,18 @@ def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
     return prod
 
 
-def mapping_objective(graph: CouplingGraph, mapping: Mapping, search: MappingSearch | None = None) -> float:
+def mapping_objective(search: MappingSearch, mapping: Mapping) -> float:
     """Mapping score: connectivity product minus position-weighted error cost.
 
     The first term multiplies connectivity factors over all mapped pairs on
     the induced subgraph; the second sums (m+1) times the mean error of the
     full-graph edges incident to assign[m].  Later-removed qubits carry more
     weight, so low-error vertices should be kept until the end.  Higher is
-    better.  ``search`` is the state of the enclosing search over ``graph``;
-    a fresh one is made when omitted.
+    better.
     """
-    missing = set(mapping.assign) - graph.vertices
+    missing = set(mapping.assign) - search.graph.vertices
     if missing:
         raise ValueError(f"mapping uses unknown vertices {sorted(missing)}")
-    search = MappingSearch.of(graph, search)
     score = search.connectivity_product(mapping.assign)
     mean_error = search.mean_error
     for m, v in enumerate(mapping.assign):
@@ -337,29 +310,28 @@ def mapping_objective(graph: CouplingGraph, mapping: Mapping, search: MappingSea
 def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[tuple[Mapping, float]]:
     """Run the tabu search and return its final table as (mapping, score) pairs.
 
-    The table is seeded with the deterministic initial mapping.  Every
-    iteration builds ``tabu_len`` candidates, each from a fresh random
-    rotation of the key-qubit list (changing the seed vertex) and a fresh RNG
-    substream.  Candidates absent from the table whose score is at least the
-    current table average are admitted; the table is trimmed back to
-    ``tabu_len`` by dropping its lowest-scoring entry.
+    The table is seeded with the deterministic initial mapping from the
+    smallest key qubit.  Every iteration builds ``tabu_len`` candidates, each
+    from a fresh RNG substream that draws the seed vertex among the key
+    qubits and then drives the construction.  Candidates absent from the
+    table whose score is at least the current table average are admitted;
+    the table is trimmed back to ``tabu_len`` by dropping its lowest-scoring
+    entry.
     """
     search = MappingSearch(graph)
     base_order = sorted(search.keys)
-    seed_map = initial_mapping(graph, n, base_order, substream(config.seed, "seed"), search)
+    seed_map = initial_mapping(search, n, base_order[0], substream(config.seed, "seed"))
 
     # Assignment -> score.  Insertion order is the table order, which fixes
     # the float sum of the mean and the first-minimum choice of the worst.
-    table = {seed_map.assign: mapping_objective(graph, seed_map, search)}
+    table = {seed_map.assign: mapping_objective(search, seed_map)}
     for it in range(config.iterations):
         for k in range(config.tabu_len):
             rng = substream(config.seed, it, k)
-            offset = rng.randrange(len(base_order))
-            order = base_order[offset:] + base_order[:offset]
-            cand = initial_mapping(graph, n, order, rng, search)
+            cand = initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
             if cand.assign in table:
                 continue
-            s = mapping_objective(graph, cand, search)
+            s = mapping_objective(search, cand)
             if s >= sum(table.values()) / len(table):
                 table[cand.assign] = s
                 if len(table) > config.tabu_len:

@@ -35,17 +35,13 @@ class SynthesisResult:
     """Synthesis output bundle.
 
     ``gates`` is the final hardware circuit over physical qubits, in
-    reverse-cascade order; ``recorded_ops`` is the raw (control, target) row
-    operation log in elimination order over matrix row indices (indices >= n
-    are ancilla rows, which only occur when the device has spare qubits).
-    ``cnot_count`` and ``depth`` are computed from ``gates`` when read.
+    reverse-cascade order.  ``cnot_count`` and ``depth`` are computed from
+    ``gates`` when read.
     """
 
     gates: tuple[CNOT, ...]
     mapping: Mapping
-    recorded_ops: tuple[tuple[int, int], ...]
     graph: CouplingGraph
-    n: int
 
     @property
     def cnot_count(self) -> int:
@@ -246,8 +242,6 @@ def synthesize(
     (``verify_equivalence`` re-checks from scratch).
     """
     n = m.n
-    if config is None:
-        config = TabuConfig()
     if not graph.is_connected():
         raise ValueError("synthesis requires a connected coupling graph")
     if n > graph.num_vertices:
@@ -277,7 +271,7 @@ def synthesize(
         raise RuntimeError("elimination finished without reaching the identity")
 
     gates = tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
-    return SynthesisResult(gates=gates, mapping=mapping, recorded_ops=tuple(recorded), graph=graph, n=n)
+    return SynthesisResult(gates=gates, mapping=mapping, graph=graph)
 
 
 def verification_failure(m_original: ParityMatrix, result: SynthesisResult) -> str | None:

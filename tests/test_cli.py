@@ -29,6 +29,15 @@ class TestArchCommand:
         assert main(["arch", "missing.txt"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,reason", [
+        ("grid(0,5)", "grid dimensions must be >= 1"),
+        ("linear(0)", "linear chain needs at least 1 qubit"),
+    ])
+    def test_bad_builtin_parameter_names_its_reason(self, spec, reason, capsys):
+        assert main(["arch", spec]) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "no such file" in err
+
     def test_json_format(self, capsys):
         assert main(["arch", "quito", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -100,6 +109,13 @@ class TestSynthCommand:
                      "--out", str(tmp_path / "o.qasm"), "--map-out", str(mapping)]) == 0
         assert len(calls) == 1
         assert json.loads(mapping.read_text())["assign"] == list(real(*calls[0]).assign)
+
+    def test_negative_shots_exits_2(self, tmp_path, capsys):
+        p = write_random_qasm(tmp_path / "in.qasm")
+        out = tmp_path / "out.qasm"
+        assert main(["synth", p, "--arch", "quito", *FAST, "--shots", "-5", "--out", str(out)]) == 2
+        assert "--shots" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.qasm"
@@ -221,6 +237,13 @@ class TestBenchCommand:
     def test_bad_size_exits_2(self, capsys):
         assert main(["bench", "--arch", "quito", "--sizes", "ten", "--instances", "1"]) == 2
 
+    def test_negative_shots_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "1",
+                     *FAST, "--shots", "-2", "--out", str(out)]) == 2
+        assert "--shots" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "1",
@@ -268,6 +291,13 @@ class TestFidelityCommand:
         p.write_text("qreg q[5]; cx q[0],q[1];\n", encoding="utf-8")
         assert main(["fidelity", str(p), "--arch", "quito", "--shots", "2000", "--seed", "4"]) == 0
         assert "mc_fidelity=0." in capsys.readouterr().out
+
+    def test_negative_shots_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; cx q[0],q[1];\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito", "--shots", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "--shots" in captured.err and "shots=-3" not in captured.out
 
     def test_non_nn_circuit_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.qasm"

@@ -79,46 +79,42 @@ def independent_objective(graph, assign):
 
 class TestInitialMapping:
     def test_linear3_follows_hamiltonian_path(self):
-        m = initial_mapping(builtin("linear(3)"), 3, [0], rng=0)
+        m = initial_mapping(MappingSearch(builtin("linear(3)")), 3, 0, random.Random(0))
         assert m.assign == (0, 1, 2)
 
     def test_quito_replay_valid(self):
         g = builtin("quito")
-        m = initial_mapping(g, 5, [0], rng=123)
+        m = initial_mapping(MappingSearch(g), 5, 0, random.Random(123))
         assert replay_is_valid(g, m)
 
     def test_cut_point_seed_rejected(self):
-        with pytest.raises(ValueError, match="cut points"):
-            initial_mapping(builtin("quito"), 5, [1], rng=0)
+        with pytest.raises(ValueError, match="cut point"):
+            initial_mapping(MappingSearch(builtin("quito")), 5, 1, random.Random(0))
 
     def test_deterministic_per_seed(self):
         g = builtin("guadalupe")
-        a = initial_mapping(g, 16, [0], rng=9)
-        b = initial_mapping(g, 16, [0], rng=9)
+        a = initial_mapping(MappingSearch(g), 16, 0, random.Random(9))
+        b = initial_mapping(MappingSearch(g), 16, 0, random.Random(9))
         assert a == b
 
     def test_truncates_when_fewer_logical_qubits(self):
         g = builtin("linear(5)")
-        m = initial_mapping(g, 2, [0], rng=4)
+        m = initial_mapping(MappingSearch(g), 2, 0, random.Random(4))
         assert m.n == 2 and len(set(m.assign)) == 2
 
     def test_requires_connected_graph(self):
         g = CouplingGraph(range(3), [(0, 1, 0.01)])
         with pytest.raises(ValueError, match="connected"):
-            initial_mapping(g, 2, [0], rng=0)
+            MappingSearch(g)
 
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(ValueError, match="outside"):
-            initial_mapping(builtin("quito"), 6, [0], rng=0)
-
-    def test_rejects_empty_key_order(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            initial_mapping(builtin("quito"), 5, [], rng=0)
+            initial_mapping(MappingSearch(builtin("quito")), 6, 0, random.Random(0))
 
     @pytest.mark.parametrize("name,seed", [("quito", 3), ("guadalupe", 5), ("tokyo", 1), ("grid(3,3)", 2)])
     def test_replay_valid_across_devices(self, name, seed):
         g = builtin(name)
-        m = initial_mapping(g, g.num_vertices, sorted(key_qubits(g)), rng=seed)
+        m = initial_mapping(MappingSearch(g), g.num_vertices, min(key_qubits(g)), random.Random(seed))
         assert replay_is_valid(g, m)
         assert sorted(m.assign) == sorted(g.vertices)
 
@@ -168,28 +164,28 @@ class TestConnectivityFactor:
 class TestObjective:
     def test_single_edge_hand_value(self):
         g = CouplingGraph(range(2), [(0, 1, 0.01)])
-        assert mapping_objective(g, Mapping((0, 1))) == pytest.approx(0.97)
+        assert mapping_objective(MappingSearch(g), Mapping((0, 1))) == pytest.approx(0.97)
 
     def test_zero_error_complete_graph(self):
         g = CouplingGraph(range(4), [(u, v, 0.0) for u, v in itertools.combinations(range(4), 2)])
-        assert mapping_objective(g, Mapping((0, 1, 2, 3))) == pytest.approx(1.0)
+        assert mapping_objective(MappingSearch(g), Mapping((0, 1, 2, 3))) == pytest.approx(1.0)
 
     def test_quito_identity_against_independent_evaluator(self):
         g = builtin("quito")
         assign = (0, 1, 2, 3, 4)
-        assert mapping_objective(g, Mapping(assign)) == pytest.approx(independent_objective(g, assign))
+        assert mapping_objective(MappingSearch(g), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mappings_against_independent_evaluator(self, seed):
         g = builtin("guadalupe")
         rng = random.Random(seed)
         assign = tuple(rng.sample(sorted(g.vertices), 8))
-        assert mapping_objective(g, Mapping(assign)) == pytest.approx(independent_objective(g, assign))
+        assert mapping_objective(MappingSearch(g), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
 
     def test_deterministic(self):
         g = builtin("quito")
         m = Mapping((0, 2, 1, 3, 4))
-        assert mapping_objective(g, m) == mapping_objective(g, m)
+        assert mapping_objective(MappingSearch(g), m) == mapping_objective(MappingSearch(g), m)
 
 
 class TestOptimizeMapping:
@@ -197,16 +193,17 @@ class TestOptimizeMapping:
         g = builtin("quito")
         cfg = TabuConfig(tabu_len=4, iterations=0, seed=11)
         got = optimize_mapping(g, 5, cfg)
-        seed_map = initial_mapping(g, 5, sorted(key_qubits(g)), substream(11, "seed"))
+        seed_map = initial_mapping(MappingSearch(g), 5, min(key_qubits(g)), substream(11, "seed"))
         assert got == seed_map
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_worse_than_seed(self, seed):
         g = builtin("quito")
         cfg = TabuConfig(tabu_len=6, iterations=8, seed=seed)
-        seed_map = initial_mapping(g, 5, sorted(key_qubits(g)), substream(seed, "seed"))
+        search = MappingSearch(g)
+        seed_map = initial_mapping(search, 5, min(key_qubits(g)), substream(seed, "seed"))
         best = optimize_mapping(g, 5, cfg)
-        assert mapping_objective(g, best) >= mapping_objective(g, seed_map)
+        assert mapping_objective(search, best) >= mapping_objective(search, seed_map)
         assert replay_is_valid(g, best)
 
     def test_deterministic(self):
@@ -222,7 +219,7 @@ class TestOptimizeMapping:
         best = optimize_mapping(g, 16, cfg)
         assert len(table) <= cfg.tabu_len
         assert any(best == m for m, _ in table)
-        assert mapping_objective(g, best) == max(score for _, score in table)
+        assert mapping_objective(MappingSearch(g), best) == max(score for _, score in table)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -242,8 +239,8 @@ def _check_against_reference(g, sizes, constructions):
     for n in sizes:
         for k in range(constructions):
             order = keys[k % len(keys):] + keys[:k % len(keys)]
-            shared = initial_mapping(g, n, order, random.Random(k), search)
-            fresh = initial_mapping(g, n, order, random.Random(k))
+            shared = initial_mapping(search, n, order[0], random.Random(k))
+            fresh = initial_mapping(MappingSearch(g), n, order[0], random.Random(k))
             want = reference_initial_mapping(g, n, order, random.Random(k))
             assert shared == fresh == want
             assert replay_is_valid(g, shared) and reference_replay_is_valid(g, shared)
@@ -268,11 +265,6 @@ class TestAgainstRebuiltResidualReference:
         g = builtin(name)
         v = g.num_vertices
         _check_against_reference(g, sorted({1, v // 2, v - 1, v}), 2)
-
-    def test_search_state_is_bound_to_its_graph(self):
-        search = MappingSearch(builtin("quito"))
-        with pytest.raises(ValueError, match="different graph"):
-            initial_mapping(builtin("quito"), 5, [0], 0, search)
 
 
 class TestShortestPathData:

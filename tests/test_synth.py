@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -156,9 +157,9 @@ class TestEliminateRow:
         g = builtin("guadalupe")
         n = g.num_vertices
         m = random_invertible(n, 8500 + seed)
-        from cnotsynth.mapping import initial_mapping, key_qubits
+        from cnotsynth.mapping import MappingSearch, initial_mapping, key_qubits
 
-        mapping = initial_mapping(g, n, sorted(key_qubits(g)), rng=seed)
+        mapping = initial_mapping(MappingSearch(g), n, min(key_qubits(g)), random.Random(seed))
         residual = g
         for i in range(n):
             ops = eliminate_column(m, residual, mapping, i)
@@ -252,7 +253,16 @@ class TestSynthesize:
         m = random_invertible(5, 77)
         res = synthesize(m, g, SMALL_CONFIG)
         assign = extended_assign(g, res.mapping)
-        translated = [(assign[c], assign[t]) for c, t in reversed(res.recorded_ops)]
+        full = Mapping(assign)
+        work = m.copy()
+        residual = g.vertex_mask
+        recorded = []
+        for i in range(m.n):
+            recorded += eliminate_column(work, g, full, i, residual)
+            recorded += eliminate_row(work, g, full, i, residual)
+            residual &= ~(1 << assign[i])
+        assert work.is_identity()
+        translated = [(assign[c], assign[t]) for c, t in reversed(recorded)]
         assert [(gate.control, gate.target) for gate in res.gates] == translated
 
     @pytest.mark.parametrize("name,seeds", [("quito", range(8)), ("guadalupe", range(6)), ("tokyo", range(4))])
