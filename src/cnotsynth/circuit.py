@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
 
 
@@ -279,8 +277,13 @@ def depth(circuit: Circuit) -> int:
 
 
 def resolve_one_qubit_error(graph: CouplingGraph, one_q_error: float | None = None) -> float:
-    """Explicit value wins, then device calibration, then the global default."""
+    """Explicit value wins, then device calibration, then the global default.
+
+    An explicit value is a probability; one outside [0, 1] raises ``ValueError``.
+    """
     if one_q_error is not None:
+        if not 0.0 <= one_q_error <= 1.0:
+            raise ValueError(f"one-qubit error must be in [0, 1], got {one_q_error}")
         return one_q_error
     if graph.one_qubit_error is not None:
         return graph.one_qubit_error
@@ -315,11 +318,17 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
 
     The per-(shot, gate) randomness is pre-generated from the seed, so the
     estimate is reproducible bit-exactly and independent of evaluation order.
+    numpy is imported here, not at module level, so that callers who never
+    sample do not pay for loading it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not circuit.is_cnot_only():
         raise ValueError("Monte-Carlo fidelity is defined for CNOT-only circuits")
+    if seed < 0:
+        raise ValueError(f"Monte-Carlo seed must be >= 0, got {seed}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     state = np.zeros((shots, circuit.n), dtype=np.uint8)
     for k, g in enumerate(circuit.gates):

@@ -85,9 +85,12 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _check_shots(shots: int) -> None:
+def _check_shots(shots: int, seed: int | None) -> None:
+    """``seed`` is the sampler's seed, or ``None`` when the command derives its own."""
     if shots < 0:
         raise InputError(f"--shots must be >= 0, got {shots}")
+    if shots > 0 and seed is not None and seed < 0:
+        raise InputError(f"--seed must be >= 0 when --shots > 0, got {seed}")
 
 
 def _fmt(x: float | None, places: int = 6) -> str:
@@ -151,13 +154,16 @@ def _mapping_payload(arch_spec: str, mapping: Mapping) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _check_shots(args.shots)
+    _check_shots(args.shots, args.seed)
     graph = load_arch(args.arch)
     if not graph.is_connected():
         raise InputError(f"architecture {args.arch!r} is disconnected; synthesis needs a connected graph")
     circ = _read_circuit(args.input)
     if circ.n > graph.num_vertices:
         raise InputError(f"circuit has {circ.n} qubits but device has {graph.num_vertices}")
+    # The output is CNOT-only exactly when the input is, so refuse before the search.
+    if args.shots > 0 and not circ.is_cnot_only():
+        raise InputError("--shots requires a CNOT-only circuit (Monte-Carlo model)")
     config = TabuConfig(tabu_len=args.tabu_len, iterations=args.iterations, seed=args.seed)
 
     mapping = optimize_mapping(graph, circ.n, config)
@@ -178,10 +184,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "mc_fidelity": None,
     }
     if args.shots > 0:
-        if out_circuit.is_cnot_only():
-            metrics["mc_fidelity"] = monte_carlo_fidelity(out_circuit, graph, args.shots, args.seed)
-        else:
-            raise InputError("--shots requires a CNOT-only circuit (Monte-Carlo model)")
+        metrics["mc_fidelity"] = monte_carlo_fidelity(out_circuit, graph, args.shots, args.seed)
 
     _write_text(args.out, write_qasm(out_circuit))
     if args.map_out:
@@ -280,7 +283,8 @@ class BenchRow:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _check_shots(args.shots)
+    # Each instance samples with its own derived, non-negative seed.
+    _check_shots(args.shots, None)
     arch_names = [a.strip() for a in args.arch.split(",") if a.strip()]
     sizes = []
     for tok in args.sizes.split(","):
@@ -377,7 +381,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    _check_shots(args.shots)
+    _check_shots(args.shots, args.seed)
     graph = load_arch(args.arch)
     circ = _read_circuit(args.input)
     try:

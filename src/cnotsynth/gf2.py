@@ -11,22 +11,27 @@ a single XOR and rank and solve share one bitwise elimination (``_basis``).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParityMatrix:
     """Square GF(2) matrix; bit j of ``rows[r]`` is entry (r, j).
 
     The constructor takes any square 0/1 array-like (entries reduced mod 2);
-    ``from_rows`` wraps int rows directly.  Mutating operations (``row_xor``)
-    act in place; ``rank`` and ``is_identity`` never modify the matrix.
+    ``from_rows`` wraps int rows directly.  Only the array constructor and
+    ``bits`` import numpy, so code on int rows never loads it.  Mutating
+    operations (``row_xor``) act in place; ``rank`` and ``is_identity`` never
+    modify the matrix.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, bits) -> None:
+        import numpy as np
+
         arr = np.array(bits, dtype=np.uint8) % 2
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"parity matrix must be square and non-empty, got shape {arr.shape}")
@@ -50,6 +55,8 @@ class ParityMatrix:
     @property
     def bits(self) -> np.ndarray:
         """A fresh n x n uint8 array of the entries."""
+        import numpy as np
+
         n = self.n
         width = (n + 7) // 8
         data = b"".join(r.to_bytes(width, "little") for r in self.rows)

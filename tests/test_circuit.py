@@ -185,6 +185,11 @@ class TestEsp:
         with pytest.raises(ValueError, match="not a coupling edge"):
             esp(Circuit(5, (CNOT(0, 4),)), builtin("quito"))
 
+    @pytest.mark.parametrize("one_q_error", [-0.5, 1.5, -1e-9, float("nan")])
+    def test_explicit_one_q_error_outside_unit_interval_rejected(self, one_q_error):
+        with pytest.raises(ValueError, match=f"got {one_q_error}"):
+            esp(Circuit(5, (OneQubit("h", 0),)), builtin("quito"), one_q_error)
+
     def test_noisy_gate_strictly_decreases(self):
         g = builtin("quito")
         base = Circuit(5, (CNOT(0, 1),))
@@ -244,6 +249,10 @@ class TestMonteCarlo:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="shots"):
             monte_carlo_fidelity(Circuit(2, (CNOT(0, 1),)), builtin("linear(2)"), 0, 0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            monte_carlo_fidelity(Circuit(2, (CNOT(0, 1),)), builtin("linear(2)"), 10, -1)
 
 
 def bernstein_vazirani(n, secret):

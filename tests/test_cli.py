@@ -122,6 +122,34 @@ class TestSynthCommand:
         p.write_text("qreg q[2]; bogus q[0];", encoding="utf-8")
         assert main(["synth", str(p), "--arch", "quito", *FAST]) == 2
 
+    def test_negative_seed_with_shots_exits_2(self, tmp_path, capsys):
+        p = write_random_qasm(tmp_path / "in.qasm")
+        out = tmp_path / "out.qasm"
+        assert main(["synth", p, "--arch", "quito", *FAST, "--shots", "10", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "-1" in err
+        assert not out.exists()
+
+    def test_negative_seed_without_shots_synthesizes(self, tmp_path, capsys):
+        p = write_random_qasm(tmp_path / "in.qasm")
+        out, mapping = tmp_path / "out.qasm", tmp_path / "map.json"
+        assert main(["synth", p, "--arch", "quito", *FAST, "--seed", "-1",
+                     "--out", str(out), "--map-out", str(mapping)]) == 0
+        assert main(["verify", p, str(out), str(mapping)]) == 0
+
+    def test_shots_on_mixed_circuit_exits_2_before_mapping(self, tmp_path, monkeypatch, capsys):
+        import cnotsynth.cli
+
+        calls = []
+        monkeypatch.setattr(cnotsynth.cli, "optimize_mapping", lambda *args: calls.append(args))
+        p = tmp_path / "mixed.qasm"
+        p.write_text("qreg q[3]; creg c[3];\nh q[0];\ncx q[0],q[2];\nmeasure q[2] -> c[2];\n", encoding="utf-8")
+        out = tmp_path / "out.qasm"
+        assert main(["synth", str(p), "--arch", "quito", *FAST, "--shots", "10", "--out", str(out)]) == 2
+        assert "--shots requires a CNOT-only circuit" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_mixed_circuit(self, tmp_path, capsys):
         p = tmp_path / "mixed.qasm"
         p.write_text(
@@ -303,6 +331,31 @@ class TestFidelityCommand:
         p = tmp_path / "c.qasm"
         p.write_text("qreg q[5]; cx q[0],q[4];\n", encoding="utf-8")
         assert main(["fidelity", str(p), "--arch", "quito"]) == 2
+
+    @pytest.mark.parametrize("value", ["-0.5", "1.5", "nan"])
+    def test_one_q_error_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; h q[0]; cx q[0],q[1];\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito", "--one-q-error", value]) == 2
+        captured = capsys.readouterr()
+        assert f"got {value}" in captured.err and "esp=" not in captured.out
+
+    def test_one_q_error_bounds_accepted(self, tmp_path, capsys):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; h q[0]; cx q[0],q[1];\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito", "--one-q-error", "0"]) == 0
+        assert "esp=0.983690" in capsys.readouterr().out
+        assert main(["fidelity", str(p), "--arch", "quito", "--one-q-error", "1"]) == 0
+        assert "esp=0.000000" in capsys.readouterr().out
+
+    def test_negative_seed_with_shots_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; cx q[0],q[1];\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito", "--shots", "10", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and "-1" in captured.err and captured.out == ""
+        assert main(["fidelity", str(p), "--arch", "quito", "--seed", "-1"]) == 0
+        assert "seed=-1" in capsys.readouterr().out
 
     def test_csv_format(self, tmp_path, capsys):
         p = tmp_path / "c.qasm"
