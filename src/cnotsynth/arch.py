@@ -62,6 +62,8 @@ class CouplingGraph:
         vset = frozenset(int(v) for v in vertices)
         if any(v < 0 for v in vset):
             raise ArchError("vertex ids must be non-negative")
+        if one_qubit_error is not None and not 0.0 <= one_qubit_error <= 1.0:
+            raise ArchError(f"one-qubit error rate {one_qubit_error} outside [0,1]")
         edge_error: dict[tuple[int, int], float] = {}
         size = max(vset, default=-1) + 1
         nbr = [0] * size
@@ -365,10 +367,7 @@ def parse_arch(text: str) -> CouplingGraph:
         triples.append((u, v, err))
     if n is None:
         raise ArchError("empty architecture description: missing 'qubits N' line")
-    try:
-        graph = CouplingGraph(range(n), triples)
-    except ArchError as exc:
-        raise ArchError(str(exc)) from None
+    graph = CouplingGraph(range(n), triples)
     if not graph.is_connected():
         warnings.warn("architecture graph is disconnected; synthesis will reject it", stacklevel=2)
     return graph

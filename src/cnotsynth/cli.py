@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .arch import (
@@ -93,8 +92,31 @@ def _check_shots(shots: int, seed: int | None) -> None:
         raise InputError(f"--seed must be >= 0 when --shots > 0, got {seed}")
 
 
-def _fmt(x: float | None, places: int = 6) -> str:
-    return "" if x is None else f"{x:.{places}f}"
+def _cell(value: object, spec: str = ".6f") -> str:
+    """One CSV or table cell: a float through ``spec``, ``None`` empty."""
+    if value is None:
+        return ""
+    return format(value, spec) if isinstance(value, float) else str(value)
+
+
+def _record_text(record: dict, fmt: str) -> str:
+    """A flat record as one JSON line, a CSV header and row, or ``key=value`` pairs."""
+    if fmt == "json":
+        return json.dumps(record, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return ",".join(record) + "\n" + ",".join(map(_cell, record.values())) + "\n"
+    return " ".join(f"{key}={_cell(value) or '-'}" for key, value in record.items()) + "\n"
+
+
+def _metrics(circuit: Circuit, graph: CouplingGraph, shots: int, seed: int) -> dict:
+    """The paper's figures of merit for a synthesized circuit: CNOT count,
+    depth, ESP, and the Monte-Carlo fidelity when ``shots`` > 0."""
+    return {
+        "cnot": len(circuit.cnot_pairs()),
+        "depth": circuit_depth(circuit),
+        "esp": esp(circuit, graph),
+        "mc_fidelity": monte_carlo_fidelity(circuit, graph, shots, seed) if shots > 0 else None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +160,7 @@ def cmd_arch(args: argparse.Namespace) -> int:
             if small:
                 lines.append(f"hamiltonian path: {' '.join(map(str, ham)) if ham else 'none'}")
             else:
-                lines.append("hamiltonian path: not computed (graph exceeds 32 qubits)")
+                lines.append(f"hamiltonian path: not computed (graph exceeds {HAMILTONIAN_VERTEX_LIMIT} qubits)")
         text = "\n".join(lines) + "\n"
     _write_text(args.out, text)
     return EXIT_OK
@@ -176,35 +198,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
             print(f"internal verification failed: {failure}", file=sys.stderr)
             return EXIT_INTERNAL
 
-    cnot_count = sum(r.cnot_count for r in results)
-    metrics = {
-        "cnot": cnot_count,
-        "depth": circuit_depth(out_circuit),
-        "esp": esp(out_circuit, graph),
-        "mc_fidelity": None,
-    }
-    if args.shots > 0:
-        metrics["mc_fidelity"] = monte_carlo_fidelity(out_circuit, graph, args.shots, args.seed)
-
+    metrics = _metrics(out_circuit, graph, args.shots, args.seed)
     _write_text(args.out, write_qasm(out_circuit))
     if args.map_out:
         _write_text(args.map_out, _mapping_payload(args.arch, mapping))
     # Keep stdout clean for the circuit itself when no output file is given.
     stream = sys.stdout if args.out else sys.stderr
-    if args.format == "json":
-        print(json.dumps(metrics, sort_keys=True), file=stream)
-    elif args.format == "csv":
-        print("cnot,depth,esp,mc_fidelity", file=stream)
-        print(
-            f"{metrics['cnot']},{metrics['depth']},{_fmt(metrics['esp'])},{_fmt(metrics['mc_fidelity'])}",
-            file=stream,
-        )
-    else:
-        mc = _fmt(metrics["mc_fidelity"]) or "-"
-        print(
-            f"cnot={metrics['cnot']} depth={metrics['depth']} esp={_fmt(metrics['esp'])} mc_fidelity={mc}",
-            file=stream,
-        )
+    stream.write(_record_text(metrics, args.format))
     return EXIT_OK
 
 
@@ -251,35 +251,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "arch,n,input_gates,cnot,depth,esp,mc_fidelity,ms"
-
-
-@dataclass
-class BenchRow:
-    arch: str
-    n: int
-    input_gates: int
-    cnot: float
-    depth: float
-    esp: float
-    mc_fidelity: float | None
-    ms: float
-
-    def csv(self, aggregate: bool = False) -> str:
-        cnot = f"{self.cnot:.2f}" if aggregate else f"{int(self.cnot)}"
-        dep = f"{self.depth:.2f}" if aggregate else f"{int(self.depth)}"
-        return ",".join(
-            [
-                self.arch,
-                str(self.n),
-                str(self.input_gates),
-                cnot,
-                dep,
-                _fmt(self.esp),
-                _fmt(self.mc_fidelity),
-                f"{self.ms:.3f}",
-            ]
-        )
+#: (field, table width, float format) of each bench column, in order.
+BENCH_COLUMNS = (
+    ("arch", 18, ""),
+    ("n", 4, ""),
+    ("input_gates", 12, ""),
+    ("cnot", 8, ".2f"),
+    ("depth", 8, ".2f"),
+    ("esp", 10, ".6f"),
+    ("mc_fidelity", 12, ".6f"),
+    ("ms", 10, ".3f"),
+)
+#: The fields that a ``name:mean`` row averages over its instances.
+MEAN_FIELDS = ("cnot", "depth", "esp", "mc_fidelity", "ms")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -300,7 +284,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--instances must be >= 1")
 
     config = TabuConfig(tabu_len=args.tabu_len, iterations=args.iterations, seed=args.seed)
-    rows: list[tuple[BenchRow, bool]] = []
+    rows: list[dict] = []
     for name in arch_names:
         graph = load_arch(name)
         if not graph.is_connected():
@@ -308,7 +292,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n = graph.num_vertices
         mapping = optimize_mapping(graph, n, config)
         for size in sizes:
-            group: list[BenchRow] = []
+            group: list[dict] = []
             for j in range(args.instances):
                 cseed = derive_seed(args.seed, name, size, j)
                 circ = random_cnot_circuit(n, size, cseed)
@@ -320,58 +304,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 if failure is not None:
                     print(f"internal verification failed ({name}, size {size}, instance {j}): {failure}", file=sys.stderr)
                     return EXIT_INTERNAL
-                phys = res.physical_circuit()
-                mc = monte_carlo_fidelity(phys, graph, args.shots, cseed) if args.shots > 0 else None
-                group.append(
-                    BenchRow(name, n, size, res.cnot_count, res.depth, esp(phys, graph), mc, ms)
-                )
-            rows.extend((r, False) for r in group)
-            count = len(group)
-            mean_mc = (
-                sum(r.mc_fidelity for r in group) / count if args.shots > 0 else None  # type: ignore[misc]
-            )
-            rows.append(
-                (
-                    BenchRow(
-                        f"{name}:mean",
-                        n,
-                        size,
-                        sum(r.cnot for r in group) / count,
-                        sum(r.depth for r in group) / count,
-                        sum(r.esp for r in group) / count,
-                        mean_mc,
-                        sum(r.ms for r in group) / count,
-                    ),
-                    True,
-                )
-            )
+                metrics = _metrics(res.physical_circuit(), graph, args.shots, cseed)
+                group.append({"arch": name, "n": n, "input_gates": size, **metrics, "ms": ms, "aggregate": False})
+            mean = {
+                key: None if group[0][key] is None else sum(row[key] for row in group) / len(group)
+                for key in MEAN_FIELDS
+            }
+            rows.extend(group)
+            rows.append({"arch": f"{name}:mean", "n": n, "input_gates": size, **mean, "aggregate": True})
 
     if args.format == "json":
-        payload = [
-            {
-                "arch": r.arch,
-                "n": r.n,
-                "input_gates": r.input_gates,
-                "cnot": r.cnot,
-                "depth": r.depth,
-                "esp": r.esp,
-                "mc_fidelity": r.mc_fidelity,
-                "ms": r.ms,
-                "aggregate": agg,
-            }
-            for r, agg in rows
-        ]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "table":
-        widths = [18, 4, 12, 8, 8, 10, 12, 10]
-        header = CSV_HEADER.split(",")
-        text_rows = [" ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for r, agg in rows:
-            cells = r.csv(agg).split(",")
-            text_rows.append(" ".join(c.ljust(w) for c, w in zip(cells, widths)))
-        text = "\n".join(text_rows) + "\n"
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
-        text = CSV_HEADER + "\n" + "\n".join(r.csv(agg) for r, agg in rows) + "\n"
+        lines = [[field for field, _, _ in BENCH_COLUMNS]]
+        lines.extend([_cell(row[field], spec) for field, _, spec in BENCH_COLUMNS] for row in rows)
+        if args.format == "table":
+            widths = [width for _, width, _ in BENCH_COLUMNS]
+            text = "".join(" ".join(map(str.ljust, line, widths)) + "\n" for line in lines)
+        else:
+            text = "".join(",".join(line) + "\n" for line in lines)
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -393,14 +344,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         if not circ.is_cnot_only():
             raise InputError("--shots requires a CNOT-only circuit (Monte-Carlo model)")
         mc = monte_carlo_fidelity(circ, graph, args.shots, args.seed)
-    if args.format == "json":
-        print(json.dumps({"esp": analytic, "mc_fidelity": mc, "shots": args.shots, "seed": args.seed}, sort_keys=True))
-    elif args.format == "csv":
-        print("esp,mc_fidelity,shots,seed")
-        print(f"{_fmt(analytic)},{_fmt(mc)},{args.shots},{args.seed}")
-    else:
-        mc_text = _fmt(mc) or "-"
-        print(f"esp={_fmt(analytic)} mc_fidelity={mc_text} shots={args.shots} seed={args.seed}")
+    record = {"esp": analytic, "mc_fidelity": mc, "shots": args.shots, "seed": args.seed}
+    sys.stdout.write(_record_text(record, args.format))
     return EXIT_OK
 
 

@@ -218,11 +218,24 @@ def _embed(m: ParityMatrix, size: int) -> ParityMatrix:
     return ParityMatrix.from_rows(m.rows + [1 << r for r in range(m.n, size)])
 
 
-def _blocks_ok(rows: list[int], n: int) -> bool:
+def _block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
+    """Why a device-sized parity matrix fails to realize ``logical_rows``; None if it does.
+
+    Its first ``n = len(logical_rows)`` rows must restrict to ``logical_rows``
+    on the logical columns, and neither off-diagonal block (logical rows on
+    ancilla columns, ancilla rows on logical columns) may have a set bit.
+    """
+    n = len(logical_rows)
     logical = (1 << n) - 1
-    return all(row == 1 << r for r, row in enumerate(rows[:n])) and not any(
-        row & logical for row in rows[n:]
-    )
+    for r in range(n):
+        if rows[r] & logical != logical_rows[r]:
+            return f"row {r} of the rebuilt parity matrix differs from the original"
+        if rows[r] >> n:
+            return f"row {r} depends on ancilla qubits"
+    for r in range(n, len(rows)):
+        if rows[r] & logical:
+            return f"ancilla row {r} depends on logical qubits"
+    return None
 
 
 def synthesize(
@@ -267,8 +280,9 @@ def synthesize(
         recorded.extend(eliminate_column(work, graph, full, i, residual))
         recorded.extend(eliminate_row(work, graph, full, i, residual))
         residual &= ~(1 << assign[i])
-    if not _blocks_ok(work.rows, n):
-        raise RuntimeError("elimination finished without reaching the identity")
+    failure = _block_failure(work.rows, [1 << r for r in range(n)])
+    if failure is not None:
+        raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
 
     gates = tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
     return SynthesisResult(gates=gates, mapping=mapping, graph=graph)
@@ -291,7 +305,6 @@ def gate_list_failure(
     matrix from the gate list (translated back to matrix rows through the
     mapping, spare qubits as ancillas) and compares it against the original.
     """
-    n = m_original.n
     for k, g in enumerate(gates):
         if not graph.has_edge(g.control, g.target):
             return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
@@ -300,17 +313,7 @@ def gate_list_failure(
     rebuilt = ParityMatrix.identity(graph.num_vertices)
     for g in gates:
         rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
-    rows = rebuilt.rows
-    logical = (1 << n) - 1
-    for r in range(n):
-        if rows[r] & logical != m_original.rows[r]:
-            return f"row {r} of the rebuilt parity matrix differs from the original"
-        if rows[r] >> n:
-            return f"row {r} depends on ancilla qubits"
-    for r in range(n, len(rows)):
-        if rows[r] & logical:
-            return f"ancilla row {r} depends on logical qubits"
-    return None
+    return _block_failure(rebuilt.rows, m_original.rows)
 
 
 def verify_equivalence(m_original: ParityMatrix, result: SynthesisResult) -> bool:

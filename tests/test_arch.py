@@ -50,6 +50,15 @@ class TestCouplingGraph:
         with pytest.raises(ArchError, match="outside"):
             CouplingGraph(range(2), [(0, 1, 1.0)])
 
+    @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
+    def test_rejects_one_qubit_error_outside_unit_interval(self, value):
+        with pytest.raises(ArchError, match=f"one-qubit error rate {value} outside"):
+            CouplingGraph(range(2), [(0, 1, 0.01)], one_qubit_error=value)
+
+    @pytest.mark.parametrize("value", [0.0, 0.0017, 1.0])
+    def test_accepts_one_qubit_error_in_unit_interval(self, value):
+        assert CouplingGraph(range(2), [(0, 1, 0.01)], one_qubit_error=value).one_qubit_error == value
+
     def test_equality_ignores_name(self):
         a = CouplingGraph(range(2), [(0, 1, 0.1)], name="a")
         b = CouplingGraph(range(2), [(0, 1, 0.1)], name="b")
@@ -79,6 +88,10 @@ class TestParseWrite:
     def test_error_rate_out_of_range(self):
         with pytest.raises(ArchError, match="outside"):
             parse_arch("qubits 2\nedge 0 1 1.5\n")
+
+    def test_duplicate_edge(self):
+        with pytest.raises(ArchError, match=r"^duplicate edge \(0,1\)$"):
+            parse_arch("qubits 2\nedge 0 1 0.01\nedge 1 0 0.02\n")
 
     def test_missing_header(self):
         with pytest.raises(ArchError, match="qubits"):

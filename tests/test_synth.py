@@ -351,6 +351,22 @@ class TestVerifyEquivalence:
         assert gate_list_failure(m, g, mapping, [CNOT(1, 3)]) == "ancilla row 3 depends on logical qubits"
 
 
+    def test_unfinished_elimination_raises(self, monkeypatch):
+        # A row pass that leaves ancilla row 1 depending on logical qubit 0.
+        import cnotsynth.synth
+
+        real = cnotsynth.synth.eliminate_row
+
+        def leaky(work, *args):
+            ops = real(work, *args)
+            work.row_xor(0, 1)
+            return ops
+
+        monkeypatch.setattr(cnotsynth.synth, "eliminate_row", leaky)
+        with pytest.raises(RuntimeError, match="^elimination finished without reaching the identity: ancilla row 1 "):
+            synthesize(ParityMatrix.identity(1), builtin("linear(2)"), mapping=Mapping((0,)))
+
+
 # sha256 of the JSON [[[control, target], ...], assign] of
 # synthesize(random_invertible(n, seed), device, mapping=Mapping(assign)), with
 # its CNOT count and depth; captured while parity matrices were numpy arrays,
