@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
+from .gf2 import ParityMatrix
 
 
 class CNOT(NamedTuple):
@@ -364,11 +365,18 @@ def segment_runs(gates: Sequence[Gate]) -> list[tuple[str, tuple[Gate, ...]]]:
     return runs
 
 
+def relocate(gate: OneQubit | Measure, mapping) -> OneQubit | Measure:
+    """An H/X/Z gate or a measurement on its mapped physical qubit; the classical bit stays."""
+    if isinstance(gate, OneQubit):
+        return OneQubit(gate.kind, mapping.physical(gate.qubit))
+    return measure_into(mapping.physical(gate.qubit), gate.bit)
+
+
 def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, mapping=None):
     """Synthesize a mixed circuit by routing each maximal CNOT run separately.
 
-    One mapping is computed for the whole circuit; every CNOT run is
-    synthesized under it, and single-qubit gates and measurements are
+    One mapping, computed or checked once per circuit as in ``synthesize``,
+    serves every CNOT run, and single-qubit gates and measurements are
     relocated to their mapped physical qubits (a measurement keeps its
     classical bit).  The output circuit is the interleaving of relocated
     runs and synthesized runs in original order, over the device's physical
@@ -377,26 +385,17 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     Returns:
         (physical Circuit, list of per-run synthesis results).
     """
-    from .mapping import optimize_mapping
-    from .synth import synthesize
+    from .synth import _checked_mapping, _eliminate
 
-    if mapping is None:
-        mapping = optimize_mapping(graph, circuit.n, config)
-    n_out = max(graph.vertices) + 1
+    mapping = _checked_mapping(graph, circuit.n, config, mapping)
     out: list[Gate] = []
     results = []
     for kind, run in segment_runs(circuit.gates):
         if kind == "cnot":
-            from .gf2 import ParityMatrix
-
             m = ParityMatrix.from_circuit([(g.control, g.target) for g in run], circuit.n)
-            res = synthesize(m, graph, mapping=mapping)
+            res = _eliminate(m, graph, mapping)
             out.extend(res.gates)
             results.append(res)
         else:
-            for g in run:
-                if isinstance(g, OneQubit):
-                    out.append(OneQubit(g.kind, mapping.physical(g.qubit)))
-                else:
-                    out.append(measure_into(mapping.physical(g.qubit), g.bit))  # type: ignore[union-attr]
-    return Circuit(n_out, tuple(out)), results
+            out.extend(relocate(g, mapping) for g in run)  # type: ignore[arg-type]
+    return Circuit(max(graph.vertices) + 1, tuple(out)), results

@@ -27,17 +27,17 @@ from .circuit import (
     Circuit,
     QasmError,
     esp,
+    gate_qubits,
     monte_carlo_fidelity,
     parse_qasm,
     random_cnot_circuit,
     segment_and_synthesize,
-    segment_runs,
     write_qasm,
 )
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix
 from .mapping import Mapping, TabuConfig, derive_seed, optimize_mapping
-from .synth import gate_list_failure, synthesize, verification_failure
+from .synth import circuit_failure, synthesize, verification_failure
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -189,14 +189,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = TabuConfig(tabu_len=args.tabu_len, iterations=args.iterations, seed=args.seed)
 
     mapping = optimize_mapping(graph, circ.n, config)
-    out_circuit, results = segment_and_synthesize(circ, graph, mapping=mapping)
-    cnot_runs = [run for kind, run in segment_runs(circ.gates) if kind == "cnot"]
-    for res, run in zip(results, cnot_runs):
-        original = ParityMatrix.from_circuit([(g.control, g.target) for g in run], circ.n)
-        failure = verification_failure(original, res)
-        if failure is not None:
-            print(f"internal verification failed: {failure}", file=sys.stderr)
-            return EXIT_INTERNAL
+    out_circuit, _ = segment_and_synthesize(circ, graph, mapping=mapping)
+    failure = circuit_failure(circ, out_circuit, graph, mapping)
+    if failure is not None:
+        print(f"internal verification failed: {failure}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     metrics = _metrics(out_circuit, graph, args.shots, args.seed)
     _write_text(args.out, write_qasm(out_circuit))
@@ -220,26 +217,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"no such file: {args.mapping}")
     try:
         payload = json.loads(map_path.read_text(encoding="utf-8"))
-        mapping = Mapping(tuple(int(v) for v in payload["assign"]))
-        arch_spec = args.arch or payload["arch"]
+        assign, arch_spec = payload["assign"], args.arch or payload["arch"]
+        if not isinstance(arch_spec, str) or type(assign) is not list or any(type(v) is not int for v in assign):
+            raise TypeError("arch must be a string and assign a list of integers")
+        mapping = Mapping(tuple(assign))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.mapping}: malformed mapping file ({exc})") from exc
     graph = load_arch(arch_spec)
 
-    if not original.is_cnot_only() or not synthesized.is_cnot_only():
-        raise InputError("verify compares CNOT-only circuits")
     n = original.n
     if mapping.n != n:
         raise InputError(f"mapping covers {mapping.n} qubits but original circuit has {n}")
 
     if not set(mapping.assign) <= graph.vertices:
         raise InputError(f"{args.mapping}: mapping uses qubits outside the device")
-    for k, (c, t) in enumerate(synthesized.cnot_pairs()):
-        if c not in graph.vertices or t not in graph.vertices:
-            raise InputError(f"gate {k}: CNOT({c},{t}) uses a qubit outside the device")
+    for k, g in enumerate(synthesized.gates):
+        if not set(gate_qubits(g)) <= graph.vertices:
+            raise InputError(f"gate {k}: {g} uses a qubit outside the device")
 
-    m_original = ParityMatrix.from_circuit(original.cnot_pairs(), n)
-    failure = gate_list_failure(m_original, graph, mapping, synthesized.gates)
+    failure = circuit_failure(original, synthesized, graph, mapping)
     if failure is not None:
         print(f"mismatch: {failure}")
         return EXIT_VERIFY

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .arch import CouplingGraph
 from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
-from .circuit import CNOT, Circuit
+from .circuit import CNOT, Circuit, relocate, segment_runs
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix, solve_gf2
 from .mapping import Mapping, TabuConfig, optimize_mapping, replay_is_valid
@@ -238,6 +238,43 @@ def _block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
     return None
 
 
+def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, mapping: Mapping | None) -> Mapping:
+    """The tabu-search mapping of ``n`` qubits on ``graph``, or the caller's once it passes the checks."""
+    if not graph.is_connected():
+        raise ValueError("synthesis requires a connected coupling graph")
+    if n > graph.num_vertices:
+        raise ValueError(f"{n} logical qubits but device has {graph.num_vertices} qubits")
+    if mapping is None:
+        return optimize_mapping(graph, n, config)
+    if mapping.n != n:
+        raise ValueError(f"mapping covers {mapping.n} qubits, {n} needed")
+    if not set(mapping.assign) <= graph.vertices:
+        raise ValueError("mapping uses vertices outside the device")
+    if not replay_is_valid(graph, mapping):
+        raise ValueError("mapping fails the removal-replay connectivity check")
+    return mapping
+
+
+def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> SynthesisResult:
+    """Eliminate the invertible ``m`` layer by layer under a checked mapping."""
+    n = m.n
+    assign = extended_assign(graph, mapping)
+    full = Mapping(assign)
+    work = _embed(m, graph.num_vertices)
+    residual = graph.vertex_mask
+    recorded: list[tuple[int, int]] = []
+    for i in range(n):
+        recorded.extend(eliminate_column(work, graph, full, i, residual))
+        recorded.extend(eliminate_row(work, graph, full, i, residual))
+        residual &= ~(1 << assign[i])
+    failure = _block_failure(work.rows, [1 << r for r in range(n)])
+    if failure is not None:
+        raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
+
+    gates = tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
+    return SynthesisResult(gates=gates, mapping=mapping, graph=graph)
+
+
 def synthesize(
     m: ParityMatrix,
     graph: CouplingGraph,
@@ -254,38 +291,9 @@ def synthesize(
     Returns a result whose gate list provably realizes ``m``
     (``verify_equivalence`` re-checks from scratch).
     """
-    n = m.n
-    if not graph.is_connected():
-        raise ValueError("synthesis requires a connected coupling graph")
-    if n > graph.num_vertices:
-        raise ValueError(f"matrix has {n} rows but device has {graph.num_vertices} qubits")
-    if m.rank() != n:
+    if m.rank() != m.n:
         raise ValueError("parity matrix is not invertible")
-    if mapping is None:
-        mapping = optimize_mapping(graph, n, config)
-    else:
-        if mapping.n != n:
-            raise ValueError(f"mapping covers {mapping.n} qubits, matrix needs {n}")
-        if not set(mapping.assign) <= graph.vertices:
-            raise ValueError("mapping uses vertices outside the device")
-        if not replay_is_valid(graph, mapping):
-            raise ValueError("mapping fails the removal-replay connectivity check")
-
-    assign = extended_assign(graph, mapping)
-    full = Mapping(assign)
-    work = _embed(m, graph.num_vertices)
-    residual = graph.vertex_mask
-    recorded: list[tuple[int, int]] = []
-    for i in range(n):
-        recorded.extend(eliminate_column(work, graph, full, i, residual))
-        recorded.extend(eliminate_row(work, graph, full, i, residual))
-        residual &= ~(1 << assign[i])
-    failure = _block_failure(work.rows, [1 << r for r in range(n)])
-    if failure is not None:
-        raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
-
-    gates = tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
-    return SynthesisResult(gates=gates, mapping=mapping, graph=graph)
+    return _eliminate(m, graph, _checked_mapping(graph, m.n, config, mapping))
 
 
 def verification_failure(m_original: ParityMatrix, result: SynthesisResult) -> str | None:
@@ -314,6 +322,36 @@ def gate_list_failure(
     for g in gates:
         rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
     return _block_failure(rebuilt.rows, m_original.rows)
+
+
+def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, mapping: Mapping) -> str | None:
+    """Check a synthesized circuit against its original run by run; None means sound.
+
+    Each maximal CNOT run of the original must match the output's CNOTs at
+    that point (possibly none) under ``gate_list_failure``, and each other
+    gate must come next, relocated through ``mapping``.  An empty original
+    is one empty CNOT run.  A reordered but equivalent output is reported.
+    """
+    gates = output.gates
+    k = 0
+    for kind, run in segment_runs(original.gates) or [("cnot", ())]:
+        if kind == "cnot":
+            start = k
+            while k < len(gates) and isinstance(gates[k], CNOT):
+                k += 1
+            m = ParityMatrix.from_circuit([(g.control, g.target) for g in run], original.n)
+            failure = gate_list_failure(m, graph, mapping, gates[start:k])  # type: ignore[arg-type]
+            if failure is not None:
+                return f"in the CNOT run from output gate {start}, {failure}" if start else failure
+            continue
+        for g in run:
+            want = relocate(g, mapping)
+            if k == len(gates) or gates[k] != want:
+                return f"gate {k}: expected {want}, found {gates[k] if k < len(gates) else 'the end'}"
+            k += 1
+    if k < len(gates):
+        return f"gate {k}: {gates[k]} has no counterpart in the original"
+    return None
 
 
 def verify_equivalence(m_original: ParityMatrix, result: SynthesisResult) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_connected_graph
 from cnotsynth.arch import CouplingGraph, builtin
 from cnotsynth.circuit import (
     CNOT,
@@ -22,15 +23,15 @@ from cnotsynth.circuit import (
     write_qasm,
 )
 from cnotsynth.gf2 import ParityMatrix
-from cnotsynth.mapping import Mapping, TabuConfig
-from cnotsynth.synth import extended_assign
+from cnotsynth.mapping import Mapping, TabuConfig, optimize_mapping
+from cnotsynth.synth import circuit_failure, extended_assign
 
 SMALL_CONFIG = TabuConfig(tabu_len=4, iterations=2, seed=0)
 
 
 @st.composite
-def circuits(draw):
-    n = draw(st.integers(2, 6))
+def circuits(draw, n=None):
+    n = draw(st.integers(2, 6)) if n is None else n
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["cx", "h", "x", "z", "measure"]))
@@ -324,3 +325,37 @@ class TestSegmentation:
         out, _ = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
         gate = out.gates[0]
         assert isinstance(gate, OneQubit) and gate.kind == "x"
+
+    @pytest.mark.parametrize("circ,mapping,reason", [
+        (Circuit(3, (OneQubit("h", 2),)), Mapping((0, 1)), "mapping covers 2 qubits"),
+        (Circuit(5, (OneQubit("h", 0),)), Mapping((1, 0, 2, 3, 4)), "removal-replay"),
+    ])
+    def test_caller_mapping_is_checked_without_a_cnot_run(self, circ, mapping, reason):
+        with pytest.raises(ValueError, match=reason):
+            segment_and_synthesize(circ, builtin("quito"), mapping=mapping)
+
+    def test_caller_mapping_is_replay_checked_once_per_circuit(self, monkeypatch):
+        import cnotsynth.synth
+
+        g = builtin("quito")
+        mapping = optimize_mapping(g, 5, SMALL_CONFIG)
+        real, calls = cnotsynth.synth.replay_is_valid, []
+        monkeypatch.setattr(cnotsynth.synth, "replay_is_valid", lambda *args: calls.append(args) or real(*args))
+        gates = []
+        for k in range(12):
+            gates += [OneQubit("h", k % 5), CNOT(k % 5, (k + 2) % 5), CNOT((k + 1) % 5, (k + 3) % 5)]
+        circ = Circuit(5, tuple(gates))
+        out, results = segment_and_synthesize(circ, g, mapping=mapping)
+        assert len(results) == 12 and len(calls) == 1
+        assert circuit_failure(circ, out, g, mapping) is None
+
+    @given(st.integers(2, 7), st.integers(0, 2**16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_synthesis_passes_the_checker_in_place(self, size, seed, data):
+        # Circuits narrower than the device leave spare qubits as ancillas.
+        g = random_connected_graph(size, seed)
+        circ = data.draw(circuits(n=data.draw(st.integers(2, size))))
+        mapping = optimize_mapping(g, circ.n, TabuConfig(tabu_len=2, iterations=1, seed=seed))
+        out, _ = segment_and_synthesize(circ, g, mapping=mapping)
+        assert circuit_failure(circ, out, g, mapping) is None
+        assert all(g.has_edge(*gate) for gate in out.gates if isinstance(gate, CNOT))

@@ -242,6 +242,94 @@ class TestVerifyCommand:
         mapping.write_text(json.dumps({"arch": "linear(2)", "n": 2, "assign": [0, 1]}), encoding="utf-8")
         assert main(["verify", str(p), str(p), str(mapping)]) == 0
 
+    def test_empty_original_accepts_cancelling_cnots(self, tmp_path, capsys):
+        # An empty original is one empty CNOT run, checked by parity as before.
+        original, synthesized = tmp_path / "o.qasm", tmp_path / "s.qasm"
+        original.write_text("qreg q[2];\n", encoding="utf-8")
+        synthesized.write_text("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "linear(2)", "n": 2, "assign": [0, 1]}), encoding="utf-8")
+        assert main(["verify", str(original), str(synthesized), str(mapping)]) == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("arch", 5), ("arch", None), ("arch", ["quito"]),
+        ("assign", [0.9, 1.2]), ("assign", [False, True]), ("assign", "01"), ("assign", [0, "1"]),
+    ], ids=["arch-int", "arch-null", "arch-list", "assign-floats", "assign-bools", "assign-string", "assign-mixed"])
+    def test_mapping_file_with_wrong_types_exits_2(self, tmp_path, capsys, field, value):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[2]; cx q[0],q[1];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "n": 2, "assign": [0, 1], field: value}), encoding="utf-8")
+        assert main(["verify", str(p), str(p), str(mapping)]) == 2
+        assert "malformed mapping file" in capsys.readouterr().err
+
+
+MIXED_QASM = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
+    "h q[0];\ncx q[0],q[1];\nx q[2];\ncx q[1],q[2];\n"
+    "measure q[0] -> c[2];\nmeasure q[1] -> c[0];\nmeasure q[2] -> c[1];\n"
+)
+
+
+def _edit_first(prefix, edit):
+    """A tamper that replaces the first line starting with ``prefix`` by ``edit(line)``."""
+    def tamper(lines):
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:k] + edit(lines[k]) + lines[k + 1:]
+    return tamper
+
+
+def _shift(register, modulus):
+    """An edit that moves the first index into ``register`` up by one, modulo ``modulus``."""
+    return lambda line: [re.sub(rf"{register}\[(\d+)\]", lambda m: f"{register}[{(int(m[1]) + 1) % modulus}]", line, 1)]
+
+
+class TestVerifyMixed:
+    """``verify`` on synth's own mixed output, on quito."""
+
+    def synth_pair(self, tmp_path, text=MIXED_QASM):
+        inp, out, mapping = tmp_path / "in.qasm", tmp_path / "out.qasm", tmp_path / "map.json"
+        inp.write_text(text, encoding="utf-8")
+        assert main(["synth", str(inp), "--arch", "quito", *FAST, "--out", str(out), "--map-out", str(mapping)]) == 0
+        return str(inp), out, str(mapping)
+
+    def test_round_trip_verifies(self, tmp_path, capsys):
+        inp, out, mapping = self.synth_pair(tmp_path)
+        assert main(["verify", inp, str(out), mapping]) == 0
+        assert capsys.readouterr().out.endswith("\nequivalent\n")
+
+    @pytest.mark.parametrize("tamper", [
+        _edit_first("h ", lambda line: []),
+        _edit_first("x ", lambda line: ["z" + line[1:]]),
+        _edit_first("measure ", _shift("c", 3)),
+        _edit_first("h ", _shift("q", 5)),
+        lambda lines: lines + ["z q[0];"],
+        _edit_first("cx ", lambda line: [line, "cx q[0],q[4];", "cx q[0],q[4];"]),
+    ], ids=["dropped-h", "x-becomes-z", "measure-into-other-bit", "h-on-other-qubit",
+            "extra-trailing-gate", "off-edge-cx-in-run"])
+    def test_tampered_output_exits_1(self, tmp_path, capsys, tamper):
+        inp, out, mapping = self.synth_pair(tmp_path)
+        lines = out.read_text().splitlines()
+        assert tamper(lines) != lines
+        out.write_text("\n".join(tamper(lines)) + "\n", encoding="utf-8")
+        assert main(["verify", inp, str(out), mapping]) == 1
+        assert "mismatch" in capsys.readouterr().out
+
+    def test_cancelling_cnot_run_emits_no_cnot_and_verifies(self, tmp_path, capsys):
+        text = "qreg q[3]; creg c[3];\nh q[0];\ncx q[0],q[1];\ncx q[0],q[1];\nh q[0];\n"
+        inp, out, mapping = self.synth_pair(tmp_path, text)
+        assert "cx" not in out.read_text()
+        assert main(["verify", inp, str(out), mapping]) == 0
+
+    def test_one_qubit_gate_outside_device_exits_2(self, tmp_path, capsys):
+        original, synthesized = tmp_path / "o.qasm", tmp_path / "s.qasm"
+        original.write_text("qreg q[2];\nh q[0];\n", encoding="utf-8")
+        synthesized.write_text("qreg q[9];\nh q[8];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "n": 2, "assign": [0, 1]}), encoding="utf-8")
+        assert main(["verify", str(original), str(synthesized), str(mapping)]) == 2
+        assert "outside the device" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_single_row(self, tmp_path):
