@@ -346,7 +346,8 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
             continue
         for g in run:
             want = relocate(g, mapping)
-            if k == len(gates) or gates[k] != want:
+            # Type too: CNOT(p, b) and Measure(p, b) are equal as tuples.
+            if k == len(gates) or type(gates[k]) is not type(want) or gates[k] != want:
                 return f"gate {k}: expected {want}, found {gates[k] if k < len(gates) else 'the end'}"
             k += 1
     if k < len(gates):

@@ -359,3 +359,8 @@ class TestSegmentation:
         out, _ = segment_and_synthesize(circ, g, mapping=mapping)
         assert circuit_failure(circ, out, g, mapping) is None
         assert all(g.has_edge(*gate) for gate in out.gates if isinstance(gate, CNOT))
+
+    def test_checker_tells_a_cnot_from_an_equal_tuple_measurement(self):
+        # CNOT(0, 1) and Measure(0, 1) are equal as plain tuples.
+        circ = Circuit(2, (Measure(0, 1),))
+        assert circuit_failure(circ, Circuit(2, (CNOT(0, 1),)), builtin("quito"), Mapping((0, 1))) is not None

@@ -271,10 +271,10 @@ MIXED_QASM = (
 )
 
 
-def _edit_first(prefix, edit):
-    """A tamper that replaces the first line starting with ``prefix`` by ``edit(line)``."""
+def _edit_first(prefix, edit, skip=0):
+    """A tamper that replaces the first line starting with ``prefix``, after ``skip`` such lines, by ``edit(line)``."""
     def tamper(lines):
-        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        k = [i for i, line in enumerate(lines) if line.startswith(prefix)][skip]
         return lines[:k] + edit(lines[k]) + lines[k + 1:]
     return tamper
 
@@ -305,8 +305,10 @@ class TestVerifyMixed:
         _edit_first("h ", _shift("q", 5)),
         lambda lines: lines + ["z q[0];"],
         _edit_first("cx ", lambda line: [line, "cx q[0],q[4];", "cx q[0],q[4];"]),
+        # The second measurement follows a measurement, not a CNOT run, and its bit is not its qubit.
+        _edit_first("measure ", lambda line: [re.sub(r"measure q\[(\d+)\] -> c\[(\d+)\]", r"cx q[\1],q[\2]", line)], skip=1),
     ], ids=["dropped-h", "x-becomes-z", "measure-into-other-bit", "h-on-other-qubit",
-            "extra-trailing-gate", "off-edge-cx-in-run"])
+            "extra-trailing-gate", "off-edge-cx-in-run", "measure-becomes-cx-on-its-bit"])
     def test_tampered_output_exits_1(self, tmp_path, capsys, tamper):
         inp, out, mapping = self.synth_pair(tmp_path)
         lines = out.read_text().splitlines()
