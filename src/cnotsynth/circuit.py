@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
@@ -26,24 +27,13 @@ class OneQubit(NamedTuple):
     qubit: int
 
 
-class Measure(NamedTuple):
-    """Measurement of ``qubit`` into classical bit ``clbit``.
+class Measure(NamedTuple("Measure", [("qubit", int), ("clbit", int)])):
+    """Measurement of ``qubit`` into classical bit ``clbit``; ``Measure(q)`` is ``Measure(q, q)``."""
 
-    ``clbit`` is ``None`` when the bit has the qubit's index, so
-    ``Measure(q)`` measures q into bit q; ``measure_into`` builds that form.
-    """
+    __slots__ = ()
 
-    qubit: int
-    clbit: int | None = None
-
-    @property
-    def bit(self) -> int:
-        return self.qubit if self.clbit is None else self.clbit
-
-
-def measure_into(qubit: int, clbit: int) -> Measure:
-    """Measurement of ``qubit`` into bit ``clbit``, with ``clbit`` unset when equal."""
-    return Measure(qubit, None if clbit == qubit else clbit)
+    def __new__(cls, qubit: int, clbit: int | None = None) -> Measure:
+        return super().__new__(cls, qubit, qubit if clbit is None else clbit)
 
 
 Gate = CNOT | OneQubit | Measure
@@ -74,8 +64,8 @@ class Circuit:
             elif isinstance(g, OneQubit):
                 if g.kind not in _ONE_QUBIT_KINDS:
                     raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
-            elif g.bit < 0:
-                raise ValueError(f"gate {k}: negative classical bit {g.bit}")
+            elif g.clbit < 0:
+                raise ValueError(f"gate {k}: negative classical bit {g.clbit}")
             for q in gate_qubits(g):
                 if not 0 <= q < self.n:
                     raise ValueError(f"gate {k}: qubit {q} outside [0,{self.n})")
@@ -207,7 +197,7 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"unknown classical register {cname!r}", line, col)
             if cidx >= creg[1]:
                 raise QasmError(f"register size mismatch: {cname}[{cidx}] exceeds size {creg[1]}", line, col)
-            gates.append(measure_into(q, cidx))
+            gates.append(Measure(q, cidx))
             continue
         word = _RE_GATE_WORD.match(stmt)
         if word and word.group(1) not in ("qreg", "creg", "measure", "cx", "h", "x", "z", "include", "OPENQASM"):
@@ -225,7 +215,7 @@ def write_qasm(circuit: Circuit) -> str:
     The classical register has one bit per qubit, or more when a
     measurement targets a higher bit.
     """
-    bits = [g.bit + 1 for g in circuit.gates if isinstance(g, Measure)]
+    bits = [g.clbit + 1 for g in circuit.gates if isinstance(g, Measure)]
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
@@ -238,7 +228,7 @@ def write_qasm(circuit: Circuit) -> str:
         elif isinstance(g, OneQubit):
             lines.append(f"{g.kind} q[{g.qubit}];")
         else:
-            lines.append(f"measure q[{g.qubit}] -> c[{g.bit}];")
+            lines.append(f"measure q[{g.qubit}] -> c[{g.clbit}];")
     return "\n".join(lines) + "\n"
 
 
@@ -350,52 +340,32 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
 
 def segment_runs(gates: Sequence[Gate]) -> list[tuple[str, tuple[Gate, ...]]]:
     """Split into maximal runs of CNOTs and runs of single-qubit/measure gates."""
-    runs: list[tuple[str, tuple[Gate, ...]]] = []
-    current: list[Gate] = []
-    kind = ""
-    for g in gates:
-        k = "cnot" if isinstance(g, CNOT) else "other"
-        if k != kind and current:
-            runs.append((kind, tuple(current)))
-            current = []
-        kind = k
-        current.append(g)
-    if current:
-        runs.append((kind, tuple(current)))
-    return runs
+    return [
+        ("cnot" if is_cnot else "other", tuple(run))
+        for is_cnot, run in groupby(gates, key=lambda g: isinstance(g, CNOT))
+    ]
 
 
 def relocate(gate: OneQubit | Measure, mapping) -> OneQubit | Measure:
     """An H/X/Z gate or a measurement on its mapped physical qubit; the classical bit stays."""
-    if isinstance(gate, OneQubit):
-        return OneQubit(gate.kind, mapping.physical(gate.qubit))
-    return measure_into(mapping.physical(gate.qubit), gate.bit)
+    return gate._replace(qubit=mapping.physical(gate.qubit))
 
 
 def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, mapping=None):
     """Synthesize a mixed circuit by routing each maximal CNOT run separately.
 
-    One mapping, computed or checked once per circuit as in ``synthesize``,
-    serves every CNOT run, and single-qubit gates and measurements are
-    relocated to their mapped physical qubits (a measurement keeps its
-    classical bit).  The output circuit is the interleaving of relocated
-    runs and synthesized runs in original order, over the device's physical
-    qubits.
-
-    Returns:
-        (physical Circuit, list of per-run synthesis results).
+    One mapping, searched for with ``config`` or the caller's once checked,
+    serves every CNOT run; H/X/Z gates and measurements move to their mapped
+    physical qubits, a measurement keeping its classical bit.  Returns the
+    circuit over the device's qubits, runs in original order, and the mapping.
     """
     from .synth import _checked_mapping, _eliminate
 
     mapping = _checked_mapping(graph, circuit.n, config, mapping)
     out: list[Gate] = []
-    results = []
     for kind, run in segment_runs(circuit.gates):
         if kind == "cnot":
-            m = ParityMatrix.from_circuit([(g.control, g.target) for g in run], circuit.n)
-            res = _eliminate(m, graph, mapping)
-            out.extend(res.gates)
-            results.append(res)
+            out.extend(_eliminate(ParityMatrix.from_circuit(run, circuit.n), graph, mapping).gates)
         else:
             out.extend(relocate(g, mapping) for g in run)  # type: ignore[arg-type]
-    return Circuit(max(graph.vertices) + 1, tuple(out)), results
+    return Circuit(max(graph.vertices) + 1, tuple(out)), mapping

@@ -238,6 +238,15 @@ def _block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
     return None
 
 
+def _mapping_failure(graph: CouplingGraph, mapping: Mapping, n: int) -> str | None:
+    """Why ``mapping`` cannot place ``n`` logical qubits on ``graph``; None if it can."""
+    if mapping.n != n:
+        return f"mapping covers {mapping.n} qubits, {n} needed"
+    if not set(mapping.assign) <= graph.vertices:
+        return "mapping uses vertices outside the device"
+    return None
+
+
 def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, mapping: Mapping | None) -> Mapping:
     """The tabu-search mapping of ``n`` qubits on ``graph``, or the caller's once it passes the checks."""
     if not graph.is_connected():
@@ -246,10 +255,8 @@ def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, ma
         raise ValueError(f"{n} logical qubits but device has {graph.num_vertices} qubits")
     if mapping is None:
         return optimize_mapping(graph, n, config)
-    if mapping.n != n:
-        raise ValueError(f"mapping covers {mapping.n} qubits, {n} needed")
-    if not set(mapping.assign) <= graph.vertices:
-        raise ValueError("mapping uses vertices outside the device")
+    if (failure := _mapping_failure(graph, mapping, n)) is not None:
+        raise ValueError(failure)
     if not replay_is_valid(graph, mapping):
         raise ValueError("mapping fails the removal-replay connectivity check")
     return mapping
@@ -309,10 +316,13 @@ def gate_list_failure(
 ) -> str | None:
     """Check physical CNOTs against a logical parity matrix; None means sound.
 
-    Confirms every gate sits on a coupling edge, then rebuilds the parity
-    matrix from the gate list (translated back to matrix rows through the
-    mapping, spare qubits as ancillas) and compares it against the original.
+    Confirms that the mapping places the matrix's qubits on the device and
+    every gate sits on a coupling edge, then rebuilds the parity matrix from
+    the gate list (translated back to matrix rows through the mapping, spare
+    qubits as ancillas) and compares it against the original.
     """
+    if (failure := _mapping_failure(graph, mapping, m_original.n)) is not None:
+        return failure
     for k, g in enumerate(gates):
         if not graph.has_edge(g.control, g.target):
             return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
@@ -327,11 +337,14 @@ def gate_list_failure(
 def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, mapping: Mapping) -> str | None:
     """Check a synthesized circuit against its original run by run; None means sound.
 
-    Each maximal CNOT run of the original must match the output's CNOTs at
-    that point (possibly none) under ``gate_list_failure``, and each other
-    gate must come next, relocated through ``mapping``.  An empty original
-    is one empty CNOT run.  A reordered but equivalent output is reported.
+    ``mapping`` must place the original's qubits on the device.  Each maximal
+    CNOT run of the original must match the output's CNOTs at that point
+    (possibly none) under ``gate_list_failure``, and each other gate must
+    come next, relocated through ``mapping``.  An empty original is one
+    empty CNOT run.  A reordered but equivalent output is reported.
     """
+    if (failure := _mapping_failure(graph, mapping, original.n)) is not None:
+        return failure
     gates = output.gates
     k = 0
     for kind, run in segment_runs(original.gates) or [("cnot", ())]:
@@ -339,7 +352,7 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
             start = k
             while k < len(gates) and isinstance(gates[k], CNOT):
                 k += 1
-            m = ParityMatrix.from_circuit([(g.control, g.target) for g in run], original.n)
+            m = ParityMatrix.from_circuit(run, original.n)
             failure = gate_list_failure(m, graph, mapping, gates[start:k])  # type: ignore[arg-type]
             if failure is not None:
                 return f"in the CNOT run from output gate {start}, {failure}" if start else failure

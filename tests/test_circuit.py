@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -60,11 +61,21 @@ class TestQasm:
         text = "qreg q[3]; creg c[5]; measure q[0] -> c[4]; measure q[1] -> c[1]; measure q[2] -> c[0];"
         c = parse_qasm(text)
         assert c.gates == (Measure(0, 4), Measure(1), Measure(2, 0))
-        assert [m.bit for m in c.gates] == [4, 1, 0]
+        assert [m.clbit for m in c.gates] == [4, 1, 0]
         out = write_qasm(c)
         assert "creg c[5];" in out
         assert "measure q[0] -> c[4];\nmeasure q[1] -> c[1];\nmeasure q[2] -> c[0];" in out
         assert parse_qasm(out) == c
+
+    def test_measure_has_one_form(self):
+        m = Measure(3)
+        assert m == Measure(3, 3) and m.clbit == 3
+        assert m._replace(qubit=1) == Measure(1, 3)
+        assert pickle.loads(pickle.dumps(Measure(2, 5))) == Measure(2, 5)
+        assert pickle.loads(pickle.dumps(m)).clbit == 3
+        # An output written with the bit spelled out checks against the short form.
+        original, output = Circuit(2, (Measure(0),)), Circuit(5, (Measure(0, 0),))
+        assert circuit_failure(original, output, builtin("quito"), Mapping((0, 1))) is None
 
     def test_negative_classical_bit_rejected(self):
         with pytest.raises(ValueError, match="classical bit"):
@@ -273,51 +284,54 @@ class TestSegmentation:
 
     def test_bv_on_quito_is_nn(self):
         circ = bernstein_vazirani(5, 0b1011)
-        out, results = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
+        out, mapping = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
         g = builtin("quito")
         for gate in out.gates:
             if isinstance(gate, CNOT):
                 assert g.has_edge(gate.control, gate.target)
-        assert len(results) == 1
+        assert mapping == optimize_mapping(g, 5, SMALL_CONFIG)
 
     def test_no_cnot_circuit_is_pure_relocation(self):
         circ = Circuit(3, (OneQubit("h", 0), Measure(2)))
-        out, results = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
-        assert results == []
-        assert all(not isinstance(g, CNOT) for g in out.gates)
-        assert len(out.gates) == 2
+        out, mapping = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
+        assert out.gates == (OneQubit("h", mapping.physical(0)), Measure(mapping.physical(2), 2))
 
     def test_single_cnot_run_matches_plain_synthesis(self):
         from cnotsynth.synth import synthesize
 
         circ = random_cnot_circuit(5, 25, seed=8)
-        out, results = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
+        out, mapping = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
         m = ParityMatrix.from_circuit(circ.cnot_pairs(), 5)
         direct = synthesize(m, builtin("quito"), SMALL_CONFIG)
         assert [g for g in out.gates] == list(direct.gates)
-        assert len(results) == 1
+        assert mapping == direct.mapping
 
     def test_segment_parity_pullback(self):
         g = builtin("quito")
         circ = bernstein_vazirani(5, 0b0110)
-        out, results = segment_and_synthesize(circ, g, SMALL_CONFIG)
-        cnot_runs = [run for kind, run in segment_runs(circ.gates) if kind == "cnot"]
-        assert len(cnot_runs) == len(results)
-        for run, res in zip(cnot_runs, results):
+        out, mapping = segment_and_synthesize(circ, g, SMALL_CONFIG)
+        p2r = {p: r for r, p in enumerate(extended_assign(g, mapping))}
+        k = 0
+        for kind, run in segment_runs(circ.gates):
+            if kind == "other":
+                k += len(run)
+                continue
+            start = k
+            while k < len(out.gates) and isinstance(out.gates[k], CNOT):
+                k += 1
             original = ParityMatrix.from_circuit([(x.control, x.target) for x in run], circ.n)
-            assign = extended_assign(g, res.mapping)
-            p2r = {p: r for r, p in enumerate(assign)}
             rebuilt = ParityMatrix.identity(g.num_vertices)
-            for gate in res.gates:
+            for gate in out.gates[start:k]:
                 rebuilt.row_xor(p2r[gate.control], p2r[gate.target])
             assert (rebuilt.bits[: circ.n, : circ.n] == original.bits).all()
+        assert k == len(out.gates)
 
     def test_measurements_keep_their_classical_bits(self):
         g = builtin("quito")
         mapping = Mapping((4, 3, 1))
         circ = Circuit(3, (Measure(0, 2), Measure(1), Measure(2, 0), Measure(1, 4)))
         out, _ = segment_and_synthesize(circ, g, SMALL_CONFIG, mapping=mapping)
-        assert [(m.qubit, m.bit) for m in out.gates] == [(4, 2), (3, 1), (1, 0), (3, 4)]
+        assert [(m.qubit, m.clbit) for m in out.gates] == [(4, 2), (3, 1), (1, 0), (3, 4)]
         assert out.gates[3] == Measure(3, 4) and out.gates[1] == Measure(3, 1)
 
     def test_one_qubit_gates_relocated_through_mapping(self):
@@ -345,9 +359,10 @@ class TestSegmentation:
         for k in range(12):
             gates += [OneQubit("h", k % 5), CNOT(k % 5, (k + 2) % 5), CNOT((k + 1) % 5, (k + 3) % 5)]
         circ = Circuit(5, tuple(gates))
-        out, results = segment_and_synthesize(circ, g, mapping=mapping)
-        assert len(results) == 12 and len(calls) == 1
-        assert circuit_failure(circ, out, g, mapping) is None
+        out, returned = segment_and_synthesize(circ, g, mapping=mapping)
+        assert [kind for kind, _ in segment_runs(circ.gates)].count("cnot") == 12
+        assert returned == mapping and len(calls) == 1
+        assert circuit_failure(circ, out, g, returned) is None
 
     @given(st.integers(2, 7), st.integers(0, 2**16), st.data())
     @settings(max_examples=60, deadline=None)

@@ -104,13 +104,29 @@ class TestSynthCommand:
 
         for module in (cnotsynth.cli, cnotsynth.mapping, cnotsynth.synth):
             monkeypatch.setattr(module, "optimize_mapping", counting)
+        # The searched mapping is trusted, so the replay check never runs.
+        replays = []
+        monkeypatch.setattr(cnotsynth.synth, "replay_is_valid", lambda *args: replays.append(args))
         p = tmp_path / "hx.qasm"
         p.write_text("qreg q[3]; creg c[3];\nh q[0];\nx q[1];\nh q[2];\n", encoding="utf-8")
         mapping = tmp_path / "map.json"
         assert main(["synth", str(p), "--arch", "quito", *FAST,
                      "--out", str(tmp_path / "o.qasm"), "--map-out", str(mapping)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 1 and replays == []
         assert json.loads(mapping.read_text())["assign"] == list(real(*calls[0]).assign)
+
+    @pytest.mark.filterwarnings("ignore:architecture graph is disconnected")
+    @pytest.mark.parametrize("argv,reason", [
+        (["synth", "{qasm}", "--arch", "{split}"], "connected coupling graph"),
+        (["synth", "{qasm}", "--arch", "linear(3)"], "device has 3 qubits"),
+        (["bench", "--arch", "{split}", "--sizes", "5", "--instances", "1"], "connected coupling graph"),
+    ])
+    def test_library_input_errors_exit_2(self, argv, reason, tmp_path, capsys):
+        split = tmp_path / "split.arch"
+        split.write_text("qubits 5\nedge 0 1 0.01\nedge 2 3 0.01\nedge 3 4 0.01\n", encoding="utf-8")
+        paths = {"qasm": write_random_qasm(tmp_path / "in.qasm"), "split": str(split)}
+        assert main([arg.format(**paths) for arg in argv] + FAST) == 2
+        assert reason in capsys.readouterr().err
 
     def test_negative_shots_exits_2(self, tmp_path, capsys):
         p = write_random_qasm(tmp_path / "in.qasm")
@@ -141,10 +157,10 @@ class TestSynthCommand:
         assert main(["verify", p, str(out), str(mapping)]) == 0
 
     def test_shots_on_mixed_circuit_exits_2_before_mapping(self, tmp_path, monkeypatch, capsys):
-        import cnotsynth.cli
+        import cnotsynth.synth
 
         calls = []
-        monkeypatch.setattr(cnotsynth.cli, "optimize_mapping", lambda *args: calls.append(args))
+        monkeypatch.setattr(cnotsynth.synth, "optimize_mapping", lambda *args: calls.append(args))
         p = tmp_path / "mixed.qasm"
         p.write_text("qreg q[3]; creg c[3];\nh q[0];\ncx q[0],q[2];\nmeasure q[2] -> c[2];\n", encoding="utf-8")
         out = tmp_path / "out.qasm"
@@ -174,7 +190,7 @@ class TestSynthCommand:
                      "--out", str(out), "--map-out", str(mapping)]) == 0
         assign = json.loads(mapping.read_text())["assign"]
         measures = [g for g in parse_qasm(out.read_text()).gates if isinstance(g, Measure)]
-        assert [(g.qubit, g.bit) for g in measures] == [(assign[q], b) for q, b in enumerate(bits)]
+        assert [(g.qubit, g.clbit) for g in measures] == [(assign[q], b) for q, b in enumerate(bits)]
 
     def test_stdout_carries_only_qasm_without_out_flag(self, tmp_path, capsys):
         inp = write_random_qasm(tmp_path / "in.qasm", m=10, seed=6)

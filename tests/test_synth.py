@@ -11,8 +11,9 @@ from conftest import random_connected_graph, target_aided_rows_bruteforce, xor_r
 from cnotsynth.arch import CouplingGraph, builtin, remove_vertex
 from cnotsynth.gf2 import ParityMatrix, random_invertible
 from cnotsynth.mapping import Mapping, TabuConfig
-from cnotsynth.circuit import random_cnot_circuit
+from cnotsynth.circuit import CNOT, Circuit, OneQubit, random_cnot_circuit
 from cnotsynth.synth import (
+    circuit_failure,
     eliminate_column,
     eliminate_row,
     extended_assign,
@@ -319,6 +320,16 @@ class TestSynthesize:
 
 
 class TestVerifyEquivalence:
+    @pytest.mark.parametrize("check", [
+        lambda q: circuit_failure(Circuit(3, (CNOT(0, 1),)), Circuit(5, (CNOT(3, 4),)), q, Mapping((0, 1, 7))),
+        lambda q: circuit_failure(Circuit(3, (OneQubit("h", 2),)), Circuit(5, (OneQubit("h", 2),)), q, Mapping((0, 1))),
+        lambda q: circuit_failure(Circuit(3, ()), Circuit(5, ()), q, Mapping((0, 1))),
+        lambda q: gate_list_failure(ParityMatrix.identity(3), q, Mapping((0, 1)), []),
+    ], ids=["vertex-outside-device", "qubit-unplaced-before-a-gate", "qubit-unplaced-empty", "gate-list-unplaced"])
+    def test_bad_mapping_is_a_failure(self, check):
+        failure = check(builtin("quito"))
+        assert failure is not None and "mapping" in failure
+
     def test_identity_and_empty(self):
         res = synthesize(ParityMatrix.identity(5), builtin("quito"), SMALL_CONFIG)
         assert verify_equivalence(ParityMatrix.identity(5), res)
