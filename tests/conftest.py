@@ -1,13 +1,15 @@
 """Shared test helpers: seeded random graphs, brute-force oracles, a
 reference mapping construction that rebuilds every residual graph, the
 triple-loop shortest-path counts that the mask accumulation replaced, the
-restart-per-terminal Steiner tree that the resumable one replaced, and the
-numpy GF(2) solver that the bitwise one replaced."""
+restart-per-terminal Steiner tree that the resumable one replaced, the
+numpy GF(2) solver that the bitwise one replaced, and the per-character QASM
+reader that the statement splitter and keyword grammar replaced."""
 from __future__ import annotations
 
 import heapq
 import itertools
 import random
+import re
 from collections import deque
 from functools import reduce
 from operator import xor
@@ -15,6 +17,7 @@ from operator import xor
 import numpy as np
 
 from cnotsynth.arch import HAMILTONIAN_VERTEX_LIMIT, CouplingGraph, _residual_mask, remove_vertex
+from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError
 from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping
 from cnotsynth.steiner import SteinerTree
@@ -405,3 +408,120 @@ def reference_solve_gf2(rows, y):
     for i, c in enumerate(pivot_cols):
         x[c] = aug[i, m]
     return x
+
+
+# The QASM reader before the one-pass rewrite, kept as the oracle of the
+# differential test in test_circuit.py.
+
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_RE_OPENQASM = re.compile(r"^OPENQASM\s+(\S+)$")
+_RE_INCLUDE = re.compile(r"^include\s+\"[^\"]*\"$")
+_RE_REG = re.compile(rf"^(qreg|creg)\s+({_ID})\s*\[\s*(\d+)\s*\]$")
+_RE_CX = re.compile(rf"^cx\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
+_RE_ONEQ = re.compile(rf"^(h|x|z)\s+({_ID})\s*\[\s*(\d+)\s*\]$")
+_RE_MEASURE = re.compile(rf"^measure\s+({_ID})\s*\[\s*(\d+)\s*\]\s*->\s*({_ID})\s*\[\s*(\d+)\s*\]$")
+_RE_GATE_WORD = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _statements(text: str):
+    """Split on ';', yielding (statement, line, col) for each statement start."""
+    buf: list[str] = []
+    start: tuple[int, int] | None = None
+    line = 1
+    col = 0
+    for ch in text:
+        col += 1
+        if ch == "\n":
+            line += 1
+            col = 0
+        if ch == ";":
+            stmt = "".join(buf).strip()
+            if stmt and start is not None:
+                yield stmt, start[0], start[1]
+            buf = []
+            start = None
+            continue
+        if not ch.isspace() and start is None:
+            start = (line, col)
+        buf.append(ch)
+    tail = "".join(buf).strip()
+    if tail:
+        if start is None:
+            start = (line, max(col, 1))
+        raise QasmError(f"statement missing terminating ';': {tail!r}", start[0], start[1])
+
+
+def _strip_comments(text: str) -> str:
+    return "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+
+
+def reference_parse_qasm(text: str) -> Circuit:
+    """The QASM reader before the rewrite: a per-character statement scanner,
+    a separate comment stripper and one regex per statement form, tried in turn."""
+    qreg: tuple[str, int] | None = None
+    creg: tuple[str, int] | None = None
+    gates: list[Gate] = []
+
+    def check_qubit(name: str, idx: int, line: int, col: int) -> int:
+        if qreg is None:
+            raise QasmError("qubit reference before qreg declaration", line, col)
+        if name != qreg[0]:
+            raise QasmError(f"unknown quantum register {name!r}", line, col)
+        if idx >= qreg[1]:
+            raise QasmError(f"register size mismatch: {name}[{idx}] exceeds size {qreg[1]}", line, col)
+        return idx
+
+    for stmt, line, col in _statements(_strip_comments(text)):
+        stmt = " ".join(stmt.split())
+        m = _RE_OPENQASM.match(stmt)
+        if m:
+            if m.group(1) != "2.0":
+                raise QasmError(f"unsupported OPENQASM version {m.group(1)}", line, col)
+            continue
+        if _RE_INCLUDE.match(stmt):
+            continue
+        m = _RE_REG.match(stmt)
+        if m:
+            kind, name, size = m.group(1), m.group(2), int(m.group(3))
+            if size < 1:
+                raise QasmError(f"{kind} size must be >= 1", line, col)
+            if kind == "qreg":
+                if qreg is not None:
+                    raise QasmError("multiple qreg declarations are not supported", line, col)
+                qreg = (name, size)
+            else:
+                if creg is not None:
+                    raise QasmError("multiple creg declarations are not supported", line, col)
+                creg = (name, size)
+            continue
+        m = _RE_CX.match(stmt)
+        if m:
+            c = check_qubit(m.group(1), int(m.group(2)), line, col)
+            t = check_qubit(m.group(3), int(m.group(4)), line, col)
+            if c == t:
+                raise QasmError(f"cx control and target coincide ({c})", line, col)
+            gates.append(CNOT(c, t))
+            continue
+        m = _RE_ONEQ.match(stmt)
+        if m:
+            q = check_qubit(m.group(2), int(m.group(3)), line, col)
+            gates.append(OneQubit(m.group(1), q))
+            continue
+        m = _RE_MEASURE.match(stmt)
+        if m:
+            q = check_qubit(m.group(1), int(m.group(2)), line, col)
+            cname, cidx = m.group(3), int(m.group(4))
+            if creg is None or cname != creg[0]:
+                raise QasmError(f"unknown classical register {cname!r}", line, col)
+            if cidx >= creg[1]:
+                raise QasmError(f"register size mismatch: {cname}[{cidx}] exceeds size {creg[1]}", line, col)
+            gates.append(Measure(q, cidx))
+            continue
+        word = _RE_GATE_WORD.match(stmt)
+        if word and word.group(1) not in ("qreg", "creg", "measure", "cx", "h", "x", "z", "include", "OPENQASM"):
+            raise QasmError(f"unsupported gate or statement {word.group(1)!r}", line, col)
+        raise QasmError(f"cannot parse statement {stmt!r}", line, col)
+
+    if qreg is None:
+        raise QasmError("missing qreg declaration")
+    return Circuit(qreg[1], tuple(gates))

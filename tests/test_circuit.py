@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reference_parse_qasm
 from cnotsynth.arch import CouplingGraph, builtin
 from cnotsynth.circuit import (
     CNOT,
@@ -45,6 +45,74 @@ def circuits(draw, n=None):
         else:
             gates.append(OneQubit(kind, q))
     return Circuit(n, tuple(gates))
+
+
+#: Separators between the tokens of a statement: none, the whitespace kinds
+#: the reader must treat alike (NBSP included), the line breaks that move the
+#: reported line (CRLF, CR, VT and U+2028 among them), and a comment hiding a ';'.
+_GAPS = st.sampled_from(["", " ", "\t", "\xa0", "\n", "\r\n", "\r", "\x0b", "\u2028", " // c; x\n"])
+
+
+@st.composite
+def _statement_tokens(draw, clean):
+    """One statement's text; a ``clean`` one is a gate on declared registers."""
+    def ref(reg="q"):
+        if clean:
+            return [reg, "[", draw(st.sampled_from(["0", "1", "2", "02", "007"])), "]"]
+        return [draw(st.sampled_from([reg, reg, reg, "r"])), "[",
+                draw(st.sampled_from(["0", "1", "2", "3", "4", "01", "007", "9", "\u0663"])), "]"]
+
+    forms = ["cx", "h", "x", "z", "measure"] if clean else [
+        "OPENQASM", "include", "qreg", "creg", "cx", "cx", "cx", "h", "x", "z", "measure", "measure", "unknown", "junk"]
+    form = draw(st.sampled_from(forms))
+    if form == "OPENQASM":
+        tokens = ["OPENQASM", draw(st.sampled_from(["2.0", "2.0", "3.0", "2"]))]
+    elif form == "include":
+        tokens = ["include", draw(st.sampled_from(['"qelib1.inc"', "qelib1.inc", '""']))]
+    elif form in ("qreg", "creg"):
+        tokens = [form, *ref(form[0])]
+        tokens[3] = draw(st.sampled_from(["5", "5", "3", "0", "05"]))
+    elif form == "cx":
+        tokens = ["cx", *ref(), ",", *ref()]
+    elif form == "measure":
+        tokens = ["measure", *ref(), "->", *ref("c")]
+    elif form == "unknown":
+        tokens = [draw(st.sampled_from(["t", "rz(0.5)", "barrier", "CX", "hx", "measure2", "OPENQASMx"])), *ref()]
+    elif form == "junk":
+        tokens = [draw(st.sampled_from(["1cx", "[", "->", "qreg", "include", "OPENQASM", "é", "cx[0]"]))]
+    else:
+        tokens = [form, *ref()]
+    if not clean and draw(st.integers(0, 7)) == 0:  # a malformed variant: one token dropped
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    # The keyword's gap is a space unless drawn otherwise, so that most
+    # statements reach the register checks rather than gluing into a new word.
+    gaps = [draw(st.sampled_from([" ", " ", " ", "\n"]) | _GAPS) for _ in tokens]
+    return "".join(tok + gap for tok, gap in zip(tokens, gaps))
+
+
+@st.composite
+def qasm_soups(draw):
+    """Statement soups: every statement form, malformed variants of each,
+    unknown gates, empty statements, comments, assorted line breaks and
+    whitespace, and sometimes no final ';'."""
+    clean = draw(st.booleans())
+    headers = ["qreg q[5]; creg c[5];\n", "OPENQASM 2.0;\nqreg q[5];\r\ncreg c[3];"]
+    parts = [draw(st.sampled_from(headers if clean else ["", "qreg q[5];", *headers]))]
+    for _ in range(draw(st.integers(0, 8))):
+        parts.append(draw(_GAPS) + draw(_statement_tokens(clean)) + draw(st.sampled_from([";", ";", ";", ";;", "; ;"])))
+    text = "".join(parts)
+    if draw(st.booleans()):
+        text = text.rstrip().removesuffix(";")
+    return text
+
+
+def _parse_outcome(parse, text):
+    """The circuit's qubit count and gates, or the error's message and position."""
+    try:
+        c = parse(text)
+    except QasmError as err:
+        return str(err), err.line, err.col
+    return c.n, c.gates
 
 
 class TestQasm:
@@ -118,6 +186,11 @@ class TestQasm:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, circ):
         assert parse_qasm(write_qasm(circ)) == circ
+
+    @given(qasm_soups())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_reference(self, text):
+        assert _parse_outcome(parse_qasm, text) == _parse_outcome(reference_parse_qasm, text)
 
 
 class TestRandomCircuit:
