@@ -49,14 +49,24 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over qubits 0..n-1."""
+    """Ordered gate list over qubits 0..n-1 and a classical register of ``clbits`` bits.
+
+    ``clbits`` defaults to one bit per qubit, or more when a measurement
+    targets a higher bit.
+    """
 
     n: int
     gates: tuple[Gate, ...] = ()
+    clbits: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
+        top = max((g.clbit + 1 for g in self.gates if isinstance(g, Measure)), default=0)
+        if self.clbits is None:
+            object.__setattr__(self, "clbits", max(self.n, top))
+        elif top > self.clbits:
+            raise ValueError(f"classical bit {top - 1} outside a register of {self.clbits} bits")
         for k, g in enumerate(self.gates):
             if isinstance(g, CNOT):
                 if g.control == g.target:
@@ -93,45 +103,42 @@ class QasmError(ValueError):
 # ---------------------------------------------------------------------------
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_RE_OPENQASM = re.compile(r"^OPENQASM\s+(\S+)$")
-_RE_INCLUDE = re.compile(r"^include\s+\"[^\"]*\"$")
-_RE_REG = re.compile(rf"^(qreg|creg)\s+({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_CX = re.compile(rf"^cx\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_ONEQ = re.compile(rf"^(h|x|z)\s+({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_MEASURE = re.compile(rf"^measure\s+({_ID})\s*\[\s*(\d+)\s*\]\s*->\s*({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_GATE_WORD = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)")
+_WORD = re.compile(_ID)
+_REF = rf"({_ID})\s*\[\s*(\d+)\s*\]"  # name[index], two groups
+#: Each keyword and the whole statement it begins; the keyword is always
+#: followed by whitespace, so the leading identifier picks the one pattern.
+_GRAMMAR = {word: re.compile(rf"{word}\s+{args}") for word, args in {
+    "OPENQASM": r"(\S+)",
+    "include": r'"[^"]*"',
+    "qreg": _REF,
+    "creg": _REF,
+    "cx": rf"{_REF}\s*,\s*{_REF}",
+    "h": _REF,
+    "x": _REF,
+    "z": _REF,
+    "measure": rf"{_REF}\s*->\s*{_REF}",
+}.items()}
 
 
 def _statements(text: str):
-    """Split on ';', yielding (statement, line, col) for each statement start."""
-    buf: list[str] = []
-    start: tuple[int, int] | None = None
-    line = 1
-    col = 0
-    for ch in text:
-        col += 1
-        if ch == "\n":
-            line += 1
-            col = 0
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt and start is not None:
-                yield stmt, start[0], start[1]
-            buf = []
-            start = None
-            continue
-        if not ch.isspace() and start is None:
-            start = (line, col)
-        buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        if start is None:
-            start = (line, max(col, 1))
-        raise QasmError(f"statement missing terminating ';': {tail!r}", start[0], start[1])
+    """Yield (statement, line, col) for each ';'-terminated statement, ``//`` comments removed.
 
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+    A non-blank tail after the last ';' raises once every statement before it is yielded.
+    """
+    text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+    chunks = text.split(";")
+    line, line_start, counted, offset = 1, 0, 0, 0
+    for k, chunk in enumerate(chunks):
+        stmt = chunk.strip()
+        if stmt:
+            begin = offset + len(chunk) - len(chunk.lstrip())
+            line += text.count("\n", counted, begin)
+            line_start = text.rfind("\n", counted, begin) + 1 or line_start
+            counted = begin
+            if k == len(chunks) - 1:
+                raise QasmError(f"statement missing terminating ';': {stmt!r}", line, begin - line_start + 1)
+            yield stmt, line, begin - line_start + 1
+        offset += len(chunk) + 1
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -140,87 +147,59 @@ def parse_qasm(text: str) -> Circuit:
     The header and include lines are optional.  Unknown statements are
     rejected with the line/column of the offending statement.
     """
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+    regs: dict[str, tuple[str, int]] = {}  # "qreg"/"creg" -> (name, size)
     gates: list[Gate] = []
 
-    def check_qubit(name: str, idx: int, line: int, col: int) -> int:
-        if qreg is None:
+    def index(kind: str, name: str, idx: str) -> int:
+        """``name[idx]`` checked against the declared ``kind`` register."""
+        reg = regs.get(kind)
+        if reg is None and kind == "qreg":
             raise QasmError("qubit reference before qreg declaration", line, col)
-        if name != qreg[0]:
-            raise QasmError(f"unknown quantum register {name!r}", line, col)
-        if idx >= qreg[1]:
-            raise QasmError(f"register size mismatch: {name}[{idx}] exceeds size {qreg[1]}", line, col)
-        return idx
+        if reg is None or name != reg[0]:
+            raise QasmError(f"unknown {'quantum' if kind == 'qreg' else 'classical'} register {name!r}", line, col)
+        if (i := int(idx)) >= reg[1]:
+            raise QasmError(f"register size mismatch: {name}[{i}] exceeds size {reg[1]}", line, col)
+        return i
 
-    for stmt, line, col in _statements(_strip_comments(text)):
+    for stmt, line, col in _statements(text):
         stmt = " ".join(stmt.split())
-        m = _RE_OPENQASM.match(stmt)
-        if m:
-            if m.group(1) != "2.0":
-                raise QasmError(f"unsupported OPENQASM version {m.group(1)}", line, col)
-            continue
-        if _RE_INCLUDE.match(stmt):
-            continue
-        m = _RE_REG.match(stmt)
-        if m:
-            kind, name, size = m.group(1), m.group(2), int(m.group(3))
-            if size < 1:
-                raise QasmError(f"{kind} size must be >= 1", line, col)
-            if kind == "qreg":
-                if qreg is not None:
-                    raise QasmError("multiple qreg declarations are not supported", line, col)
-                qreg = (name, size)
-            else:
-                if creg is not None:
-                    raise QasmError("multiple creg declarations are not supported", line, col)
-                creg = (name, size)
-            continue
-        m = _RE_CX.match(stmt)
-        if m:
-            c = check_qubit(m.group(1), int(m.group(2)), line, col)
-            t = check_qubit(m.group(3), int(m.group(4)), line, col)
+        word = _WORD.match(stmt)
+        if word and word[0] not in _GRAMMAR:
+            raise QasmError(f"unsupported gate or statement {word[0]!r}", line, col)
+        m = word and _GRAMMAR[word[0]].fullmatch(stmt)
+        if not m:
+            raise QasmError(f"cannot parse statement {stmt!r}", line, col)
+        kw, args = word[0], m.groups()
+        if kw == "OPENQASM" and args[0] != "2.0":
+            raise QasmError(f"unsupported OPENQASM version {args[0]}", line, col)
+        elif kw in ("qreg", "creg"):
+            if int(args[1]) < 1:
+                raise QasmError(f"{kw} size must be >= 1", line, col)
+            if kw in regs:
+                raise QasmError(f"multiple {kw} declarations are not supported", line, col)
+            regs[kw] = (args[0], int(args[1]))
+        elif kw == "cx":
+            c, t = index("qreg", args[0], args[1]), index("qreg", args[2], args[3])
             if c == t:
                 raise QasmError(f"cx control and target coincide ({c})", line, col)
             gates.append(CNOT(c, t))
-            continue
-        m = _RE_ONEQ.match(stmt)
-        if m:
-            q = check_qubit(m.group(2), int(m.group(3)), line, col)
-            gates.append(OneQubit(m.group(1), q))
-            continue
-        m = _RE_MEASURE.match(stmt)
-        if m:
-            q = check_qubit(m.group(1), int(m.group(2)), line, col)
-            cname, cidx = m.group(3), int(m.group(4))
-            if creg is None or cname != creg[0]:
-                raise QasmError(f"unknown classical register {cname!r}", line, col)
-            if cidx >= creg[1]:
-                raise QasmError(f"register size mismatch: {cname}[{cidx}] exceeds size {creg[1]}", line, col)
-            gates.append(Measure(q, cidx))
-            continue
-        word = _RE_GATE_WORD.match(stmt)
-        if word and word.group(1) not in ("qreg", "creg", "measure", "cx", "h", "x", "z", "include", "OPENQASM"):
-            raise QasmError(f"unsupported gate or statement {word.group(1)!r}", line, col)
-        raise QasmError(f"cannot parse statement {stmt!r}", line, col)
+        elif kw in _ONE_QUBIT_KINDS:
+            gates.append(OneQubit(kw, index("qreg", *args)))
+        elif kw == "measure":
+            gates.append(Measure(index("qreg", args[0], args[1]), index("creg", args[2], args[3])))
 
-    if qreg is None:
+    if "qreg" not in regs:
         raise QasmError("missing qreg declaration")
-    return Circuit(qreg[1], tuple(gates))
+    return Circuit(regs["qreg"][1], tuple(gates), regs["creg"][1] if "creg" in regs else None)
 
 
 def write_qasm(circuit: Circuit) -> str:
-    """Serialize to the QASM subset, one statement per line.
-
-    The classical register has one bit per qubit, or more when a
-    measurement targets a higher bit.
-    """
-    bits = [g.clbit + 1 for g in circuit.gates if isinstance(g, Measure)]
+    """Serialize to the QASM subset, one statement per line."""
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{circuit.n}];",
-        f"creg c[{max([circuit.n, *bits])}];",
+        f"creg c[{circuit.clbits}];",
     ]
     for g in circuit.gates:
         if isinstance(g, CNOT):
@@ -357,7 +336,8 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     One mapping, searched for with ``config`` or the caller's once checked,
     serves every CNOT run; H/X/Z gates and measurements move to their mapped
     physical qubits, a measurement keeping its classical bit.  Returns the
-    circuit over the device's qubits, runs in original order, and the mapping.
+    circuit over the device's qubits, runs in original order and with the
+    input's classical register, and the mapping.
     """
     from .synth import _checked_mapping, _eliminate
 
@@ -368,4 +348,4 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
             out.extend(_eliminate(ParityMatrix.from_circuit(run, circuit.n), graph, mapping).gates)
         else:
             out.extend(relocate(g, mapping) for g in run)  # type: ignore[arg-type]
-    return Circuit(max(graph.vertices) + 1, tuple(out)), mapping
+    return Circuit(max(graph.vertices) + 1, tuple(out), circuit.clbits), mapping

@@ -101,7 +101,8 @@ class MappingSearch:
 
     def __init__(self, graph: CouplingGraph) -> None:
         if not graph.is_connected():
-            raise ValueError("mapping search requires a connected coupling graph")
+            raise ValueError(
+                f"mapping search requires a connected coupling graph; {graph.name or 'the graph'} is disconnected")
         self.graph = graph
         self.keys = key_qubits(graph)
         # Mean error of the full-graph edges at each vertex; 0.0 for an

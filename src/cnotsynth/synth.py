@@ -250,7 +250,7 @@ def _mapping_failure(graph: CouplingGraph, mapping: Mapping, n: int) -> str | No
 def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, mapping: Mapping | None) -> Mapping:
     """The tabu-search mapping of ``n`` qubits on ``graph``, or the caller's once it passes the checks."""
     if not graph.is_connected():
-        raise ValueError("synthesis requires a connected coupling graph")
+        raise ValueError(f"synthesis requires a connected coupling graph; {graph.name or 'the graph'} is disconnected")
     if n > graph.num_vertices:
         raise ValueError(f"{n} logical qubits but device has {graph.num_vertices} qubits")
     if mapping is None:

@@ -226,6 +226,14 @@ class TestCircuitValidation:
         with pytest.raises(ValueError, match="kind"):
             Circuit(2, (OneQubit("t", 0),))
 
+    def test_classical_register_width(self):
+        assert Circuit(3).clbits == 3
+        assert Circuit(3, (Measure(0, 4),)).clbits == 5
+        assert Circuit(3, (Measure(0, 1),), clbits=2).clbits == 2
+        assert parse_qasm("qreg q[5]; creg c[2]; measure q[4] -> c[1];").clbits == 2
+        with pytest.raises(ValueError, match="classical bit 4"):
+            Circuit(3, (Measure(0, 4),), clbits=3)
+
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             Circuit(0)

@@ -119,14 +119,17 @@ class TestSynthCommand:
     @pytest.mark.parametrize("argv,reason", [
         (["synth", "{qasm}", "--arch", "{split}"], "connected coupling graph"),
         (["synth", "{qasm}", "--arch", "linear(3)"], "device has 3 qubits"),
-        (["bench", "--arch", "{split}", "--sizes", "5", "--instances", "1"], "connected coupling graph"),
+        (["bench", "--arch", "quito,{split}", "--sizes", "5", "--instances", "1"], "connected coupling graph"),
     ])
     def test_library_input_errors_exit_2(self, argv, reason, tmp_path, capsys):
         split = tmp_path / "split.arch"
         split.write_text("qubits 5\nedge 0 1 0.01\nedge 2 3 0.01\nedge 3 4 0.01\n", encoding="utf-8")
         paths = {"qasm": write_random_qasm(tmp_path / "in.qasm"), "split": str(split)}
         assert main([arg.format(**paths) for arg in argv] + FAST) == 2
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert reason in err
+        # The message names the disconnected device, also among several.
+        assert ("split.arch" in err) == any("{split}" in arg for arg in argv)
 
     def test_negative_shots_exits_2(self, tmp_path, capsys):
         p = write_random_qasm(tmp_path / "in.qasm")
@@ -313,6 +316,11 @@ class TestVerifyMixed:
         inp, out, mapping = self.synth_pair(tmp_path)
         assert main(["verify", inp, str(out), mapping]) == 0
         assert capsys.readouterr().out.endswith("\nequivalent\n")
+
+    def test_output_keeps_the_input_creg(self, tmp_path):
+        # The input declares creg c[3] on a 5-qubit device.
+        _, out, _ = self.synth_pair(tmp_path)
+        assert "\ncreg c[3];\n" in out.read_text()
 
     @pytest.mark.parametrize("tamper", [
         _edit_first("h ", lambda line: []),
