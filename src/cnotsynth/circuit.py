@@ -65,8 +65,8 @@ class Circuit:
         top = max((g.clbit + 1 for g in self.gates if isinstance(g, Measure)), default=0)
         if self.clbits is None:
             object.__setattr__(self, "clbits", max(self.n, top))
-        elif top > self.clbits:
-            raise ValueError(f"classical bit {top - 1} outside a register of {self.clbits} bits")
+        elif self.clbits < max(top, 1):
+            raise ValueError(f"classical register needs at least {max(top, 1)} bits, got {self.clbits}")
         for k, g in enumerate(self.gates):
             if isinstance(g, CNOT):
                 if g.control == g.target:

@@ -231,8 +231,10 @@ class TestCircuitValidation:
         assert Circuit(3, (Measure(0, 4),)).clbits == 5
         assert Circuit(3, (Measure(0, 1),), clbits=2).clbits == 2
         assert parse_qasm("qreg q[5]; creg c[2]; measure q[4] -> c[1];").clbits == 2
-        with pytest.raises(ValueError, match="classical bit 4"):
+        with pytest.raises(ValueError, match="needs at least 5 bits, got 3"):
             Circuit(3, (Measure(0, 4),), clbits=3)
+        with pytest.raises(ValueError, match="needs at least 1 bits, got 0"):
+            Circuit(3, clbits=0)
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
