@@ -62,11 +62,7 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
-        top = max((g.clbit + 1 for g in self.gates if isinstance(g, Measure)), default=0)
-        if self.clbits is None:
-            object.__setattr__(self, "clbits", max(self.n, top))
-        elif self.clbits < max(top, 1):
-            raise ValueError(f"classical register needs at least {max(top, 1)} bits, got {self.clbits}")
+        top = 0  # one past the highest measured classical bit
         for k, g in enumerate(self.gates):
             if isinstance(g, CNOT):
                 if g.control == g.target:
@@ -76,9 +72,15 @@ class Circuit:
                     raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
             elif g.clbit < 0:
                 raise ValueError(f"gate {k}: negative classical bit {g.clbit}")
+            else:
+                top = max(top, g.clbit + 1)
             for q in gate_qubits(g):
                 if not 0 <= q < self.n:
                     raise ValueError(f"gate {k}: qubit {q} outside [0,{self.n})")
+        if self.clbits is None:
+            object.__setattr__(self, "clbits", max(self.n, top))
+        elif self.clbits < max(top, 1):
+            raise ValueError(f"classical register needs at least {max(top, 1)} bits, got {self.clbits}")
 
     def is_cnot_only(self) -> bool:
         return all(isinstance(g, CNOT) for g in self.gates)
