@@ -9,7 +9,9 @@ the mapping search, in layer elimination and in the mapping objective, is
 an int vertex mask over one base graph; connectivity, cut points and
 Hamiltonian paths take that mask and never build a new graph.
 ``remove_vertex`` and ``induced_subgraph`` still build one for callers that
-want a standalone graph.  Memoizing mask queries is left to the caller (the
+want a standalone graph.  A bipartite graph also keeps one colour class of a
+2-colouring, which lets the Hamiltonian-path search reject residuals by
+counting.  Memoizing mask queries is left to the caller (the
 mapping search keeps one memo per search).
 """
 from __future__ import annotations
@@ -47,10 +49,12 @@ class CouplingGraph:
     ``vertex_mask`` is set iff v is a vertex.  ``weight_rows[v]`` lists
     ``(w, edge_weight(e))`` for every edge (v, w), w ascending.  All three
     are indexed by vertex id; ids that are not vertices have no neighbours.
+    ``colour_mask`` is one colour class of a proper 2-colouring (every edge
+    has exactly one end in it), or ``None`` when the graph is not bipartite.
     """
 
     __slots__ = ("vertices", "edge_error", "neighbor_masks", "vertex_mask", "weight_rows",
-                 "name", "one_qubit_error")
+                 "colour_mask", "name", "one_qubit_error")
 
     def __init__(
         self,
@@ -91,6 +95,7 @@ class CouplingGraph:
         self.neighbor_masks = tuple(nbr)
         self.vertex_mask = sum(1 << v for v in vset)
         self.weight_rows = tuple(tuple(sorted(row)) for row in rows)
+        self.colour_mask = _colour_class(self.neighbor_masks, self.vertex_mask)
         self.name = name
         self.one_qubit_error = one_qubit_error
 
@@ -169,6 +174,31 @@ def _flood(nbr: tuple[int, ...], start: int, allowed: int) -> int:
         frontier = grow & allowed & ~reach
         reach |= frontier
     return reach
+
+
+def _colour_class(nbr: tuple[int, ...], mask: int) -> int | None:
+    """Mask of the odd breadth-first layers of each component, or ``None``
+    when an edge joins two vertices of one layer (an odd cycle)."""
+    side = 0
+    while mask:
+        layer = seen = mask & -mask
+        odd = False
+        while layer:
+            grow = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                grow |= nbr[low.bit_length() - 1]
+                rest ^= low
+            if grow & layer:
+                return None
+            if odd:
+                side |= layer
+            layer = grow & ~seen
+            seen |= layer
+            odd = not odd
+        mask &= ~seen
+    return side
 
 
 def remove_vertex(graph: CouplingGraph, v: int) -> CouplingGraph:
@@ -279,8 +309,20 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
     With ``mask``, the search runs on the subgraph induced by the vertices
     set in it.  Tries start vertices in ascending id order and neighbors in
     ascending id order; the first complete path found is returned.
-    Connectivity pruning only discards branches that cannot complete, so the
-    returned path is the same one plain backtracking would find.
+
+    Three exact prunings only discard branches that cannot complete, so the
+    returned path is the same one plain backtracking would find:
+
+    * On a bipartite graph a path alternates between the two colour classes
+      (``graph.colour_mask`` and the rest), so the residual's classes may
+      differ by at most one; otherwise there is no path and nothing is
+      searched.  When they differ by one, the path starts in the larger
+      class, so starts in the smaller class are cut.  The head's class
+      minus the other class, counted over the head and the unvisited
+      vertices, must be 0 or 1; a step to a neighbour keeps that true, so
+      checking each start is the same as checking every branch.
+    * A path whose head and unvisited vertices are not one component is cut.
+    * A residual with more than two degree-1 vertices has no path.
 
     Returns:
         The path as a vertex tuple, or ``None`` when no Hamiltonian path
@@ -294,6 +336,14 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
         return None
     if n == 1:
         return (mask.bit_length() - 1,)
+    starts = mask
+    side = graph.colour_mask
+    if side is not None:
+        surplus = 2 * (mask & side).bit_count() - n
+        if surplus > 1 or surplus < -1:
+            return None
+        if surplus:
+            starts = mask & side if surplus > 0 else mask & ~side
     if _flood(nbr, mask & -mask, mask) != mask:
         return None
     # More than two degree-1 vertices cannot all be path endpoints.
@@ -319,7 +369,7 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
         path.pop()
         return False
 
-    for start in mask_vertices(mask):
+    for start in mask_vertices(starts):
         if extend(start, mask & ~(1 << start)):
             return tuple(path)
     return None

@@ -9,6 +9,7 @@ from conftest import (
     random_connected_graph,
     reference_hamiltonian_path,
 )
+from cnotsynth import arch
 from cnotsynth.arch import (
     ArchError,
     CouplingGraph,
@@ -343,3 +344,131 @@ class TestResidualMasks:
         assert has_hamiltonian_path(g, (1 << 32) - 1) == tuple(range(32))
         with pytest.raises(ArchError, match="limited"):
             has_hamiltonian_path(g, (1 << 33) - 1)
+
+
+def random_bipartite_graph(left, right, seed, extra_edges):
+    """Seeded connected bipartite graph with classes of ``left`` and ``right``
+    vertices, their ids shuffled together: a random spanning tree whose edges
+    all cross, plus ``extra_edges`` more crossing edges."""
+    rng = random.Random(seed)
+    ids = list(range(left + right))
+    rng.shuffle(ids)
+    a, b = ids[:left], ids[left:]
+    order = [a[0], b[0]] + rng.sample(a[1:] + b[1:], left + right - 2)
+    side = set(a)
+    edges = set()
+    for k, v in enumerate(order[1:], start=1):
+        u = rng.choice([w for w in order[:k] if (w in side) != (v in side)])
+        edges.add((min(u, v), max(u, v)))
+    crossing = [(min(u, v), max(u, v)) for u in a for v in b if (min(u, v), max(u, v)) not in edges]
+    edges.update(rng.sample(crossing, min(extra_edges, len(crossing))))
+    return CouplingGraph(ids, [(u, v, 0.01) for u, v in sorted(edges)])
+
+
+def is_proper_colouring(g, side):
+    """Whether ``side`` is a set of vertices that every edge has exactly one end in."""
+    return side & ~g.vertex_mask == 0 and all((side >> u & 1) != (side >> v & 1) for u, v, _ in g.edges())
+
+
+def removal_masks(graph, seed, count):
+    """Residuals of random non-cut removal sequences, as the mapping search
+    makes them: connected, of every size from the whole graph down to one vertex."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mask = graph.vertex_mask
+        for _ in range(rng.randrange(graph.num_vertices)):
+            cuts = articulation_points(graph, mask)
+            mask &= ~(1 << rng.choice([v for v in mask_vertices(mask) if v not in cuts]))
+        yield mask
+
+
+class TestColourClass:
+    @pytest.mark.parametrize("g", [builtin("tokyo"), cycle(5), cycle(3)], ids=["tokyo", "cycle5", "cycle3"])
+    def test_not_bipartite(self, g):
+        assert g.colour_mask is None
+
+    @pytest.mark.parametrize("name", ["quito", "guadalupe", "manila", "linear(1)", "grid(4,4)", "grid(5,6)", "grid(8,8)"])
+    def test_builtin_devices(self, name):
+        g = builtin(name)
+        assert is_proper_colouring(g, g.colour_mask)
+
+    def test_guadalupe_classes(self):
+        g = builtin("guadalupe")
+        assert sorted([g.colour_mask.bit_count(), (g.vertex_mask & ~g.colour_mask).bit_count()]) == [6, 10]
+
+    def test_disconnected(self):
+        # Two paths, an even cycle and an isolated vertex.
+        edges = [(0, 1, 0.01), (1, 2, 0.01), (3, 5, 0.01), (6, 7, 0.01), (7, 8, 0.01), (8, 9, 0.01), (9, 6, 0.01)]
+        g = CouplingGraph(range(11), edges)
+        assert is_proper_colouring(g, g.colour_mask)
+        # An odd cycle in any one component makes the graph non-bipartite.
+        assert CouplingGraph(range(11), edges + [(8, 10, 0.01), (9, 10, 0.01)]).colour_mask is None
+
+    def test_ids_with_gaps(self):
+        g = remove_vertex(remove_vertex(builtin("grid(4,4)"), 5), 15)
+        assert is_proper_colouring(g, g.colour_mask)
+        # Removing a vertex of an odd cycle leaves a path.
+        h = remove_vertex(cycle(5), 2)
+        assert h.vertices == {0, 1, 3, 4} and is_proper_colouring(h, h.colour_mask)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_against_subset_enumeration(self, seed):
+        g = random_connected_graph(3 + seed % 8, seed + 500, extra_edges=seed % 3)
+        ends = [(1 << u, 1 << v) for u, v, _ in g.edges()]
+        bipartite = any(all(bool(side & a) != bool(side & b) for a, b in ends)
+                        for side in range(1 << g.num_vertices))
+        assert (g.colour_mask is not None) == bipartite
+        if bipartite:
+            assert is_proper_colouring(g, g.colour_mask)
+
+
+class TestParityPruning:
+    """``has_hamiltonian_path`` against the reference search without the
+    parity checks, on bipartite graphs, for balanced and unbalanced residuals."""
+
+    @staticmethod
+    def check(g, masks):
+        surpluses = set()
+        for mask in masks:
+            sub = induced_subgraph(g, mask_vertices(mask))
+            found = has_hamiltonian_path(g, mask)
+            assert found == reference_hamiltonian_path(sub), sorted(sub.vertices)
+            surpluses.add(2 * (mask & g.colour_mask).bit_count() - mask.bit_count())
+        return surpluses
+
+    @pytest.mark.parametrize("name,count", [("guadalupe", 40), ("grid(4,4)", 40), ("grid(5,6)", 12), ("linear(12)", 20)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_builtin_residuals(self, name, count, seed):
+        g = builtin(name)
+        subsets = [mask for _, mask in residual_masks(g, seed)]
+        surpluses = self.check(g, [*removal_masks(g, seed, count), *subsets])
+        assert {-1, 0, 1} <= surpluses  # the start filter's three cases
+        assert name == "linear(12)" or any(abs(s) > 1 for s in surpluses)
+
+    @pytest.mark.parametrize("left,right", [(6, 6), (7, 6), (6, 8), (4, 9)], ids=["equal", "one-more", "two-more", "unbalanced"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bipartite(self, left, right, seed):
+        g = random_bipartite_graph(left, right, seed, extra_edges=4 + 2 * seed)
+        assert is_proper_colouring(g, g.colour_mask)
+        self.check(g, [g.vertex_mask, *removal_masks(g, seed, 15), *(m for _, m in residual_masks(g, seed))])
+
+    @pytest.mark.parametrize("g", [
+        builtin("guadalupe"),  # colour classes of 10 and 6 vertices
+        star(3),
+        CouplingGraph(range(4), [(1, 0, 0.01), (1, 2, 0.01), (1, 3, 0.01)]),  # a star centred on vertex 1
+    ], ids=["guadalupe", "star-centre-0", "star-centre-1"])
+    def test_unbalanced_residual_runs_no_search(self, monkeypatch, g):
+        flood = arch._flood
+        calls = []
+        monkeypatch.setattr(arch, "_flood", lambda *a: calls.append(a) or flood(*a))
+        assert has_hamiltonian_path(g) is None and calls == []
+
+    def test_smaller_class_never_starts(self, monkeypatch):
+        # Classes {0, 2} and {1, 3, 4}; the one path is 1-0-3-2-4.
+        g = CouplingGraph(range(5), [(0, 1, 0.01), (0, 3, 0.01), (2, 3, 0.01), (2, 4, 0.01)])
+        flood = arch._flood
+        calls = []
+        monkeypatch.setattr(arch, "_flood", lambda nbr, start, allowed: calls.append((start, allowed)) or flood(nbr, start, allowed))
+        assert has_hamiltonian_path(g) == (1, 0, 3, 2, 4)
+        # The whole-graph connectivity check, then the first start's: vertex 1, not 0.
+        assert [start for start, allowed in calls if allowed == g.vertex_mask] == [1 << 0, 1 << 1]

@@ -324,12 +324,25 @@ GOLDEN_ASSIGN = {
 }
 
 
+#: ``optimize_mapping(builtin("grid(8,8)"), 64, TabuConfig(seed=0)).assign``,
+#: recorded before the Hamiltonian-path search gained its parity checks: the
+#: largest bipartite built-in device whose searches they cut.
+GOLDEN_GRID8 = (
+    0, 11, 2, 41, 21, 55, 30, 32, 52, 19, 59, 63, 51, 33, 27, 10, 18, 8, 46, 28, 57, 1,
+    56, 60, 40, 35, 14, 29, 16, 54, 36, 3, 20, 47, 4, 62, 9, 48, 49, 24, 12, 13, 17, 61,
+    53, 5, 58, 22, 6, 50, 7, 15, 23, 31, 39, 38, 37, 45, 44, 43, 42, 34, 26, 25,
+)
+
+
 class TestGoldenMappings:
     @pytest.mark.parametrize("name,n", sorted({(name, n) for name, n, _ in GOLDEN_ASSIGN}))
     def test_default_config(self, name, n):
         g = builtin(name)
         for seed in range(3):
             assert optimize_mapping(g, n, TabuConfig(seed=seed)).assign == GOLDEN_ASSIGN[(name, n, seed)]
+
+    def test_grid8_default_config(self):
+        assert optimize_mapping(builtin("grid(8,8)"), 64, TabuConfig(seed=0)).assign == GOLDEN_GRID8
 
 
 #: ``tabu_search_table(builtin(name), n, TabuConfig(seed=seed))`` keyed by

@@ -311,7 +311,8 @@ class TestSynthesize:
         assert verify_equivalence(m, res)
 
     def test_device_beyond_hamiltonian_guardrail(self):
-        # The path shortcut is skipped above 32 qubits; synthesis still works.
+        # A 36-qubit device exceeds the 32-vertex search guardrail: the path
+        # shortcut is tried only once at most 32 qubits remain unmapped.
         g = builtin("grid(6,6)")
         circ = random_cnot_circuit(36, 50, seed=3)
         m = ParityMatrix.from_circuit(circ.cnot_pairs(), 36)
