@@ -331,8 +331,9 @@ class TestVerifyMixed:
         _edit_first("cx ", lambda line: [line, "cx q[0],q[4];", "cx q[0],q[4];"]),
         # The second measurement follows a measurement, not a CNOT run, and its bit is not its qubit.
         _edit_first("measure ", lambda line: [re.sub(r"measure q\[(\d+)\] -> c\[(\d+)\]", r"cx q[\1],q[\2]", line)], skip=1),
+        _edit_first("creg ", lambda line: ["creg c[9];"]),
     ], ids=["dropped-h", "x-becomes-z", "measure-into-other-bit", "h-on-other-qubit",
-            "extra-trailing-gate", "off-edge-cx-in-run", "measure-becomes-cx-on-its-bit"])
+            "extra-trailing-gate", "off-edge-cx-in-run", "measure-becomes-cx-on-its-bit", "wider-creg"])
     def test_tampered_output_exits_1(self, tmp_path, capsys, tamper):
         inp, out, mapping = self.synth_pair(tmp_path)
         lines = out.read_text().splitlines()
@@ -340,6 +341,13 @@ class TestVerifyMixed:
         out.write_text("\n".join(tamper(lines)) + "\n", encoding="utf-8")
         assert main(["verify", inp, str(out), mapping]) == 1
         assert "mismatch" in capsys.readouterr().out
+
+    def test_creg_width_mismatch_is_named(self, tmp_path, capsys):
+        # The gates still match: only the declared classical register differs.
+        inp, out, mapping = self.synth_pair(tmp_path)
+        out.write_text(out.read_text().replace("creg c[3];", "creg c[9];"), encoding="utf-8")
+        assert main(["verify", inp, str(out), mapping]) == 1
+        assert capsys.readouterr().out.endswith("\nmismatch: classical register has 9 bits, original has 3\n")
 
     def test_cancelling_cnot_run_emits_no_cnot_and_verifies(self, tmp_path, capsys):
         text = "qreg q[3]; creg c[3];\nh q[0];\ncx q[0],q[1];\ncx q[0],q[1];\nh q[0];\n"
