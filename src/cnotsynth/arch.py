@@ -340,7 +340,7 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
     side = graph.colour_mask
     if side is not None:
         surplus = 2 * (mask & side).bit_count() - n
-        if surplus > 1 or surplus < -1:
+        if abs(surplus) > 1:
             return None
         if surplus:
             starts = mask & side if surplus > 0 else mask & ~side

@@ -452,23 +452,24 @@ class TestParityPruning:
         assert is_proper_colouring(g, g.colour_mask)
         self.check(g, [g.vertex_mask, *removal_masks(g, seed, 15), *(m for _, m in residual_masks(g, seed))])
 
+    @pytest.fixture
+    def flood_calls(self, monkeypatch):
+        """The (start, allowed) masks of every ``arch._flood`` call, in order."""
+        flood, calls = arch._flood, []
+        monkeypatch.setattr(arch, "_flood", lambda nbr, start, allowed: calls.append((start, allowed)) or flood(nbr, start, allowed))
+        return calls
+
     @pytest.mark.parametrize("g", [
         builtin("guadalupe"),  # colour classes of 10 and 6 vertices
         star(3),
         CouplingGraph(range(4), [(1, 0, 0.01), (1, 2, 0.01), (1, 3, 0.01)]),  # a star centred on vertex 1
     ], ids=["guadalupe", "star-centre-0", "star-centre-1"])
-    def test_unbalanced_residual_runs_no_search(self, monkeypatch, g):
-        flood = arch._flood
-        calls = []
-        monkeypatch.setattr(arch, "_flood", lambda *a: calls.append(a) or flood(*a))
-        assert has_hamiltonian_path(g) is None and calls == []
+    def test_unbalanced_residual_runs_no_search(self, flood_calls, g):
+        assert has_hamiltonian_path(g) is None and flood_calls == []
 
-    def test_smaller_class_never_starts(self, monkeypatch):
+    def test_smaller_class_never_starts(self, flood_calls):
         # Classes {0, 2} and {1, 3, 4}; the one path is 1-0-3-2-4.
         g = CouplingGraph(range(5), [(0, 1, 0.01), (0, 3, 0.01), (2, 3, 0.01), (2, 4, 0.01)])
-        flood = arch._flood
-        calls = []
-        monkeypatch.setattr(arch, "_flood", lambda nbr, start, allowed: calls.append((start, allowed)) or flood(nbr, start, allowed))
         assert has_hamiltonian_path(g) == (1, 0, 3, 2, 4)
         # The whole-graph connectivity check, then the first start's: vertex 1, not 0.
-        assert [start for start, allowed in calls if allowed == g.vertex_mask] == [1 << 0, 1 << 1]
+        assert [start for start, allowed in flood_calls if allowed == g.vertex_mask] == [1 << 0, 1 << 1]
