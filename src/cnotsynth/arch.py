@@ -321,21 +321,26 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
       minus the other class, counted over the head and the unvisited
       vertices, must be 0 or 1; a step to a neighbour keeps that true, so
       checking each start is the same as checking every branch.
-    * A path whose head and unvisited vertices are not one component is cut.
-    * A residual with more than two degree-1 vertices has no path.
+    * Endpoint rule (Rubin, J. ACM 21(4), 1974): an unvisited vertex with
+      one neighbour among the head and the unvisited vertices can only be
+      the path's last vertex, so a branch with two such *ends* is cut.  The
+      ends are passed down the recursion; a step off head ``v`` changes the
+      count of ``v``'s unvisited neighbours only, so only they are
+      re-checked.  At the top, the head is not yet chosen: more than two
+      vertices of degree 1 leave every start with two ends, and with two,
+      only they can start.
+    * A branch whose head and unvisited vertices are not one component is
+      cut (the first start's check also rejects a disconnected residual).
 
     Returns:
         The path as a vertex tuple, or ``None`` when no Hamiltonian path
-        exists.  Guardrail: at most 32 vertices.
+        exists (the empty residual included).  Guardrail: at most 32
+        vertices.
     """
     nbr, mask = _residual_mask(graph, mask)
     n = mask.bit_count()
     if n > HAMILTONIAN_VERTEX_LIMIT:
         raise ArchError(f"Hamiltonian-path search limited to {HAMILTONIAN_VERTEX_LIMIT} vertices, got {n}")
-    if n == 0:
-        return None
-    if n == 1:
-        return (mask.bit_length() - 1,)
     starts = mask
     side = graph.colour_mask
     if side is not None:
@@ -344,33 +349,37 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
             return None
         if surplus:
             starts = mask & side if surplus > 0 else mask & ~side
-    if _flood(nbr, mask & -mask, mask) != mask:
-        return None
-    # More than two degree-1 vertices cannot all be path endpoints.
-    if sum(1 for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1) > 2:
-        return None
 
     path: list[int] = []
 
-    def extend(v: int, unvisited: int) -> bool:
-        # ``unvisited`` excludes v; the path can only complete while the
-        # unvisited vertices plus the path head form one component.
+    def extend(v: int, unvisited: int, ends: int) -> bool:
+        # ``unvisited`` excludes v; ``ends`` holds the unvisited vertices
+        # with one neighbour in ``unvisited | head``.
         path.append(v)
         if not unvisited:
             return True
         allowed = unvisited | (1 << v)
-        if _flood(nbr, 1 << v, allowed) == allowed:
+        if not ends & (ends - 1) and _flood(nbr, 1 << v, allowed) == allowed:
             step = nbr[v] & unvisited
+            # Leaving v lowers the counts of its unvisited neighbours only.
+            ends &= ~step
+            rest = step
+            while rest:
+                bit = rest & -rest
+                if (nbr[bit.bit_length() - 1] & unvisited).bit_count() == 1:
+                    ends |= bit
+                rest ^= bit
             while step:
                 bit = step & -step
-                if extend(bit.bit_length() - 1, unvisited ^ bit):
+                if extend(bit.bit_length() - 1, unvisited ^ bit, ends & ~bit):
                     return True
                 step ^= bit
         path.pop()
         return False
 
+    ends = sum(1 << v for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1)
     for start in mask_vertices(starts):
-        if extend(start, mask & ~(1 << start)):
+        if extend(start, mask & ~(1 << start), ends & ~(1 << start)):
             return tuple(path)
     return None
 

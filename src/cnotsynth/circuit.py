@@ -267,6 +267,7 @@ def esp(circuit: Circuit, graph: CouplingGraph, one_q_error: float | None = None
 
     CNOTs contribute (1 - edge error) and must sit on coupling edges;
     single-qubit gates contribute (1 - one_q_error); measurements factor 1.
+    Single-qubit gates and measurements must act on device qubits.
     """
     oq = resolve_one_qubit_error(graph, one_q_error)
     f = 1.0
@@ -275,6 +276,8 @@ def esp(circuit: Circuit, graph: CouplingGraph, one_q_error: float | None = None
             if not graph.has_edge(g.control, g.target):
                 raise ValueError(f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge")
             f *= 1.0 - graph.error(g.control, g.target)
+        elif g.qubit not in graph.vertices:
+            raise ValueError(f"gate {k}: qubit {g.qubit} is not on the device")
         elif isinstance(g, OneQubit):
             f *= 1.0 - oq
     return f

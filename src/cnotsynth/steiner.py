@@ -122,16 +122,11 @@ def min_noise_steiner_tree(
                     continue
                 d = dist + weight
                 old = label[w]
-                if old is None or d < old[0]:
+                if old is None or d <= old[0]:
                     new = (d, hops, path + (w,))
-                elif d == old[0]:
-                    new = (d, hops, path + (w,))
-                    if not new < old:
-                        continue
-                else:
-                    continue
-                label[w] = new
-                heappush(heap, new)
+                    if old is None or new < old:
+                        label[w] = new
+                        heappush(heap, new)
         found = label[t]
         if found is None:
             raise ValueError(f"vertex {t} unreachable from {list(mask_vertices(tree))}")

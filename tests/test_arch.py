@@ -422,6 +422,14 @@ class TestColourClass:
             assert is_proper_colouring(g, g.colour_mask)
 
 
+@pytest.fixture
+def flood_calls(monkeypatch):
+    """The (start, allowed) masks of every ``arch._flood`` call, in order."""
+    flood, calls = arch._flood, []
+    monkeypatch.setattr(arch, "_flood", lambda nbr, start, allowed: calls.append((start, allowed)) or flood(nbr, start, allowed))
+    return calls
+
+
 class TestParityPruning:
     """``has_hamiltonian_path`` against the reference search without the
     parity checks, on bipartite graphs, for balanced and unbalanced residuals."""
@@ -452,13 +460,6 @@ class TestParityPruning:
         assert is_proper_colouring(g, g.colour_mask)
         self.check(g, [g.vertex_mask, *removal_masks(g, seed, 15), *(m for _, m in residual_masks(g, seed))])
 
-    @pytest.fixture
-    def flood_calls(self, monkeypatch):
-        """The (start, allowed) masks of every ``arch._flood`` call, in order."""
-        flood, calls = arch._flood, []
-        monkeypatch.setattr(arch, "_flood", lambda nbr, start, allowed: calls.append((start, allowed)) or flood(nbr, start, allowed))
-        return calls
-
     @pytest.mark.parametrize("g", [
         builtin("guadalupe"),  # colour classes of 10 and 6 vertices
         star(3),
@@ -471,5 +472,79 @@ class TestParityPruning:
         # Classes {0, 2} and {1, 3, 4}; the one path is 1-0-3-2-4.
         g = CouplingGraph(range(5), [(0, 1, 0.01), (0, 3, 0.01), (2, 3, 0.01), (2, 4, 0.01)])
         assert has_hamiltonian_path(g) == (1, 0, 3, 2, 4)
-        # The whole-graph connectivity check, then the first start's: vertex 1, not 0.
-        assert [start for start, allowed in flood_calls if allowed == g.vertex_mask] == [1 << 0, 1 << 1]
+        # The first start's connectivity check: vertex 1, not 0.
+        assert [start for start, allowed in flood_calls if allowed == g.vertex_mask] == [1 << 1]
+
+
+def caterpillar(spine, legs, seed, extra_edges=0):
+    """Seeded caterpillar: a path of ``spine`` vertices with ``legs`` leaves
+    hung on random spine vertices, plus ``extra_edges`` random edges."""
+    rng = random.Random(seed)
+    n = spine + legs
+    edges = {(i, i + 1) for i in range(spine - 1)} | {(rng.randrange(spine), v) for v in range(spine, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges.update(rng.sample(others, extra_edges))
+    return CouplingGraph(range(n), [(u, v, 0.01) for u, v in sorted(edges)])
+
+
+class TestEndpointRule:
+    """``has_hamiltonian_path`` cuts a branch once two unvisited vertices have
+    one neighbour left; it must still find the reference search's path."""
+
+    @staticmethod
+    def check(g, masks):
+        """Assert agreement with the reference on every mask; the number of
+        masks with a path, and of masks with more than two degree-1 vertices."""
+        found = crowded = 0
+        for mask in masks:
+            path = has_hamiltonian_path(g, mask)
+            assert path == reference_hamiltonian_path(induced_subgraph(g, mask_vertices(mask))), hex(mask)
+            found += path is not None
+            crowded += sum((g.neighbor_masks[v] & mask).bit_count() == 1 for v in mask_vertices(mask)) > 2
+        return found, crowded
+
+    @staticmethod
+    def masks(g, seed, count=20):
+        return [0, g.vertex_mask, *removal_masks(g, seed, count), *(m for _, m in residual_masks(g, seed, count))]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_trees(self, seed):
+        g = random_connected_graph(8 + seed, seed + 700, extra_edges=0)
+        found, crowded = self.check(g, self.masks(g, seed))
+        assert found and crowded
+
+    @pytest.mark.parametrize("spine,legs,extra", [(6, 6, 0), (8, 8, 3), (10, 6, 5), (5, 12, 8), (12, 8, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_caterpillars(self, spine, legs, extra, seed):
+        g = caterpillar(spine, legs, seed, extra)
+        found, crowded = self.check(g, self.masks(g, seed))
+        assert found and crowded
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_removal_residuals(self, seed):
+        g = builtin("grid(5,6)")
+        masks = [m for m in removal_masks(g, seed + 10, 60) if m.bit_count() <= 20]
+        found, _ = self.check(g, masks)
+        assert len(masks) >= 20 and 0 < found < len(masks)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_random_graphs(self, n):
+        for seed in range(3):
+            g = random_connected_graph(n, 900 + 10 * n + seed, extra_edges=[0, 2, None][seed])
+            self.check(g, self.masks(g, seed, count=10))
+
+    def test_path_starts_at_a_degree_one_vertex(self, flood_calls):
+        # The path 3-0-1-2: its degree-1 vertices 2 and 3 are the only
+        # starts that leave one end, so starts 0 and 1 are cut before any flood.
+        g = CouplingGraph(range(4), [(0, 3, 0.01), (0, 1, 0.01), (1, 2, 0.01)])
+        assert has_hamiltonian_path(g) == (2, 1, 0, 3)
+        assert [start for start, allowed in flood_calls if allowed == g.vertex_mask] == [1 << 2]
+
+    def test_hard_grid_residual(self, flood_calls):
+        # The slowest residual that the seed-0 default grid(6,6) mapping search
+        # queries: 32 vertices and no path.  Without the endpoint rule the
+        # search makes 291,151 floods.
+        mask = 0xFD37FFFFF
+        assert mask.bit_count() == 32
+        assert has_hamiltonian_path(builtin("grid(6,6)"), mask) is None
+        assert len(flood_calls) <= 30_000

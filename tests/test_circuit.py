@@ -280,6 +280,12 @@ class TestEsp:
         with pytest.raises(ValueError, match="not a coupling edge"):
             esp(Circuit(5, (CNOT(0, 4),)), builtin("quito"))
 
+    @pytest.mark.parametrize("gate", [OneQubit("h", 7), OneQubit("x", 5), OneQubit("z", 8), Measure(6, 0)],
+                             ids=["h", "x", "z", "measure"])
+    def test_gate_off_device_rejected(self, gate):
+        with pytest.raises(ValueError, match=f"gate 1: qubit {gate.qubit} is not on the device"):
+            esp(Circuit(9, (CNOT(0, 1), gate)), builtin("quito"))
+
     @pytest.mark.parametrize("one_q_error", [-0.5, 1.5, -1e-9, float("nan")])
     def test_explicit_one_q_error_outside_unit_interval_rejected(self, one_q_error):
         with pytest.raises(ValueError, match=f"got {one_q_error}"):

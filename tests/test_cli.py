@@ -456,6 +456,15 @@ class TestFidelityCommand:
         p.write_text("qreg q[5]; cx q[0],q[4];\n", encoding="utf-8")
         assert main(["fidelity", str(p), "--arch", "quito"]) == 2
 
+    @pytest.mark.parametrize("gate", ["h q[7];", "measure q[5] -> c[0];"], ids=["h", "measure"])
+    def test_gate_off_device_exits_2(self, tmp_path, capsys, gate):
+        p = tmp_path / "c.qasm"
+        p.write_text(f"qreg q[9]; creg c[9]; {gate}\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito"]) == 2
+        captured = capsys.readouterr()
+        assert "gate 0: qubit" in captured.err and "not on the device" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["-0.5", "1.5", "nan"])
     def test_one_q_error_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
         p = tmp_path / "c.qasm"

@@ -351,9 +351,34 @@ class TestGoldenMappings:
 GOLDEN_TABLES = json.loads((Path(__file__).parent / "golden_tabu_tables.json").read_text(encoding="utf-8"))
 
 
+#: ``tabu_search_table(builtin("grid(6,6)"), 36, TabuConfig(seed=0, iterations=5))``,
+#: recorded before the Hamiltonian-path search gained its endpoint rule: each
+#: construction on the full device queries residuals with up to 32 vertices.
+GOLDEN_GRID6_TABLE = [
+    ([0, 11, 2, 23, 13, 32, 19, 20, 31, 12, 28, 30, 9, 3, 29, 5, 1, 18, 6, 35, 4, 34, 33, 22, 24, 10, 17, 7, 25, 26, 16, 8, 14, 15, 21, 27],
+     '-0x1.aa3d70a3d70a3p+2'),
+    ([23, 24, 4, 7, 2, 13, 3, 26, 30, 15, 20, 14, 1, 34, 17, 0, 21, 8, 35, 6, 9, 29, 5, 11, 10, 16, 22, 28, 27, 33, 32, 31, 25, 19, 18, 12],
+     '-0x1.aa3d70a3d70a3p+2'),
+    ([25, 8, 4, 2, 20, 13, 21, 1, 23, 3, 29, 0, 14, 33, 15, 7, 9, 19, 10, 6, 35, 12, 18, 34, 5, 11, 17, 16, 22, 28, 27, 26, 32, 31, 30, 24],
+     '-0x1.aa3d70a3d70a3p+2'),
+    ([12, 9, 5, 13, 0, 1, 2, 3, 4, 10, 11, 17, 16, 15, 21, 22, 23, 29, 35, 34, 28, 27, 33, 32, 26, 25, 31, 30, 24, 18, 19, 20, 14, 8, 7, 6],
+     '-0x1.aa3d70a3d70a3p+2'),
+    ([35, 7, 1, 9, 22, 19, 28, 25, 11, 3, 29, 13, 27, 2, 21, 5, 8, 0, 4, 23, 34, 10, 33, 6, 12, 18, 24, 30, 31, 32, 26, 20, 14, 15, 16, 17],
+     '-0x1.aa3d70a3d70a3p+2'),
+    ([14, 16, 34, 8, 3, 2, 1, 0, 6, 7, 13, 12, 18, 19, 20, 26, 25, 24, 30, 31, 32, 33, 27, 21, 15, 9, 10, 4, 5, 11, 17, 23, 22, 28, 29, 35],
+     '-0x1.aa3d70a3d70a3p+2'),
+    ([0, 18, 3, 30, 13, 9, 28, 19, 4, 35, 29, 26, 22, 34, 20, 2, 5, 23, 12, 1, 17, 6, 24, 25, 11, 7, 8, 31, 10, 14, 16, 15, 21, 27, 33, 32],
+     '-0x1.aa3d70a3d70a3p+2'),
+]
+
+
 class TestGoldenTabuTables:
     @pytest.mark.parametrize("key", sorted(GOLDEN_TABLES))
     def test_default_config(self, key):
         name, n, seed = key.split()
         table = tabu_search_table(builtin(name), int(n), TabuConfig(seed=int(seed)))
         assert [[list(m.assign), s.hex()] for m, s in table] == GOLDEN_TABLES[key]
+
+    def test_grid6_five_iterations(self):
+        table = tabu_search_table(builtin("grid(6,6)"), 36, TabuConfig(seed=0, iterations=5))
+        assert [(list(m.assign), s.hex()) for m, s in table] == GOLDEN_GRID6_TABLE
