@@ -237,21 +237,22 @@ def _residual_mask(graph: CouplingGraph, mask: int | None) -> tuple[tuple[int, .
 # Articulation points / key qubits
 # ---------------------------------------------------------------------------
 
-def articulation_points(graph: CouplingGraph, mask: int | None = None) -> frozenset[int]:
-    """Vertices whose removal disconnects the graph (cut points).
+def articulation_points(graph: CouplingGraph, mask: int | None = None) -> int:
+    """Mask of the vertices whose removal disconnects the graph (cut points).
 
     With ``mask``, the query is about the subgraph induced by the vertices
-    set in it.  Computed with an iterative lowpoint DFS that visits
-    neighbours in ascending id order.  Requires a connected input.
+    set in it, and its non-cut vertices are ``mask & ~articulation_points(graph,
+    mask)``.  Computed with an iterative lowpoint DFS that visits neighbours
+    in ascending id order.  Requires a connected input.
     """
     nbr, mask = _residual_mask(graph, mask)
     if not mask:
-        return frozenset()
+        return 0
     root_bit = mask & -mask
     root = root_bit.bit_length() - 1
     disc = [0] * len(nbr)
     low = [0] * len(nbr)
-    points: set[int] = set()
+    points = 0
     seen = root_bit
     timer = 1
     root_children = 0
@@ -286,17 +287,17 @@ def articulation_points(graph: CouplingGraph, mask: int | None = None) -> frozen
             if low[v] < low[p]:
                 low[p] = low[v]
             if p != root and low[v] >= disc[p]:
-                points.add(p)
+                points |= 1 << p
     if seen != mask:
         raise ArchError("articulation points are defined here for connected graphs only")
     if root_children > 1:
-        points.add(root)
-    return frozenset(points)
+        points |= root_bit
+    return points
 
 
 def key_qubits(graph: CouplingGraph) -> frozenset[int]:
     """Non-cut vertices, eligible for priority mapping."""
-    return graph.vertices - articulation_points(graph)
+    return frozenset(mask_vertices(graph.vertex_mask & ~articulation_points(graph)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +328,16 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
       ends are passed down the recursion; a step off head ``v`` changes the
       count of ``v``'s unvisited neighbours only, so only they are
       re-checked.  At the top, the head is not yet chosen: more than two
-      vertices of degree 1 leave every start with two ends, and with two,
-      only they can start.
+      vertices of degree 1 would leave every start with two ends, so the
+      search returns ``None`` at once, and with two, only they are tried as
+      starts.
     * A branch whose head and unvisited vertices are not one component is
       cut (the first start's check also rejects a disconnected residual).
+      A step into head ``v`` off head ``u`` follows a check that proved
+      ``u``, ``v`` and the unvisited vertices one component, so they stay
+      one after ``u`` leaves when each other unvisited neighbour of ``u``
+      lies within two steps of ``v`` among them.  Only a branch that fails
+      this local check (or a start) floods the component.
 
     Returns:
         The path as a vertex tuple, or ``None`` when no Hamiltonian path
@@ -349,37 +356,53 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
             return None
         if surplus:
             starts = mask & side if surplus > 0 else mask & ~side
+    ends = sum(1 << v for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1)
+    if ends.bit_count() > 2:
+        return None
+    if ends.bit_count() == 2:
+        starts &= ends
 
     path: list[int] = []
 
-    def extend(v: int, unvisited: int, ends: int) -> bool:
+    def extend(v: int, unvisited: int, ends: int, left: int) -> bool:
         # ``unvisited`` excludes v; ``ends`` holds the unvisited vertices
-        # with one neighbour in ``unvisited | head``.
+        # with one neighbour in ``unvisited | head``; ``left`` holds the
+        # previous head's neighbours in ``unvisited | head`` (0 at a start).
         path.append(v)
         if not unvisited:
             return True
         allowed = unvisited | (1 << v)
-        if not ends & (ends - 1) and _flood(nbr, 1 << v, allowed) == allowed:
-            step = nbr[v] & unvisited
-            # Leaving v lowers the counts of its unvisited neighbours only.
-            ends &= ~step
-            rest = step
-            while rest:
-                bit = rest & -rest
-                if (nbr[bit.bit_length() - 1] & unvisited).bit_count() == 1:
-                    ends |= bit
-                rest ^= bit
-            while step:
-                bit = step & -step
-                if extend(bit.bit_length() - 1, unvisited ^ bit, ends & ~bit):
-                    return True
-                step ^= bit
+        if not ends & (ends - 1):
+            local = False
+            if left:
+                # The previous head's other neighbours must each be v, touch
+                # v, or touch one of v's unvisited neighbours.
+                close = nbr[v] & unvisited | (1 << v)
+                rest = left & ~close
+                while rest and nbr[(rest & -rest).bit_length() - 1] & close:
+                    rest &= rest - 1
+                local = not rest
+            if local or _flood(nbr, 1 << v, allowed) == allowed:
+                step = nbr[v] & unvisited
+                # Leaving v lowers the counts of its unvisited neighbours only.
+                ends &= ~step
+                rest = step
+                while rest:
+                    bit = rest & -rest
+                    if (nbr[bit.bit_length() - 1] & unvisited).bit_count() == 1:
+                        ends |= bit
+                    rest ^= bit
+                rest = step
+                while rest:
+                    bit = rest & -rest
+                    if extend(bit.bit_length() - 1, unvisited ^ bit, ends & ~bit, step):
+                        return True
+                    rest ^= bit
         path.pop()
         return False
 
-    ends = sum(1 << v for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1)
     for start in mask_vertices(starts):
-        if extend(start, mask & ~(1 << start), ends & ~(1 << start)):
+        if extend(start, mask & ~(1 << start), ends & ~(1 << start), 0):
             return tuple(path)
     return None
 

@@ -21,6 +21,7 @@ from .arch import (
     builtin,
     has_hamiltonian_path,
     key_qubits,
+    mask_vertices,
     parse_arch,
 )
 from .circuit import (
@@ -126,7 +127,7 @@ def _metrics(circuit: Circuit, graph: CouplingGraph, shots: int, seed: int) -> d
 def cmd_arch(args: argparse.Namespace) -> int:
     graph = load_arch(args.arch)
     connected = graph.is_connected()
-    cuts = sorted(articulation_points(graph)) if connected else None
+    cuts = list(mask_vertices(articulation_points(graph))) if connected else None
     keys = sorted(key_qubits(graph)) if connected else None
     small = graph.num_vertices <= HAMILTONIAN_VERTEX_LIMIT
     ham = has_hamiltonian_path(graph) if connected and small else None

@@ -14,7 +14,7 @@ computed on that mask (see ``arch``).  The objective's subgraph induced by
 the mapped qubits is likewise the mask of those qubits.  Tabu search
 perturbs the seed vertex of the construction and keeps a bounded table of
 the best-scoring mappings found.  A ``MappingSearch`` is the one context
-that constructions and scores take: it holds the graph and a memo keyed by
+that constructions and scores take: it holds the graph and memos keyed by
 mask, and is dropped when the search returns.
 """
 from __future__ import annotations
@@ -85,19 +85,27 @@ def substream(seed: int, *key) -> random.Random:
     return random.Random(derive_seed(seed, *key))
 
 
+#: A memoized construction step: (Hamiltonian path, None) or (None, non-cut vertices).
+Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None]
+
+
 class MappingSearch:
     """The one context of a mapping search: its graph and shared state.
 
     Constructions and scores take the search and read the graph from it.  A
     residual graph is an int vertex mask over the base graph.  The base
-    graph's key qubits and per-vertex mean edge errors are computed once, and
-    one memo keyed by mask holds the non-cut vertices and Hamiltonian path of
-    residual graphs and the connectivity product of mapped vertex sets.
+    graph's key qubits and per-vertex mean edge errors are computed once.
+    One step memo per construction mode (full-device or partial), keyed by
+    residual mask, holds what a construction does there: follow a
+    Hamiltonian path to the end, or draw among the non-cut vertices.  The
+    modes need separate memos because only full-device constructions follow
+    paths.  A third memo, keyed by the mask of the mapped vertices, holds
+    connectivity products.
     ``tabu_search_table`` makes one per search and drops it on return, so
     nothing is kept between searches.
     """
 
-    __slots__ = ("graph", "keys", "mean_error", "_non_cut", "_path", "_product")
+    __slots__ = ("graph", "keys", "mean_error", "_steps", "_product")
 
     def __init__(self, graph: CouplingGraph) -> None:
         if not graph.is_connected():
@@ -111,29 +119,47 @@ class MappingSearch:
         for v in graph.vertices:
             nbrs = graph.neighbors(v)
             self.mean_error[v] = sum(graph.error(v, w) for w in nbrs) / len(nbrs) if nbrs else 0.0
-        self._non_cut: dict[int, tuple[int, ...]] = {}
-        self._path: dict[int, tuple[int, ...] | None] = {}
+        self._steps: tuple[dict[int, Step], dict[int, Step]] = ({}, {})
         self._product: dict[int, float] = {}
 
-    def non_cut(self, residual: int) -> tuple[int, ...]:
-        """Non-cut vertices of a connected residual graph, in ascending order."""
-        choices = self._non_cut.get(residual)
-        if choices is None:
-            cuts = articulation_points(self.graph, residual)
-            choices = tuple(v for v in mask_vertices(residual) if v not in cuts)
-            self._non_cut[residual] = choices
-        return choices
+    def step(self, residual: int, full: bool) -> Step:
+        """The construction step at a connected residual graph, memoized.
 
-    def hamiltonian_path(self, residual: int) -> tuple[int, ...] | None:
-        if residual not in self._path:
-            self._path[residual] = has_hamiltonian_path(self.graph, residual)
-        return self._path[residual]
+        A full-device construction whose residual of at most
+        ``HAMILTONIAN_VERTEX_LIMIT`` vertices has a Hamiltonian path follows
+        it to the end: ``(path, None)``.  Otherwise the step draws among the
+        non-cut vertices, in ascending order: ``(None, choices)``.  The
+        whole device is never drawn from (the seed vertex is given), so its
+        non-cut vertices are not computed: without a path, its entry is
+        ``(None, None)``.
+        """
+        steps = self._steps[full]
+        entry = steps.get(residual)
+        if entry is None:
+            path = None
+            if full and residual.bit_count() <= HAMILTONIAN_VERTEX_LIMIT:
+                path = has_hamiltonian_path(self.graph, residual)
+            if path is not None or residual == self.graph.vertex_mask:
+                entry = path, None
+            else:
+                entry = None, tuple(mask_vertices(residual & ~articulation_points(self.graph, residual)))
+            steps[residual] = entry
+        return entry
 
     def connectivity_product(self, assign: Sequence[int]) -> float:
-        """Product of connectivity factors over the subgraph induced by ``assign``."""
+        """Product of connectivity factors over the subgraph induced by ``assign``.
+
+        Raises ``ValueError`` naming the ids in ``assign`` that are not
+        vertices of the graph.
+        """
         mask = 0
-        for v in assign:
-            mask |= 1 << v
+        try:
+            for v in assign:
+                mask |= 1 << v
+        except ValueError:  # a negative id
+            mask = -1
+        if mask & ~self.graph.vertex_mask:
+            raise ValueError(f"mapping uses unknown vertices {sorted(set(assign) - self.graph.vertices)}")
         prod = self._product.get(mask)
         if prod is None:
             prod = _connectivity_product(self.graph, mask)
@@ -173,20 +199,13 @@ def initial_mapping(search: MappingSearch, n: int, first: int, rng: random.Rando
     assign: list[int] = []
     residual = graph.vertex_mask
     while len(assign) < n:
-        if full and n - len(assign) <= HAMILTONIAN_VERTEX_LIMIT:
-            path = search.hamiltonian_path(residual)
-            if path is not None:
-                assign.extend(path)
-                break
-        if not assign:
-            v = first
-        else:
-            choices = search.non_cut(residual)
-            if not choices:  # connected graphs always have a non-cut vertex
-                raise RuntimeError("residual graph has no non-cut vertex")
-            v = choices[rng.randrange(len(choices))]
+        path, choices = search.step(residual, full)
+        if path is not None:
+            assign.extend(path)
+            break
+        v = choices[rng.randrange(len(choices))] if assign else first
         assign.append(v)
-        residual &= ~(1 << v)
+        residual ^= 1 << v
     return Mapping(tuple(assign))
 
 
@@ -292,11 +311,8 @@ def mapping_objective(search: MappingSearch, mapping: Mapping) -> float:
     the induced subgraph; the second sums (m+1) times the mean error of the
     full-graph edges incident to assign[m].  Later-removed qubits carry more
     weight, so low-error vertices should be kept until the end.  Higher is
-    better.
+    better.  A mapping that uses ids outside the graph raises ``ValueError``.
     """
-    missing = set(mapping.assign) - search.graph.vertices
-    if missing:
-        raise ValueError(f"mapping uses unknown vertices {sorted(missing)}")
     score = search.connectivity_product(mapping.assign)
     mean_error = search.mean_error
     for m, v in enumerate(mapping.assign):
@@ -313,22 +329,25 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
 
     The table is seeded with the deterministic initial mapping from the
     smallest key qubit.  Every iteration builds ``tabu_len`` candidates, each
-    from a fresh RNG substream that draws the seed vertex among the key
-    qubits and then drives the construction.  Candidates absent from the
-    table whose score is at least the current table average are admitted;
-    the table is trimmed back to ``tabu_len`` by dropping its lowest-scoring
-    entry.
+    from its own RNG substream (one generator, re-seeded per candidate) that
+    draws the seed vertex among the key qubits and then drives the
+    construction.  Candidates absent from the table whose score is at least
+    the current table average are admitted; the table is trimmed back to
+    ``tabu_len`` by dropping its lowest-scoring entry.
     """
     search = MappingSearch(graph)
     base_order = sorted(search.keys)
     seed_map = initial_mapping(search, n, base_order[0], substream(config.seed, "seed"))
+    # Re-seeding one generator gives each candidate the Mersenne Twister
+    # state of ``substream(config.seed, it, k)`` without building a new one.
+    rng = random.Random()
 
     # Assignment -> score.  Insertion order is the table order, which fixes
     # the float sum of the mean and the first-minimum choice of the worst.
     table = {seed_map.assign: mapping_objective(search, seed_map)}
     for it in range(config.iterations):
         for k in range(config.tabu_len):
-            rng = substream(config.seed, it, k)
+            rng.seed(derive_seed(config.seed, it, k))
             cand = initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
             if cand.assign in table:
                 continue

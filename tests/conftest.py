@@ -1,9 +1,11 @@
 """Shared test helpers: seeded random graphs, brute-force oracles, a
 reference mapping construction that rebuilds every residual graph, the
-triple-loop shortest-path counts that the mask accumulation replaced, the
-restart-per-terminal Steiner tree that the resumable one replaced, the
-numpy GF(2) solver that the bitwise one replaced, and the per-character QASM
-reader that the statement splitter and keyword grammar replaced."""
+two-memo mapping search that the step memo replaced, the Hamiltonian-path
+search that floods every branch, the triple-loop shortest-path counts that
+the mask accumulation replaced, the restart-per-terminal Steiner tree that
+the resumable one replaced, the numpy GF(2) solver that the bitwise one
+replaced, and the per-character QASM reader that the statement splitter and
+keyword grammar replaced."""
 from __future__ import annotations
 
 import heapq
@@ -16,10 +18,20 @@ from operator import xor
 
 import numpy as np
 
-from cnotsynth.arch import HAMILTONIAN_VERTEX_LIMIT, CouplingGraph, _residual_mask, remove_vertex
+from cnotsynth.arch import (
+    HAMILTONIAN_VERTEX_LIMIT,
+    CouplingGraph,
+    _flood,
+    _residual_mask,
+    articulation_points,
+    has_hamiltonian_path,
+    key_qubits,
+    mask_vertices,
+    remove_vertex,
+)
 from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError
 from cnotsynth.gf2 import ParityMatrix
-from cnotsynth.mapping import Mapping
+from cnotsynth.mapping import Mapping, TabuConfig, _connectivity_product, substream
 from cnotsynth.steiner import SteinerTree
 
 
@@ -214,6 +226,153 @@ def reference_initial_mapping(graph: CouplingGraph, n: int, key_order, rng: rand
         assign.append(v)
         residual = remove_vertex(residual, v)
     return Mapping(tuple(assign))
+
+
+# ---------------------------------------------------------------------------
+# Reference mapping search: two memos and one RNG substream per candidate
+# ---------------------------------------------------------------------------
+# The mask-based search as it was before its step memo: non-cut vertices and
+# Hamiltonian paths in two memos shared by both construction modes, a new
+# ``substream`` generator for each tabu candidate, and a set difference for
+# the unknown-vertex check.  Only the cut points are read from the mask that
+# ``articulation_points`` now returns.
+
+class ReferenceMappingSearch:
+    def __init__(self, graph: CouplingGraph) -> None:
+        self.graph = graph
+        self.keys = key_qubits(graph)
+        self.mean_error: dict[int, float] = {}
+        for v in graph.vertices:
+            nbrs = graph.neighbors(v)
+            self.mean_error[v] = sum(graph.error(v, w) for w in nbrs) / len(nbrs) if nbrs else 0.0
+        self._non_cut: dict[int, tuple[int, ...]] = {}
+        self._path: dict[int, tuple[int, ...] | None] = {}
+        self._product: dict[int, float] = {}
+
+    def non_cut(self, residual: int) -> tuple[int, ...]:
+        choices = self._non_cut.get(residual)
+        if choices is None:
+            cuts = articulation_points(self.graph, residual)
+            choices = tuple(v for v in mask_vertices(residual) if not cuts >> v & 1)
+            self._non_cut[residual] = choices
+        return choices
+
+    def hamiltonian_path(self, residual: int) -> tuple[int, ...] | None:
+        if residual not in self._path:
+            self._path[residual] = has_hamiltonian_path(self.graph, residual)
+        return self._path[residual]
+
+    def connectivity_product(self, assign) -> float:
+        mask = 0
+        for v in assign:
+            mask |= 1 << v
+        prod = self._product.get(mask)
+        if prod is None:
+            prod = _connectivity_product(self.graph, mask)
+            self._product[mask] = prod
+        return prod
+
+
+def reference_search_initial_mapping(search: ReferenceMappingSearch, n: int, first: int, rng: random.Random) -> Mapping:
+    graph = search.graph
+    full = n == graph.num_vertices
+    assign: list[int] = []
+    residual = graph.vertex_mask
+    while len(assign) < n:
+        if full and n - len(assign) <= HAMILTONIAN_VERTEX_LIMIT:
+            path = search.hamiltonian_path(residual)
+            if path is not None:
+                assign.extend(path)
+                break
+        if not assign:
+            v = first
+        else:
+            choices = search.non_cut(residual)
+            v = choices[rng.randrange(len(choices))]
+        assign.append(v)
+        residual &= ~(1 << v)
+    return Mapping(tuple(assign))
+
+
+def reference_mapping_objective(search: ReferenceMappingSearch, mapping: Mapping) -> float:
+    missing = set(mapping.assign) - search.graph.vertices
+    if missing:
+        raise ValueError(f"mapping uses unknown vertices {sorted(missing)}")
+    score = search.connectivity_product(mapping.assign)
+    for m, v in enumerate(mapping.assign):
+        score -= (m + 1) * search.mean_error[v]
+    return score
+
+
+def reference_tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[tuple[Mapping, float]]:
+    search = ReferenceMappingSearch(graph)
+    base_order = sorted(search.keys)
+    seed_map = reference_search_initial_mapping(search, n, base_order[0], substream(config.seed, "seed"))
+    table = {seed_map.assign: reference_mapping_objective(search, seed_map)}
+    for it in range(config.iterations):
+        for k in range(config.tabu_len):
+            rng = substream(config.seed, it, k)
+            cand = reference_search_initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
+            if cand.assign in table:
+                continue
+            s = reference_mapping_objective(search, cand)
+            if s >= sum(table.values()) / len(table):
+                table[cand.assign] = s
+                if len(table) > config.tabu_len:
+                    del table[min(table, key=table.__getitem__)]
+    return [(Mapping(a), s) for a, s in table.items()]
+
+
+# ---------------------------------------------------------------------------
+# Reference Hamiltonian-path search: a connectivity flood at every branch
+# ---------------------------------------------------------------------------
+
+def reference_flooding_path_search(graph: CouplingGraph, mask: int):
+    """The library's search with its parity checks and endpoint rule but no
+    local connectivity certificate: every branch that passes the endpoint
+    rule floods.  Returns the path (or ``None``) and the number of
+    backtracking nodes, that is, calls of the recursive step."""
+    nbr = graph.neighbor_masks
+    n = mask.bit_count()
+    starts = mask
+    side = graph.colour_mask
+    if side is not None:
+        surplus = 2 * (mask & side).bit_count() - n
+        if abs(surplus) > 1:
+            return None, 0
+        if surplus:
+            starts = mask & side if surplus > 0 else mask & ~side
+    ends = sum(1 << v for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1)
+    if ends.bit_count() > 2:
+        return None, 0
+    if ends.bit_count() == 2:
+        starts &= ends
+    path: list[int] = []
+    nodes = 0
+
+    def extend(v: int, unvisited: int, ends: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        path.append(v)
+        if not unvisited:
+            return True
+        allowed = unvisited | (1 << v)
+        if not ends & (ends - 1) and _flood(nbr, 1 << v, allowed) == allowed:
+            step = nbr[v] & unvisited
+            ends &= ~step
+            for w in mask_vertices(step):
+                if (nbr[w] & unvisited).bit_count() == 1:
+                    ends |= 1 << w
+            for w in mask_vertices(step):
+                if extend(w, unvisited ^ (1 << w), ends & ~(1 << w)):
+                    return True
+        path.pop()
+        return False
+
+    for start in mask_vertices(starts):
+        if extend(start, mask & ~(1 << start), ends & ~(1 << start)):
+            return tuple(path), nodes
+    return None, nodes
 
 
 def reference_replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:

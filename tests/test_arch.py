@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,9 +8,10 @@ from conftest import (
     brute_force_articulation,
     brute_force_hamiltonian,
     random_connected_graph,
+    reference_flooding_path_search,
     reference_hamiltonian_path,
 )
-from cnotsynth import arch
+from cnotsynth import arch, mapping
 from cnotsynth.arch import (
     ArchError,
     CouplingGraph,
@@ -157,13 +159,13 @@ class TestBuiltins:
 
 class TestArticulation:
     def test_quito(self):
-        assert articulation_points(builtin("quito")) == {1, 3}
+        assert set(mask_vertices(articulation_points(builtin("quito")))) == {1, 3}
 
     def test_linear4(self):
-        assert articulation_points(builtin("linear(4)")) == {1, 2}
+        assert set(mask_vertices(articulation_points(builtin("linear(4)")))) == {1, 2}
 
     def test_cycle_has_none(self):
-        assert articulation_points(cycle(4)) == frozenset()
+        assert set(mask_vertices(articulation_points(cycle(4)))) == set()
 
     def test_disconnected_rejected(self):
         g = CouplingGraph(range(3), [(0, 1, 0.01)])
@@ -173,7 +175,7 @@ class TestArticulation:
     @pytest.mark.parametrize("seed", range(20))
     def test_against_brute_force(self, seed):
         g = random_connected_graph(4 + seed % 9, seed)  # up to 12 vertices
-        assert articulation_points(g) == brute_force_articulation(g)
+        assert set(mask_vertices(articulation_points(g))) == brute_force_articulation(g)
 
 
 class TestKeyQubits:
@@ -189,7 +191,7 @@ class TestKeyQubits:
     @pytest.mark.parametrize("seed", range(8))
     def test_partition(self, seed):
         g = random_connected_graph(9, seed)
-        cuts = articulation_points(g)
+        cuts = set(mask_vertices(articulation_points(g)))
         keys = key_qubits(g)
         assert cuts | keys == g.vertices and not (cuts & keys)
 
@@ -283,7 +285,7 @@ class TestResidualMasks:
         g = random_connected_graph(4 + seed % 9, seed)  # up to 12 vertices
         for sub, mask in residual_masks(g, seed):
             if bfs_connected(sub):
-                assert articulation_points(g, mask) == brute_force_articulation(sub)
+                assert set(mask_vertices(articulation_points(g, mask))) == brute_force_articulation(sub)
             else:
                 with pytest.raises(ArchError, match="connected"):
                     articulation_points(g, mask)
@@ -326,7 +328,7 @@ class TestResidualMasks:
 
     def test_empty_mask(self):
         g = builtin("quito")
-        assert articulation_points(g, 0) == frozenset()
+        assert set(mask_vertices(articulation_points(g, 0))) == set()
         assert has_hamiltonian_path(g, 0) is None
         assert g.is_connected(0)
 
@@ -377,7 +379,7 @@ def removal_masks(graph, seed, count):
     for _ in range(count):
         mask = graph.vertex_mask
         for _ in range(rng.randrange(graph.num_vertices)):
-            cuts = articulation_points(graph, mask)
+            cuts = set(mask_vertices(articulation_points(graph, mask)))
             mask &= ~(1 << rng.choice([v for v in mask_vertices(mask) if v not in cuts]))
         yield mask
 
@@ -547,4 +549,107 @@ class TestEndpointRule:
         mask = 0xFD37FFFFF
         assert mask.bit_count() == 32
         assert has_hamiltonian_path(builtin("grid(6,6)"), mask) is None
-        assert len(flood_calls) <= 30_000
+        # 18,687 floods before the local connectivity certificate, 5,296 with
+        # it; the bound leaves a 13% margin.
+        assert len(flood_calls) <= 6_000
+
+
+def ladder(rungs):
+    """Two paths of ``rungs`` vertices joined rung by rung: 0..k-1 and k..2k-1."""
+    edges = [(i, i + 1, 0.01) for i in range(rungs - 1)]
+    edges += [(rungs + i, rungs + i + 1, 0.01) for i in range(rungs - 1)]
+    edges += [(i, rungs + i, 0.01) for i in range(rungs)]
+    return CouplingGraph(range(2 * rungs), edges)
+
+
+def cycle_with_tails(size, tails):
+    """A cycle of ``size`` vertices with one pendant path per (vertex, length) in ``tails``."""
+    edges = [(i, (i + 1) % size, 0.01) for i in range(size)]
+    n = size
+    for at, length in tails:
+        for k in range(length):
+            edges.append((at if k == 0 else n - 1, n, 0.01))
+            n += 1
+    return CouplingGraph(range(n), edges)
+
+
+#: The code object of the search's recursive step; each call is one node.
+_EXTEND = next(c for c in arch.has_hamiltonian_path.__code__.co_consts if getattr(c, "co_name", "") == "extend")
+
+
+def search_nodes(g, mask):
+    """``has_hamiltonian_path(g, mask)`` and the number of its backtracking nodes."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code is _EXTEND
+
+    sys.setprofile(profile)
+    try:
+        path = has_hamiltonian_path(g, mask)
+    finally:
+        sys.setprofile(None)
+    return path, nodes
+
+
+class TestFloodCertificate:
+    """A step into head ``v`` off head ``u`` skips its flood when every other
+    unvisited neighbour of ``u`` lies within two steps of ``v``.  On these
+    graphs the check often fails and the flood must decide; the search must
+    still find the reference paths and expand exactly the nodes of the
+    search that floods every branch."""
+
+    @staticmethod
+    def check(g, flood_calls, masks):
+        """Assert agreement on every mask; the number of floods of a branch
+        (not a start) that the certificate left to the flood."""
+        fallbacks = 0
+        for mask in masks:
+            before = len(flood_calls)
+            path, nodes = search_nodes(g, mask)
+            assert path == reference_hamiltonian_path(induced_subgraph(g, mask_vertices(mask))), hex(mask)
+            assert (path, nodes) == reference_flooding_path_search(g, mask), hex(mask)
+            fallbacks += sum(allowed != mask for _, allowed in flood_calls[before:])
+        return fallbacks
+
+    masks = staticmethod(TestEndpointRule.masks)
+
+    @pytest.mark.parametrize("size", range(5, 14))
+    def test_cycles(self, flood_calls, size):
+        assert self.check(cycle(size), flood_calls, self.masks(cycle(size), size))
+
+    def test_ladders(self, flood_calls):
+        assert sum(self.check(ladder(rungs), flood_calls, self.masks(ladder(rungs), rungs)) for rungs in range(2, 10))
+
+    def test_cycles_with_tails(self, flood_calls):
+        fallbacks = 0
+        for size, tails in [(4, [(0, 1)]), (5, [(0, 2)]), (6, [(0, 1), (3, 1)]), (6, [(0, 3), (2, 1)]),
+                            (8, [(0, 2), (4, 2)]), (9, [(1, 1), (2, 1), (5, 3)]), (12, [(0, 4), (6, 4)])]:
+            g = cycle_with_tails(size, tails)
+            fallbacks += self.check(g, flood_calls, self.masks(g, size))
+        assert fallbacks
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_random_sparse_graphs(self, flood_calls, n):
+        fallbacks = 0
+        for seed in range(3):
+            g = random_connected_graph(n, 1200 + 10 * n + seed, extra_edges=n // 2)
+            fallbacks += self.check(g, flood_calls, self.masks(g, seed, count=15))
+        assert fallbacks
+
+    def test_grid_removal_residuals(self, flood_calls):
+        g = builtin("grid(4,5)")
+        assert self.check(g, flood_calls, [g.vertex_mask, *removal_masks(g, 3, 40)])
+
+    def test_default_guadalupe_search(self, flood_calls, monkeypatch):
+        # One default full-device search floods 1,177 times without the
+        # certificate; the count covers MappingSearch's connectivity check.
+        queried = {"articulation_points": [], "has_hamiltonian_path": []}
+        for name, log in queried.items():
+            fn = getattr(mapping, name)
+            monkeypatch.setattr(mapping, name, lambda g, mask, fn=fn, log=log: log.append(mask) or fn(g, mask))
+        mapping.optimize_mapping(builtin("guadalupe"), 16, mapping.TabuConfig(seed=0))
+        assert len(flood_calls) == 173
+        for log in queried.values():
+            assert log and len(log) == len(set(log))

@@ -1,20 +1,25 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import (
+    ReferenceMappingSearch,
     enumerate_shortest_paths,
     random_connected_graph,
     reference_articulation_points,
     reference_initial_mapping,
     reference_replay_is_valid,
+    reference_search_initial_mapping,
     reference_shortest_path_data,
+    reference_tabu_search_table,
 )
-from cnotsynth.arch import CouplingGraph, builtin, induced_subgraph, key_qubits, mask_vertices
+from cnotsynth import mapping
+from cnotsynth.arch import CouplingGraph, builtin, induced_subgraph, key_qubits, mask_vertices, remove_vertex
 from cnotsynth.mapping import (
     Mapping,
     MappingSearch,
@@ -187,6 +192,15 @@ class TestObjective:
         m = Mapping((0, 2, 1, 3, 4))
         assert mapping_objective(MappingSearch(g), m) == mapping_objective(MappingSearch(g), m)
 
+    @pytest.mark.parametrize("assign,unknown", [
+        ((0, 9), [9]), ((5, 0), [5]), ((-1, 0), [-1]), ((0, -3, 7, 1), [-3, 7]), ((2, 1), [2]),
+    ])
+    def test_unknown_vertices_named(self, assign, unknown):
+        # Vertex 2 is removed, so its id lies inside the device's id range.
+        g = remove_vertex(builtin("quito"), 2)
+        with pytest.raises(ValueError, match=rf"^mapping uses unknown vertices {re.escape(str(unknown))}$"):
+            mapping_objective(MappingSearch(g), Mapping(assign))
+
 
 class TestOptimizeMapping:
     def test_zero_iterations_returns_seed(self):
@@ -265,6 +279,60 @@ class TestAgainstRebuiltResidualReference:
         g = builtin(name)
         v = g.num_vertices
         _check_against_reference(g, sorted({1, v // 2, v - 1, v}), 2)
+
+
+class TestAgainstTwoMemoReference:
+    """The step memo per construction mode and the one re-seeded generator
+    give the tables of the search with two memos and one ``substream``
+    generator per candidate (``conftest.reference_tabu_search_table``)."""
+
+    @staticmethod
+    def check(g, n):
+        for seed in range(5):
+            config = TabuConfig(seed=seed, iterations=3)
+            got = [(m.assign, s.hex()) for m, s in tabu_search_table(g, n, config)]
+            assert got == [(m.assign, s.hex()) for m, s in reference_tabu_search_table(g, n, config)], seed
+
+    @pytest.mark.parametrize("name,n", [
+        ("guadalupe", 16), ("guadalupe", 12), ("tokyo", 20), ("tokyo", 9), ("grid(4,4)", 16), ("grid(4,4)", 7),
+        ("linear(7)", 7), ("linear(7)", 3), ("scq10", 10), ("scq10", 6),
+    ])
+    def test_builtin_tables(self, name, n):
+        self.check(builtin(name), n)
+
+    @pytest.mark.parametrize("size", range(4, 17, 2))
+    def test_random_graph_tables(self, size):
+        for seed in range(2):
+            g = random_connected_graph(size, 8000 + 31 * size + seed)
+            for n in sorted({size, size - 1, size // 2}):
+                self.check(g, n)
+
+    @pytest.mark.parametrize("g", [
+        builtin("guadalupe"), builtin("tokyo"), builtin("grid(4,4)"), builtin("linear(7)"), builtin("scq10"),
+        *(random_connected_graph(size, 9000 + size) for size in range(5, 13)),
+    ], ids=lambda g: g.name)
+    def test_one_search_for_both_modes(self, g):
+        # Full-device and partial constructions alternate on one search, so
+        # each mode meets residuals that the other has already stepped from.
+        search, reference = MappingSearch(g), ReferenceMappingSearch(g)
+        keys = sorted(search.keys)
+        big = g.num_vertices
+        for k in range(12):
+            for n in (big, big - 1, max(1, big // 2), big):
+                first = keys[k % len(keys)]
+                got = initial_mapping(search, n, first, random.Random(k))
+                assert got == reference_search_initial_mapping(reference, n, first, random.Random(k)), (k, n)
+
+    def test_calls_per_candidate(self, monkeypatch):
+        # The layer tracer counts these calls by name in mapping's namespace.
+        calls = Counter()
+        for name in ("initial_mapping", "mapping_objective"):
+            fn = getattr(mapping, name)
+            monkeypatch.setattr(mapping, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+        config = TabuConfig(tabu_len=6, iterations=4, seed=2)
+        table = tabu_search_table(builtin("guadalupe"), 16, config)
+        assert calls["initial_mapping"] == 1 + config.iterations * config.tabu_len
+        assert len(table) <= calls["mapping_objective"] <= calls["initial_mapping"]
 
 
 class TestShortestPathData:
