@@ -8,11 +8,13 @@ one mask of all vertices, plus one weight row per vertex id holding the
 the mapping search, in layer elimination and in the mapping objective, is
 an int vertex mask over one base graph; connectivity, cut points and
 Hamiltonian paths take that mask and never build a new graph.
-``remove_vertex`` and ``induced_subgraph`` still build one for callers that
-want a standalone graph.  A bipartite graph also keeps one colour class of a
+``remove_vertex`` (a checked ``induced_subgraph``) and ``induced_subgraph``
+still build one: nothing in the package calls them, but the benchmark's
+layer tracer wraps both by name and the tests rebuild residual graphs with
+them as references.  A bipartite graph also keeps one colour class of a
 2-colouring, which lets the Hamiltonian-path search reject residuals by
-counting.  Memoizing mask queries is left to the caller (the
-mapping search keeps one memo per search).
+counting.  Memoizing mask queries is left to the caller (the mapping search
+keeps one memo per search).
 """
 from __future__ import annotations
 
@@ -205,13 +207,7 @@ def remove_vertex(graph: CouplingGraph, v: int) -> CouplingGraph:
     """New graph without ``v`` and its incident edges; the input is unchanged."""
     if v not in graph.vertices:
         raise ArchError(f"vertex {v} not in graph")
-    edges = [(a, b, e) for (a, b), e in graph.edge_error.items() if a != v and b != v]
-    return CouplingGraph(
-        graph.vertices - {v},
-        edges,
-        name=graph.name,
-        one_qubit_error=graph.one_qubit_error,
-    )
+    return induced_subgraph(graph, graph.vertices - {v})
 
 
 def induced_subgraph(graph: CouplingGraph, vertices: Iterable[int]) -> CouplingGraph:

@@ -20,7 +20,6 @@ from .arch import (
     articulation_points,
     builtin,
     has_hamiltonian_path,
-    key_qubits,
     mask_vertices,
     parse_arch,
 )
@@ -127,8 +126,9 @@ def _metrics(circuit: Circuit, graph: CouplingGraph, shots: int, seed: int) -> d
 def cmd_arch(args: argparse.Namespace) -> int:
     graph = load_arch(args.arch)
     connected = graph.is_connected()
-    cuts = list(mask_vertices(articulation_points(graph))) if connected else None
-    keys = sorted(key_qubits(graph)) if connected else None
+    cut_mask = articulation_points(graph) if connected else 0
+    cuts = list(mask_vertices(cut_mask)) if connected else None
+    keys = list(mask_vertices(graph.vertex_mask & ~cut_mask)) if connected else None
     small = graph.num_vertices <= HAMILTONIAN_VERTEX_LIMIT
     ham = has_hamiltonian_path(graph) if connected and small else None
     if args.format == "json":
@@ -292,7 +292,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 t0 = time.perf_counter()
                 res = synthesize(m, graph, mapping=mapping)
                 ms = (time.perf_counter() - t0) * 1e3
-                failure = verification_failure(m, res)
+                failure = verification_failure(m, graph, mapping, res.gates)
                 if failure is not None:
                     print(f"internal verification failed ({name}, size {size}, instance {j}): {failure}", file=sys.stderr)
                     return EXIT_INTERNAL

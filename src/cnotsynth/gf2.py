@@ -10,7 +10,6 @@ a single XOR and rank and solve share one bitwise elimination (``_basis``).
 """
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -164,19 +163,3 @@ def solve_gf2(rows: Sequence[int], y: int) -> int | None:
     rest, mask = _reduce(_basis(rows), y, 0)
     return None if rest else mask
 
-
-def random_invertible(n: int, seed: int) -> ParityMatrix:
-    """Seeded random invertible matrix: identity hit by 5*n^2 row XORs."""
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
-    m = ParityMatrix.identity(n)
-    if n == 1:
-        return m
-    rng = random.Random(seed)
-    for _ in range(5 * n * n):
-        src = rng.randrange(n)
-        dst = rng.randrange(n - 1)
-        if dst >= src:
-            dst += 1
-        m.row_xor(src, dst)
-    return m

@@ -80,11 +80,6 @@ def derive_seed(seed: int, *key) -> int:
     return int.from_bytes(digest, "big")
 
 
-def substream(seed: int, *key) -> random.Random:
-    """Independent RNG seeded with ``derive_seed(seed, *key)``."""
-    return random.Random(derive_seed(seed, *key))
-
-
 #: A memoized construction step: (Hamiltonian path, None) or (None, non-cut vertices).
 Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None]
 
@@ -327,20 +322,21 @@ def mapping_objective(search: MappingSearch, mapping: Mapping) -> float:
 def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[tuple[Mapping, float]]:
     """Run the tabu search and return its final table as (mapping, score) pairs.
 
-    The table is seeded with the deterministic initial mapping from the
-    smallest key qubit.  Every iteration builds ``tabu_len`` candidates, each
-    from its own RNG substream (one generator, re-seeded per candidate) that
-    draws the seed vertex among the key qubits and then drives the
-    construction.  Candidates absent from the table whose score is at least
-    the current table average are admitted; the table is trimmed back to
-    ``tabu_len`` by dropping its lowest-scoring entry.
+    The table is seeded with the initial mapping from the smallest key
+    qubit.  Every iteration builds ``tabu_len`` candidates; each draws its
+    seed vertex among the key qubits and then drives its construction.  One
+    generator serves the whole search, re-seeded with
+    ``derive_seed(config.seed, *key)`` before each construction (key
+    ``"seed"`` for the seed mapping, ``it, k`` for candidate k of iteration
+    it), so every construction's draws are reproducible in isolation.
+    Candidates absent from the table whose score is at least the current
+    table average are admitted; the table is trimmed back to ``tabu_len`` by
+    dropping its lowest-scoring entry.
     """
     search = MappingSearch(graph)
     base_order = sorted(search.keys)
-    seed_map = initial_mapping(search, n, base_order[0], substream(config.seed, "seed"))
-    # Re-seeding one generator gives each candidate the Mersenne Twister
-    # state of ``substream(config.seed, it, k)`` without building a new one.
-    rng = random.Random()
+    rng = random.Random(derive_seed(config.seed, "seed"))
+    seed_map = initial_mapping(search, n, base_order[0], rng)
 
     # Assignment -> score.  Insertion order is the table order, which fixes
     # the float sum of the mean and the first-minimum choice of the worst.

@@ -1,47 +1,25 @@
-"""Path fidelity, maximum-fidelity shortest paths, minimum-noise Steiner trees.
+"""Minimum-noise Steiner trees and their traversal orders.
 
-Maximizing the product of (1 - e) over a path's edges is equivalent to
-minimizing the sum of -ln(1 - e), so path selection runs Dijkstra on those
-additive weights, read from the graph's precomputed weight rows.  A Steiner
-tree over a residual graph takes the residual as an int vertex mask over
-the base graph and routes only through vertices set in it.  Each tree runs
-one Dijkstra for its whole life: one heap and one label table indexed by
-vertex id, resumed for each terminal and reseeded with every vertex that
-joins the tree, so no search restarts from scratch.  ``best_path`` is the
-one-terminal tree.  All tie-breaking is fixed (fewer hops, then the
+Maximizing a path's fidelity, the product of (1 - e) over its edges (the
+``esp`` of the CNOT chain along it), is equivalent to minimizing the sum of
+-ln(1 - e), so path selection runs Dijkstra on those additive weights, read
+from the graph's precomputed weight rows.  A Steiner tree over a residual
+graph takes the residual as an int vertex mask over the base graph and
+routes only through vertices set in it.  Each tree runs one Dijkstra for
+its whole life: one heap and one label table indexed by vertex id, resumed
+for each terminal and reseeded with every vertex that joins the tree, so no
+search restarts from scratch.  A one-terminal tree is exactly the
+maximum-fidelity path from its root to that terminal, read back along the
+parent links.  All tie-breaking is fixed (fewer hops, then the
 lexicographically smallest vertex sequence; terminals joined in ascending
 id order) so that synthesis output is reproducible.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arch import CouplingGraph, _residual_mask, mask_vertices
-
-
-def path_fidelity(graph: CouplingGraph, path: Sequence[int]) -> float:
-    """Product of (1 - e) over consecutive path edges; <= 1 vertex gives 1.0."""
-    f = 1.0
-    for u, v in zip(path, path[1:]):
-        f *= 1.0 - graph.error(u, v)  # raises on non-adjacent pair
-    return f
-
-
-def best_path(graph: CouplingGraph, s: int, t: int) -> list[int]:
-    """The s-t path maximizing path_fidelity (deterministic tie-breaking).
-
-    It is the one-terminal Steiner tree rooted at s, read back along its
-    parent links from t.
-    """
-    if s not in graph.vertices or t not in graph.vertices:
-        raise ValueError(f"endpoints ({s},{t}) must be graph vertices")
-    parent = min_noise_steiner_tree(graph, s, (t,)).parent
-    path = [t]
-    while path[-1] != s:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 class SteinerTree:

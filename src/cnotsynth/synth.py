@@ -303,12 +303,7 @@ def synthesize(
     return _eliminate(m, graph, _checked_mapping(graph, m.n, config, mapping))
 
 
-def verification_failure(m_original: ParityMatrix, result: SynthesisResult) -> str | None:
-    """Recheck a synthesis result from scratch; None means it is sound."""
-    return gate_list_failure(m_original, result.graph, result.mapping, result.gates)
-
-
-def gate_list_failure(
+def verification_failure(
     m_original: ParityMatrix,
     graph: CouplingGraph,
     mapping: Mapping,
@@ -339,7 +334,7 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
 
     ``mapping`` must place the original's qubits on the device.  Each maximal
     CNOT run of the original must match the output's CNOTs at that point
-    (possibly none) under ``gate_list_failure``, and each other gate must
+    (possibly none) under ``verification_failure``, and each other gate must
     come next, relocated through ``mapping``.  An empty original is one
     empty CNOT run.  A reordered but equivalent output is reported.
     """
@@ -353,7 +348,7 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
             while k < len(gates) and isinstance(gates[k], CNOT):
                 k += 1
             m = ParityMatrix.from_circuit(run, original.n)
-            failure = gate_list_failure(m, graph, mapping, gates[start:k])  # type: ignore[arg-type]
+            failure = verification_failure(m, graph, mapping, gates[start:k])  # type: ignore[arg-type]
             if failure is not None:
                 return f"in the CNOT run from output gate {start}, {failure}" if start else failure
             continue
@@ -370,4 +365,4 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
 
 def verify_equivalence(m_original: ParityMatrix, result: SynthesisResult) -> bool:
     """True iff the synthesized gates realize exactly the original parity matrix."""
-    return verification_failure(m_original, result) is None
+    return verification_failure(m_original, result.graph, result.mapping, result.gates) is None

@@ -1,6 +1,7 @@
-"""Shared test helpers: seeded random graphs, brute-force oracles, a
-reference mapping construction that rebuilds every residual graph, the
-two-memo mapping search that the step memo replaced, the Hamiltonian-path
+"""Shared test helpers: seeded random graphs and invertible matrices, the
+maximum-fidelity path and its ESP, brute-force oracles, a reference
+mapping construction that rebuilds every residual graph, the two-memo
+mapping search that the step memo replaced, the Hamiltonian-path
 search that floods every branch, the triple-loop shortest-path counts that
 the mask accumulation replaced, the restart-per-terminal Steiner tree that
 the resumable one replaced, the numpy GF(2) solver that the bitwise one
@@ -29,10 +30,10 @@ from cnotsynth.arch import (
     mask_vertices,
     remove_vertex,
 )
-from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError
+from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError, esp, random_cnot_circuit
 from cnotsynth.gf2 import ParityMatrix
-from cnotsynth.mapping import Mapping, TabuConfig, _connectivity_product, substream
-from cnotsynth.steiner import SteinerTree
+from cnotsynth.mapping import Mapping, TabuConfig, _connectivity_product, derive_seed
+from cnotsynth.steiner import SteinerTree, min_noise_steiner_tree
 
 
 def random_connected_graph(n: int, seed: int, extra_edges: int | None = None) -> CouplingGraph:
@@ -49,6 +50,29 @@ def random_connected_graph(n: int, seed: int, extra_edges: int | None = None) ->
     edges.update(candidates[:extra_edges])
     triples = [(u, v, rng.uniform(0.001, 0.05)) for u, v in sorted(edges)]
     return CouplingGraph(range(n), triples, name=f"rand{n}-{seed}")
+
+
+def random_invertible(n: int, seed: int) -> ParityMatrix:
+    """Seeded random invertible n x n matrix (n >= 2): the parity matrix of
+    a random CNOT circuit of 5 n^2 gates."""
+    return ParityMatrix.from_circuit(random_cnot_circuit(n, 5 * n * n, seed).cnot_pairs(), n)
+
+
+def tree_path(graph: CouplingGraph, s: int, t: int) -> list[int]:
+    """The s-t path of the one-terminal Steiner tree rooted at s, the
+    maximum-fidelity path, read back along its parent links."""
+    parent = min_noise_steiner_tree(graph, s, (t,)).parent
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def path_esp(graph: CouplingGraph, path) -> float:
+    """Fidelity of a path: the ESP of the CNOT chain along it, the product of
+    (1 - e) over its edges."""
+    chain = tuple(CNOT(u, v) for u, v in zip(path, path[1:]))
+    return esp(Circuit(max(graph.vertices) + 1, chain), graph)
 
 
 def bfs_component(graph: CouplingGraph, start: int, skip: frozenset[int] = frozenset()) -> set[int]:
@@ -229,13 +253,13 @@ def reference_initial_mapping(graph: CouplingGraph, n: int, key_order, rng: rand
 
 
 # ---------------------------------------------------------------------------
-# Reference mapping search: two memos and one RNG substream per candidate
+# Reference mapping search: two memos and one new RNG per candidate
 # ---------------------------------------------------------------------------
 # The mask-based search as it was before its step memo: non-cut vertices and
 # Hamiltonian paths in two memos shared by both construction modes, a new
-# ``substream`` generator for each tabu candidate, and a set difference for
-# the unknown-vertex check.  Only the cut points are read from the mask that
-# ``articulation_points`` now returns.
+# ``random.Random(derive_seed(seed, *key))`` for each construction, and a
+# set difference for the unknown-vertex check.  Only the cut points are read
+# from the mask that ``articulation_points`` now returns.
 
 class ReferenceMappingSearch:
     def __init__(self, graph: CouplingGraph) -> None:
@@ -307,11 +331,12 @@ def reference_mapping_objective(search: ReferenceMappingSearch, mapping: Mapping
 def reference_tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[tuple[Mapping, float]]:
     search = ReferenceMappingSearch(graph)
     base_order = sorted(search.keys)
-    seed_map = reference_search_initial_mapping(search, n, base_order[0], substream(config.seed, "seed"))
+    rng = random.Random(derive_seed(config.seed, "seed"))
+    seed_map = reference_search_initial_mapping(search, n, base_order[0], rng)
     table = {seed_map.assign: reference_mapping_objective(search, seed_map)}
     for it in range(config.iterations):
         for k in range(config.tabu_len):
-            rng = substream(config.seed, it, k)
+            rng = random.Random(derive_seed(config.seed, it, k))
             cand = reference_search_initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
             if cand.assign in table:
                 continue

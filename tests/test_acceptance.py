@@ -11,22 +11,30 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_simple_paths, random_connected_graph, target_aided_rows_bruteforce, xor_rows
+from conftest import (
+    all_simple_paths,
+    path_esp,
+    random_connected_graph,
+    random_invertible,
+    target_aided_rows_bruteforce,
+    tree_path,
+    xor_rows,
+)
 from cnotsynth.arch import CouplingGraph, builtin, has_hamiltonian_path, key_qubits
 from cnotsynth.circuit import CNOT, Circuit, monte_carlo_fidelity, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
-from cnotsynth.gf2 import ParityMatrix, random_invertible
+from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import (
     Mapping,
     MappingSearch,
     TabuConfig,
+    derive_seed,
     initial_mapping,
     mapping_objective,
     optimize_mapping,
     replay_is_valid,
-    substream,
 )
-from cnotsynth.steiner import best_path, path_fidelity
+from cnotsynth.steiner import min_noise_steiner_tree
 from cnotsynth.synth import (
     eliminate_column,
     eliminate_row,
@@ -61,7 +69,7 @@ def soundness_corpus():
         mapping = optimize_mapping(graph, n, config)
         for size in SOUNDNESS_SIZES:
             for j in range(INSTANCES):
-                seed = substream(2024, name, size, j).randrange(2**32)
+                seed = random.Random(derive_seed(2024, name, size, j)).randrange(2**32)
                 circ = random_cnot_circuit(n, size, seed)
                 m = ParityMatrix.from_circuit(circ.cnot_pairs(), n)
                 res = synthesize(m, graph, config, mapping=mapping)
@@ -106,10 +114,10 @@ def test_criterion_4_path_fidelity_ordering():
     g = builtin("guadalupe")
     low = [7, 4, 1, 2, 3, 5, 8, 9]
     high = [7, 10, 12, 13, 14, 11, 8, 9]
-    f_low, f_high = path_fidelity(g, low), path_fidelity(g, high)
+    f_low, f_high = path_esp(g, low), path_esp(g, high)
     assert f_high > f_low
-    assert best_path(g, 7, 9) == high
-    _report(4, f"F(high path)={f_high:.6f} > F(low path)={f_low:.6f}; best_path(7,9) picks the high path")
+    assert min_noise_steiner_tree(g, 7, (9,)).parent == dict(zip(high[1:], high))
+    _report(4, f"F(high path)={f_high:.6f} > F(low path)={f_low:.6f}; the 7-9 Steiner tree is the high path")
 
 
 def test_criterion_5_column_step_worked_example():
@@ -173,7 +181,7 @@ def test_criterion_7_mapping_invariants():
             runs += 1
         for s in range(9):
             cfg = TabuConfig(tabu_len=4, iterations=2, seed=s)
-            seed_map = initial_mapping(search, n, keys[0], substream(s, "seed"))
+            seed_map = initial_mapping(search, n, keys[0], random.Random(derive_seed(s, "seed")))
             best = optimize_mapping(graph, n, cfg)
             assert replay_is_valid(graph, best)
             assert mapping_objective(search, best) >= mapping_objective(search, seed_map)
@@ -188,8 +196,8 @@ def test_criterion_8_best_path_optimality():
         n = 4 + seed % 5  # 4..8 vertices
         g = random_connected_graph(n, 123_000 + seed)
         for s, t in itertools.combinations(sorted(g.vertices), 2):
-            got = path_fidelity(g, best_path(g, s, t))
-            want = max(path_fidelity(g, p) for p in all_simple_paths(g, s, t))
+            got = path_esp(g, tree_path(g, s, t))
+            want = max(path_esp(g, p) for p in all_simple_paths(g, s, t))
             assert abs(got - want) <= 1e-12
             pairs += 1
     _report(8, f"50 graphs, {pairs} vertex pairs: Dijkstra path matches exhaustive enumeration")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cnotsynth.arch import builtin, key_qubits
 from cnotsynth.circuit import Measure, parse_qasm, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
 
@@ -45,6 +46,17 @@ class TestArchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["key_qubits"] == [0, 2, 4]
         assert payload["hamiltonian_path"] is None
+
+    @pytest.mark.parametrize("name", [
+        "quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo", "linear(7)", "grid(3,4)",
+    ])
+    def test_json_key_qubits_and_cut_points_partition_the_vertices(self, name, capsys):
+        assert main(["arch", name, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        graph = builtin(name)
+        keys, cuts = payload["key_qubits"], payload["articulation_points"]
+        assert sorted(keys + cuts) == sorted(graph.vertices)
+        assert keys == sorted(key_qubits(graph))
 
     def test_arch_file(self, tmp_path, capsys):
         p = tmp_path / "dev.arch"

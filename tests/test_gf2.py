@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_gf2_rank, reference_solve_gf2
-from cnotsynth.gf2 import ParityMatrix, gf2_rank, random_invertible, solve_gf2
+from conftest import random_invertible, reference_gf2_rank, reference_solve_gf2
+from cnotsynth.gf2 import ParityMatrix, gf2_rank, solve_gf2
 
 
 def mat(rows):
@@ -170,8 +170,9 @@ class TestAgainstNumpyReference:
 
 
 class TestRandomInvertible:
-    def test_single_qubit(self):
-        assert random_invertible(1, 99) == mat([[1]])
+    """The tests' random matrices (``conftest.random_invertible``): the
+    parity matrix of a seeded random CNOT circuit is reproducible and
+    invertible."""
 
     def test_deterministic(self):
         assert random_invertible(5, 42) == random_invertible(5, 42)

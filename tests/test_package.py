@@ -1,5 +1,7 @@
 """The package surface: the public API, the names the benchmark's layer
-tracer wraps in each cnotsynth module, and which paths load numpy."""
+tracer wraps in each cnotsynth module, no code kept for the tests alone,
+and which paths load numpy."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,6 +15,7 @@ from cnotsynth.circuit import Circuit, monte_carlo_fidelity, parse_qasm, random_
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "cnotsynth"
 
 #: The names README's "Library use" documents.
 PUBLIC_API = [
@@ -77,6 +80,30 @@ def test_tracer_hooks_exist():
             module = _module(caller)
             assert getattr(module, attr, None) is target, f"{span}: {module.__name__}.{attr} is missing"
     assert callable(_module("gf2").ParityMatrix.rank)
+
+
+def test_every_definition_serves_the_package():
+    """Each module-level function or class is referred to by other package
+    code (a name in its module outside its own definition, or an import),
+    exported in ``__all__``, or wrapped by the layer tracer.  Code that only
+    the tests call belongs in ``tests/conftest.py``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    used = {(home, attr) for _, home, attr, _ in _span_points()}
+    used.update(("", name) for name in cnotsynth.__all__)
+    for module, tree in trees.items():
+        for top in tree.body:
+            own = top.name if isinstance(top, kinds) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    used.update((node.module, alias.name) for alias in node.names)
+    unused = [
+        f"{module}.{top.name}" for module, tree in trees.items() for top in tree.body
+        if isinstance(top, kinds) and (module, top.name) not in used and ("", top.name) not in used
+    ]
+    assert unused == []
 
 
 def _fresh(code: str, cwd: Path) -> object:

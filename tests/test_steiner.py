@@ -6,19 +6,14 @@ import pytest
 
 from conftest import (
     all_simple_paths,
+    path_esp,
     random_connected_graph,
     reference_dijkstra_path,
     reference_min_noise_steiner_tree,
+    tree_path,
 )
 from cnotsynth.arch import ArchError, CouplingGraph, _flood, builtin, edge_weight, induced_subgraph, mask_vertices
-from cnotsynth.steiner import (
-    SteinerTree,
-    best_path,
-    min_noise_steiner_tree,
-    path_fidelity,
-    postorder,
-    preorder,
-)
+from cnotsynth.steiner import SteinerTree, min_noise_steiner_tree, postorder, preorder
 
 GUADALUPE_PATH_LOW = [7, 4, 1, 2, 3, 5, 8, 9]
 GUADALUPE_PATH_HIGH = [7, 10, 12, 13, 14, 11, 8, 9]
@@ -29,51 +24,51 @@ def chain(n, err=0.01):
 
 
 class TestPathFidelity:
+    """A path's fidelity is the ESP of the CNOT chain along it (``conftest.path_esp``)."""
+
     def test_single_vertex(self):
-        assert path_fidelity(builtin("quito"), [0]) == 1.0
+        assert path_esp(builtin("quito"), [0]) == 1.0
 
     def test_empty(self):
-        assert path_fidelity(builtin("quito"), []) == 1.0
+        assert path_esp(builtin("quito"), []) == 1.0
 
     def test_quito_edge(self):
-        assert path_fidelity(builtin("quito"), [0, 1]) == pytest.approx(1 - 1.631e-2)
+        assert path_esp(builtin("quito"), [0, 1]) == pytest.approx(1 - 1.631e-2)
 
     def test_guadalupe_ordering(self):
         g = builtin("guadalupe")
-        assert path_fidelity(g, GUADALUPE_PATH_HIGH) > path_fidelity(g, GUADALUPE_PATH_LOW)
-
-    def test_non_adjacent_pair(self):
-        with pytest.raises(ArchError, match="not a coupling edge"):
-            path_fidelity(builtin("quito"), [0, 2])
+        assert path_esp(g, GUADALUPE_PATH_HIGH) > path_esp(g, GUADALUPE_PATH_LOW)
 
 
 class TestBestPath:
+    """The maximum-fidelity path is the one-terminal Steiner tree (``conftest.tree_path``)."""
+
     def test_trivial(self):
-        assert best_path(builtin("quito"), 3, 3) == [3]
+        assert tree_path(builtin("quito"), 3, 3) == [3]
 
     def test_guadalupe_7_to_9(self):
-        assert best_path(builtin("guadalupe"), 7, 9) == GUADALUPE_PATH_HIGH
+        assert tree_path(builtin("guadalupe"), 7, 9) == GUADALUPE_PATH_HIGH
 
     def test_unique_path_on_tree(self):
-        assert best_path(builtin("quito"), 0, 4) == [0, 1, 3, 4]
+        assert tree_path(builtin("quito"), 0, 4) == [0, 1, 3, 4]
 
     def test_disconnected(self):
         g = CouplingGraph(range(4), [(0, 1, 0.01), (2, 3, 0.01)])
         with pytest.raises(ValueError, match="unreachable"):
-            best_path(g, 0, 3)
+            tree_path(g, 0, 3)
 
     def test_zero_error_ties_break_by_hops_then_lex(self):
         # Two equal-weight routes 0-1-3 and 0-2-3: fewer hops tie, lex picks 0-1-3.
         g = CouplingGraph(range(4), [(0, 1, 0.0), (1, 3, 0.0), (0, 2, 0.0), (2, 3, 0.0)])
-        assert best_path(g, 0, 3) == [0, 1, 3]
+        assert tree_path(g, 0, 3) == [0, 1, 3]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force(self, seed):
         g = random_connected_graph(4 + seed % 5, 500 + seed)
         verts = sorted(g.vertices)
         for s, t in itertools.combinations(verts, 2):
-            got = path_fidelity(g, best_path(g, s, t))
-            want = max(path_fidelity(g, p) for p in all_simple_paths(g, s, t))
+            got = path_esp(g, tree_path(g, s, t))
+            want = max(path_esp(g, p) for p in all_simple_paths(g, s, t))
             assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -82,10 +77,10 @@ class TestBestPath:
         g = random_connected_graph(6, 900 + seed)
         for s, t in [(0, 5), (1, 4)]:
             paths = list(all_simple_paths(g, s, t))
-            by_fidelity = max(paths, key=lambda p: path_fidelity(g, p))
+            by_fidelity = max(paths, key=lambda p: path_esp(g, p))
             weight = lambda p: sum(edge_weight(g.error(a, b)) for a, b in zip(p, p[1:]))
             by_weight = min(paths, key=weight)
-            assert path_fidelity(g, by_fidelity) == pytest.approx(path_fidelity(g, by_weight), abs=1e-12)
+            assert path_esp(g, by_fidelity) == pytest.approx(path_esp(g, by_weight), abs=1e-12)
 
 
 class TestMinNoiseSteinerTree:
@@ -241,7 +236,7 @@ class TestMatchesReference:
     def test_best_path_matches_reference(self, name):
         g = builtin(name)
         for s, t in itertools.permutations(sorted(g.vertices), 2):
-            assert best_path(g, s, t) == reference_dijkstra_path(g, (s,), t, g.vertex_mask)
+            assert tree_path(g, s, t) == reference_dijkstra_path(g, (s,), t, g.vertex_mask)
 
 
 class TestTraversals:

@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, target_aided_rows_bruteforce, xor_rows
+from conftest import random_connected_graph, random_invertible, target_aided_rows_bruteforce, xor_rows
 from cnotsynth.arch import CouplingGraph, builtin, remove_vertex
-from cnotsynth.gf2 import ParityMatrix, random_invertible
+from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping, TabuConfig
 from cnotsynth.circuit import CNOT, Circuit, OneQubit, random_cnot_circuit
 from cnotsynth.synth import (
@@ -17,7 +17,6 @@ from cnotsynth.synth import (
     eliminate_column,
     eliminate_row,
     extended_assign,
-    gate_list_failure,
     synthesize,
     target_aided_rows,
     verification_failure,
@@ -325,7 +324,7 @@ class TestVerifyEquivalence:
         lambda q: circuit_failure(Circuit(3, (CNOT(0, 1),)), Circuit(5, (CNOT(3, 4),)), q, Mapping((0, 1, 7))),
         lambda q: circuit_failure(Circuit(3, (OneQubit("h", 2),)), Circuit(5, (OneQubit("h", 2),)), q, Mapping((0, 1))),
         lambda q: circuit_failure(Circuit(3, ()), Circuit(5, ()), q, Mapping((0, 1))),
-        lambda q: gate_list_failure(ParityMatrix.identity(3), q, Mapping((0, 1)), []),
+        lambda q: verification_failure(ParityMatrix.identity(3), q, Mapping((0, 1)), []),
     ], ids=["vertex-outside-device", "qubit-unplaced-before-a-gate", "qubit-unplaced-empty", "gate-list-unplaced"])
     def test_bad_mapping_is_a_failure(self, check):
         failure = check(builtin("quito"))
@@ -342,7 +341,7 @@ class TestVerifyEquivalence:
         assert res.cnot_count > 0
         broken = dataclasses.replace(res, gates=res.gates[:-1])
         assert not verify_equivalence(m, broken)
-        assert "differs" in verification_failure(m, broken)
+        assert "differs" in verification_failure(m, g, res.mapping, broken.gates)
 
     def test_detects_non_edge_gate(self):
         from cnotsynth.circuit import CNOT
@@ -351,16 +350,16 @@ class TestVerifyEquivalence:
         m = random_invertible(5, 31)
         res = synthesize(m, g, SMALL_CONFIG)
         tampered = dataclasses.replace(res, gates=res.gates + (CNOT(0, 4),))
-        assert "not a coupling edge" in verification_failure(m, tampered)
+        assert "not a coupling edge" in verification_failure(m, g, res.mapping, tampered.gates)
 
     def test_detects_ancilla_leaks(self):
         # Two logical qubits on quito; physical 2, 3, 4 are ancilla rows 2, 3, 4.
         from cnotsynth.circuit import CNOT
 
         g, mapping, m = builtin("quito"), Mapping((0, 1)), ParityMatrix.identity(2)
-        assert gate_list_failure(m, g, mapping, [CNOT(1, 2), CNOT(1, 2)]) is None
-        assert gate_list_failure(m, g, mapping, [CNOT(2, 1)]) == "row 1 depends on ancilla qubits"
-        assert gate_list_failure(m, g, mapping, [CNOT(1, 3)]) == "ancilla row 3 depends on logical qubits"
+        assert verification_failure(m, g, mapping, [CNOT(1, 2), CNOT(1, 2)]) is None
+        assert verification_failure(m, g, mapping, [CNOT(2, 1)]) == "row 1 depends on ancilla qubits"
+        assert verification_failure(m, g, mapping, [CNOT(1, 3)]) == "ancilla row 3 depends on logical qubits"
 
 
     def test_unfinished_elimination_raises(self, monkeypatch):
