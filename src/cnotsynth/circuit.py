@@ -293,6 +293,8 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
 
     The per-(shot, gate) randomness is pre-generated from the seed, so the
     estimate is reproducible bit-exactly and independent of evaluation order.
+    Every gate must sit on a coupling edge, so the state is no wider than the
+    device's ids, however wide the circuit's register.
     numpy is imported here, not at module level, so that callers who never
     sample do not pay for loading it.
     """
@@ -305,7 +307,7 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    state = np.zeros((shots, circuit.n), dtype=np.uint8)
+    state = np.zeros((shots, min(circuit.n, max(graph.vertices) + 1)), dtype=np.uint8)
     for k, g in enumerate(circuit.gates):
         if not graph.has_edge(g.control, g.target):  # type: ignore[union-attr]
             raise ValueError(f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge")

@@ -55,9 +55,6 @@ class Mapping:
     def physical(self, logical: int) -> int:
         return self.assign[logical]
 
-    def inverse(self) -> dict[int, int]:
-        return {p: m for m, p in enumerate(self.assign)}
-
 
 @dataclass(frozen=True)
 class TabuConfig:

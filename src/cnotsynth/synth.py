@@ -1,27 +1,30 @@
 """Layer-convergence nearest-neighbor synthesis of CNOT circuits.
 
-The parity matrix is driven to the identity one layer (column i, then row i)
-at a time.  Row operations are confined to edges of a minimum-noise Steiner
-tree over the residual coupling graph, and after each layer the physical
-qubit hosting logical i is removed from the residual graph.  The residual
-graph is an int vertex mask over the device graph, so removing a qubit
-clears one bit and no graph is rebuilt.  The synthesized circuit is the
-reverse cascade of the recorded row operations, mapped to physical ids.
+The parity matrix is driven to the identity one layer at a time.  Each layer
+pivots on the physical qubit q hosting the next logical qubit: column q, then
+row q.  Row operations are confined to edges of a minimum-noise Steiner tree
+over the residual coupling graph, and after each layer q leaves the residual
+graph.  The residual graph is an int vertex mask over the device graph, so
+removing a qubit clears one bit and no graph is rebuilt.
 
-When the matrix is smaller than the device, spare physical qubits act as
-clean ancillas: the matrix is embedded into a device-sized one (identity on
-the spare rows) so that Steiner points and target-aided rows may use them.
-Row indices at or above the logical count denote ancillas; the verification
-check then requires the logical block to match and both off-diagonal blocks
-to vanish, which guarantees the ancillas return to |0> and never leak into
-the logical qubits.
+Elimination works in physical-qubit space.  The mapping is applied once, when
+the work matrix is built: row p and column p belong to physical qubit p, so
+every recorded row operation is already a physical (control, target) pair and
+the synthesized circuit is their reverse cascade.  When the matrix is smaller
+than the device, spare physical qubits act as clean ancillas: their rows
+start as unit vectors, so Steiner points and target-aided rows may use them.
+An id that is not a vertex gets a zero row and is never touched.  The final
+check requires every mapped row to be its unit vector and no spare row to
+depend on a mapped qubit, which guarantees the ancillas return to |0> and
+never leak into the logical qubits.  ``verification_failure`` re-checks a
+gate list independently, in logical row order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arch import CouplingGraph
+from .arch import CouplingGraph, mask_vertices
 from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 from .circuit import CNOT, Circuit, relocate, segment_runs
 from .circuit import depth as circuit_depth
@@ -65,38 +68,32 @@ def extended_assign(graph: CouplingGraph, mapping: Mapping) -> tuple[int, ...]:
 # Target-aided rows
 # ---------------------------------------------------------------------------
 
-def target_aided_rows(m: ParityMatrix, i: int) -> set[int]:
-    """Rows below layer i whose XOR equals row i plus its unit vector.
+def target_aided_rows(m: ParityMatrix, q: int, residual: int) -> set[int]:
+    """Residual rows other than q whose XOR equals row q plus its unit vector.
 
-    Found by solving the GF(2) linear system over the remaining rows; for an
-    invertible matrix with layers before i eliminated the solution exists and
-    is unique.  Returns the empty set when row i is already a unit vector.
+    Found by solving the GF(2) linear system over those rows, in ascending
+    id.  With column q a unit vector and the layers before q eliminated,
+    they are independent, so the solution exists and is unique.  Returns the
+    empty set when row q is already a unit vector.
     """
     rows = m.rows
-    if not 0 <= i < len(rows):
-        raise ValueError(f"layer index {i} outside [0,{len(rows)})")
-    y = rows[i] ^ (1 << i)
+    y = rows[q] ^ (1 << q)
     if not y:
         return set()
-    if i + 1 == len(rows):
-        raise RuntimeError(f"no rows left to aid elimination of row {i}")
-    x = solve_gf2(rows[i + 1:], y)
+    rest = list(mask_vertices(residual & ~(1 << q)))
+    if not rest:
+        raise RuntimeError(f"no rows left to aid elimination of row {q}")
+    x = solve_gf2([rows[p] for p in rest], y)
     if x is None:
         raise RuntimeError(
-            f"no target-aided row set for row {i}; matrix is singular or layers are out of order"
+            f"no target-aided row set for row {q}; matrix is singular or layers are out of order"
         )
-    return {i + 1 + j for j in range(x.bit_length()) if x >> j & 1}
+    return {rest[j] for j in mask_vertices(x)}
 
 
 # ---------------------------------------------------------------------------
 # Layer elimination
 # ---------------------------------------------------------------------------
-
-def _placement(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping, residual: int | None):
-    if mapping.n != m.n:
-        raise ValueError(f"mapping covers {mapping.n} rows but matrix has {m.n}")
-    return mapping.assign, mapping.inverse(), graph.vertex_mask if residual is None else residual
-
 
 def _check_inside(residual: int, qubits: set[int]) -> None:
     outside = sorted(q for q in qubits if not residual >> q & 1)
@@ -104,119 +101,93 @@ def _check_inside(residual: int, qubits: set[int]) -> None:
         raise RuntimeError(f"qubits {outside} outside residual graph; mapping replay invariant violated")
 
 
-def _column_ones(m: ParityMatrix, i: int) -> list[int]:
-    return [r for r, row in enumerate(m.rows) if row >> i & 1]
+def _column_ones(m: ParityMatrix, q: int) -> list[int]:
+    return [p for p, row in enumerate(m.rows) if row >> q & 1]
 
 
-def _check_unit_column(m: ParityMatrix, i: int) -> None:
-    if _column_ones(m, i) != [i]:
-        raise RuntimeError(f"column {i} failed to reduce to a unit vector")
+def _check_unit_column(m: ParityMatrix, q: int) -> None:
+    if _column_ones(m, q) != [q]:
+        raise RuntimeError(f"column {q} failed to reduce to a unit vector")
 
 
-def _check_unit_row(m: ParityMatrix, i: int) -> None:
-    if m.rows[i] != 1 << i:
-        raise RuntimeError(f"row {i} failed to reduce to a unit vector")
+def _check_unit_row(m: ParityMatrix, q: int) -> None:
+    if m.rows[q] != 1 << q:
+        raise RuntimeError(f"row {q} failed to reduce to a unit vector")
 
 
-def eliminate_column(
-    m: ParityMatrix,
-    graph: CouplingGraph,
-    mapping: Mapping,
-    i: int,
-    residual: int | None = None,
-) -> list[tuple[int, int]]:
-    """Reduce column i to its unit vector using residual-graph edges only.
+def eliminate_column(m: ParityMatrix, graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
+    """Reduce column q to its unit vector using residual-graph edges only.
 
-    The residual graph is the subgraph of ``graph`` induced by the vertex
-    mask ``residual`` (default: all of ``graph``).  A minimum-noise Steiner
-    tree is grown over the qubits hosting the column's 1-entries, rooted at
-    the qubit hosting row i.  A postorder pass first fills 0-valued tree
+    ``m`` is indexed by physical qubit, and the residual graph is the
+    subgraph of ``graph`` induced by the vertex mask ``residual``.  A
+    minimum-noise Steiner tree is grown over the qubits whose rows have a 1
+    in column q, rooted at q.  A postorder pass first fills 0-valued tree
     vertices from a 1-valued child; a second postorder pass XORs every
     vertex into each of its children, clearing all entries except the root's.
 
     Returns the recorded (control, target) row operations.
     """
-    assign, phys_to_row, residual = _placement(m, graph, mapping, residual)
-    root = assign[i]
-    terminals = {assign[j] for j in _column_ones(m, i)}
+    terminals = set(_column_ones(m, q))
     if not terminals:
-        raise RuntimeError(f"column {i} is all zeros; matrix is singular")
-    _check_inside(residual, terminals | {root})
+        raise RuntimeError(f"column {q} is all zeros; matrix is singular")
+    _check_inside(residual, terminals | {q})
 
-    tree = min_noise_steiner_tree(graph, root, terminals, residual)
+    tree = min_noise_steiner_tree(graph, q, terminals, residual)
     order = postorder(tree)
-    rows, bit = m.rows, 1 << i
+    rows, bit = m.rows, 1 << q
     ops: list[tuple[int, int]] = []
-    for c_phys in order:
-        if c_phys == root:
+    for c in order:
+        if c == q:
             continue
-        k_phys = tree.parent[c_phys]
-        c, k = phys_to_row[c_phys], phys_to_row[k_phys]
+        k = tree.parent[c]
         if not rows[k] & bit and rows[c] & bit:
             m.row_xor(c, k)
             ops.append((c, k))
-    for c_phys in order:
-        for l_phys in tree.children[c_phys]:
-            c, l = phys_to_row[c_phys], phys_to_row[l_phys]
+    for c in order:
+        for l in tree.children[c]:
             m.row_xor(c, l)
             ops.append((c, l))
-    _check_unit_column(m, i)
+    _check_unit_column(m, q)
     return ops
 
 
-def eliminate_row(
-    m: ParityMatrix,
-    graph: CouplingGraph,
-    mapping: Mapping,
-    i: int,
-    residual: int | None = None,
-) -> list[tuple[int, int]]:
-    """Reduce row i to its unit vector, assuming column i is already unit.
+def eliminate_row(m: ParityMatrix, graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
+    """Reduce row q to its unit vector, assuming column q is already unit.
 
-    The residual graph is given as in ``eliminate_column``.  The
+    ``m`` and the residual graph are given as in ``eliminate_column``.  The
     target-aided row set S is located first; a minimum-noise Steiner tree
-    then spans the qubits hosting S, rooted at the qubit hosting row i.  A
-    preorder pass folds every tree vertex outside S into its parent, and a
-    postorder pass folds every vertex into its parent, leaving row i equal to
-    its former value XOR the rows of S, i.e. the unit vector.
+    then spans S, rooted at q.  A preorder pass folds every tree vertex
+    outside S into its parent, and a postorder pass folds every vertex into
+    its parent, leaving row q equal to its former value XOR the rows of S,
+    i.e. the unit vector.
     """
-    assign, phys_to_row, residual = _placement(m, graph, mapping, residual)
-    aid = target_aided_rows(m, i)
+    aid = target_aided_rows(m, q, residual)
     if not aid:
         return []
-    root = assign[i]
-    aid_phys = {assign[k] for k in aid}
-    _check_inside(residual, aid_phys | {root})
+    _check_inside(residual, aid | {q})
 
-    tree = min_noise_steiner_tree(graph, root, aid_phys | {root}, residual)
+    tree = min_noise_steiner_tree(graph, q, aid | {q}, residual)
     ops: list[tuple[int, int]] = []
-    for r_phys in preorder(tree):
-        if r_phys == root or r_phys in aid_phys:
+    for r in preorder(tree):
+        if r == q or r in aid:
             continue
-        k_phys = tree.parent[r_phys]
-        r, k = phys_to_row[r_phys], phys_to_row[k_phys]
+        k = tree.parent[r]
         m.row_xor(r, k)
         ops.append((r, k))
-    for r_phys in postorder(tree):
-        if r_phys == root:
+    for r in postorder(tree):
+        if r == q:
             continue
-        k_phys = tree.parent[r_phys]
-        r, k = phys_to_row[r_phys], phys_to_row[k_phys]
+        k = tree.parent[r]
         m.row_xor(r, k)
         ops.append((r, k))
-    _check_unit_row(m, i)
-    _check_unit_column(m, i)
+    _check_unit_row(m, q)
+    _check_unit_column(m, q)
     return ops
 
 
 # ---------------------------------------------------------------------------
 # Full synthesis
 # ---------------------------------------------------------------------------
-
-def _embed(m: ParityMatrix, size: int) -> ParityMatrix:
-    """``m`` extended to ``size`` rows by the identity on the ancilla rows."""
-    return ParityMatrix.from_rows(m.rows + [1 << r for r in range(m.n, size)])
-
 
 def _block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
     """Why a device-sized parity matrix fails to realize ``logical_rows``; None if it does.
@@ -263,23 +234,31 @@ def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, ma
 
 
 def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> SynthesisResult:
-    """Eliminate the invertible ``m`` layer by layer under a checked mapping."""
-    n = m.n
-    assign = extended_assign(graph, mapping)
-    full = Mapping(assign)
-    work = _embed(m, graph.num_vertices)
+    """Eliminate the invertible ``m`` layer by layer under a checked mapping.
+
+    The work matrix is ``m`` moved into physical-qubit space: logical row r
+    becomes row ``assign[r]`` with bit j moved to bit ``assign[j]``, a spare
+    vertex p gets ``1 << p`` and an id that is not a vertex gets 0.
+    """
+    assign = mapping.assign
+    rows = [0] * (max(graph.vertices) + 1)
+    for p in graph.vertices:
+        rows[p] = 1 << p
+    for r, row in enumerate(m.rows):
+        rows[assign[r]] = sum(1 << assign[j] for j in mask_vertices(row))
+    work = ParityMatrix.from_rows(rows)
     residual = graph.vertex_mask
     recorded: list[tuple[int, int]] = []
-    for i in range(n):
-        recorded.extend(eliminate_column(work, graph, full, i, residual))
-        recorded.extend(eliminate_row(work, graph, full, i, residual))
-        residual &= ~(1 << assign[i])
-    failure = _block_failure(work.rows, [1 << r for r in range(n)])
-    if failure is not None:
-        raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
-
-    gates = tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
-    return SynthesisResult(gates=gates, mapping=mapping, graph=graph)
+    for q in assign:
+        recorded.extend(eliminate_column(work, graph, q, residual))
+        recorded.extend(eliminate_row(work, graph, q, residual))
+        residual &= ~(1 << q)
+    mapped, rows = graph.vertex_mask & ~residual, work.rows
+    unfinished = [f"row {p} is not a unit vector" for p in mask_vertices(mapped) if rows[p] != 1 << p]
+    unfinished += [f"ancilla row {p} depends on logical qubits" for p in mask_vertices(residual) if rows[p] & mapped]
+    if unfinished:
+        raise RuntimeError(f"elimination finished without reaching the identity: {unfinished[0]}")
+    return SynthesisResult(gates=tuple(CNOT(c, t) for c, t in reversed(recorded)), mapping=mapping, graph=graph)
 
 
 def synthesize(

@@ -4,7 +4,8 @@ mapping construction that rebuilds every residual graph, the two-memo
 mapping search that the step memo replaced, the Hamiltonian-path
 search that floods every branch, the triple-loop shortest-path counts that
 the mask accumulation replaced, the restart-per-terminal Steiner tree that
-the resumable one replaced, the numpy GF(2) solver that the bitwise one
+the resumable one replaced, the extended-logical-order elimination that
+physical-qubit indexing replaced, the numpy GF(2) solver that the bitwise one
 replaced, and the per-character QASM reader that the statement splitter and
 keyword grammar replaced."""
 from __future__ import annotations
@@ -31,9 +32,9 @@ from cnotsynth.arch import (
     remove_vertex,
 )
 from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError, esp, random_cnot_circuit
-from cnotsynth.gf2 import ParityMatrix
+from cnotsynth.gf2 import ParityMatrix, solve_gf2
 from cnotsynth.mapping import Mapping, TabuConfig, _connectivity_product, derive_seed
-from cnotsynth.steiner import SteinerTree, min_noise_steiner_tree
+from cnotsynth.steiner import SteinerTree, min_noise_steiner_tree, postorder, preorder
 
 
 def random_connected_graph(n: int, seed: int, extra_edges: int | None = None) -> CouplingGraph:
@@ -505,6 +506,109 @@ def reference_min_noise_steiner_tree(graph: CouplingGraph, root: int, terminals,
 
 
 # ---------------------------------------------------------------------------
+# Elimination in extended-logical row order
+# ---------------------------------------------------------------------------
+# The elimination that physical-qubit indexing replaced, kept as the oracle of
+# the differential tests in test_synth.py.  Row k of the work matrix belongs
+# to logical qubit k; spare vertices follow as ancilla rows in ascending id
+# order, and every row operation is translated to a CNOT at the end.
+
+def physical_matrix(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> ParityMatrix:
+    """``m`` indexed by physical qubit: entry (assign[r], assign[j]) is m's
+    (r, j); spare vertices carry unit rows and other ids zero rows."""
+    size = max(graph.vertices) + 1
+    bits = np.zeros((size, size), dtype=np.uint8)
+    for p in graph.vertices:
+        bits[p, p] = 1
+    assign = list(mapping.assign)
+    bits[np.ix_(assign, assign)] = m.bits
+    return ParityMatrix(bits)
+
+
+def reference_target_aided_rows(m: ParityMatrix, i: int) -> set[int]:
+    rows = m.rows
+    y = rows[i] ^ (1 << i)
+    if not y:
+        return set()
+    x = solve_gf2(rows[i + 1:], y)
+    if x is None:
+        raise RuntimeError(f"no target-aided row set for row {i}")
+    return {i + 1 + j for j in range(x.bit_length()) if x >> j & 1}
+
+
+def _reference_column_ones(m: ParityMatrix, i: int) -> list[int]:
+    return [r for r, row in enumerate(m.rows) if row >> i & 1]
+
+
+def reference_eliminate_column(m: ParityMatrix, graph: CouplingGraph, assign, i: int, residual: int):
+    """Row-indexed column pass; ``assign`` covers every row of ``m``."""
+    phys_to_row = {p: r for r, p in enumerate(assign)}
+    root = assign[i]
+    terminals = {assign[j] for j in _reference_column_ones(m, i)}
+    tree = min_noise_steiner_tree(graph, root, terminals, residual)
+    order = postorder(tree)
+    rows, bit = m.rows, 1 << i
+    ops = []
+    for c_phys in order:
+        if c_phys == root:
+            continue
+        c, k = phys_to_row[c_phys], phys_to_row[tree.parent[c_phys]]
+        if not rows[k] & bit and rows[c] & bit:
+            m.row_xor(c, k)
+            ops.append((c, k))
+    for c_phys in order:
+        for l_phys in tree.children[c_phys]:
+            c, l = phys_to_row[c_phys], phys_to_row[l_phys]
+            m.row_xor(c, l)
+            ops.append((c, l))
+    assert _reference_column_ones(m, i) == [i]
+    return ops
+
+
+def reference_eliminate_row(m: ParityMatrix, graph: CouplingGraph, assign, i: int, residual: int):
+    """Row-indexed row pass; ``assign`` covers every row of ``m``."""
+    phys_to_row = {p: r for r, p in enumerate(assign)}
+    aid = reference_target_aided_rows(m, i)
+    if not aid:
+        return []
+    root = assign[i]
+    aid_phys = {assign[k] for k in aid}
+    tree = min_noise_steiner_tree(graph, root, aid_phys | {root}, residual)
+    ops = []
+    for r_phys in preorder(tree):
+        if r_phys == root or r_phys in aid_phys:
+            continue
+        r, k = phys_to_row[r_phys], phys_to_row[tree.parent[r_phys]]
+        m.row_xor(r, k)
+        ops.append((r, k))
+    for r_phys in postorder(tree):
+        if r_phys == root:
+            continue
+        r, k = phys_to_row[r_phys], phys_to_row[tree.parent[r_phys]]
+        m.row_xor(r, k)
+        ops.append((r, k))
+    assert m.rows[i] == 1 << i and _reference_column_ones(m, i) == [i]
+    return ops
+
+
+def reference_eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> tuple[CNOT, ...]:
+    """Gates of the row-indexed elimination of ``m`` under ``mapping``."""
+    n = m.n
+    assign = tuple(mapping.assign) + tuple(sorted(graph.vertices - set(mapping.assign)))
+    work = ParityMatrix.from_rows(m.rows + [1 << r for r in range(n, graph.num_vertices)])
+    residual = graph.vertex_mask
+    recorded = []
+    for i in range(n):
+        recorded += reference_eliminate_column(work, graph, assign, i, residual)
+        recorded += reference_eliminate_row(work, graph, assign, i, residual)
+        residual &= ~(1 << assign[i])
+    logical = (1 << n) - 1
+    assert all(work.rows[r] == 1 << r for r in range(n))
+    assert not any(row & logical for row in work.rows[n:])
+    return tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
+
+
+# ---------------------------------------------------------------------------
 # GF(2) oracles
 # ---------------------------------------------------------------------------
 
@@ -520,20 +624,20 @@ def xor_rows(matrix, indices) -> np.ndarray:
     return out
 
 
-def target_aided_rows_bruteforce(m: ParityMatrix, i: int) -> set[int]:
+def target_aided_rows_bruteforce(m: ParityMatrix, q: int, residual: int) -> set[int]:
     """Subset-enumeration oracle for ``target_aided_rows`` (rows <= 10)."""
     if m.n > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute-force matcher limited to {BRUTEFORCE_LIMIT} rows, got {m.n}")
     rows = m.rows
-    y = rows[i] ^ (1 << i)
+    y = rows[q] ^ (1 << q)
     if not y:
         return set()
-    rest = range(i + 1, m.n)
+    rest = [p for p in range(m.n) if residual >> p & 1 and p != q]
     for size in range(1, len(rest) + 1):
         for combo in itertools.combinations(rest, size):
             if reduce(xor, (rows[k] for k in combo)) == y:
                 return set(combo)
-    raise RuntimeError(f"no target-aided row set for row {i}")
+    raise RuntimeError(f"no target-aided row set for row {q}")
 
 
 def reference_gf2_rank(matrix) -> int:

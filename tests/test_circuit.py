@@ -339,6 +339,24 @@ class TestMonteCarlo:
         )
         assert hits >= 49
 
+    def test_state_sized_by_device_not_register(self):
+        # A register of 10^6 qubits on quito: the state must span the
+        # device's 5 ids, not 10 shots x 10^6 bytes, with the same estimate.
+        import tracemalloc
+
+        import numpy  # noqa: F401  (imported before tracing starts)
+
+        g = builtin("quito")
+        gates = (CNOT(0, 1), CNOT(1, 3), CNOT(3, 4))
+        tracemalloc.start()
+        try:
+            wide = monte_carlo_fidelity(Circuit(10**6, gates), g, shots=10, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert wide == monte_carlo_fidelity(Circuit(5, gates), g, shots=10, seed=4)
+
     def test_rejects_mixed_circuit(self):
         with pytest.raises(ValueError, match="CNOT-only"):
             monte_carlo_fidelity(Circuit(2, (OneQubit("h", 0),)), builtin("linear(2)"), 10, 0)

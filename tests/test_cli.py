@@ -266,6 +266,17 @@ class TestVerifyCommand:
         assert main(["verify", str(original), str(synthesized), str(mapping)]) == 2
         assert "outside the device" in capsys.readouterr().err
 
+    def test_register_wider_than_device_exits_2(self, tmp_path, capsys):
+        # The quito output with its register widened: every gate still fits.
+        inp, out, mapping = self.synth_pair(tmp_path)
+        text = out.read_text()
+        assert "qreg q[5];" in text
+        out.write_text(text.replace("qreg q[5];", "qreg q[9];"), encoding="utf-8")
+        assert main(["verify", inp, str(out), str(mapping)]) == 2
+        captured = capsys.readouterr()
+        assert "equivalent" not in captured.out
+        assert "declares 9 qubits, wider than the device's 5" in captured.err
+
     def test_identity_pair(self, tmp_path, capsys):
         p = tmp_path / "id.qasm"
         p.write_text("qreg q[2];\n", encoding="utf-8")

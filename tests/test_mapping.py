@@ -129,10 +129,6 @@ class TestMappingType:
         with pytest.raises(ValueError, match="injective"):
             Mapping((0, 0, 1))
 
-    def test_inverse(self):
-        m = Mapping((4, 2, 0))
-        assert m.inverse() == {4: 0, 2: 1, 0: 2}
-
 
 class TestConnectivityFactor:
     """The connectivity product over a whole graph, against path enumeration."""

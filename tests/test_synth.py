@@ -7,7 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_invertible, target_aided_rows_bruteforce, xor_rows
+from conftest import (
+    physical_matrix,
+    random_connected_graph,
+    random_invertible,
+    reference_eliminate,
+    target_aided_rows_bruteforce,
+    xor_rows,
+)
 from cnotsynth.arch import CouplingGraph, builtin, remove_vertex
 from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping, TabuConfig
@@ -16,7 +23,6 @@ from cnotsynth.synth import (
     circuit_failure,
     eliminate_column,
     eliminate_row,
-    extended_assign,
     synthesize,
     target_aided_rows,
     verification_failure,
@@ -48,23 +54,24 @@ def matched_rows_matrix():
 
 class TestTargetAidedRows:
     def test_unit_row_gives_empty_set(self):
-        assert target_aided_rows(ParityMatrix.identity(4), 2) == set()
+        assert target_aided_rows(ParityMatrix.identity(4), 2, 0b1111) == set()
 
     def test_matched_pair(self):
         m = matched_rows_matrix()
-        assert target_aided_rows(m, 1) == {3, 4}
-        assert target_aided_rows_bruteforce(m, 1) == {3, 4}
+        residual = 0b11110  # layer 0 has left
+        assert target_aided_rows(m, 1, residual) == {3, 4}
+        assert target_aided_rows_bruteforce(m, 1, residual) == {3, 4}
 
     def test_bruteforce_guardrail(self):
         with pytest.raises(ValueError, match="limited"):
-            target_aided_rows_bruteforce(ParityMatrix.identity(11), 0)
+            target_aided_rows_bruteforce(ParityMatrix.identity(11), 0, (1 << 11) - 1)
 
     def test_singular_matrix_has_no_solution(self):
         m = ParityMatrix([[1, 1], [0, 0]])
         with pytest.raises(RuntimeError, match="no target-aided row set"):
-            target_aided_rows(m, 0)
+            target_aided_rows(m, 0, 0b11)
         with pytest.raises(RuntimeError, match="no target-aided row set"):
-            target_aided_rows_bruteforce(m, 0)
+            target_aided_rows_bruteforce(m, 0, 0b11)
 
     def test_xor_property_after_column_steps(self):
         # Drive random matrices through the layer loop on a complete graph and
@@ -72,18 +79,16 @@ class TestTargetAidedRows:
         for seed in range(25):
             n = 4 + seed % 5
             m = random_invertible(n, 3000 + seed)
-            g = complete_graph(n)
-            mapping = Mapping(tuple(range(n)))
-            residual = g
+            residual = complete_graph(n)
             for i in range(n):
-                eliminate_column(m, residual, mapping, i)
+                eliminate_column(m, residual, i, residual.vertex_mask)
                 expected = m.bits[i].copy()
                 expected[i] ^= 1
-                got = target_aided_rows(m, i)
-                brute = target_aided_rows_bruteforce(m, i)
+                got = target_aided_rows(m, i, residual.vertex_mask)
+                brute = target_aided_rows_bruteforce(m, i, residual.vertex_mask)
                 assert np.array_equal(xor_rows(m.bits, sorted(got)), expected)
                 assert np.array_equal(xor_rows(m.bits, sorted(brute)), expected)
-                eliminate_row(m, residual, mapping, i)
+                eliminate_row(m, residual, i, residual.vertex_mask)
                 residual = remove_vertex(residual, i)
             assert m.is_identity()
 
@@ -91,31 +96,32 @@ class TestTargetAidedRows:
 class TestEliminateColumn:
     def test_worked_example_sequence(self):
         # Quito with logical->physical {0:Q0, 1:Q4, 2:Q3, 3:Q1, 4:Q2};
-        # first column has ones at rows 0, 2, 4.
+        # first column has ones at logical rows 0, 2, 4, i.e. qubits 0, 3, 2.
         g = builtin("quito")
         mapping = Mapping((0, 4, 3, 1, 2))
         bits = np.eye(5, dtype=np.uint8)
         bits[2, 0] = 1
         bits[4, 0] = 1
-        m = ParityMatrix(bits)
-        ops = eliminate_column(m, g, mapping, 0)
-        assert ops == [(4, 3), (3, 4), (3, 2), (0, 3)]
+        m = physical_matrix(ParityMatrix(bits), g, mapping)
+        ops = eliminate_column(m, g, 0, g.vertex_mask)
+        # Logical row ops (4,3), (3,4), (3,2), (0,3) on their qubits.
+        assert ops == [(2, 1), (1, 2), (1, 3), (0, 1)]
         assert m.bits[:, 0].tolist() == [1, 0, 0, 0, 0]
 
     def test_unit_column_no_ops(self):
         m = ParityMatrix.identity(3)
-        assert eliminate_column(m, builtin("linear(3)"), Mapping((0, 1, 2)), 1) == []
+        g = builtin("linear(3)")
+        assert eliminate_column(m, g, 1, g.vertex_mask) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_postcondition_on_linear5(self, seed):
         m = random_invertible(5, 7000 + seed)
         g = builtin("linear(5)")
-        mapping = Mapping((0, 1, 2, 3, 4))
-        ops = eliminate_column(m, g, mapping, 0)
+        ops = eliminate_column(m, g, 0, g.vertex_mask)
         col = m.bits[:, 0]
         assert col[0] == 1 and col.sum() == 1
         for c, t in ops:
-            assert g.has_edge(mapping.assign[c], mapping.assign[t])
+            assert g.has_edge(c, t)
 
 
 class TestEliminateRow:
@@ -123,27 +129,26 @@ class TestEliminateRow:
         # Row 0 needs row 2; vertex 1 hosts a helper row outside the aid set.
         m = ParityMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
         g = builtin("linear(3)")
-        ops = eliminate_row(m, g, Mapping((0, 1, 2)), 0)
+        ops = eliminate_row(m, g, 0, g.vertex_mask)
         assert ops == [(1, 0), (2, 1), (1, 0)]
         assert m.bits[0].tolist() == [1, 0, 0]
 
     def test_unit_row_no_ops(self):
         m = ParityMatrix.identity(4)
-        assert eliminate_row(m, builtin("linear(4)"), Mapping((0, 1, 2, 3)), 2) == []
+        g = builtin("linear(4)")
+        assert eliminate_row(m, g, 2, g.vertex_mask) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_postcondition_preserves_earlier_layers(self, seed):
         n = 6
         m = random_invertible(n, 8000 + seed)
-        g = builtin("linear(6)")
-        mapping = Mapping(tuple(range(n)))
-        residual = g
+        residual = builtin("linear(6)")
         for i in range(n):
-            ops = eliminate_column(m, residual, mapping, i)
-            ops += eliminate_row(m, residual, mapping, i)
+            ops = eliminate_column(m, residual, i, residual.vertex_mask)
+            ops += eliminate_row(m, residual, i, residual.vertex_mask)
             # ops must sit on residual-graph edges at emission time
             for c, t in ops:
-                assert residual.has_edge(mapping.assign[c], mapping.assign[t])
+                assert residual.has_edge(c, t)
             # completed block is unit and stays unit
             done = i + 1
             assert np.array_equal(m.bits[:done, :done], np.eye(done, dtype=np.uint8))
@@ -160,13 +165,14 @@ class TestEliminateRow:
         from cnotsynth.mapping import MappingSearch, initial_mapping, key_qubits
 
         mapping = initial_mapping(MappingSearch(g), n, min(key_qubits(g)), random.Random(seed))
+        m = physical_matrix(m, g, mapping)
         residual = g
-        for i in range(n):
-            ops = eliminate_column(m, residual, mapping, i)
-            ops += eliminate_row(m, residual, mapping, i)
+        for q in mapping.assign:
+            ops = eliminate_column(m, residual, q, residual.vertex_mask)
+            ops += eliminate_row(m, residual, q, residual.vertex_mask)
             for c, t in ops:
-                assert residual.has_edge(mapping.assign[c], mapping.assign[t])
-            residual = remove_vertex(residual, mapping.assign[i])
+                assert residual.has_edge(c, t)
+            residual = remove_vertex(residual, q)
         assert m.is_identity()
 
 
@@ -176,13 +182,15 @@ class TestResidualMaskElimination:
 
     @staticmethod
     def _check(g, mapping, m):
+        m = physical_matrix(m, g, mapping)
         masked, rebuilt = m.copy(), m.copy()
         residual, residual_graph = g.vertex_mask, g
-        for i in range(m.n):
+        for q in mapping.assign:
             for eliminate in (eliminate_column, eliminate_row):
-                assert eliminate(masked, g, mapping, i, residual) == eliminate(rebuilt, residual_graph, mapping, i)
-            residual &= ~(1 << mapping.assign[i])
-            residual_graph = remove_vertex(residual_graph, mapping.assign[i])
+                got = eliminate(masked, g, q, residual)
+                assert got == eliminate(rebuilt, residual_graph, q, residual_graph.vertex_mask)
+            residual &= ~(1 << q)
+            residual_graph = remove_vertex(residual_graph, q)
         assert masked.rows == rebuilt.rows and masked.is_identity()
 
     @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(4,4)"])
@@ -206,7 +214,52 @@ class TestResidualMaskElimination:
     def test_qubit_outside_mask_detected(self):
         m = ParityMatrix.from_circuit([(0, 4)], 5)
         with pytest.raises(RuntimeError, match="residual"):
-            eliminate_column(m, builtin("quito"), Mapping((0, 1, 2, 3, 4)), 0, 0b01111)
+            eliminate_column(m, builtin("quito"), 0, 0b01111)
+
+
+# Ids 1, 3, 4, 6 and 8 are not vertices.
+GAPPED_GRAPH = CouplingGraph(
+    [0, 2, 5, 7, 9],
+    [(0, 2, 0.01), (2, 5, 0.02), (5, 7, 0.01), (7, 9, 0.03), (0, 9, 0.02), (2, 7, 0.015)],
+    name="gapped",
+)
+
+
+class TestMatchesRowIndexedElimination:
+    """Elimination in physical-qubit space emits the gates of the
+    extended-logical-order elimination it replaced (``reference_eliminate``)."""
+
+    @staticmethod
+    def _check(g, n, seeds, iterations=0):
+        from cnotsynth.mapping import optimize_mapping
+
+        mapping = optimize_mapping(g, n, TabuConfig(iterations=iterations, seed=0))
+        for seed in seeds:
+            m = random_invertible(n, seed)
+            res = synthesize(m, g, mapping=mapping)
+            assert res.gates == reference_eliminate(m, g, mapping)
+            assert verify_equivalence(m, res)
+
+    @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(4,4)", "linear(7)"])
+    def test_builtin_devices(self, name):
+        g = builtin(name)
+        self._check(g, g.num_vertices, range(9100, 9103), iterations=1)
+
+    @pytest.mark.parametrize("name,n", [("quito", 3), ("guadalupe", 12), ("guadalupe", 7), ("tokyo", 9),
+                                        ("grid(4,4)", 10), ("linear(7)", 4), ("grid(8,8)", 20)])
+    def test_partial_mappings(self, name, n):
+        self._check(builtin(name), n, range(9200, 9203))
+
+    @pytest.mark.parametrize("size", range(2, 15))
+    def test_random_graphs(self, size):
+        for seed in range(2):
+            g = random_connected_graph(size, 9300 + size + seed)
+            for n in sorted({size, max(2, size // 2)}):
+                self._check(g, n, [9400 + seed])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_vertex_ids_with_gaps(self, n):
+        self._check(GAPPED_GRAPH, n, range(9500, 9506), iterations=1)
 
 
 class TestSynthesize:
@@ -239,7 +292,7 @@ class TestSynthesize:
         m = ParityMatrix.from_circuit([(0, 4)], 5)
         residual = remove_vertex(builtin("quito"), 4)
         with pytest.raises(RuntimeError, match="residual"):
-            eliminate_column(m, residual, Mapping((0, 1, 2, 3, 4)), 0)
+            eliminate_column(m, residual, 0, residual.vertex_mask)
 
     def test_rejects_invalid_mapping(self):
         # Removing vertex 0 first strands nothing on quito, but removing 1 does.
@@ -252,18 +305,15 @@ class TestSynthesize:
         g = builtin("quito")
         m = random_invertible(5, 77)
         res = synthesize(m, g, SMALL_CONFIG)
-        assign = extended_assign(g, res.mapping)
-        full = Mapping(assign)
-        work = m.copy()
+        work = physical_matrix(m, g, res.mapping)
         residual = g.vertex_mask
         recorded = []
-        for i in range(m.n):
-            recorded += eliminate_column(work, g, full, i, residual)
-            recorded += eliminate_row(work, g, full, i, residual)
-            residual &= ~(1 << assign[i])
+        for q in res.mapping.assign:
+            recorded += eliminate_column(work, g, q, residual)
+            recorded += eliminate_row(work, g, q, residual)
+            residual &= ~(1 << q)
         assert work.is_identity()
-        translated = [(assign[c], assign[t]) for c, t in reversed(recorded)]
-        assert [(gate.control, gate.target) for gate in res.gates] == translated
+        assert [(gate.control, gate.target) for gate in res.gates] == recorded[::-1]
 
     @pytest.mark.parametrize("name,seeds", [("quito", range(8)), ("guadalupe", range(6)), ("tokyo", range(4))])
     def test_random_circuits_verify_and_meet_bound(self, name, seeds):
