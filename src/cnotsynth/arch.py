@@ -51,11 +51,14 @@ class CouplingGraph:
     ``vertex_mask`` is set iff v is a vertex.  ``weight_rows[v]`` lists
     ``(w, edge_weight(e))`` for every edge (v, w), w ascending.  All three
     are indexed by vertex id; ids that are not vertices have no neighbours.
+    ``width`` is the largest vertex id plus one (0 for an empty graph): the
+    number of physical-qubit indices, and so the register width of a circuit
+    over the device.
     ``colour_mask`` is one colour class of a proper 2-colouring (every edge
     has exactly one end in it), or ``None`` when the graph is not bipartite.
     """
 
-    __slots__ = ("vertices", "edge_error", "neighbor_masks", "vertex_mask", "weight_rows",
+    __slots__ = ("vertices", "width", "edge_error", "neighbor_masks", "vertex_mask", "weight_rows",
                  "colour_mask", "name", "one_qubit_error")
 
     def __init__(
@@ -71,9 +74,9 @@ class CouplingGraph:
         if one_qubit_error is not None and not 0.0 <= one_qubit_error <= 1.0:
             raise ArchError(f"one-qubit error rate {one_qubit_error} outside [0,1]")
         edge_error: dict[tuple[int, int], float] = {}
-        size = max(vset, default=-1) + 1
-        nbr = [0] * size
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(size)]
+        self.width = width = max(vset, default=-1) + 1
+        nbr = [0] * width
+        rows: list[list[tuple[int, float]]] = [[] for _ in range(width)]
         for u, v, err in edges:
             u, v = int(u), int(v)
             if u == v:

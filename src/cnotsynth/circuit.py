@@ -307,7 +307,7 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    state = np.zeros((shots, min(circuit.n, max(graph.vertices) + 1)), dtype=np.uint8)
+    state = np.zeros((shots, min(circuit.n, graph.width)), dtype=np.uint8)
     for k, g in enumerate(circuit.gates):
         if not graph.has_edge(g.control, g.target):  # type: ignore[union-attr]
             raise ValueError(f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge")
@@ -355,4 +355,4 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
             out.extend(_eliminate(ParityMatrix.from_circuit(run, circuit.n), graph, mapping).gates)
         else:
             out.extend(relocate(g, mapping) for g in run)  # type: ignore[arg-type]
-    return Circuit(max(graph.vertices) + 1, tuple(out), circuit.clbits), mapping
+    return Circuit(graph.width, tuple(out), circuit.clbits), mapping

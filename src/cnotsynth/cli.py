@@ -230,8 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for k, g in enumerate(synthesized.gates):
         if not set(gate_qubits(g)) <= graph.vertices:
             raise InputError(f"gate {k}: {g} uses a qubit outside the device")
-    if synthesized.n > (width := max(graph.vertices) + 1):
-        raise InputError(f"synthesized circuit declares {synthesized.n} qubits, wider than the device's {width}")
+    if synthesized.n > graph.width:
+        raise InputError(f"synthesized circuit declares {synthesized.n} qubits, wider than the device's {graph.width}")
 
     failure = circuit_failure(original, synthesized, graph, mapping)
     if failure is None and synthesized.clbits != original.clbits:

@@ -17,7 +17,9 @@ An id that is not a vertex gets a zero row and is never touched.  The final
 check requires every mapped row to be its unit vector and no spare row to
 depend on a mapped qubit, which guarantees the ancillas return to |0> and
 never leak into the logical qubits.  ``verification_failure`` re-checks a
-gate list independently, in logical row order.
+gate list in the same physical-qubit space, sharing only that final check:
+it replays the gates on unit rows and compares them with the original matrix
+moved through the mapping, and never eliminates.
 """
 from __future__ import annotations
 
@@ -55,13 +57,7 @@ class SynthesisResult:
         return circuit_depth(self.physical_circuit())
 
     def physical_circuit(self) -> Circuit:
-        return Circuit(max(self.graph.vertices) + 1, self.gates)
-
-
-def extended_assign(graph: CouplingGraph, mapping: Mapping) -> tuple[int, ...]:
-    """Mapping extended to all device qubits; spare vertices follow in ascending order."""
-    spare = sorted(graph.vertices - set(mapping.assign))
-    return tuple(mapping.assign) + tuple(spare)
+        return Circuit(self.graph.width, self.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +185,22 @@ def eliminate_row(m: ParityMatrix, graph: CouplingGraph, q: int, residual: int) 
 # Full synthesis
 # ---------------------------------------------------------------------------
 
-def _block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
-    """Why a device-sized parity matrix fails to realize ``logical_rows``; None if it does.
+def _block_failure(rows: list[int], want: dict[int, int], vertex_mask: int) -> str | None:
+    """Why physical-qubit rows fail to realize ``want``; None if they do.
 
-    Its first ``n = len(logical_rows)`` rows must restrict to ``logical_rows``
-    on the logical columns, and neither off-diagonal block (logical rows on
-    ancilla columns, ancilla rows on logical columns) may have a set bit.
+    ``want`` maps each mapped qubit to its expected row.  Each mapped row
+    must equal it, and no other vertex's row (an ancilla) may involve a
+    mapped qubit.  Messages name physical qubits, lowest first.
     """
-    n = len(logical_rows)
-    logical = (1 << n) - 1
-    for r in range(n):
-        if rows[r] & logical != logical_rows[r]:
-            return f"row {r} of the rebuilt parity matrix differs from the original"
-        if rows[r] >> n:
-            return f"row {r} depends on ancilla qubits"
-    for r in range(n, len(rows)):
-        if rows[r] & logical:
-            return f"ancilla row {r} depends on logical qubits"
+    mapped = sum(1 << p for p in want)
+    for p in mask_vertices(mapped):
+        if rows[p] & ~mapped:
+            return f"row {p} depends on ancilla qubits"
+        if rows[p] != want[p]:
+            return f"row {p} differs from the expected row"
+    for p in mask_vertices(vertex_mask & ~mapped):
+        if rows[p] & mapped:
+            return f"ancilla row {p} depends on logical qubits"
     return None
 
 
@@ -241,7 +236,7 @@ def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> Synth
     vertex p gets ``1 << p`` and an id that is not a vertex gets 0.
     """
     assign = mapping.assign
-    rows = [0] * (max(graph.vertices) + 1)
+    rows = [0] * graph.width
     for p in graph.vertices:
         rows[p] = 1 << p
     for r, row in enumerate(m.rows):
@@ -253,11 +248,8 @@ def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> Synth
         recorded.extend(eliminate_column(work, graph, q, residual))
         recorded.extend(eliminate_row(work, graph, q, residual))
         residual &= ~(1 << q)
-    mapped, rows = graph.vertex_mask & ~residual, work.rows
-    unfinished = [f"row {p} is not a unit vector" for p in mask_vertices(mapped) if rows[p] != 1 << p]
-    unfinished += [f"ancilla row {p} depends on logical qubits" for p in mask_vertices(residual) if rows[p] & mapped]
-    if unfinished:
-        raise RuntimeError(f"elimination finished without reaching the identity: {unfinished[0]}")
+    if (failure := _block_failure(work.rows, {p: 1 << p for p in assign}, graph.vertex_mask)) is not None:
+        raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
     return SynthesisResult(gates=tuple(CNOT(c, t) for c, t in reversed(recorded)), mapping=mapping, graph=graph)
 
 
@@ -290,35 +282,39 @@ def verification_failure(
 ) -> str | None:
     """Check physical CNOTs against a logical parity matrix; None means sound.
 
-    Confirms that the mapping places the matrix's qubits on the device and
-    every gate sits on a coupling edge, then rebuilds the parity matrix from
-    the gate list (translated back to matrix rows through the mapping, spare
-    qubits as ancillas) and compares it against the original.
+    Confirms that the mapping places the matrix's qubits on the device, then
+    replays the gates on unit rows indexed by physical qubit, checking that
+    each sits on a coupling edge.  Logical row r, with bit j moved to bit
+    ``assign[j]``, is the row expected of qubit ``assign[r]``; spare vertices
+    are ancillas that must start and end clean.
     """
     if (failure := _mapping_failure(graph, mapping, m_original.n)) is not None:
         return failure
-    for k, g in enumerate(gates):
-        if not graph.has_edge(g.control, g.target):
-            return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
-    assign = extended_assign(graph, mapping)
-    phys_to_row = {p: r for r, p in enumerate(assign)}
-    rebuilt = ParityMatrix.identity(graph.num_vertices)
-    for g in gates:
-        rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
-    return _block_failure(rebuilt.rows, m_original.rows)
+    rows = [1 << p for p in range(graph.width)]
+    for k, (c, t) in enumerate(gates):
+        if not graph.has_edge(c, t):
+            return f"gate {k}: CNOT({c},{t}) is not a coupling edge"
+        rows[t] ^= rows[c]
+    assign = mapping.assign
+    want = {q: sum(1 << p for j, p in enumerate(assign) if row >> j & 1) for q, row in zip(assign, m_original.rows)}
+    return _block_failure(rows, want, graph.vertex_mask)
 
 
 def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, mapping: Mapping) -> str | None:
     """Check a synthesized circuit against its original run by run; None means sound.
 
-    ``mapping`` must place the original's qubits on the device.  Each maximal
-    CNOT run of the original must match the output's CNOTs at that point
-    (possibly none) under ``verification_failure``, and each other gate must
-    come next, relocated through ``mapping``.  An empty original is one
-    empty CNOT run.  A reordered but equivalent output is reported.
+    ``mapping`` must place the original's qubits on the device, inside the
+    output's register.  Each maximal CNOT run of the original must match the
+    output's CNOTs at that point (possibly none) under
+    ``verification_failure``, and each other gate must come next, relocated
+    through ``mapping``.  An empty original is one empty CNOT run.  A
+    reordered but equivalent output is reported.
     """
     if (failure := _mapping_failure(graph, mapping, original.n)) is not None:
         return failure
+    for r, p in enumerate(mapping.assign):
+        if p >= output.n:
+            return f"logical qubit {r} sits on physical qubit {p}, past the output's {output.n} qubits"
     gates = output.gates
     k = 0
     for kind, run in segment_runs(original.gates) or [("cnot", ())]:

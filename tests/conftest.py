@@ -591,10 +591,16 @@ def reference_eliminate_row(m: ParityMatrix, graph: CouplingGraph, assign, i: in
     return ops
 
 
+def extended_assign(graph: CouplingGraph, mapping: Mapping) -> tuple[int, ...]:
+    """Mapping extended to all device qubits; spare vertices follow in ascending order."""
+    spare = sorted(graph.vertices - set(mapping.assign))
+    return tuple(mapping.assign) + tuple(spare)
+
+
 def reference_eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> tuple[CNOT, ...]:
     """Gates of the row-indexed elimination of ``m`` under ``mapping``."""
     n = m.n
-    assign = tuple(mapping.assign) + tuple(sorted(graph.vertices - set(mapping.assign)))
+    assign = extended_assign(graph, mapping)
     work = ParityMatrix.from_rows(m.rows + [1 << r for r in range(n, graph.num_vertices)])
     residual = graph.vertex_mask
     recorded = []
@@ -606,6 +612,44 @@ def reference_eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping)
     assert all(work.rows[r] == 1 << r for r in range(n))
     assert not any(row & logical for row in work.rows[n:])
     return tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
+
+
+# ---------------------------------------------------------------------------
+# Verification in extended-logical row order
+# ---------------------------------------------------------------------------
+# The checker that physical-qubit indexing replaced, kept as the oracle of the
+# differential tests in test_synth.py.  It rebuilds the parity matrix in the
+# order of ``extended_assign`` and names rows in that order, so only its
+# verdict, not its message, is comparable.
+
+def _reference_block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
+    n = len(logical_rows)
+    logical = (1 << n) - 1
+    for r in range(n):
+        if rows[r] & logical != logical_rows[r]:
+            return f"row {r} of the rebuilt parity matrix differs from the original"
+        if rows[r] >> n:
+            return f"row {r} depends on ancilla qubits"
+    for r in range(n, len(rows)):
+        if rows[r] & logical:
+            return f"ancilla row {r} depends on logical qubits"
+    return None
+
+
+def reference_verification_failure(m_original: ParityMatrix, graph: CouplingGraph, mapping: Mapping, gates):
+    """Why ``gates`` fail to realize ``m_original`` under ``mapping``, in logical row order; None if they do."""
+    if mapping.n != m_original.n:
+        return f"mapping covers {mapping.n} qubits, {m_original.n} needed"
+    if not set(mapping.assign) <= graph.vertices:
+        return "mapping uses vertices outside the device"
+    for k, g in enumerate(gates):
+        if not graph.has_edge(g.control, g.target):
+            return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
+    phys_to_row = {p: r for r, p in enumerate(extended_assign(graph, mapping))}
+    rebuilt = ParityMatrix.identity(graph.num_vertices)
+    for g in gates:
+        rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
+    return _reference_block_failure(rebuilt.rows, m_original.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, reference_parse_qasm
+from conftest import extended_assign, random_connected_graph, reference_parse_qasm
 from cnotsynth.arch import CouplingGraph, builtin
 from cnotsynth.circuit import (
     CNOT,
@@ -25,7 +25,7 @@ from cnotsynth.circuit import (
 )
 from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping, TabuConfig, optimize_mapping
-from cnotsynth.synth import circuit_failure, extended_assign
+from cnotsynth.synth import circuit_failure
 
 SMALL_CONFIG = TabuConfig(tabu_len=4, iterations=2, seed=0)
 

@@ -277,6 +277,30 @@ class TestVerifyCommand:
         assert "equivalent" not in captured.out
         assert "declares 9 qubits, wider than the device's 5" in captured.err
 
+    def test_register_narrower_than_mapping_exits_1(self, tmp_path, capsys):
+        # The output declares no qubit to host logical qubits 3 and 4.
+        original = tmp_path / "o.qasm"
+        original.write_text("qreg q[5]; cx q[0],q[1];\n", encoding="utf-8")
+        synthesized = tmp_path / "s.qasm"
+        synthesized.write_text("qreg q[3]; creg c[5]; cx q[0],q[1];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "assign": [0, 1, 2, 3, 4]}), encoding="utf-8")
+        assert main(["verify", str(original), str(synthesized), str(mapping)]) == 1
+        assert capsys.readouterr().out == (
+            "mismatch: logical qubit 3 sits on physical qubit 3, past the output's 3 qubits\n")
+
+    def test_spare_leak_names_the_physical_qubit(self, tmp_path, capsys):
+        # Logical 0 sits on qubit 2 and logical 1 on qubit 0; CNOT(2,1) leaks
+        # logical 0 into the spare qubit 1.
+        original = tmp_path / "o.qasm"
+        original.write_text("qreg q[2];\n", encoding="utf-8")
+        synthesized = tmp_path / "s.qasm"
+        synthesized.write_text("qreg q[5]; cx q[2],q[1];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "assign": [2, 0]}), encoding="utf-8")
+        assert main(["verify", str(original), str(synthesized), str(mapping)]) == 1
+        assert capsys.readouterr().out == "mismatch: ancilla row 1 depends on logical qubits\n"
+
     def test_identity_pair(self, tmp_path, capsys):
         p = tmp_path / "id.qasm"
         p.write_text("qreg q[2];\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import deque
 import itertools
 import json
 import random
@@ -12,12 +13,13 @@ from conftest import (
     random_connected_graph,
     random_invertible,
     reference_eliminate,
+    reference_verification_failure,
     target_aided_rows_bruteforce,
     xor_rows,
 )
 from cnotsynth.arch import CouplingGraph, builtin, remove_vertex
 from cnotsynth.gf2 import ParityMatrix
-from cnotsynth.mapping import Mapping, TabuConfig
+from cnotsynth.mapping import Mapping, TabuConfig, optimize_mapping
 from cnotsynth.circuit import CNOT, Circuit, OneQubit, random_cnot_circuit
 from cnotsynth.synth import (
     circuit_failure,
@@ -262,6 +264,120 @@ class TestMatchesRowIndexedElimination:
         self._check(GAPPED_GRAPH, n, range(9500, 9506), iterations=1)
 
 
+class TestMatchesLogicalOrderChecker:
+    """The physical-qubit checker passes exactly the gate lists that the
+    extended-logical-order checker it replaced
+    (``reference_verification_failure``) passes: synthesized outputs and
+    mutations of them."""
+
+    @staticmethod
+    def _mutants(gates, g, rng):
+        edges = sorted(g.edge_error)
+        u, v = rng.choice(edges)
+        extra = CNOT(u, v) if rng.random() < 0.5 else CNOT(v, u)
+        yield gates + (extra,)
+        k = rng.randrange(len(gates) + 1)
+        yield gates[:k] + (extra, extra) + gates[k:]  # a cancelling pair passes
+        if gates:
+            yield gates[:-1]
+            k = rng.randrange(len(gates))
+            yield gates[:k] + gates[k + 1:]
+            k = rng.randrange(len(gates))
+            yield gates[:k + 1] + gates[k:]
+
+    def _check(self, g, n, seeds, iterations=0):
+        mapping = optimize_mapping(g, n, TabuConfig(iterations=iterations, seed=0))
+        for seed in seeds:
+            m = random_invertible(n, seed)
+            gates = synthesize(m, g, mapping=mapping).gates
+            assert verification_failure(m, g, mapping, gates) is None
+            assert reference_verification_failure(m, g, mapping, gates) is None
+            for mutant in self._mutants(gates, g, random.Random(seed)):
+                new = verification_failure(m, g, mapping, mutant)
+                old = reference_verification_failure(m, g, mapping, mutant)
+                assert (new is None) == (old is None), (mutant, new, old)
+
+    @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(4,4)", "linear(7)"])
+    def test_builtin_devices(self, name):
+        g = builtin(name)
+        self._check(g, g.num_vertices, range(9600, 9603), iterations=1)
+
+    @pytest.mark.parametrize("name,n", [("quito", 3), ("guadalupe", 12), ("tokyo", 9), ("grid(4,4)", 10)])
+    def test_partial_mappings(self, name, n):
+        self._check(builtin(name), n, range(9700, 9703))
+
+    @pytest.mark.parametrize("size", range(2, 15))
+    def test_random_graphs(self, size):
+        for seed in range(2):
+            g = random_connected_graph(size, 9800 + size + seed)
+            for n in sorted({size, max(2, size // 2)}):
+                self._check(g, n, [9900 + seed])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_vertex_ids_with_gaps(self, n):
+        self._check(GAPPED_GRAPH, n, range(9950, 9956), iterations=1)
+
+    def test_a_spare_only_gate_passes_both(self):
+        # CNOT(3, 4) touches only spare qubits, which stay clean of logical ones.
+        g, mapping, m = builtin("quito"), Mapping((2, 0)), ParityMatrix.identity(2)
+        assert verification_failure(m, g, mapping, [CNOT(3, 4)]) is None
+        assert reference_verification_failure(m, g, mapping, [CNOT(3, 4)]) is None
+
+
+def _optimal_counts(g):
+    """Fewest coupling-edge CNOTs realizing each parity matrix on ``g``, by
+    breadth-first search from the identity; matrices are tuples of int rows
+    indexed by physical qubit."""
+    moves = [(c, t) for u, v in g.edge_error for c, t in ((u, v), (v, u))]
+    start = tuple(1 << p for p in range(g.width))
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        rows = queue.popleft()
+        for c, t in moves:
+            nxt = list(rows)
+            nxt[t] ^= rows[c]
+            nxt = tuple(nxt)
+            if nxt not in dist:
+                dist[nxt] = dist[rows] + 1
+                queue.append(nxt)
+    return dist
+
+
+class TestFourQubitOptimum:
+    """Every 4-qubit parity matrix on two 4-qubit devices, against the exact
+    optimum under the same default mapping (ROADMAP item 6)."""
+
+    @pytest.mark.parametrize("g,assign,optimal_mean,mean_bound,gap_bound", [
+        (builtin("linear(4)"), (0, 1, 2, 3), 9.12, 11.29, 11),
+        (CouplingGraph(range(4), [(0, 1, 0.01), (0, 2, 0.01), (0, 3, 0.01)], name="star"),
+         (1, 2, 0, 3), 7.76, 10.26, 11),
+    ], ids=["linear(4)", "star"])
+    def test_all_of_gl4(self, g, assign, optimal_mean, mean_bound, gap_bound):
+        mapping = optimize_mapping(g, 4)
+        assert mapping.assign == assign
+        dist = _optimal_counts(g)
+        assert len(dist) == 20160  # |GL(4,2)|
+        total_optimal = total = worst = 0
+        for physical, optimal in dist.items():
+            # Logical row r is physical row assign[r] with bit assign[j] moved to bit j.
+            m = ParityMatrix.from_rows(
+                [sum(1 << j for j, p in enumerate(assign) if physical[q] >> p & 1) for q in assign])
+            gates = synthesize(m, g, mapping=mapping).gates
+            assert verification_failure(m, g, mapping, gates) is None
+            assert reference_verification_failure(m, g, mapping, gates) is None
+            if gates:
+                assert verification_failure(m, g, mapping, gates[:-1]) is not None
+                assert reference_verification_failure(m, g, mapping, gates[:-1]) is not None
+            assert len(gates) >= optimal
+            total_optimal += optimal
+            total += len(gates)
+            worst = max(worst, len(gates) - optimal)
+        assert round(total_optimal / len(dist), 2) == optimal_mean
+        assert round(total / len(dist), 2) <= mean_bound
+        assert worst <= gap_bound
+
+
 class TestSynthesize:
     def test_identity_gives_no_gates(self):
         res = synthesize(ParityMatrix.identity(5), builtin("quito"), SMALL_CONFIG)
@@ -403,13 +519,29 @@ class TestVerifyEquivalence:
         assert "not a coupling edge" in verification_failure(m, g, res.mapping, tampered.gates)
 
     def test_detects_ancilla_leaks(self):
-        # Two logical qubits on quito; physical 2, 3, 4 are ancilla rows 2, 3, 4.
+        # Two logical qubits on quito under the identity mapping; the spare
+        # physical qubits 2, 3 and 4 are the ancilla rows.
         from cnotsynth.circuit import CNOT
 
         g, mapping, m = builtin("quito"), Mapping((0, 1)), ParityMatrix.identity(2)
         assert verification_failure(m, g, mapping, [CNOT(1, 2), CNOT(1, 2)]) is None
         assert verification_failure(m, g, mapping, [CNOT(2, 1)]) == "row 1 depends on ancilla qubits"
         assert verification_failure(m, g, mapping, [CNOT(1, 3)]) == "ancilla row 3 depends on logical qubits"
+
+    def test_leak_messages_name_physical_qubits(self):
+        # Logical 0 sits on qubit 2 and logical 1 on qubit 0; qubit 1 is spare.
+        g, mapping, m = builtin("quito"), Mapping((2, 0)), ParityMatrix.identity(2)
+        assert verification_failure(m, g, mapping, [CNOT(2, 1)]) == "ancilla row 1 depends on logical qubits"
+        assert verification_failure(m, g, mapping, [CNOT(1, 0)]) == "row 0 depends on ancilla qubits"
+        # CNOT(0, 2) routed through the spare qubit 1, which ends clean.
+        bridged = [CNOT(1, 2), CNOT(0, 1), CNOT(1, 2), CNOT(0, 1)]
+        assert verification_failure(m, g, mapping, bridged) == "row 2 differs from the expected row"
+
+    def test_narrow_output_register_is_a_failure(self):
+        original = Circuit(5, (CNOT(0, 1),))
+        output = Circuit(3, (CNOT(0, 1),))
+        failure = circuit_failure(original, output, builtin("quito"), Mapping((0, 1, 2, 3, 4)))
+        assert failure == "logical qubit 3 sits on physical qubit 3, past the output's 3 qubits"
 
 
     def test_unfinished_elimination_raises(self, monkeypatch):
