@@ -1,4 +1,4 @@
-"""Error-weighted coupling graphs: parsing, device catalog, cut points, Hamiltonian paths.
+"""Error-weighted coupling graphs: parsing, device catalog, blocks and cut points, Hamiltonian paths.
 
 A coupling graph describes which physical-qubit pairs support a CNOT and at
 what error rate.  Graphs are immutable after construction.  Each graph
@@ -6,8 +6,8 @@ keeps one adjacency, as bitmasks: one int neighbour mask per vertex id and
 one mask of all vertices, plus one weight row per vertex id holding the
 ``-ln(1 - e)`` routing weight of each incident edge.  A residual graph, in
 the mapping search, in layer elimination and in the mapping objective, is
-an int vertex mask over one base graph; connectivity, cut points and
-Hamiltonian paths take that mask and never build a new graph.
+an int vertex mask over one base graph; connectivity, biconnected blocks,
+cut points and Hamiltonian paths take that mask and never build a new graph.
 ``remove_vertex`` (a checked ``induced_subgraph``) and ``induced_subgraph``
 still build one: nothing in the package calls them, but the benchmark's
 layer tracer wraps both by name and the tests rebuild residual graphs with
@@ -233,38 +233,47 @@ def _residual_mask(graph: CouplingGraph, mask: int | None) -> tuple[tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# Articulation points / key qubits
+# Biconnected blocks / articulation points / key qubits
 # ---------------------------------------------------------------------------
 
-def articulation_points(graph: CouplingGraph, mask: int | None = None) -> int:
-    """Mask of the vertices whose removal disconnects the graph (cut points).
+def biconnected_blocks(graph: CouplingGraph, mask: int | None = None) -> list[int]:
+    """The biconnected blocks of the graph, each as a vertex mask.
 
+    A block is a maximal subgraph with at least one edge and no cut point of
+    its own: a bridge or a biconnected component (Hopcroft and Tarjan,
+    "Efficient algorithms for graph manipulation", CACM 16(6), 1973).  Every
+    edge lies in exactly one block, and the cut points are the vertices in
+    two or more (``cut_vertices``); a graph of one vertex has no block.
     With ``mask``, the query is about the subgraph induced by the vertices
-    set in it, and its non-cut vertices are ``mask & ~articulation_points(graph,
-    mask)``.  Computed with an iterative lowpoint DFS that visits neighbours
-    in ascending id order.  Requires a connected input.
+    set in it.  Computed with an iterative lowpoint DFS that visits
+    neighbours in ascending id order.  Requires a connected input.
     """
     nbr, mask = _residual_mask(graph, mask)
     if not mask:
-        return 0
+        return []
     root_bit = mask & -mask
-    root = root_bit.bit_length() - 1
     disc = [0] * len(nbr)
     low = [0] * len(nbr)
-    points = 0
+    before = [0] * len(nbr)
+    blocks: list[int] = []
     seen = root_bit
+    closed = 0
     timer = 1
-    root_children = 0
     # Every vertex already seen when v is discovered is an ancestor of v, so
     # v's back edges are known at discovery; the tree edges out of v are
-    # then found one at a time among its still-unseen neighbours.
-    path = [root]
+    # then found one at a time among its still-unseen neighbours.  When v
+    # is popped, the vertices seen since its discovery (not in
+    # ``before[v]``) are its subtree.  If that subtree has no back edge
+    # above v's parent p, its vertices not yet ``closed`` into a deeper
+    # block form one block with p.
+    path = [root_bit.bit_length() - 1]
     while path:
         v = path[-1]
         fresh = nbr[v] & mask & ~seen
         if fresh:
             bit = fresh & -fresh
             w = bit.bit_length() - 1
+            before[w] = seen
             seen |= bit
             lw = disc[w] = timer
             timer += 1
@@ -276,8 +285,6 @@ def articulation_points(graph: CouplingGraph, mask: int | None = None) -> int:
                     lw = d
                 back ^= b
             low[w] = lw
-            if v == root:
-                root_children += 1
             path.append(w)
             continue
         path.pop()
@@ -285,13 +292,33 @@ def articulation_points(graph: CouplingGraph, mask: int | None = None) -> int:
             p = path[-1]
             if low[v] < low[p]:
                 low[p] = low[v]
-            if p != root and low[v] >= disc[p]:
-                points |= 1 << p
+            if low[v] >= disc[p]:
+                subtree = seen & ~before[v] & ~closed
+                blocks.append(subtree | 1 << p)
+                closed |= subtree
     if seen != mask:
         raise ArchError("articulation points are defined here for connected graphs only")
-    if root_children > 1:
-        points |= root_bit
-    return points
+    return blocks
+
+
+def cut_vertices(blocks: Iterable[int]) -> int:
+    """Mask of the vertices set in two or more of the ``blocks`` masks."""
+    seen = shared = 0
+    for block in blocks:
+        shared |= seen & block
+        seen |= block
+    return shared
+
+
+def articulation_points(graph: CouplingGraph, mask: int | None = None) -> int:
+    """Mask of the vertices whose removal disconnects the graph (cut points).
+
+    With ``mask``, the query is about the subgraph induced by the vertices
+    set in it, and its non-cut vertices are ``mask & ~articulation_points(graph,
+    mask)``.  The cut points are the vertices in two or more biconnected
+    blocks (``biconnected_blocks``).  Requires a connected input.
+    """
+    return cut_vertices(biconnected_blocks(graph, mask))
 
 
 def key_qubits(graph: CouplingGraph) -> frozenset[int]:

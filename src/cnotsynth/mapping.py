@@ -6,11 +6,14 @@ connected.  A mapping is built from one seed vertex (a key qubit) by
 assigning logical qubits, in increasing index order, to non-cut vertices of
 the shrinking graph; when the mapping covers the whole device and the
 residual graph carries a Hamiltonian path, the rest of the assignment
-follows that path.
+follows that path (from the whole device on, so a device with a path gives
+every full-device construction the same mapping, whatever its seed vertex).
 
 No residual graph is ever built: it is the base graph's vertex mask with the
-assigned vertices' bits cleared, and its cut points and Hamiltonian path are
-computed on that mask (see ``arch``).  The objective's subgraph induced by
+assigned vertices' bits cleared, and its biconnected blocks and Hamiltonian
+path are computed on that mask (see ``arch``).  A residual reached by
+removing one non-cut vertex takes its parent's blocks and decomposes only
+the one that held the vertex.  The objective's subgraph induced by
 the mapped qubits is likewise the mask of those qubits.  Tabu search
 perturbs the seed vertex of the construction and keeps a bounded table of
 the best-scoring mappings found.  A ``MappingSearch`` is the one context
@@ -27,11 +30,13 @@ from typing import Sequence
 from .arch import (
     HAMILTONIAN_VERTEX_LIMIT,
     CouplingGraph,
-    articulation_points,
+    biconnected_blocks,
+    cut_vertices,
     has_hamiltonian_path,
     key_qubits,
     mask_vertices,
 )
+from .arch import articulation_points  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 from .arch import induced_subgraph  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 
@@ -77,8 +82,9 @@ def derive_seed(seed: int, *key) -> int:
     return int.from_bytes(digest, "big")
 
 
-#: A memoized construction step: (Hamiltonian path, None) or (None, non-cut vertices).
-Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None]
+#: A memoized construction step: ``(path, None, 0, 0, ())`` when it follows
+#: a Hamiltonian path, else ``(None, choices, count, bits, blocks)``.
+Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None, int, int, tuple[int, ...]]
 
 
 class MappingSearch:
@@ -89,10 +95,11 @@ class MappingSearch:
     graph's key qubits and per-vertex mean edge errors are computed once.
     One step memo per construction mode (full-device or partial), keyed by
     residual mask, holds what a construction does there: follow a
-    Hamiltonian path to the end, or draw among the non-cut vertices.  The
-    modes need separate memos because only full-device constructions follow
-    paths.  A third memo, keyed by the mask of the mapped vertices, holds
-    connectivity products.
+    Hamiltonian path to the end, or draw among the non-cut vertices.  A
+    drawing step also keeps the residual's biconnected blocks, from which
+    the steps one removal further on are derived.  The modes need separate
+    memos because only full-device constructions follow paths.  A third
+    memo, keyed by the set of mapped vertices, holds connectivity products.
     ``tabu_search_table`` makes one per search and drops it on return, so
     nothing is kept between searches.
     """
@@ -112,30 +119,47 @@ class MappingSearch:
             nbrs = graph.neighbors(v)
             self.mean_error[v] = sum(graph.error(v, w) for w in nbrs) / len(nbrs) if nbrs else 0.0
         self._steps: tuple[dict[int, Step], dict[int, Step]] = ({}, {})
-        self._product: dict[int, float] = {}
+        self._product: dict[frozenset[int], float] = {}
 
-    def step(self, residual: int, full: bool) -> Step:
-        """The construction step at a connected residual graph, memoized.
+    def step(self, residual: int, full: bool, parent_blocks: tuple[int, ...] | None = None) -> Step:
+        """Compute and memoize the construction step at a connected residual graph.
 
+        ``initial_mapping`` reads the memo itself and calls this on a miss.
         A full-device construction whose residual of at most
         ``HAMILTONIAN_VERTEX_LIMIT`` vertices has a Hamiltonian path follows
-        it to the end: ``(path, None)``.  Otherwise the step draws among the
-        non-cut vertices, in ascending order: ``(None, choices)``.  The
-        whole device is never drawn from (the seed vertex is given), so its
-        non-cut vertices are not computed: without a path, its entry is
-        ``(None, None)``.
+        it to the end: ``(path, None, 0, 0, ())``.  Otherwise the step draws
+        among the non-cut vertices: ``(None, choices, count, bits,
+        blocks)``, with the choices in ascending order, their count and
+        that count's bit length, and the residual's biconnected blocks as
+        vertex masks.  The non-cut vertices are those in fewer than two
+        blocks.
+
+        ``parent_blocks`` are the blocks of the residual this one was
+        reached from by removing one non-cut vertex v; without them (at the
+        whole device) the residual is decomposed whole.  A non-cut v
+        lies in one block, and every other block is still a block once v
+        leaves, so only that one is decomposed again without v; when it is
+        a bridge, nothing of it is left to decompose.
         """
-        steps = self._steps[full]
-        entry = steps.get(residual)
-        if entry is None:
-            path = None
-            if full and residual.bit_count() <= HAMILTONIAN_VERTEX_LIMIT:
-                path = has_hamiltonian_path(self.graph, residual)
-            if path is not None or residual == self.graph.vertex_mask:
-                entry = path, None
+        graph = self.graph
+        path = None
+        if full and residual.bit_count() <= HAMILTONIAN_VERTEX_LIMIT:
+            path = has_hamiltonian_path(graph, residual)
+        if path is not None:
+            entry: Step = path, None, 0, 0, ()
+        else:
+            if parent_blocks is None:
+                blocks = biconnected_blocks(graph, residual)
             else:
-                entry = None, tuple(mask_vertices(residual & ~articulation_points(self.graph, residual)))
-            steps[residual] = entry
+                blocks = []
+                for block in parent_blocks:
+                    if not block & ~residual:
+                        blocks.append(block)
+                    elif block.bit_count() > 2:
+                        blocks += biconnected_blocks(graph, block & residual)
+            choices = tuple(mask_vertices(residual & ~cut_vertices(blocks)))
+            entry = None, choices, len(choices), len(choices).bit_length(), tuple(blocks)
+        self._steps[full][residual] = entry
         return entry
 
     def connectivity_product(self, assign: Sequence[int]) -> float:
@@ -144,18 +168,19 @@ class MappingSearch:
         Raises ``ValueError`` naming the ids in ``assign`` that are not
         vertices of the graph.
         """
-        mask = 0
-        try:
-            for v in assign:
-                mask |= 1 << v
-        except ValueError:  # a negative id
-            mask = -1
-        if mask & ~self.graph.vertex_mask:
-            raise ValueError(f"mapping uses unknown vertices {sorted(set(assign) - self.graph.vertices)}")
-        prod = self._product.get(mask)
+        key = frozenset(assign)
+        prod = self._product.get(key)
         if prod is None:
+            mask = 0
+            try:
+                for v in assign:
+                    mask |= 1 << v
+            except ValueError:  # a negative id
+                mask = -1
+            if mask & ~self.graph.vertex_mask:
+                raise ValueError(f"mapping uses unknown vertices {sorted(set(assign) - self.graph.vertices)}")
             prod = _connectivity_product(self.graph, mask)
-            self._product[mask] = prod
+            self._product[key] = prod
         return prod
 
 
@@ -166,7 +191,14 @@ def initial_mapping(search: MappingSearch, n: int, first: int, rng: random.Rando
     the next logical index to a uniformly random non-cut vertex of the
     residual graph and removes it.  When the mapping covers the whole device
     and the residual graph has a Hamiltonian path, the remaining logical
-    qubits follow the path and the construction stops.
+    qubits follow the path and the construction stops.  The whole device is
+    such a residual too: when it has a path, logical 0 goes to the path's
+    first vertex, not to ``first``, and every construction on the device
+    gives the same mapping.
+
+    Each draw is ``rng.getrandbits`` rejection sampling, the draw that
+    ``rng.randrange(count)`` makes, so it returns the same vertex and
+    leaves the generator in the same state.
 
     Args:
         search: the search over a connected coupling graph.
@@ -188,14 +220,22 @@ def initial_mapping(search: MappingSearch, n: int, first: int, rng: random.Rando
     # optimization; beyond the exhaustive-search guardrail, key-qubit removal
     # alone still terminates correctly.
     full = n == graph.num_vertices
+    steps = search._steps[full]
+    getrandbits = rng.getrandbits
     assign: list[int] = []
     residual = graph.vertex_mask
+    blocks = None
     while len(assign) < n:
-        path, choices = search.step(residual, full)
+        path, choices, count, bits, blocks = steps.get(residual) or search.step(residual, full, blocks)
         if path is not None:
             assign.extend(path)
             break
-        v = choices[rng.randrange(len(choices))] if assign else first
+        v = first
+        if assign:
+            r = getrandbits(bits)
+            while r >= count:
+                r = getrandbits(bits)
+            v = choices[r]
         assign.append(v)
         residual ^= 1 << v
     return Mapping(tuple(assign))
@@ -332,7 +372,9 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     """
     search = MappingSearch(graph)
     base_order = sorted(search.keys)
+    count, bits = len(base_order), len(base_order).bit_length()
     rng = random.Random(derive_seed(config.seed, "seed"))
+    getrandbits = rng.getrandbits
     seed_map = initial_mapping(search, n, base_order[0], rng)
 
     # Assignment -> score.  Insertion order is the table order, which fixes
@@ -341,7 +383,10 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     for it in range(config.iterations):
         for k in range(config.tabu_len):
             rng.seed(derive_seed(config.seed, it, k))
-            cand = initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
+            r = getrandbits(bits)
+            while r >= count:  # rng.randrange(count), drawn as it draws
+                r = getrandbits(bits)
+            cand = initial_mapping(search, n, base_order[r], rng)
             if cand.assign in table:
                 continue
             s = mapping_objective(search, cand)

@@ -53,6 +53,26 @@ def random_connected_graph(n: int, seed: int, extra_edges: int | None = None) ->
     return CouplingGraph(range(n), triples, name=f"rand{n}-{seed}")
 
 
+def _graph(n: int, pairs, name: str) -> CouplingGraph:
+    return CouplingGraph(range(n), [(u, v, 0.01) for u, v in pairs], name=name)
+
+
+#: Hand-made graphs with known biconnected blocks, each block a vertex mask.
+BLOCK_GRAPHS = {
+    "single-edge": (_graph(2, [(0, 1)], "single-edge"), [0b11]),
+    "bowtie": (_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)], "bowtie"), [0b00111, 0b11100]),
+    "k4": (_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], "k4"), [0b1111]),
+    # A 6-cycle with a branching tree on vertex 0 (0-6, 6-7, 6-8, 8-9) and a
+    # two-edge path on vertex 3 (3-10, 10-11).
+    "trees-on-cycle": (
+        _graph(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                    (0, 6), (6, 7), (6, 8), (8, 9), (3, 10), (10, 11)], "trees-on-cycle"),
+        [0b111111, 1 << 0 | 1 << 6, 1 << 6 | 1 << 7, 1 << 6 | 1 << 8, 1 << 8 | 1 << 9,
+         1 << 3 | 1 << 10, 1 << 10 | 1 << 11],
+    ),
+}
+
+
 def random_invertible(n: int, seed: int) -> ParityMatrix:
     """Seeded random invertible n x n matrix (n >= 2): the parity matrix of
     a random CNOT circuit of 5 n^2 gates."""

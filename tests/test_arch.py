@@ -1,9 +1,13 @@
+import functools
+import itertools
+import operator
 import random
 import sys
 
 import pytest
 
 from conftest import (
+    BLOCK_GRAPHS,
     bfs_connected,
     brute_force_articulation,
     brute_force_hamiltonian,
@@ -16,7 +20,9 @@ from cnotsynth.arch import (
     ArchError,
     CouplingGraph,
     articulation_points,
+    biconnected_blocks,
     builtin,
+    cut_vertices,
     has_hamiltonian_path,
     induced_subgraph,
     key_qubits,
@@ -176,6 +182,59 @@ class TestArticulation:
     def test_against_brute_force(self, seed):
         g = random_connected_graph(4 + seed % 9, seed)  # up to 12 vertices
         assert set(mask_vertices(articulation_points(g))) == brute_force_articulation(g)
+
+
+def check_blocks(g, mask, blocks):
+    """Assert that ``blocks`` are the biconnected blocks of the subgraph of
+    ``g`` induced by ``mask``: each edge lies in exactly one, two share at
+    most one vertex, each is an edge or has no cut point of its own, and the
+    vertices in two or more are the brute-force cut points."""
+    sub = induced_subgraph(g, mask_vertices(mask))
+    for u, v, _ in sub.edges():
+        assert sum(block >> u & block >> v & 1 for block in blocks) == 1, (u, v)
+    for a, b in itertools.combinations(blocks, 2):
+        assert (a & b).bit_count() <= 1
+    for block in blocks:
+        assert block & ~mask == 0 and block.bit_count() >= 2
+        inner = induced_subgraph(g, mask_vertices(block))
+        assert bfs_connected(inner) and not brute_force_articulation(inner)
+    assert set(mask_vertices(cut_vertices(blocks))) == brute_force_articulation(sub)
+    if mask.bit_count() > 1:
+        assert functools.reduce(operator.or_, blocks) == mask
+
+
+class TestBiconnectedBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    def test_hand_made_graphs(self, name):
+        g, want = BLOCK_GRAPHS[name]
+        assert sorted(biconnected_blocks(g)) == sorted(want)
+        check_blocks(g, g.vertex_mask, want)
+
+    def test_one_vertex_has_no_block(self):
+        assert biconnected_blocks(CouplingGraph([3], [])) == []
+        assert biconnected_blocks(builtin("quito"), 1 << 2) == [] == biconnected_blocks(builtin("quito"), 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_masks(self, seed):
+        g = random_connected_graph(4 + seed % 9, seed + 500)  # up to 12 vertices
+        check_blocks(g, g.vertex_mask, biconnected_blocks(g))
+        for sub, mask in residual_masks(g, seed):
+            if bfs_connected(sub):
+                blocks = biconnected_blocks(g, mask)
+                check_blocks(g, mask, blocks)
+                assert articulation_points(g, mask) == cut_vertices(blocks)
+            else:
+                with pytest.raises(ArchError, match="connected"):
+                    biconnected_blocks(g, mask)
+
+    @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(3,4)", "linear(6)"])
+    def test_builtin_devices(self, name):
+        g = builtin(name)
+        check_blocks(g, g.vertex_mask, biconnected_blocks(g))
+
+    def test_cut_vertices(self):
+        assert cut_vertices([]) == 0
+        assert cut_vertices([0b011, 0b110, 0b1100]) == 0b110
 
 
 class TestKeyQubits:
@@ -645,11 +704,20 @@ class TestFloodCertificate:
     def test_default_guadalupe_search(self, flood_calls, monkeypatch):
         # One default full-device search floods 1,177 times without the
         # certificate; the count covers MappingSearch's connectivity check.
-        queried = {"articulation_points": [], "has_hamiltonian_path": []}
-        for name, log in queried.items():
-            fn = getattr(mapping, name)
-            monkeypatch.setattr(mapping, name, lambda g, mask, fn=fn, log=log: log.append(mask) or fn(g, mask))
+        # Each residual is stepped, path-searched and decomposed into blocks
+        # at most once; a step decomposes only the block that lost a vertex,
+        # so 38 decompositions visit 423 vertices where one whole lowpoint
+        # DFS per drawing step (482 of them) would visit 5,320.
+        stepped, searched, decomposed = [], [], []
+        step, search, blocks = mapping.MappingSearch.step, mapping.has_hamiltonian_path, mapping.biconnected_blocks
+        monkeypatch.setattr(mapping.MappingSearch, "step",
+                            lambda self, residual, *args: stepped.append(residual) or step(self, residual, *args))
+        monkeypatch.setattr(mapping, "has_hamiltonian_path", lambda g, mask: searched.append(mask) or search(g, mask))
+        monkeypatch.setattr(mapping, "biconnected_blocks",
+                            lambda g, mask=None: decomposed.append(g.vertex_mask if mask is None else mask) or blocks(g, mask))
         mapping.optimize_mapping(builtin("guadalupe"), 16, mapping.TabuConfig(seed=0))
         assert len(flood_calls) == 173
-        for log in queried.values():
+        for log in (stepped, searched):
             assert log and len(log) == len(set(log))
+        assert 0 < len(decomposed) <= len(stepped)
+        assert (len(decomposed), sum(mask.bit_count() for mask in decomposed)) == (38, 423)

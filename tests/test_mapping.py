@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    BLOCK_GRAPHS,
     ReferenceMappingSearch,
     enumerate_shortest_paths,
     random_connected_graph,
@@ -19,7 +20,17 @@ from conftest import (
     reference_tabu_search_table,
 )
 from cnotsynth import mapping
-from cnotsynth.arch import CouplingGraph, builtin, induced_subgraph, key_qubits, mask_vertices, remove_vertex
+from cnotsynth.arch import (
+    CouplingGraph,
+    articulation_points,
+    biconnected_blocks,
+    builtin,
+    has_hamiltonian_path,
+    induced_subgraph,
+    key_qubits,
+    mask_vertices,
+    remove_vertex,
+)
 from cnotsynth.mapping import (
     Mapping,
     MappingSearch,
@@ -329,6 +340,102 @@ class TestAgainstTwoMemoReference:
         table = tabu_search_table(builtin("guadalupe"), 16, config)
         assert calls["initial_mapping"] == 1 + config.iterations * config.tabu_len
         assert len(table) <= calls["mapping_objective"] <= calls["initial_mapping"]
+
+
+class TestBlockCarriedSteps:
+    """A step reached by removing a non-cut vertex carries its parent's
+    blocks but the one that held the vertex, and decomposes only that one
+    again.  Its blocks and choices must equal those of a whole lowpoint DFS
+    of the residual."""
+
+    @staticmethod
+    def exact(g, residual, entry):
+        path, choices, count, bits, blocks = entry
+        assert path is None
+        assert choices == tuple(mask_vertices(residual & ~articulation_points(g, residual))), hex(residual)
+        assert sorted(blocks) == sorted(biconnected_blocks(g, residual)), hex(residual)
+        assert (count, bits) == (len(choices), len(choices).bit_length())
+
+    def check(self, g, seed, chains=4):
+        rng = random.Random(seed)
+        for full in (True, False):
+            search = MappingSearch(g)
+            for _ in range(chains):
+                # A random non-cut removal chain down to the last vertex, or
+                # to a full-device residual with a Hamiltonian path.
+                residual, blocks = g.vertex_mask, None
+                while residual:
+                    entry = search.step(residual, full, blocks)
+                    if entry[0] is not None:
+                        assert full
+                        break
+                    self.exact(g, residual, entry)
+                    blocks = entry[4]
+                    residual ^= 1 << rng.choice(entry[1])
+
+    @pytest.mark.parametrize("size", range(2, 21))
+    def test_random_graphs(self, size):
+        for seed in range(3):
+            self.check(random_connected_graph(size, 9500 + 31 * size + seed), seed)
+
+    @pytest.mark.parametrize("name", BUILTIN_DEVICES)
+    def test_builtin_devices(self, name):
+        self.check(builtin(name), 1)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    def test_hand_made_graphs(self, name):
+        self.check(BLOCK_GRAPHS[name][0], 2, chains=8)
+
+    @pytest.mark.parametrize("name,n", [("guadalupe", 16), ("guadalupe", 12), ("tokyo", 9), ("grid(5,5)", 25)])
+    def test_memo_after_search(self, name, n):
+        # The entries that constructions reached through the memo, read back.
+        g = builtin(name)
+        search = MappingSearch(g)
+        for k in range(40):
+            initial_mapping(search, n, sorted(search.keys)[k % len(search.keys)], random.Random(k))
+        entries = search._steps[n == g.num_vertices]
+        assert entries
+        for residual, entry in entries.items():
+            if entry[0] is None:
+                self.exact(g, residual, entry)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_getrandbits_rejection_is_randrange(self, seed):
+        # The construction and the tabu loop draw this way in place of
+        # rng.randrange(count); the values and the generator state must agree.
+        for count in range(1, 71):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            bits = count.bit_length()
+            for _ in range(25):
+                r = ours.getrandbits(bits)
+                while r >= count:
+                    r = ours.getrandbits(bits)
+                assert r == theirs.randrange(count), count
+            assert ours.getstate() == theirs.getstate(), count
+
+
+class TestFullDevicePathIgnoresSeedVertex:
+    """When the whole device has a Hamiltonian path, a full-device
+    construction follows it from the path's own start, vertex 0 on these
+    devices, whatever its seed vertex ``first``: every tabu candidate is
+    that one mapping."""
+
+    def test_linear_from_the_far_end(self):
+        g = builtin("linear(7)")
+        assert initial_mapping(MappingSearch(g), 7, 6, random.Random(0)).assign == tuple(range(7))
+
+    @pytest.mark.parametrize("name", ["linear(7)", "grid(4,4)", "tokyo"])
+    def test_every_candidate_is_the_path(self, name):
+        g = builtin(name)
+        path = has_hamiltonian_path(g)
+        assert path[0] == 0
+        search = MappingSearch(g)
+        for first in sorted(search.keys):
+            assert initial_mapping(search, g.num_vertices, first, random.Random(first)).assign == path
+        table = tabu_search_table(g, g.num_vertices, TabuConfig(iterations=5))
+        assert [m.assign for m, _ in table] == [path]
 
 
 class TestShortestPathData:

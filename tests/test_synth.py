@@ -164,7 +164,8 @@ class TestEliminateRow:
         g = builtin("guadalupe")
         n = g.num_vertices
         m = random_invertible(n, 8500 + seed)
-        from cnotsynth.mapping import MappingSearch, initial_mapping, key_qubits
+        from cnotsynth.arch import key_qubits
+        from cnotsynth.mapping import MappingSearch, initial_mapping
 
         mapping = initial_mapping(MappingSearch(g), n, min(key_qubits(g)), random.Random(seed))
         m = physical_matrix(m, g, mapping)
