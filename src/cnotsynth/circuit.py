@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
@@ -286,17 +288,13 @@ def esp(circuit: Circuit, graph: CouplingGraph, one_q_error: float | None = None
 def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, seed: int) -> float:
     """Monte-Carlo all-zeros fidelity of a CNOT-only circuit.
 
-    Each shot starts from the all-zeros state; every CNOT applies its ideal
-    classical action and then, with probability equal to its edge error,
-    injects a fault chosen uniformly from {flip control, flip target, flip
-    both}.  Returns the fraction of shots ending in the all-zeros state.
-
-    The per-(shot, gate) randomness is pre-generated from the seed, so the
-    estimate is reproducible bit-exactly and independent of evaluation order.
-    Every gate must sit on a coupling edge, so the state is no wider than the
-    device's ids, however wide the circuit's register.
-    numpy is imported here, not at module level, so that callers who never
-    sample do not pay for loading it.
+    Every CNOT applies its ideal classical action and then, with probability
+    equal to its edge error, flips its control, its target or both, uniformly.
+    Returns the fraction of shots that end in the all-zeros state.  Shots are
+    bit-sliced, a device qubit's state being one int with bit s for shot s,
+    and one ``random.Random(seed)`` draws every bit (README, "Monte-Carlo
+    model").  Every gate must sit on a coupling edge, so the state is no
+    wider than the device's ids, however wide the circuit's register.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -304,20 +302,31 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
         raise ValueError("Monte-Carlo fidelity is defined for CNOT-only circuits")
     if seed < 0:
         raise ValueError(f"Monte-Carlo seed must be >= 0, got {seed}")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    state = np.zeros((shots, min(circuit.n, graph.width)), dtype=np.uint8)
+    rng = random.Random(seed)
+    state = [0] * min(circuit.n, graph.width)
     for k, g in enumerate(circuit.gates):
         if not graph.has_edge(g.control, g.target):  # type: ignore[union-attr]
             raise ValueError(f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge")
-        e = graph.error(g.control, g.target)
-        state[:, g.target] ^= state[:, g.control]
-        fault = rng.random(shots) < e
-        mode = rng.integers(0, 3, size=shots)
-        state[:, g.control] ^= (fault & (mode != 1)).astype(np.uint8)
-        state[:, g.target] ^= (fault & (mode != 0)).astype(np.uint8)
-    return float(np.mean(~state.any(axis=1)))
+        state[g.target] ^= state[g.control]
+        # A shot faults when its 53-bit uniform, drawn top bit first, is below the threshold.
+        threshold, bit = int(graph.error(g.control, g.target) * 2**53), 1 << 53
+        fault, tied = 0, (1 << shots) - 1
+        while tied and threshold & (bit - 1):  # some tied shot can still fall below
+            bit >>= 1
+            ones = tied & rng.getrandbits(shots)  # tied shots drawing a 1 here
+            if threshold & bit:
+                fault |= tied ^ ones
+                tied = ones
+            else:
+                tied ^= ones
+        # Two bits per faulty shot: 00 flips both, 01 the control, 10 the target, 11 redraws.
+        while fault:
+            a, b = rng.getrandbits(shots), rng.getrandbits(shots)
+            settled = fault ^ (fault & a & b)
+            state[g.control] ^= settled ^ (settled & a)
+            state[g.target] ^= settled ^ (settled & b)
+            fault ^= settled
+    return (shots - reduce(or_, state, 0).bit_count()) / shots
 
 
 # ---------------------------------------------------------------------------

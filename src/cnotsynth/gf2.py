@@ -10,32 +10,34 @@ a single XOR and rank and solve share one bitwise elimination (``_basis``).
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Sequence
 
 
 class ParityMatrix:
     """Square GF(2) matrix; bit j of ``rows[r]`` is entry (r, j).
 
-    The constructor takes any square 0/1 array-like (entries reduced mod 2);
-    ``from_rows`` wraps int rows directly.  Only the array constructor and
-    ``bits`` import numpy, so code on int rows never loads it.  Mutating
-    operations (``row_xor``) act in place; ``rank`` and ``is_identity`` never
-    modify the matrix.
+    The constructor takes n rows, each read as n entry bytes by ``bytes(row)``
+    (lists of ints 0..255, uint8 or bool array rows) and reduced mod 2;
+    ``from_rows`` wraps int rows directly.  ``row_xor`` acts in place; ``rank``
+    and ``is_identity`` never modify the matrix.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, bits) -> None:
-        import numpy as np
-
-        arr = np.array(bits, dtype=np.uint8) % 2
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError(f"parity matrix must be square and non-empty, got shape {arr.shape}")
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        self.rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        if getattr(bits, "ndim", 2) != 2:
+            raise ValueError(f"parity matrix must be 2-D, got {bits.ndim} dimensions")
+        try:
+            # bytes(k) of an int row k would be k zero bytes, so such a row reads as empty.
+            rows = [b"" if isinstance(row, int) else bytes(row) for row in bits]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"parity matrix rows must hold entries 0..255: {exc}") from None
+        n = len(rows)
+        widths = {len(row) for row in rows}
+        if widths != {n}:
+            raise ValueError(f"parity matrix must be square and non-empty, got {n} rows of {sorted(widths)} bytes")
+        # Each byte becomes the ASCII digit of its parity; entry 0 is the last digit.
+        self.rows = [int(row.translate(b"01" * 128)[::-1], 2) for row in rows]
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "ParityMatrix":
@@ -50,17 +52,6 @@ class ParityMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """A fresh n x n uint8 array of the entries."""
-        import numpy as np
-
-        n = self.n
-        width = (n + 7) // 8
-        data = b"".join(r.to_bytes(width, "little") for r in self.rows)
-        packed = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
-        return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
     @classmethod
     def identity(cls, n: int) -> "ParityMatrix":

@@ -6,8 +6,9 @@ search that floods every branch, the triple-loop shortest-path counts that
 the mask accumulation replaced, the restart-per-terminal Steiner tree that
 the resumable one replaced, the extended-logical-order elimination that
 physical-qubit indexing replaced, the numpy GF(2) solver that the bitwise one
-replaced, and the per-character QASM reader that the statement splitter and
-keyword grammar replaced."""
+replaced, the per-character QASM reader that the statement splitter and
+keyword grammar replaced, a matrix's entries as a uint8 array, and the
+exact fault-pattern sum that the Monte-Carlo sampler estimates."""
 from __future__ import annotations
 
 import heapq
@@ -77,6 +78,30 @@ def random_invertible(n: int, seed: int) -> ParityMatrix:
     """Seeded random invertible n x n matrix (n >= 2): the parity matrix of
     a random CNOT circuit of 5 n^2 gates."""
     return ParityMatrix.from_circuit(random_cnot_circuit(n, 5 * n * n, seed).cnot_pairs(), n)
+
+
+def matrix_bits(m: ParityMatrix) -> np.ndarray:
+    """A fresh n x n uint8 array of the entries of ``m``."""
+    return np.array([[r >> j & 1 for j in range(m.n)] for r in m.rows], dtype=np.uint8)
+
+
+def exact_all_zeros_fidelity(circuit: Circuit, graph: CouplingGraph) -> float:
+    """The all-zeros fidelity that ``monte_carlo_fidelity`` estimates, summed
+    exactly over the 4 ** gates fault patterns: per gate none (1 - e), or
+    control only, target only or both (e / 3 each)."""
+    total = 0.0
+    for pattern in itertools.product(range(4), repeat=len(circuit.gates)):
+        state = [0] * circuit.n
+        p = 1.0
+        for g, mode in zip(circuit.gates, pattern):
+            e = graph.error(g.control, g.target)
+            state[g.target] ^= state[g.control]
+            state[g.control] ^= mode & 1
+            state[g.target] ^= mode >> 1
+            p *= e / 3 if mode else 1 - e
+        if not any(state):
+            total += p
+    return total
 
 
 def tree_path(graph: CouplingGraph, s: int, t: int) -> list[int]:
@@ -541,7 +566,7 @@ def physical_matrix(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> 
     for p in graph.vertices:
         bits[p, p] = 1
     assign = list(mapping.assign)
-    bits[np.ix_(assign, assign)] = m.bits
+    bits[np.ix_(assign, assign)] = matrix_bits(m)
     return ParityMatrix(bits)
 
 

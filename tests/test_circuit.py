@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import extended_assign, random_connected_graph, reference_parse_qasm
+from conftest import (
+    exact_all_zeros_fidelity,
+    extended_assign,
+    matrix_bits,
+    random_connected_graph,
+    reference_parse_qasm,
+)
 from cnotsynth.arch import CouplingGraph, builtin
 from cnotsynth.circuit import (
     CNOT,
@@ -339,12 +345,23 @@ class TestMonteCarlo:
         )
         assert hits >= 49
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fault_modes_split_uniformly(self, seed):
+        # Over CNOT(0,1), CNOT(1,0) only a second fault that undoes the first
+        # restores all zeros, one mode for each mode of the first fault, so
+        # the fidelity is (1 - e)^2 + e^2 / 3 and a non-uniform split lowers it.
+        e, shots = 0.3, 50_000
+        g = CouplingGraph(range(2), [(0, 1, e)])
+        c = Circuit(2, (CNOT(0, 1), CNOT(1, 0)))
+        exact = exact_all_zeros_fidelity(c, g)
+        assert exact == pytest.approx((1 - e) ** 2 + e**2 / 3) and exact == pytest.approx(0.52)
+        got = monte_carlo_fidelity(c, g, shots=shots, seed=seed)
+        assert abs(got - exact) <= 4 * math.sqrt(exact * (1 - exact) / shots)
+
     def test_state_sized_by_device_not_register(self):
         # A register of 10^6 qubits on quito: the state must span the
         # device's 5 ids, not 10 shots x 10^6 bytes, with the same estimate.
         import tracemalloc
-
-        import numpy  # noqa: F401  (imported before tracing starts)
 
         g = builtin("quito")
         gates = (CNOT(0, 1), CNOT(1, 3), CNOT(3, 4))
@@ -430,7 +447,7 @@ class TestSegmentation:
             rebuilt = ParityMatrix.identity(g.num_vertices)
             for gate in out.gates[start:k]:
                 rebuilt.row_xor(p2r[gate.control], p2r[gate.target])
-            assert (rebuilt.bits[: circ.n, : circ.n] == original.bits).all()
+            assert (matrix_bits(rebuilt)[: circ.n, : circ.n] == matrix_bits(original)).all()
         assert k == len(out.gates)
 
     def test_measurements_keep_their_classical_bits(self):

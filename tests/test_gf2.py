@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_invertible, reference_gf2_rank, reference_solve_gf2
+from conftest import matrix_bits, random_invertible, reference_gf2_rank, reference_solve_gf2
 from cnotsynth.gf2 import ParityMatrix, gf2_rank, solve_gf2
 
 
@@ -16,6 +16,17 @@ def mat(rows):
 def row_int(row) -> int:
     """Int row of a 0/1 sequence: entry j becomes bit j."""
     return sum(1 << j for j, b in enumerate(row) if b)
+
+
+def benchmark_bits(n: int, seed: int) -> np.ndarray:
+    """A dense n x n uint8 array built the way the benchmark's set-up builds its matrices."""
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    return np.array([[(r >> j) & 1 for j in range(n)] for r in rows], dtype=np.uint8)
+
+
+#: A 6 x 12 0/1 array; its even columns make a 6 x 6 matrix whose rows are strided views.
+WIDE = np.random.default_rng(5).integers(0, 2, size=(6, 12), dtype=np.uint8)
 
 
 class TestFromCircuit:
@@ -218,13 +229,42 @@ class TestConstruction:
     def test_bits_round_trip(self, n):
         arr = np.random.default_rng(n).integers(0, 2, size=(n, n), dtype=np.uint8)
         m = ParityMatrix(arr)
-        bits = m.bits
+        bits = matrix_bits(m)
         assert bits.dtype == np.uint8 and np.array_equal(bits, arr)
         assert ParityMatrix(bits) == m
         assert ParityMatrix.from_rows(m.rows) == m
         assert all(m.rows[r] >> j & 1 == arr[r, j] for r in range(n) for j in range(n))
 
-    def test_bits_is_a_fresh_array(self):
-        m = ParityMatrix.identity(3)
-        m.bits[0, 1] = 1
+    def test_constructor_copies_its_input(self):
+        arr = np.eye(3, dtype=np.uint8)
+        m = ParityMatrix(arr)
+        arr[0, 1] = 1
         assert m.is_identity()
+
+    @pytest.mark.parametrize("bits", [
+        np.ascontiguousarray(WIDE[:, ::2]),
+        WIDE[:, ::2].astype(bool),
+        WIDE[:, ::2],
+        WIDE[:, ::2].T,
+        [[3, 0, 1], [2, 1, 3], [0, 3, 2]],
+        benchmark_bits(64, 1),
+    ], ids=["uint8", "bool", "strided-columns", "transposed", "list-holding-3", "benchmark-64x64-uint8"])
+    def test_accepted_inputs_equal_from_rows(self, bits):
+        want = ParityMatrix.from_rows(row_int(int(b) % 2 for b in row) for row in bits)
+        assert ParityMatrix(bits) == want
+
+    @pytest.mark.parametrize("bits", [
+        [[1, 0], [1]],
+        [],
+        np.zeros((2, 2, 2), dtype=np.uint8),
+        [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+        [[256, 0], [0, 1]],
+        [[-1, 0], [0, 1]],
+        np.eye(2, dtype=np.int64),
+        np.eye(2, dtype=np.float64),
+        [2, 2],
+    ], ids=["ragged", "empty", "3-D-array", "3-D-list", "entry-256", "entry-minus-1", "int64",
+            "float64", "int-rows"])
+    def test_rejected_inputs(self, bits):
+        with pytest.raises(ValueError):
+            ParityMatrix(bits)

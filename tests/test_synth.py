@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    matrix_bits,
     physical_matrix,
     random_connected_graph,
     random_invertible,
@@ -84,12 +85,13 @@ class TestTargetAidedRows:
             residual = complete_graph(n)
             for i in range(n):
                 eliminate_column(m, residual, i, residual.vertex_mask)
-                expected = m.bits[i].copy()
+                bits = matrix_bits(m)
+                expected = bits[i].copy()
                 expected[i] ^= 1
                 got = target_aided_rows(m, i, residual.vertex_mask)
                 brute = target_aided_rows_bruteforce(m, i, residual.vertex_mask)
-                assert np.array_equal(xor_rows(m.bits, sorted(got)), expected)
-                assert np.array_equal(xor_rows(m.bits, sorted(brute)), expected)
+                assert np.array_equal(xor_rows(bits, sorted(got)), expected)
+                assert np.array_equal(xor_rows(bits, sorted(brute)), expected)
                 eliminate_row(m, residual, i, residual.vertex_mask)
                 residual = remove_vertex(residual, i)
             assert m.is_identity()
@@ -108,7 +110,7 @@ class TestEliminateColumn:
         ops = eliminate_column(m, g, 0, g.vertex_mask)
         # Logical row ops (4,3), (3,4), (3,2), (0,3) on their qubits.
         assert ops == [(2, 1), (1, 2), (1, 3), (0, 1)]
-        assert m.bits[:, 0].tolist() == [1, 0, 0, 0, 0]
+        assert matrix_bits(m)[:, 0].tolist() == [1, 0, 0, 0, 0]
 
     def test_unit_column_no_ops(self):
         m = ParityMatrix.identity(3)
@@ -120,7 +122,7 @@ class TestEliminateColumn:
         m = random_invertible(5, 7000 + seed)
         g = builtin("linear(5)")
         ops = eliminate_column(m, g, 0, g.vertex_mask)
-        col = m.bits[:, 0]
+        col = matrix_bits(m)[:, 0]
         assert col[0] == 1 and col.sum() == 1
         for c, t in ops:
             assert g.has_edge(c, t)
@@ -133,7 +135,7 @@ class TestEliminateRow:
         g = builtin("linear(3)")
         ops = eliminate_row(m, g, 0, g.vertex_mask)
         assert ops == [(1, 0), (2, 1), (1, 0)]
-        assert m.bits[0].tolist() == [1, 0, 0]
+        assert matrix_bits(m)[0].tolist() == [1, 0, 0]
 
     def test_unit_row_no_ops(self):
         m = ParityMatrix.identity(4)
@@ -153,9 +155,10 @@ class TestEliminateRow:
                 assert residual.has_edge(c, t)
             # completed block is unit and stays unit
             done = i + 1
-            assert np.array_equal(m.bits[:done, :done], np.eye(done, dtype=np.uint8))
-            assert not m.bits[:done, done:].any()
-            assert not m.bits[done:, :done].any()
+            bits = matrix_bits(m)
+            assert np.array_equal(bits[:done, :done], np.eye(done, dtype=np.uint8))
+            assert not bits[:done, done:].any()
+            assert not bits[done:, :done].any()
             residual = remove_vertex(residual, i)
         assert m.is_identity()
 
