@@ -1,6 +1,6 @@
 """The package surface: the public API, the names the benchmark's layer
 tracer wraps in each cnotsynth module, no code kept for the tests alone,
-and that it runs without numpy."""
+and that it runs with numpy unimportable."""
 import ast
 import importlib
 import importlib.util
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import cnotsynth
-from cnotsynth.circuit import parse_qasm, random_cnot_circuit, write_qasm
+from cnotsynth.circuit import Circuit, monte_carlo_fidelity, parse_qasm, random_cnot_circuit, write_qasm
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -118,34 +118,80 @@ def _fresh(code: str, cwd: Path) -> object:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_runs_without_numpy(tmp_path):
-    """With numpy unimportable, the package imports, builds a matrix from
-    lists, and every command exits 0, Monte-Carlo fidelity included."""
-    (tmp_path / "in.qasm").write_text(write_qasm(random_cnot_circuit(5, 40, 3)), encoding="utf-8")
+def _fresh_without_numpy(code: str, cwd: Path) -> object:
+    """``_fresh`` with numpy made unimportable before ``code`` runs."""
+    return _fresh('import sys\nsys.modules["numpy"] = None\n' + code, cwd)
+
+
+def test_import_does_not_load_numpy(tmp_path):
+    got = _fresh("import json, sys, cnotsynth; print(json.dumps('numpy' in sys.modules))", tmp_path)
+    assert got is False
     code = """
-import contextlib, io, json, sys
-sys.modules["numpy"] = None
-import cnotsynth
-from cnotsynth.cli import main
-steps = {"matrix": cnotsynth.ParityMatrix([[1, 0], [1, 1]]).rows}
-for name, argv in [
-    ("arch", ["arch", "quito"]),
-    ("synth", ["synth", "in.qasm", "--arch", "quito", "--out", "out.qasm", "--map-out", "map.json"]),
-    ("synth-shots", ["synth", "in.qasm", "--arch", "quito", "--shots", "100", "--out", "shots.qasm"]),
-    ("verify", ["verify", "in.qasm", "out.qasm", "map.json"]),
-    ("fidelity-shots", ["fidelity", "out.qasm", "--arch", "quito", "--shots", "100", "--seed", "1"]),
-    ("bench-shots", ["bench", "--arch", "quito", "--sizes", "5", "--instances", "1", "--iterations", "2",
-                     "--shots", "100"]),
-]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        steps[name] = main(argv)
+import json
+import cnotsynth, cnotsynth.cli
 try:
     import numpy
 except ImportError:
-    steps["numpy"] = "blocked"
+    print(json.dumps("blocked"))
+"""
+    assert _fresh_without_numpy(code, tmp_path) == "blocked"
+
+
+def test_cli_without_shots_does_not_load_numpy(tmp_path):
+    (tmp_path / "in.qasm").write_text(write_qasm(random_cnot_circuit(5, 40, 3)), encoding="utf-8")
+    code = """
+import contextlib, io, json
+from cnotsynth.cli import main
+steps = {}
+for name, argv in [
+    ("synth", ["synth", "in.qasm", "--arch", "quito", "--out", "out.qasm", "--map-out", "map.json"]),
+    ("verify", ["verify", "in.qasm", "out.qasm", "map.json"]),
+    ("arch", ["arch", "quito"]),
+    ("fidelity", ["fidelity", "out.qasm", "--arch", "quito"]),
+    ("bench", ["bench", "--arch", "quito", "--sizes", "5", "--instances", "1", "--iterations", "2"]),
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps[name] = main(argv)
 print(json.dumps(steps))
 """
-    got = _fresh(code, tmp_path)
-    commands = ("arch", "synth", "synth-shots", "verify", "fidelity-shots", "bench-shots")
-    assert got == {"matrix": [0b01, 0b11], **{name: 0 for name in commands}, "numpy": "blocked"}
+    got = _fresh_without_numpy(code, tmp_path)
+    assert got == {name: 0 for name in ("synth", "verify", "arch", "fidelity", "bench")}
     assert parse_qasm((tmp_path / "out.qasm").read_text(encoding="utf-8")).is_cnot_only()
+
+
+def test_array_paths_load_numpy(tmp_path):
+    """The matrix constructors, which once loaded numpy, build from lists
+    and from int rows with numpy unimportable."""
+    code = """
+import json
+from cnotsynth import ParityMatrix
+m = ParityMatrix([[1, 0], [1, 1]])
+print(json.dumps([m.rows, m == ParityMatrix.from_rows([0b01, 0b11]), ParityMatrix([[1, 0], [0, 1]]).is_identity()]))
+"""
+    assert _fresh_without_numpy(code, tmp_path) == [[0b01, 0b11], True, True]
+
+
+def test_fidelity_with_shots_loads_numpy(tmp_path):
+    """Monte-Carlo fidelity, which once loaded numpy, runs with numpy
+    unimportable: ``fidelity``, ``synth`` and ``bench`` with ``--shots`` exit
+    0, and the report gives the in-process sampler's value."""
+    circuit = Circuit(5, random_cnot_circuit(2, 6, 1).gates)
+    (tmp_path / "c.qasm").write_text(write_qasm(circuit), encoding="utf-8")
+    (tmp_path / "in.qasm").write_text(write_qasm(random_cnot_circuit(5, 40, 3)), encoding="utf-8")
+    code = """
+import contextlib, io, json
+from cnotsynth.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    steps = {
+        "fidelity": main(["fidelity", "c.qasm", "--arch", "quito", "--shots", "10", "--seed", "1", "--format", "json"]),
+    }
+    report = json.loads(buf.getvalue())
+    steps["synth"] = main(["synth", "in.qasm", "--arch", "quito", "--shots", "100", "--out", "shots.qasm"])
+    steps["bench"] = main(["bench", "--arch", "quito", "--sizes", "5", "--instances", "1", "--iterations", "2",
+                           "--shots", "100"])
+print(json.dumps([steps, report["mc_fidelity"]]))
+"""
+    steps, mc_fidelity = _fresh_without_numpy(code, tmp_path)
+    assert steps == {"fidelity": 0, "synth": 0, "bench": 0}
+    assert mc_fidelity == monte_carlo_fidelity(circuit, cnotsynth.builtin("quito"), 10, 1)
