@@ -176,14 +176,14 @@ def test_criterion_7_mapping_invariants():
         graph = builtin(name)
         n = graph.num_vertices
         keys = sorted(key_qubits(graph))
-        search = MappingSearch(graph)
+        search = MappingSearch(graph, n)
         for s in range(75):
-            m = initial_mapping(search, n, keys[s % len(keys)], random.Random(s))
+            m = initial_mapping(search, random.Random(s), keys[s % len(keys)] if s % 3 else None)
             assert replay_is_valid(graph, m)
             runs += 1
         for s in range(9):
             cfg = TabuConfig(tabu_len=4, iterations=2, seed=s)
-            seed_map = initial_mapping(search, n, keys[0], random.Random(derive_seed(s, "seed")))
+            seed_map = initial_mapping(search, random.Random(derive_seed(s, "seed")), keys[0])
             best = optimize_mapping(graph, n, cfg)
             assert replay_is_valid(graph, best)
             assert mapping_objective(search, best) >= mapping_objective(search, seed_map)

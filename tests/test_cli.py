@@ -47,6 +47,14 @@ class TestArchCommand:
         assert payload["key_qubits"] == [0, 2, 4]
         assert payload["hamiltonian_path"] is None
 
+    def test_json_path_not_computed_past_the_limit(self, capsys):
+        # A 40-qubit chain has a path, but no search runs above 32 qubits;
+        # null would claim that one ran and found none.
+        assert main(["arch", "linear(40)", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["hamiltonian_path"] == "not computed"
+        assert main(["arch", "linear(40)"]) == 0
+        assert "hamiltonian path: not computed (graph exceeds 32 qubits)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", [
         "quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo", "linear(7)", "grid(3,4)",
     ])

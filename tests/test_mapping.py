@@ -21,6 +21,7 @@ from conftest import (
 )
 from cnotsynth import mapping
 from cnotsynth.arch import (
+    HAMILTONIAN_VERTEX_LIMIT,
     CouplingGraph,
     articulation_points,
     biconnected_blocks,
@@ -95,44 +96,48 @@ def independent_objective(graph, assign):
 
 class TestInitialMapping:
     def test_linear3_follows_hamiltonian_path(self):
-        m = initial_mapping(MappingSearch(builtin("linear(3)")), 3, 0, random.Random(0))
+        m = initial_mapping(MappingSearch(builtin("linear(3)"), 3), random.Random(0), 0)
         assert m.assign == (0, 1, 2)
 
     def test_quito_replay_valid(self):
         g = builtin("quito")
-        m = initial_mapping(MappingSearch(g), 5, 0, random.Random(123))
+        m = initial_mapping(MappingSearch(g, 5), random.Random(123), 0)
         assert replay_is_valid(g, m)
 
     def test_cut_point_seed_rejected(self):
         with pytest.raises(ValueError, match="cut point"):
-            initial_mapping(MappingSearch(builtin("quito")), 5, 1, random.Random(0))
+            initial_mapping(MappingSearch(builtin("quito"), 5), random.Random(0), 1)
 
     def test_deterministic_per_seed(self):
         g = builtin("guadalupe")
-        a = initial_mapping(MappingSearch(g), 16, 0, random.Random(9))
-        b = initial_mapping(MappingSearch(g), 16, 0, random.Random(9))
-        assert a == b
+        for first in (0, None):
+            a = initial_mapping(MappingSearch(g, 16), random.Random(9), first)
+            b = initial_mapping(MappingSearch(g, 16), random.Random(9), first)
+            assert a == b
 
     def test_truncates_when_fewer_logical_qubits(self):
         g = builtin("linear(5)")
-        m = initial_mapping(MappingSearch(g), 2, 0, random.Random(4))
+        m = initial_mapping(MappingSearch(g, 2), random.Random(4), 0)
         assert m.n == 2 and len(set(m.assign)) == 2
 
     def test_requires_connected_graph(self):
         g = CouplingGraph(range(3), [(0, 1, 0.01)])
         with pytest.raises(ValueError, match="connected"):
-            MappingSearch(g)
+            MappingSearch(g, 3)
 
     def test_rejects_bad_qubit_count(self):
-        with pytest.raises(ValueError, match="outside"):
-            initial_mapping(MappingSearch(builtin("quito")), 6, 0, random.Random(0))
+        for n in (0, 6):
+            with pytest.raises(ValueError, match=rf"^n={n} outside \[1, 5\]$"):
+                MappingSearch(builtin("quito"), n)
 
     @pytest.mark.parametrize("name,seed", [("quito", 3), ("guadalupe", 5), ("tokyo", 1), ("grid(3,3)", 2)])
     def test_replay_valid_across_devices(self, name, seed):
         g = builtin(name)
-        m = initial_mapping(MappingSearch(g), g.num_vertices, min(key_qubits(g)), random.Random(seed))
-        assert replay_is_valid(g, m)
-        assert sorted(m.assign) == sorted(g.vertices)
+        search = MappingSearch(g, g.num_vertices)
+        for first in (min(key_qubits(g)), None):
+            m = initial_mapping(search, random.Random(seed), first)
+            assert replay_is_valid(g, m)
+            assert sorted(m.assign) == sorted(g.vertices)
 
 
 class TestMappingType:
@@ -176,28 +181,28 @@ class TestConnectivityFactor:
 class TestObjective:
     def test_single_edge_hand_value(self):
         g = CouplingGraph(range(2), [(0, 1, 0.01)])
-        assert mapping_objective(MappingSearch(g), Mapping((0, 1))) == pytest.approx(0.97)
+        assert mapping_objective(MappingSearch(g, 2), Mapping((0, 1))) == pytest.approx(0.97)
 
     def test_zero_error_complete_graph(self):
         g = CouplingGraph(range(4), [(u, v, 0.0) for u, v in itertools.combinations(range(4), 2)])
-        assert mapping_objective(MappingSearch(g), Mapping((0, 1, 2, 3))) == pytest.approx(1.0)
+        assert mapping_objective(MappingSearch(g, 4), Mapping((0, 1, 2, 3))) == pytest.approx(1.0)
 
     def test_quito_identity_against_independent_evaluator(self):
         g = builtin("quito")
         assign = (0, 1, 2, 3, 4)
-        assert mapping_objective(MappingSearch(g), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
+        assert mapping_objective(MappingSearch(g, 5), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mappings_against_independent_evaluator(self, seed):
         g = builtin("guadalupe")
         rng = random.Random(seed)
         assign = tuple(rng.sample(sorted(g.vertices), 8))
-        assert mapping_objective(MappingSearch(g), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
+        assert mapping_objective(MappingSearch(g, 8), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
 
     def test_deterministic(self):
         g = builtin("quito")
         m = Mapping((0, 2, 1, 3, 4))
-        assert mapping_objective(MappingSearch(g), m) == mapping_objective(MappingSearch(g), m)
+        assert mapping_objective(MappingSearch(g, 5), m) == mapping_objective(MappingSearch(g, 5), m)
 
     @pytest.mark.parametrize("assign,unknown", [
         ((0, 9), [9]), ((5, 0), [5]), ((-1, 0), [-1]), ((0, -3, 7, 1), [-3, 7]), ((2, 1), [2]),
@@ -206,7 +211,7 @@ class TestObjective:
         # Vertex 2 is removed, so its id lies inside the device's id range.
         g = remove_vertex(builtin("quito"), 2)
         with pytest.raises(ValueError, match=rf"^mapping uses unknown vertices {re.escape(str(unknown))}$"):
-            mapping_objective(MappingSearch(g), Mapping(assign))
+            mapping_objective(MappingSearch(g, len(assign)), Mapping(assign))
 
 
 class TestOptimizeMapping:
@@ -214,15 +219,15 @@ class TestOptimizeMapping:
         g = builtin("quito")
         cfg = TabuConfig(tabu_len=4, iterations=0, seed=11)
         got = optimize_mapping(g, 5, cfg)
-        seed_map = initial_mapping(MappingSearch(g), 5, min(key_qubits(g)), random.Random(derive_seed(11, "seed")))
+        seed_map = initial_mapping(MappingSearch(g, 5), random.Random(derive_seed(11, "seed")), min(key_qubits(g)))
         assert got == seed_map
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_worse_than_seed(self, seed):
         g = builtin("quito")
         cfg = TabuConfig(tabu_len=6, iterations=8, seed=seed)
-        search = MappingSearch(g)
-        seed_map = initial_mapping(search, 5, min(key_qubits(g)), random.Random(derive_seed(seed, "seed")))
+        search = MappingSearch(g, 5)
+        seed_map = initial_mapping(search, random.Random(derive_seed(seed, "seed")), min(key_qubits(g)))
         best = optimize_mapping(g, 5, cfg)
         assert mapping_objective(search, best) >= mapping_objective(search, seed_map)
         assert replay_is_valid(g, best)
@@ -240,7 +245,7 @@ class TestOptimizeMapping:
         best = optimize_mapping(g, 16, cfg)
         assert len(table) <= cfg.tabu_len
         assert any(best == m for m, _ in table)
-        assert mapping_objective(MappingSearch(g), best) == max(score for _, score in table)
+        assert mapping_objective(MappingSearch(g, 16), best) == max(score for _, score in table)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -256,12 +261,12 @@ BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",
 def _check_against_reference(g, sizes, constructions):
     keys = sorted(key_qubits(g))
     assert keys == sorted(g.vertices - reference_articulation_points(g))
-    search = MappingSearch(g)
     for n in sizes:
+        search = MappingSearch(g, n)
         for k in range(constructions):
             order = keys[k % len(keys):] + keys[:k % len(keys)]
-            shared = initial_mapping(search, n, order[0], random.Random(k))
-            fresh = initial_mapping(MappingSearch(g), n, order[0], random.Random(k))
+            shared = initial_mapping(search, random.Random(k), order[0])
+            fresh = initial_mapping(MappingSearch(g, n), random.Random(k), order[0])
             want = reference_initial_mapping(g, n, order, random.Random(k))
             assert shared == fresh == want
             assert replay_is_valid(g, shared) and reference_replay_is_valid(g, shared)
@@ -289,9 +294,9 @@ class TestAgainstRebuiltResidualReference:
 
 
 class TestAgainstTwoMemoReference:
-    """The step memo per construction mode and the one re-seeded generator
-    give the tables of the search with two memos and one new generator per
-    candidate (``conftest.reference_tabu_search_table``)."""
+    """The one step memo per search and the one re-seeded generator give the
+    tables of the search with two memos and one new generator per candidate
+    (``conftest.reference_tabu_search_table``)."""
 
     @staticmethod
     def check(g, n):
@@ -319,16 +324,22 @@ class TestAgainstTwoMemoReference:
         *(random_connected_graph(size, 9000 + size) for size in range(5, 13)),
     ], ids=lambda g: g.name)
     def test_one_search_for_both_modes(self, g):
-        # Full-device and partial constructions alternate on one search, so
-        # each mode meets residuals that the other has already stepped from.
-        search, reference = MappingSearch(g), ReferenceMappingSearch(g)
-        keys = sorted(search.keys)
+        # Each mode, full-device and partial, on the one search of its qubit
+        # count.  Given seed vertices alternate with drawn ones; a drawn one
+        # must be the randrange draw among the sorted key qubits that
+        # conftest.reference_tabu_search_table makes.
+        reference = ReferenceMappingSearch(g)
         big = g.num_vertices
-        for k in range(12):
-            for n in (big, big - 1, max(1, big // 2), big):
+        for n in (big, big - 1, max(1, big // 2)):
+            search = MappingSearch(g, n)
+            keys = sorted(search.keys)
+            for k in range(12):
                 first = keys[k % len(keys)]
-                got = initial_mapping(search, n, first, random.Random(k))
+                got = initial_mapping(search, random.Random(k), first)
                 assert got == reference_search_initial_mapping(reference, n, first, random.Random(k)), (k, n)
+                rng = random.Random(k)
+                want = reference_search_initial_mapping(reference, n, keys[rng.randrange(len(keys))], rng)
+                assert initial_mapping(search, random.Random(k)) == want, (k, n)
 
     def test_calls_per_candidate(self, monkeypatch):
         # The layer tracer counts these calls by name in mapping's namespace.
@@ -358,16 +369,16 @@ class TestBlockCarriedSteps:
 
     def check(self, g, seed, chains=4):
         rng = random.Random(seed)
-        for full in (True, False):
-            search = MappingSearch(g)
+        for n in (g.num_vertices, g.num_vertices - 1):
+            search = MappingSearch(g, n)
             for _ in range(chains):
                 # A random non-cut removal chain down to the last vertex, or
                 # to a full-device residual with a Hamiltonian path.
                 residual, blocks = g.vertex_mask, None
                 while residual:
-                    entry = search.step(residual, full, blocks)
+                    entry = search.step(residual, blocks)
                     if entry[0] is not None:
-                        assert full
+                        assert search.full
                         break
                     self.exact(g, residual, entry)
                     blocks = entry[4]
@@ -390,10 +401,10 @@ class TestBlockCarriedSteps:
     def test_memo_after_search(self, name, n):
         # The entries that constructions reached through the memo, read back.
         g = builtin(name)
-        search = MappingSearch(g)
+        search = MappingSearch(g, n)
         for k in range(40):
-            initial_mapping(search, n, sorted(search.keys)[k % len(search.keys)], random.Random(k))
-        entries = search._steps[n == g.num_vertices]
+            initial_mapping(search, random.Random(k), sorted(search.keys)[k % len(search.keys)] if k % 2 else None)
+        entries = search._steps
         assert entries
         for residual, entry in entries.items():
             if entry[0] is None:
@@ -403,8 +414,9 @@ class TestBlockCarriedSteps:
 class TestDraws:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
     def test_getrandbits_rejection_is_randrange(self, seed):
-        # The construction and the tabu loop draw this way in place of
-        # rng.randrange(count); the values and the generator state must agree.
+        # initial_mapping draws every vertex this way, the seed vertex of a
+        # tabu candidate included, in place of rng.randrange(count); the
+        # values and the generator state must agree.
         for count in range(1, 71):
             ours, theirs = random.Random(seed), random.Random(seed)
             bits = count.bit_length()
@@ -416,6 +428,33 @@ class TestDraws:
             assert ours.getstate() == theirs.getstate(), count
 
 
+class TestWholeDeviceStep:
+    """A tabu candidate's seed vertex is the first draw of its construction,
+    among the non-cut vertices of the whole device.  For it to be the draw
+    that ``randrange`` makes among the sorted key qubits, the whole device's
+    drawing step must list exactly those, with their count and bit length."""
+
+    @staticmethod
+    def check(g):
+        keys = tuple(sorted(key_qubits(g)))
+        for n in (g.num_vertices, g.num_vertices - 1):
+            search = MappingSearch(g, n)
+            path, choices, count, bits, _ = search.step(g.vertex_mask)
+            if path is None:
+                assert (choices, count, bits) == (keys, len(keys), len(keys).bit_length()), n
+            else:
+                assert search.full and g.num_vertices <= HAMILTONIAN_VERTEX_LIMIT
+
+    @pytest.mark.parametrize("name", BUILTIN_DEVICES)
+    def test_builtin_devices(self, name):
+        self.check(builtin(name))
+
+    @pytest.mark.parametrize("size", range(2, 21))
+    def test_random_graphs(self, size):
+        for seed in range(3):
+            self.check(random_connected_graph(size, 9700 + 31 * size + seed))
+
+
 class TestFullDevicePathIgnoresSeedVertex:
     """When the whole device has a Hamiltonian path, a full-device
     construction follows it from the path's own start, vertex 0 on these
@@ -424,16 +463,16 @@ class TestFullDevicePathIgnoresSeedVertex:
 
     def test_linear_from_the_far_end(self):
         g = builtin("linear(7)")
-        assert initial_mapping(MappingSearch(g), 7, 6, random.Random(0)).assign == tuple(range(7))
+        assert initial_mapping(MappingSearch(g, 7), random.Random(0), 6).assign == tuple(range(7))
 
     @pytest.mark.parametrize("name", ["linear(7)", "grid(4,4)", "tokyo"])
     def test_every_candidate_is_the_path(self, name):
         g = builtin(name)
         path = has_hamiltonian_path(g)
         assert path[0] == 0
-        search = MappingSearch(g)
-        for first in sorted(search.keys):
-            assert initial_mapping(search, g.num_vertices, first, random.Random(first)).assign == path
+        search = MappingSearch(g, g.num_vertices)
+        for k, first in enumerate([*sorted(search.keys), None]):
+            assert initial_mapping(search, random.Random(k), first).assign == path
         table = tabu_search_table(g, g.num_vertices, TabuConfig(iterations=5))
         assert [m.assign for m, _ in table] == [path]
 
@@ -465,7 +504,7 @@ class TestShortestPathData:
 
     def test_search_product_uses_the_mapped_subgraph(self):
         g = builtin("guadalupe")
-        search = MappingSearch(g)
+        search = MappingSearch(g, 16)
         for assign in [(0, 1, 2), (0, 2), (4, 7, 10, 12, 6), tuple(range(16))]:
             sub = induced_subgraph(g, assign)
             assert search.connectivity_product(assign) == _connectivity_product(sub, sub.vertex_mask)
@@ -567,7 +606,7 @@ class TestPartialPlacementScatters:
     def test_seed0_default_table(self, name, n, distinct):
         g = builtin(name)
         table = tabu_search_table(g, n, TabuConfig(seed=0))
-        search = MappingSearch(g)
+        search = MappingSearch(g, n)
         assert len(table) == 20
         assert [search.connectivity_product(m.assign) for m, _ in table] == [0.0] * 20
         assert len({s for _, s in table}) == distinct

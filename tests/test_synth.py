@@ -170,7 +170,7 @@ class TestEliminateRow:
         from cnotsynth.arch import key_qubits
         from cnotsynth.mapping import MappingSearch, initial_mapping
 
-        mapping = initial_mapping(MappingSearch(g), n, min(key_qubits(g)), random.Random(seed))
+        mapping = initial_mapping(MappingSearch(g, n), random.Random(seed), min(key_qubits(g)))
         m = physical_matrix(m, g, mapping)
         residual = g
         for q in mapping.assign:
