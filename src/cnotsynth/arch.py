@@ -1,20 +1,21 @@
 """Error-weighted coupling graphs: parsing, device catalog, blocks and cut points, Hamiltonian paths.
 
 A coupling graph describes which physical-qubit pairs support a CNOT and at
-what error rate.  Graphs are immutable after construction.  Each graph
-keeps one adjacency, as bitmasks: one int neighbour mask per vertex id and
-one mask of all vertices, plus one weight row per vertex id holding the
-``-ln(1 - e)`` routing weight of each incident edge.  A residual graph, in
-the mapping search, in layer elimination and in the mapping objective, is
-an int vertex mask over one base graph; connectivity, biconnected blocks,
-cut points and Hamiltonian paths take that mask and never build a new graph.
-``remove_vertex`` (a checked ``induced_subgraph``) and ``induced_subgraph``
-still build one: nothing in the package calls them, but the benchmark's
-layer tracer wraps both by name and the tests rebuild residual graphs with
-them as references.  A bipartite graph also keeps one colour class of a
-2-colouring, which lets the Hamiltonian-path search reject residuals by
-counting.  Memoizing mask queries is left to the caller (the mapping search
-keeps one memo per search).
+what error rate.  Graphs are immutable after construction, but for the
+display ``name``: ``cli.load_arch`` names a device file that has none after
+the file.  Each graph keeps one adjacency, as bitmasks: one int neighbour
+mask per vertex id and one mask of all vertices, plus one weight row per
+vertex id holding the ``-ln(1 - e)`` routing weight of each incident edge.
+A residual graph, in the mapping search, in layer elimination and in the
+mapping objective, is an int vertex mask over one base graph; connectivity,
+biconnected blocks, cut points and Hamiltonian paths take that mask and
+never build a new graph.  ``remove_vertex`` (a checked ``induced_subgraph``)
+and ``induced_subgraph`` still build one: nothing in the package calls
+them, but the benchmark's layer tracer wraps both by name and the tests
+rebuild residual graphs with them as references.  A bipartite graph also
+keeps one colour class of a 2-colouring, which lets the Hamiltonian-path
+search reject residuals by counting.  Memoizing mask queries is left to the
+caller (the mapping search keeps one memo per search).
 """
 from __future__ import annotations
 

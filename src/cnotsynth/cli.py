@@ -36,7 +36,7 @@ from .circuit import (
 )
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix
-from .mapping import Mapping, TabuConfig, derive_seed, optimize_mapping
+from .mapping import Mapping, TabuConfig, derive_seed, mapping_failure, optimize_mapping
 from .synth import circuit_failure, synthesize, verification_failure
 
 EXIT_OK = 0
@@ -221,12 +221,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"{args.mapping}: malformed mapping file ({exc})") from exc
     graph = load_arch(arch_spec)
 
-    n = original.n
-    if mapping.n != n:
-        raise InputError(f"mapping covers {mapping.n} qubits but original circuit has {n}")
-
-    if not set(mapping.assign) <= graph.vertices:
-        raise InputError(f"{args.mapping}: mapping uses qubits outside the device")
+    if (failure := mapping_failure(graph, mapping, original.n)) is not None:
+        raise InputError(f"{args.mapping}: {failure}")
     for k, g in enumerate(synthesized.gates):
         if not set(gate_qubits(g)) <= graph.vertices:
             raise InputError(f"gate {k}: {g} uses a qubit outside the device")

@@ -19,7 +19,7 @@ class ParityMatrix:
     The constructor takes n rows, each read as n entry bytes by ``bytes(row)``
     (lists of ints 0..255, uint8 or bool array rows) and reduced mod 2;
     ``from_rows`` wraps int rows directly.  ``row_xor`` acts in place; ``rank``
-    and ``is_identity`` never modify the matrix.
+    never modifies the matrix.
     """
 
     __slots__ = ("rows",)
@@ -92,14 +92,8 @@ class ParityMatrix:
         rows[dst] ^= rows[src]
         return self
 
-    def is_identity(self) -> bool:
-        return all(r == 1 << i for i, r in enumerate(self.rows))
-
     def rank(self) -> int:
         return gf2_rank(self.rows)
-
-    def copy(self) -> "ParityMatrix":
-        return ParityMatrix.from_rows(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ParityMatrix):

@@ -20,6 +20,11 @@ later vertex, and keeps a bounded table of the best-scoring mappings.  A
 ``MappingSearch`` over one graph and qubit count is the one context that
 constructions and scores take: it holds the graph and memos keyed by mask,
 and is dropped when the search returns.
+
+This module alone decides whether a device, a qubit count and a mapping can
+be used: ``MappingSearch`` refuses a disconnected device or a qubit count
+outside ``1..N``, and a caller's mapping must pass ``mapping_failure`` and
+``replay_is_valid``.
 """
 from __future__ import annotations
 
@@ -91,10 +96,11 @@ Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None, int, int, tuple[int
 class MappingSearch:
     """The one context of a mapping search: its graph, qubit count and shared state.
 
-    Making one checks that the graph is connected and that ``1 <= n <= N``
-    for its N vertices; only a ``full`` search (n = N) follows Hamiltonian
-    paths.  A residual graph is an int vertex mask over the base graph.  The
-    base graph's key qubits and per-vertex mean edge errors are computed once.
+    Making one is the only check of a searched device: it raises
+    ``ValueError`` unless the graph is connected and ``1 <= n <= N`` for its
+    N vertices.  Only a ``full`` search (n = N) follows Hamiltonian paths.
+    A residual graph is an int vertex mask over the base graph.  The base
+    graph's key qubits and per-vertex mean edge errors are computed once.
     The step memo, keyed by residual mask, holds what a construction does
     there: follow a Hamiltonian path to the end, or draw among the non-cut
     vertices.  A drawing step also keeps the residual's biconnected blocks,
@@ -111,7 +117,7 @@ class MappingSearch:
             raise ValueError(
                 f"mapping search requires a connected coupling graph; {graph.name or 'the graph'} is disconnected")
         if not 1 <= n <= graph.num_vertices:
-            raise ValueError(f"n={n} outside [1, {graph.num_vertices}]")
+            raise ValueError(f"{n} logical qubits but device has {graph.num_vertices} qubits")
         self.graph = graph
         self.n = n
         self.full = n == graph.num_vertices
@@ -242,15 +248,25 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
     return Mapping(tuple(assign))
 
 
+def mapping_failure(graph: CouplingGraph, mapping: Mapping, n: int) -> str | None:
+    """Why ``mapping`` cannot place ``n`` logical qubits on ``graph``; None if it can."""
+    if mapping.n != n:
+        return f"mapping covers {mapping.n} qubits, {n} needed"
+    if not set(mapping.assign) <= graph.vertices:
+        return "mapping uses vertices outside the device"
+    return None
+
+
 def replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
-    """Check that removing assign[0], assign[1], ... never disconnects the residual graph."""
+    """Whether every residual graph that elimination visits is connected: the whole device
+    first, so a disconnected one fails, then what is left as assign[0], ..., assign[n-2] leave."""
     if not set(mapping.assign) <= graph.vertices:
         return False
     residual = graph.vertex_mask
-    for v in mapping.assign[:-1]:
-        residual &= ~(1 << v)
+    for v in mapping.assign:
         if not graph.is_connected(residual):
             return False
+        residual &= ~(1 << v)
     return True
 
 

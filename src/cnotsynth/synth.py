@@ -19,7 +19,8 @@ depend on a mapped qubit, which guarantees the ancillas return to |0> and
 never leak into the logical qubits.  ``verification_failure`` re-checks a
 gate list in the same physical-qubit space, sharing only that final check:
 it replays the gates on unit rows and compares them with the original matrix
-moved through the mapping, and never eliminates.
+moved through the mapping, and never eliminates.  ``mapping`` alone decides
+whether a device, a qubit count and a mapping can be used.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in
 from .circuit import CNOT, Circuit, relocate, segment_runs
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix, solve_gf2
-from .mapping import Mapping, TabuConfig, optimize_mapping, replay_is_valid
+from .mapping import Mapping, TabuConfig, mapping_failure, optimize_mapping, replay_is_valid
 from .steiner import min_noise_steiner_tree, postorder, preorder
 
 
@@ -204,24 +205,12 @@ def _block_failure(rows: list[int], want: dict[int, int], vertex_mask: int) -> s
     return None
 
 
-def _mapping_failure(graph: CouplingGraph, mapping: Mapping, n: int) -> str | None:
-    """Why ``mapping`` cannot place ``n`` logical qubits on ``graph``; None if it can."""
-    if mapping.n != n:
-        return f"mapping covers {mapping.n} qubits, {n} needed"
-    if not set(mapping.assign) <= graph.vertices:
-        return "mapping uses vertices outside the device"
-    return None
-
-
 def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, mapping: Mapping | None) -> Mapping:
-    """The tabu-search mapping of ``n`` qubits on ``graph``, or the caller's once it passes the checks."""
-    if not graph.is_connected():
-        raise ValueError(f"synthesis requires a connected coupling graph; {graph.name or 'the graph'} is disconnected")
-    if n > graph.num_vertices:
-        raise ValueError(f"{n} logical qubits but device has {graph.num_vertices} qubits")
+    """The tabu-search mapping of ``n`` qubits on ``graph``, whose ``MappingSearch`` checks both,
+    or the caller's once ``mapping_failure`` and ``replay_is_valid`` pass it."""
     if mapping is None:
         return optimize_mapping(graph, n, config)
-    if (failure := _mapping_failure(graph, mapping, n)) is not None:
+    if (failure := mapping_failure(graph, mapping, n)) is not None:
         raise ValueError(failure)
     if not replay_is_valid(graph, mapping):
         raise ValueError("mapping fails the removal-replay connectivity check")
@@ -264,7 +253,9 @@ def synthesize(
     Layers are eliminated in logical order 0..n-1 (column before row); after
     each layer the hosting physical qubit leaves the residual graph.  The
     mapping defaults to the tabu-search result for (graph, n, config); a
-    caller-supplied mapping must pass the removal-replay validity check.
+    caller-supplied mapping must place the n qubits on the device and pass
+    the removal-replay check.  Either way a disconnected device, or one
+    with fewer than n qubits, raises ``ValueError``.
 
     Returns a result whose gate list provably realizes ``m``
     (``verify_equivalence`` re-checks from scratch).
@@ -288,7 +279,7 @@ def verification_failure(
     ``assign[j]``, is the row expected of qubit ``assign[r]``; spare vertices
     are ancillas that must start and end clean.
     """
-    if (failure := _mapping_failure(graph, mapping, m_original.n)) is not None:
+    if (failure := mapping_failure(graph, mapping, m_original.n)) is not None:
         return failure
     rows = [1 << p for p in range(graph.width)]
     for k, (c, t) in enumerate(gates):
@@ -310,7 +301,7 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
     through ``mapping``.  An empty original is one empty CNOT run.  A
     reordered but equivalent output is reported.
     """
-    if (failure := _mapping_failure(graph, mapping, original.n)) is not None:
+    if (failure := mapping_failure(graph, mapping, original.n)) is not None:
         return failure
     for r, p in enumerate(mapping.assign):
         if p >= output.n:

@@ -266,8 +266,11 @@ class TestHamiltonianPath:
         assert has_hamiltonian_path(builtin("guadalupe")) is None
 
     def test_guardrail(self):
-        with pytest.raises(ArchError, match="limited"):
-            has_hamiltonian_path(builtin("linear(33)"))
+        # A whole graph or a mask of 33 vertices is refused; 32 are searched.
+        for graph, mask in [(builtin("linear(33)"), None), (builtin("grid(6,6)"), (1 << 33) - 1)]:
+            with pytest.raises(ArchError, match=r"^Hamiltonian-path search limited to 32 vertices, got 33$"):
+                has_hamiltonian_path(graph, mask)
+        assert has_hamiltonian_path(builtin("linear(32)")) == tuple(range(32))
 
     def test_single_vertex(self):
         assert has_hamiltonian_path(CouplingGraph([0], [])) == (0,)

@@ -472,6 +472,13 @@ class TestSegmentation:
         with pytest.raises(ValueError, match=reason):
             segment_and_synthesize(circ, builtin("quito"), mapping=mapping)
 
+    @pytest.mark.parametrize("assign", [(0,), (0, 1)])
+    def test_caller_mapping_on_disconnected_device_is_refused(self, assign):
+        g = CouplingGraph(range(4), [(0, 1, 0.01), (2, 3, 0.01)])
+        circ = Circuit(len(assign), (OneQubit("h", 0),))
+        with pytest.raises(ValueError, match="removal-replay"):
+            segment_and_synthesize(circ, g, mapping=Mapping(assign))
+
     def test_caller_mapping_is_replay_checked_once_per_circuit(self, monkeypatch):
         import cnotsynth.synth
 

@@ -151,6 +151,17 @@ class TestSynthCommand:
         # The message names the disconnected device, also among several.
         assert ("split.arch" in err) == any("{split}" in arg for arg in argv)
 
+    @pytest.mark.filterwarnings("ignore:architecture graph is disconnected")
+    def test_synth_and_bench_word_a_disconnected_device_alike(self, tmp_path, capsys):
+        split = tmp_path / "split.arch"
+        split.write_text("qubits 5\nedge 0 1 0.01\nedge 2 3 0.01\nedge 3 4 0.01\n", encoding="utf-8")
+        qasm = write_random_qasm(tmp_path / "in.qasm")
+        errors = []
+        for argv in (["synth", qasm, "--arch", str(split)], ["bench", "--arch", str(split), "--sizes", "5"]):
+            assert main(argv + FAST) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: mapping search requires a connected coupling graph; split.arch is disconnected\n"] * 2
+
     def test_negative_shots_exits_2(self, tmp_path, capsys):
         p = write_random_qasm(tmp_path / "in.qasm")
         out = tmp_path / "out.qasm"
@@ -273,6 +284,19 @@ class TestVerifyCommand:
         mapping.write_text(json.dumps({"arch": "quito", "n": 2, "assign": [0, 1]}), encoding="utf-8")
         assert main(["verify", str(original), str(synthesized), str(mapping)]) == 2
         assert "outside the device" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assign,failure", [
+        ([0, 1, 2], "mapping covers 3 qubits, 2 needed"),
+        ([0, 7], "mapping uses vertices outside the device"),
+    ])
+    def test_mapping_that_does_not_place_the_original_exits_2(self, tmp_path, capsys, assign, failure):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[2]; cx q[0],q[1];\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"arch": "quito", "assign": assign}), encoding="utf-8")
+        assert main(["verify", str(p), str(p), str(mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {mapping}: {failure}\n"
 
     def test_register_wider_than_device_exits_2(self, tmp_path, capsys):
         # The quito output with its register widened: every gate still fits.

@@ -88,7 +88,7 @@ class TestRowXor:
         m = random_invertible(n, seed)
         src = data.draw(st.integers(0, n - 1))
         dst = data.draw(st.integers(0, n - 1).filter(lambda d: d != src))
-        before = m.copy()
+        before = ParityMatrix.from_rows(m.rows)
         m.row_xor(src, dst)
         m.row_xor(src, dst)
         assert m == before
@@ -97,7 +97,7 @@ class TestRowXor:
 class TestRankIdentity:
     def test_identity(self):
         m = ParityMatrix.identity(4)
-        assert m.is_identity() and m.rank() == 4
+        assert m == ParityMatrix.identity(m.n) and m.rank() == 4
 
     def test_zeros_rank(self):
         assert gf2_rank([0, 0, 0]) == 0
@@ -239,7 +239,7 @@ class TestConstruction:
         arr = np.eye(3, dtype=np.uint8)
         m = ParityMatrix(arr)
         arr[0, 1] = 1
-        assert m.is_identity()
+        assert m == ParityMatrix.identity(m.n)
 
     @pytest.mark.parametrize("bits", [
         np.ascontiguousarray(WIDE[:, ::2]),

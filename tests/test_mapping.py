@@ -125,9 +125,15 @@ class TestInitialMapping:
         with pytest.raises(ValueError, match="connected"):
             MappingSearch(g, 3)
 
+    @pytest.mark.parametrize("assign", [(0,), (0, 1)])
+    def test_replay_refuses_disconnected_device(self, assign):
+        # The whole device is the first residual checked, also for one qubit.
+        g = CouplingGraph(range(4), [(0, 1, 0.01), (2, 3, 0.01)])
+        assert not replay_is_valid(g, Mapping(assign))
+
     def test_rejects_bad_qubit_count(self):
         for n in (0, 6):
-            with pytest.raises(ValueError, match=rf"^n={n} outside \[1, 5\]$"):
+            with pytest.raises(ValueError, match=rf"^{n} logical qubits but device has 5 qubits$"):
                 MappingSearch(builtin("quito"), n)
 
     @pytest.mark.parametrize("name,seed", [("quito", 3), ("guadalupe", 5), ("tokyo", 1), ("grid(3,3)", 2)])

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ import cnotsynth
 from cnotsynth.circuit import Circuit, monte_carlo_fidelity, parse_qasm, random_cnot_circuit, write_qasm
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
+BENCHMARK = ROOT / "perfbench"
+TRACING = BENCHMARK / "tracing.py"
 PACKAGE = ROOT / "src" / "cnotsynth"
 
 #: The names README's "Library use" documents.
@@ -106,6 +108,26 @@ def test_every_definition_serves_the_package():
     assert unused == []
 
 
+def test_every_public_method_serves_the_package():
+    """Each public method or property of a class in ``__all__`` is named as an
+    attribute by package code, or as ``.name`` or ```name`` by the benchmark
+    or README.  A method that only the tests call belongs in
+    ``tests/conftest.py``."""
+    named = {
+        node.attr for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Attribute)
+    }
+    texts = [path.read_text(encoding="utf-8") for path in [ROOT / "README.md", *sorted(BENCHMARK.glob("*.py"))]]
+    kinds = (property, classmethod, staticmethod)
+    unused = [
+        f"{name}.{attr}" for name in cnotsynth.__all__ if isinstance(cls := getattr(cnotsynth, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (callable(value) or isinstance(value, kinds)) and attr not in named
+        and not any(re.search(rf"[.`]{attr}\b", text) for text in texts)
+    ]
+    assert unused == []
+
+
 def _fresh(code: str, cwd: Path) -> object:
     """Run ``code`` in a fresh interpreter with ``src`` first on the path; it
     prints one JSON value as its last line of stdout, which is returned."""
@@ -166,7 +188,7 @@ def test_array_paths_load_numpy(tmp_path):
 import json
 from cnotsynth import ParityMatrix
 m = ParityMatrix([[1, 0], [1, 1]])
-print(json.dumps([m.rows, m == ParityMatrix.from_rows([0b01, 0b11]), ParityMatrix([[1, 0], [0, 1]]).is_identity()]))
+print(json.dumps([m.rows, m == ParityMatrix.from_rows([0b01, 0b11]), ParityMatrix([[1, 0], [0, 1]]) == ParityMatrix.identity(2)]))
 """
     assert _fresh_without_numpy(code, tmp_path) == [[0b01, 0b11], True, True]
 

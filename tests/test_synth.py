@@ -94,7 +94,7 @@ class TestTargetAidedRows:
                 assert np.array_equal(xor_rows(bits, sorted(brute)), expected)
                 eliminate_row(m, residual, i, residual.vertex_mask)
                 residual = remove_vertex(residual, i)
-            assert m.is_identity()
+            assert m == ParityMatrix.identity(m.n)
 
 
 class TestEliminateColumn:
@@ -160,7 +160,7 @@ class TestEliminateRow:
             assert not bits[:done, done:].any()
             assert not bits[done:, :done].any()
             residual = remove_vertex(residual, i)
-        assert m.is_identity()
+        assert m == ParityMatrix.identity(m.n)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ops_on_residual_edges_nonlinear_device(self, seed):
@@ -179,7 +179,7 @@ class TestEliminateRow:
             for c, t in ops:
                 assert residual.has_edge(c, t)
             residual = remove_vertex(residual, q)
-        assert m.is_identity()
+        assert m == ParityMatrix.identity(m.n)
 
 
 class TestResidualMaskElimination:
@@ -189,7 +189,7 @@ class TestResidualMaskElimination:
     @staticmethod
     def _check(g, mapping, m):
         m = physical_matrix(m, g, mapping)
-        masked, rebuilt = m.copy(), m.copy()
+        masked, rebuilt = ParityMatrix.from_rows(m.rows), ParityMatrix.from_rows(m.rows)
         residual, residual_graph = g.vertex_mask, g
         for q in mapping.assign:
             for eliminate in (eliminate_column, eliminate_row):
@@ -197,7 +197,7 @@ class TestResidualMaskElimination:
                 assert got == eliminate(rebuilt, residual_graph, q, residual_graph.vertex_mask)
             residual &= ~(1 << q)
             residual_graph = remove_vertex(residual_graph, q)
-        assert masked.rows == rebuilt.rows and masked.is_identity()
+        assert masked.rows == rebuilt.rows and masked == ParityMatrix.identity(masked.n)
 
     @pytest.mark.parametrize("name", ["quito", "guadalupe", "tokyo", "grid(4,4)"])
     def test_builtin_devices(self, name):
@@ -349,14 +349,16 @@ def _optimal_counts(g):
 
 
 class TestFourQubitOptimum:
-    """Every 4-qubit parity matrix on two 4-qubit devices, against the exact
-    optimum under the same default mapping (ROADMAP item 6)."""
+    """Every 4-qubit parity matrix on three 4-qubit devices, against the exact
+    optimum under the same default mapping."""
 
     @pytest.mark.parametrize("g,assign,optimal_mean,mean_bound,gap_bound", [
         (builtin("linear(4)"), (0, 1, 2, 3), 9.12, 11.29, 11),
         (CouplingGraph(range(4), [(0, 1, 0.01), (0, 2, 0.01), (0, 3, 0.01)], name="star"),
          (1, 2, 0, 3), 7.76, 10.26, 11),
-    ], ids=["linear(4)", "star"])
+        (CouplingGraph(range(4), [(0, 1, 0.01), (1, 2, 0.01), (2, 3, 0.01), (0, 3, 0.01)], name="ring"),
+         (0, 1, 2, 3), 6.77, 9.74, 12),
+    ], ids=["linear(4)", "star", "ring"])
     def test_all_of_gl4(self, g, assign, optimal_mean, mean_bound, gap_bound):
         mapping = optimize_mapping(g, 4)
         assert mapping.assign == assign
@@ -406,6 +408,10 @@ class TestSynthesize:
         g = CouplingGraph(range(4), [(0, 1, 0.01), (2, 3, 0.01)])
         with pytest.raises(ValueError, match="connected"):
             synthesize(ParityMatrix.identity(4), g, SMALL_CONFIG)
+        # A caller's mapping fails the replay, whose first residual is the whole device.
+        for assign in [(0,), (0, 1), (0, 1, 2, 3)]:
+            with pytest.raises(ValueError, match="removal-replay"):
+                synthesize(ParityMatrix.identity(len(assign)), g, mapping=Mapping(assign))
 
     def test_terminal_outside_residual_detected(self):
         # Feeding a residual graph that lost a needed qubit must fail loudly.
@@ -432,7 +438,7 @@ class TestSynthesize:
             recorded += eliminate_column(work, g, q, residual)
             recorded += eliminate_row(work, g, q, residual)
             residual &= ~(1 << q)
-        assert work.is_identity()
+        assert work == ParityMatrix.identity(work.n)
         assert [(gate.control, gate.target) for gate in res.gates] == recorded[::-1]
 
     @pytest.mark.parametrize("name,seeds", [("quito", range(8)), ("guadalupe", range(6)), ("tokyo", range(4))])
@@ -451,13 +457,13 @@ class TestSynthesize:
     def test_deterministic(self):
         g = builtin("guadalupe")
         m = random_invertible(16, 5)
-        a = synthesize(m.copy(), g, SMALL_CONFIG)
-        b = synthesize(m.copy(), g, SMALL_CONFIG)
+        a = synthesize(ParityMatrix.from_rows(m.rows), g, SMALL_CONFIG)
+        b = synthesize(ParityMatrix.from_rows(m.rows), g, SMALL_CONFIG)
         assert a.gates == b.gates and a.mapping == b.mapping
 
     def test_input_matrix_unchanged(self):
         m = random_invertible(5, 9)
-        snapshot = m.copy()
+        snapshot = ParityMatrix.from_rows(m.rows)
         synthesize(m, builtin("quito"), SMALL_CONFIG)
         assert m == snapshot
 
