@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from typing import Iterable, Iterator
 
 HAMILTONIAN_VERTEX_LIMIT = 32
@@ -443,7 +442,6 @@ def parse_arch(text: str) -> CouplingGraph:
 
     Line 1 is ``qubits N``; each following line is ``edge U V ERR`` with
     0 <= U,V < N and ERR a decimal in [0,1).  ``#`` starts a comment.
-    A disconnected graph parses with a warning; synthesis rejects it.
     """
     n: int | None = None
     triples: list[tuple[int, int, float]] = []
@@ -476,10 +474,7 @@ def parse_arch(text: str) -> CouplingGraph:
         triples.append((u, v, err))
     if n is None:
         raise ArchError("empty architecture description: missing 'qubits N' line")
-    graph = CouplingGraph(range(n), triples)
-    if not graph.is_connected():
-        warnings.warn("architecture graph is disconnected; synthesis will reject it", stacklevel=2)
-    return graph
+    return CouplingGraph(range(n), triples)
 
 
 # ---------------------------------------------------------------------------

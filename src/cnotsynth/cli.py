@@ -172,7 +172,7 @@ def cmd_arch(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _mapping_payload(arch_spec: str, mapping: Mapping) -> str:
-    payload = {"arch": arch_spec, "n": mapping.n, "assign": list(mapping.assign)}
+    payload = {"arch": arch_spec, "assign": list(mapping.assign)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -6,7 +6,9 @@ CNOT(control, target) XORs the control row into the target row.  Row i,
 column j is 1 iff the output parity of qubit i includes input qubit j.
 
 Each row is one Python int whose bit j holds column j, so a row operation is
-a single XOR and rank and solve share one bitwise elimination (``_basis``).
+one inline XOR on a row list, ``rows[target] ^= rows[control]``: the class
+has no ``row_xor``.  Rank and solve share one bitwise elimination
+(``_basis``).
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ class ParityMatrix:
 
     The constructor takes n rows, each read as n entry bytes by ``bytes(row)``
     (lists of ints 0..255, uint8 or bool array rows) and reduced mod 2;
-    ``from_rows`` wraps int rows directly.  ``row_xor`` acts in place; ``rank``
-    never modifies the matrix.
+    ``from_rows`` wraps int rows directly.  There is no ``row_xor``: callers
+    XOR ``rows`` entries inline.  ``rank`` never modifies the matrix.
     """
 
     __slots__ = ("rows",)
@@ -80,17 +82,6 @@ class ParityMatrix:
                 raise ValueError(f"gate {k}: control and target coincide ({control})")
             rows[target] ^= rows[control]
         return m
-
-    def row_xor(self, src: int, dst: int) -> "ParityMatrix":
-        """XOR row ``src`` into row ``dst`` in place.  Involution per (src, dst)."""
-        if src == dst:
-            raise ValueError("row_xor requires src != dst")
-        rows = self.rows
-        n = len(rows)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"row index out of range for n={n}: ({src},{dst})")
-        rows[dst] ^= rows[src]
-        return self
 
     def rank(self) -> int:
         return gf2_rank(self.rows)

@@ -7,20 +7,22 @@ over the residual coupling graph, and after each layer q leaves the residual
 graph.  The residual graph is an int vertex mask over the device graph, so
 removing a qubit clears one bit and no graph is rebuilt.
 
-Elimination works in physical-qubit space.  The mapping is applied once, when
-the work matrix is built: row p and column p belong to physical qubit p, so
-every recorded row operation is already a physical (control, target) pair and
-the synthesized circuit is their reverse cascade.  When the matrix is smaller
-than the device, spare physical qubits act as clean ancillas: their rows
-start as unit vectors, so Steiner points and target-aided rows may use them.
-An id that is not a vertex gets a zero row and is never touched.  The final
-check requires every mapped row to be its unit vector and no spare row to
-depend on a mapped qubit, which guarantees the ancillas return to |0> and
-never leak into the logical qubits.  ``verification_failure`` re-checks a
-gate list in the same physical-qubit space, sharing only that final check:
-it replays the gates on unit rows and compares them with the original matrix
-moved through the mapping, and never eliminates.  ``mapping`` alone decides
-whether a device, a qubit count and a mapping can be used.
+Elimination works in physical-qubit space, on a plain list of int work rows
+(bit j of a row is column j).  The mapping is applied once, when the work
+rows are built: row p and column p belong to physical qubit p, so every
+recorded row operation is already a physical (control, target) pair, applied
+as ``rows[target] ^= rows[control]``, and the synthesized circuit is their
+reverse cascade.  When the matrix is smaller than the device, spare physical
+qubits act as clean ancillas: their rows start as unit vectors, so Steiner
+points and target-aided rows may use them.  An id that is not a vertex gets
+a zero row and is never touched.  The final check requires every mapped row
+to be its unit vector and no spare row to depend on a mapped qubit, which
+guarantees the ancillas return to |0> and never leak into the logical
+qubits.  ``verification_failure`` re-checks a gate list in the same
+physical-qubit space, sharing only that final check: it replays the gates
+on unit rows and compares them with the original matrix moved through the
+mapping, and never eliminates.  ``mapping`` alone decides whether a device,
+a qubit count and a mapping can be used.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ class SynthesisResult:
 # Target-aided rows
 # ---------------------------------------------------------------------------
 
-def target_aided_rows(m: ParityMatrix, q: int, residual: int) -> set[int]:
+def target_aided_rows(rows: list[int], q: int, residual: int) -> set[int]:
     """Residual rows other than q whose XOR equals row q plus its unit vector.
 
     Found by solving the GF(2) linear system over those rows, in ascending
@@ -73,7 +75,6 @@ def target_aided_rows(m: ParityMatrix, q: int, residual: int) -> set[int]:
     they are independent, so the solution exists and is unique.  Returns the
     empty set when row q is already a unit vector.
     """
-    rows = m.rows
     y = rows[q] ^ (1 << q)
     if not y:
         return set()
@@ -98,67 +99,68 @@ def _check_inside(residual: int, qubits: set[int]) -> None:
         raise RuntimeError(f"qubits {outside} outside residual graph; mapping replay invariant violated")
 
 
-def _column_ones(m: ParityMatrix, q: int) -> list[int]:
-    return [p for p, row in enumerate(m.rows) if row >> q & 1]
+def _column_ones(rows: list[int], q: int) -> list[int]:
+    return [p for p, row in enumerate(rows) if row >> q & 1]
 
 
-def _check_unit_column(m: ParityMatrix, q: int) -> None:
-    if _column_ones(m, q) != [q]:
+def _check_unit_column(rows: list[int], q: int) -> None:
+    if _column_ones(rows, q) != [q]:
         raise RuntimeError(f"column {q} failed to reduce to a unit vector")
 
 
-def _check_unit_row(m: ParityMatrix, q: int) -> None:
-    if m.rows[q] != 1 << q:
+def _check_unit_row(rows: list[int], q: int) -> None:
+    if rows[q] != 1 << q:
         raise RuntimeError(f"row {q} failed to reduce to a unit vector")
 
 
-def eliminate_column(m: ParityMatrix, graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
+def eliminate_column(rows: list[int], graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
     """Reduce column q to its unit vector using residual-graph edges only.
 
-    ``m`` is indexed by physical qubit, and the residual graph is the
-    subgraph of ``graph`` induced by the vertex mask ``residual``.  A
-    minimum-noise Steiner tree is grown over the qubits whose rows have a 1
-    in column q, rooted at q.  A postorder pass first fills 0-valued tree
-    vertices from a 1-valued child; a second postorder pass XORs every
-    vertex into each of its children, clearing all entries except the root's.
+    The work ``rows`` are indexed by physical qubit and XORed in place, and
+    the residual graph is the subgraph of ``graph`` induced by the vertex
+    mask ``residual``.  A minimum-noise Steiner tree is grown over the
+    qubits whose rows have a 1 in column q, rooted at q.  A postorder pass
+    first fills 0-valued tree vertices from a 1-valued child; a second
+    postorder pass XORs every vertex into each of its children, clearing
+    all entries except the root's.
 
     Returns the recorded (control, target) row operations.
     """
-    terminals = set(_column_ones(m, q))
+    terminals = set(_column_ones(rows, q))
     if not terminals:
         raise RuntimeError(f"column {q} is all zeros; matrix is singular")
     _check_inside(residual, terminals | {q})
 
     tree = min_noise_steiner_tree(graph, q, terminals, residual)
     order = postorder(tree)
-    rows, bit = m.rows, 1 << q
+    bit = 1 << q
     ops: list[tuple[int, int]] = []
     for c in order:
         if c == q:
             continue
         k = tree.parent[c]
         if not rows[k] & bit and rows[c] & bit:
-            m.row_xor(c, k)
+            rows[k] ^= rows[c]
             ops.append((c, k))
     for c in order:
         for l in tree.children[c]:
-            m.row_xor(c, l)
+            rows[l] ^= rows[c]
             ops.append((c, l))
-    _check_unit_column(m, q)
+    _check_unit_column(rows, q)
     return ops
 
 
-def eliminate_row(m: ParityMatrix, graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
+def eliminate_row(rows: list[int], graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
     """Reduce row q to its unit vector, assuming column q is already unit.
 
-    ``m`` and the residual graph are given as in ``eliminate_column``.  The
+    ``rows`` and the residual graph are given as in ``eliminate_column``.  The
     target-aided row set S is located first; a minimum-noise Steiner tree
     then spans S, rooted at q.  A preorder pass folds every tree vertex
     outside S into its parent, and a postorder pass folds every vertex into
     its parent, leaving row q equal to its former value XOR the rows of S,
     i.e. the unit vector.
     """
-    aid = target_aided_rows(m, q, residual)
+    aid = target_aided_rows(rows, q, residual)
     if not aid:
         return []
     _check_inside(residual, aid | {q})
@@ -169,16 +171,16 @@ def eliminate_row(m: ParityMatrix, graph: CouplingGraph, q: int, residual: int) 
         if r == q or r in aid:
             continue
         k = tree.parent[r]
-        m.row_xor(r, k)
+        rows[k] ^= rows[r]
         ops.append((r, k))
     for r in postorder(tree):
         if r == q:
             continue
         k = tree.parent[r]
-        m.row_xor(r, k)
+        rows[k] ^= rows[r]
         ops.append((r, k))
-    _check_unit_row(m, q)
-    _check_unit_column(m, q)
+    _check_unit_row(rows, q)
+    _check_unit_column(rows, q)
     return ops
 
 
@@ -220,9 +222,10 @@ def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, ma
 def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> SynthesisResult:
     """Eliminate the invertible ``m`` layer by layer under a checked mapping.
 
-    The work matrix is ``m`` moved into physical-qubit space: logical row r
-    becomes row ``assign[r]`` with bit j moved to bit ``assign[j]``, a spare
-    vertex p gets ``1 << p`` and an id that is not a vertex gets 0.
+    The work rows are ``m``'s rows moved into physical-qubit space, one int
+    per device id: logical row r becomes row ``assign[r]`` with bit j moved
+    to bit ``assign[j]``, a spare vertex p gets ``1 << p`` and an id that is
+    not a vertex gets 0.  The passes XOR them in place.
     """
     assign = mapping.assign
     rows = [0] * graph.width
@@ -230,14 +233,13 @@ def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> Synth
         rows[p] = 1 << p
     for r, row in enumerate(m.rows):
         rows[assign[r]] = sum(1 << assign[j] for j in mask_vertices(row))
-    work = ParityMatrix.from_rows(rows)
     residual = graph.vertex_mask
     recorded: list[tuple[int, int]] = []
     for q in assign:
-        recorded.extend(eliminate_column(work, graph, q, residual))
-        recorded.extend(eliminate_row(work, graph, q, residual))
+        recorded.extend(eliminate_column(rows, graph, q, residual))
+        recorded.extend(eliminate_row(rows, graph, q, residual))
         residual &= ~(1 << q)
-    if (failure := _block_failure(work.rows, {p: 1 << p for p in assign}, graph.vertex_mask)) is not None:
+    if (failure := _block_failure(rows, {p: 1 << p for p in assign}, graph.vertex_mask)) is not None:
         raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
     return SynthesisResult(gates=tuple(CNOT(c, t) for c, t in reversed(recorded)), mapping=mapping, graph=graph)
 

@@ -447,8 +447,8 @@ def reference_flooding_path_search(graph: CouplingGraph, mask: int):
 
 
 def reference_replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
-    """Removal replay over rebuilt residual graphs."""
-    if not set(mapping.assign) <= graph.vertices:
+    """Removal replay over rebuilt residual graphs, starting with the whole device."""
+    if not set(mapping.assign) <= graph.vertices or not bfs_connected(graph):
         return False
     residual = graph
     for v in mapping.assign[:-1]:
@@ -554,9 +554,9 @@ def reference_min_noise_steiner_tree(graph: CouplingGraph, root: int, terminals,
 # Elimination in extended-logical row order
 # ---------------------------------------------------------------------------
 # The elimination that physical-qubit indexing replaced, kept as the oracle of
-# the differential tests in test_synth.py.  Row k of the work matrix belongs
-# to logical qubit k; spare vertices follow as ancilla rows in ascending id
-# order, and every row operation is translated to a CNOT at the end.
+# the differential tests in test_synth.py.  Work row k belongs to logical
+# qubit k; spare vertices follow as ancilla rows in ascending id order, and
+# every row operation is translated to a CNOT at the end.
 
 def physical_matrix(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> ParityMatrix:
     """``m`` indexed by physical qubit: entry (assign[r], assign[j]) is m's
@@ -570,8 +570,7 @@ def physical_matrix(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> 
     return ParityMatrix(bits)
 
 
-def reference_target_aided_rows(m: ParityMatrix, i: int) -> set[int]:
-    rows = m.rows
+def reference_target_aided_rows(rows: list[int], i: int) -> set[int]:
     y = rows[i] ^ (1 << i)
     if not y:
         return set()
@@ -581,39 +580,39 @@ def reference_target_aided_rows(m: ParityMatrix, i: int) -> set[int]:
     return {i + 1 + j for j in range(x.bit_length()) if x >> j & 1}
 
 
-def _reference_column_ones(m: ParityMatrix, i: int) -> list[int]:
-    return [r for r, row in enumerate(m.rows) if row >> i & 1]
+def _reference_column_ones(rows: list[int], i: int) -> list[int]:
+    return [r for r, row in enumerate(rows) if row >> i & 1]
 
 
-def reference_eliminate_column(m: ParityMatrix, graph: CouplingGraph, assign, i: int, residual: int):
-    """Row-indexed column pass; ``assign`` covers every row of ``m``."""
+def reference_eliminate_column(rows: list[int], graph: CouplingGraph, assign, i: int, residual: int):
+    """Row-indexed column pass; ``assign`` covers every one of ``rows``."""
     phys_to_row = {p: r for r, p in enumerate(assign)}
     root = assign[i]
-    terminals = {assign[j] for j in _reference_column_ones(m, i)}
+    terminals = {assign[j] for j in _reference_column_ones(rows, i)}
     tree = min_noise_steiner_tree(graph, root, terminals, residual)
     order = postorder(tree)
-    rows, bit = m.rows, 1 << i
+    bit = 1 << i
     ops = []
     for c_phys in order:
         if c_phys == root:
             continue
         c, k = phys_to_row[c_phys], phys_to_row[tree.parent[c_phys]]
         if not rows[k] & bit and rows[c] & bit:
-            m.row_xor(c, k)
+            rows[k] ^= rows[c]
             ops.append((c, k))
     for c_phys in order:
         for l_phys in tree.children[c_phys]:
             c, l = phys_to_row[c_phys], phys_to_row[l_phys]
-            m.row_xor(c, l)
+            rows[l] ^= rows[c]
             ops.append((c, l))
-    assert _reference_column_ones(m, i) == [i]
+    assert _reference_column_ones(rows, i) == [i]
     return ops
 
 
-def reference_eliminate_row(m: ParityMatrix, graph: CouplingGraph, assign, i: int, residual: int):
-    """Row-indexed row pass; ``assign`` covers every row of ``m``."""
+def reference_eliminate_row(rows: list[int], graph: CouplingGraph, assign, i: int, residual: int):
+    """Row-indexed row pass; ``assign`` covers every one of ``rows``."""
     phys_to_row = {p: r for r, p in enumerate(assign)}
-    aid = reference_target_aided_rows(m, i)
+    aid = reference_target_aided_rows(rows, i)
     if not aid:
         return []
     root = assign[i]
@@ -624,15 +623,15 @@ def reference_eliminate_row(m: ParityMatrix, graph: CouplingGraph, assign, i: in
         if r_phys == root or r_phys in aid_phys:
             continue
         r, k = phys_to_row[r_phys], phys_to_row[tree.parent[r_phys]]
-        m.row_xor(r, k)
+        rows[k] ^= rows[r]
         ops.append((r, k))
     for r_phys in postorder(tree):
         if r_phys == root:
             continue
         r, k = phys_to_row[r_phys], phys_to_row[tree.parent[r_phys]]
-        m.row_xor(r, k)
+        rows[k] ^= rows[r]
         ops.append((r, k))
-    assert m.rows[i] == 1 << i and _reference_column_ones(m, i) == [i]
+    assert rows[i] == 1 << i and _reference_column_ones(rows, i) == [i]
     return ops
 
 
@@ -646,7 +645,7 @@ def reference_eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping)
     """Gates of the row-indexed elimination of ``m`` under ``mapping``."""
     n = m.n
     assign = extended_assign(graph, mapping)
-    work = ParityMatrix.from_rows(m.rows + [1 << r for r in range(n, graph.num_vertices)])
+    work = m.rows + [1 << r for r in range(n, graph.num_vertices)]
     residual = graph.vertex_mask
     recorded = []
     for i in range(n):
@@ -654,8 +653,8 @@ def reference_eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping)
         recorded += reference_eliminate_row(work, graph, assign, i, residual)
         residual &= ~(1 << assign[i])
     logical = (1 << n) - 1
-    assert all(work.rows[r] == 1 << r for r in range(n))
-    assert not any(row & logical for row in work.rows[n:])
+    assert all(work[r] == 1 << r for r in range(n))
+    assert not any(row & logical for row in work[n:])
     return tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
 
 
@@ -691,10 +690,10 @@ def reference_verification_failure(m_original: ParityMatrix, graph: CouplingGrap
         if not graph.has_edge(g.control, g.target):
             return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
     phys_to_row = {p: r for r, p in enumerate(extended_assign(graph, mapping))}
-    rebuilt = ParityMatrix.identity(graph.num_vertices)
+    rebuilt = [1 << r for r in range(graph.num_vertices)]
     for g in gates:
-        rebuilt.row_xor(phys_to_row[g.control], phys_to_row[g.target])
-    return _reference_block_failure(rebuilt.rows, m_original.rows)
+        rebuilt[phys_to_row[g.target]] ^= rebuilt[phys_to_row[g.control]]
+    return _reference_block_failure(rebuilt, m_original.rows)
 
 
 # ---------------------------------------------------------------------------

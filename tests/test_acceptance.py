@@ -129,7 +129,7 @@ def test_criterion_5_column_step_worked_example():
     bits[2, 0] = 1
     bits[4, 0] = 1
     m = physical_matrix(ParityMatrix(bits), graph, mapping)
-    ops = eliminate_column(m, graph, 0, graph.vertex_mask)
+    ops = eliminate_column(m.rows, graph, 0, graph.vertex_mask)
     assert ops == [(2, 1), (1, 2), (1, 3), (0, 1)]
     col = matrix_bits(m)[:, 0]
     assert col[0] == 1 and col.sum() == 1
@@ -150,16 +150,16 @@ def test_criterion_6_target_aided_rows_oracle():
             m = random_invertible(n, 90_000 + 100 * n + k)
             residual = graph
             for i in range(n):
-                eliminate_column(m, residual, i, residual.vertex_mask)
+                eliminate_column(m.rows, residual, i, residual.vertex_mask)
                 bits = matrix_bits(m)
                 want = bits[i].copy()
                 want[i] ^= 1
-                got = target_aided_rows(m, i, residual.vertex_mask)
+                got = target_aided_rows(m.rows, i, residual.vertex_mask)
                 brute = target_aided_rows_bruteforce(m, i, residual.vertex_mask)
                 assert np.array_equal(xor_rows(bits, sorted(got)), want)
                 assert np.array_equal(xor_rows(bits, sorted(brute)), want)
                 checked += 1
-                eliminate_row(m, residual, i, residual.vertex_mask)
+                eliminate_row(m.rows, residual, i, residual.vertex_mask)
                 from cnotsynth.arch import remove_vertex
 
                 residual = remove_vertex(residual, i)

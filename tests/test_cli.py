@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,8 @@ class TestSynthCommand:
         assert "cnot=" in metrics and "esp=" in metrics
         assert out.exists() and mapping.exists()
         payload = json.loads(mapping.read_text())
+        # The file holds exactly what verify reads.
+        assert sorted(payload) == ["arch", "assign"] and payload["arch"] == "quito"
         assert sorted(payload["assign"]) == [0, 1, 2, 3, 4]
 
     def test_gate_bound_on_quito(self, tmp_path, capsys):
@@ -135,7 +138,6 @@ class TestSynthCommand:
         assert len(calls) == 1 and replays == []
         assert json.loads(mapping.read_text())["assign"] == list(real(*calls[0]).assign)
 
-    @pytest.mark.filterwarnings("ignore:architecture graph is disconnected")
     @pytest.mark.parametrize("argv,reason", [
         (["synth", "{qasm}", "--arch", "{split}"], "connected coupling graph"),
         (["synth", "{qasm}", "--arch", "linear(3)"], "device has 3 qubits"),
@@ -151,7 +153,6 @@ class TestSynthCommand:
         # The message names the disconnected device, also among several.
         assert ("split.arch" in err) == any("{split}" in arg for arg in argv)
 
-    @pytest.mark.filterwarnings("ignore:architecture graph is disconnected")
     def test_synth_and_bench_word_a_disconnected_device_alike(self, tmp_path, capsys):
         split = tmp_path / "split.arch"
         split.write_text("qubits 5\nedge 0 1 0.01\nedge 2 3 0.01\nedge 3 4 0.01\n", encoding="utf-8")
@@ -161,6 +162,15 @@ class TestSynthCommand:
             assert main(argv + FAST) == 2
             errors.append(capsys.readouterr().err)
         assert errors == ["error: mapping search requires a connected coupling graph; split.arch is disconnected\n"] * 2
+
+    def test_arch_reports_a_disconnected_device_without_warning(self, tmp_path, capsys):
+        split = tmp_path / "split.arch"
+        split.write_text("qubits 5\nedge 0 1 0.01\nedge 2 3 0.01\nedge 3 4 0.01\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["arch", str(split)]) == 0
+        captured = capsys.readouterr()
+        assert "connected: no" in captured.out and captured.err == ""
 
     def test_negative_shots_exits_2(self, tmp_path, capsys):
         p = write_random_qasm(tmp_path / "in.qasm")

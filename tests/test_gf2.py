@@ -54,7 +54,7 @@ class TestFromCircuit:
         combined = ParityMatrix.from_circuit(first + second, 3)
         m = ParityMatrix.from_circuit(first, 3)
         for c, t in second:
-            m.row_xor(c, t)
+            m.rows[t] ^= m.rows[c]
         assert combined == m
 
     @given(st.integers(2, 6), st.integers(0, 40), st.integers(0, 2**32 - 1))
@@ -69,29 +69,6 @@ class TestFromCircuit:
             t = rng.randrange(n - 1)
             gates.append((c, t + 1 if t >= c else t))
         assert ParityMatrix.from_circuit(gates, n).rank() == n
-
-
-class TestRowXor:
-    def test_basic(self):
-        assert mat([[1, 0], [0, 1]]).row_xor(0, 1) == mat([[1, 0], [1, 1]])
-
-    def test_direct_xor(self):
-        assert mat([[1, 1], [0, 1]]).row_xor(1, 0) == mat([[1, 0], [0, 1]])
-
-    def test_src_equals_dst(self):
-        with pytest.raises(ValueError):
-            ParityMatrix.identity(2).row_xor(1, 1)
-
-    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_involution(self, n, seed, data):
-        m = random_invertible(n, seed)
-        src = data.draw(st.integers(0, n - 1))
-        dst = data.draw(st.integers(0, n - 1).filter(lambda d: d != src))
-        before = ParityMatrix.from_rows(m.rows)
-        m.row_xor(src, dst)
-        m.row_xor(src, dst)
-        assert m == before
 
 
 class TestRankIdentity:
@@ -205,10 +182,6 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ParityMatrix.identity(0)
-
-    def test_row_xor_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ParityMatrix.identity(2).row_xor(0, 5)
 
     def test_values_reduced_mod_2(self):
         assert ParityMatrix([[3, 0], [2, 1]]) == mat([[1, 0], [0, 1]])

@@ -298,6 +298,25 @@ class TestAgainstRebuiltResidualReference:
         v = g.num_vertices
         _check_against_reference(g, sorted({1, v // 2, v - 1, v}), 2)
 
+    def test_replay_verdicts_on_disconnected_graphs(self):
+        # MappingSearch refuses a disconnected graph, so only replay verdicts compare.
+        graphs = [
+            CouplingGraph(range(4), [(0, 1, 0.01), (2, 3, 0.01)]),
+            CouplingGraph(range(3), [(0, 1, 0.01)]),
+            induced_subgraph(builtin("quito"), {0, 2, 3, 4}),
+            induced_subgraph(builtin("guadalupe"), builtin("guadalupe").vertices - {1, 12}),
+        ]
+        for size in (6, 9, 14):
+            g = random_connected_graph(size, 7500 + size, extra_edges=0)
+            graphs.append(remove_vertex(g, min(mask_vertices(articulation_points(g)))))
+        assert not any(g.is_connected() for g in graphs)
+        assert not reference_replay_is_valid(graphs[0], Mapping((0,)))
+        for k, g in enumerate(graphs):
+            rng = random.Random(k)
+            for _ in range(20):
+                assign = Mapping(tuple(rng.sample(sorted(g.vertices), rng.randint(1, g.num_vertices))))
+                assert replay_is_valid(g, assign) == reference_replay_is_valid(g, assign)
+
 
 class TestAgainstTwoMemoReference:
     """The one step memo per search and the one re-seeded generator give the
