@@ -445,6 +445,7 @@ def parse_arch(text: str) -> CouplingGraph:
     """
     n: int | None = None
     triples: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -471,6 +472,12 @@ def parse_arch(text: str) -> CouplingGraph:
             raise ArchError(f"line {lineno}: edge endpoint outside [0,{n})")
         if not (0.0 <= err < 1.0):
             raise ArchError(f"line {lineno}: error rate {err} outside [0,1)")
+        if u == v:
+            raise ArchError(f"line {lineno}: self-loop on vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ArchError(f"line {lineno}: duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
         triples.append((u, v, err))
     if n is None:
         raise ArchError("empty architecture description: missing 'qubits N' line")

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .arch import (
     HAMILTONIAN_VERTEX_LIMIT,
@@ -88,9 +87,9 @@ def derive_seed(seed: int, *key) -> int:
     return int.from_bytes(digest, "big")
 
 
-#: A memoized construction step: ``(path, None, 0, 0, ())`` when it follows
-#: a Hamiltonian path, else ``(None, choices, count, bits, blocks)``.
-Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None, int, int, tuple[int, ...]]
+#: A memoized construction step: ``(path, None, ())`` when it follows a
+#: Hamiltonian path, else ``(None, choices, blocks)``.
+Step = tuple[tuple[int, ...] | None, tuple[int, ...] | None, tuple[int, ...]]
 
 
 class MappingSearch:
@@ -105,7 +104,8 @@ class MappingSearch:
     there: follow a Hamiltonian path to the end, or draw among the non-cut
     vertices.  A drawing step also keeps the residual's biconnected blocks,
     from which the steps one removal further on are derived.  A second
-    memo, keyed by the set of mapped vertices, holds connectivity products.
+    memo, keyed by the set of mapped vertices, holds the connectivity
+    products that ``mapping_objective`` computes.
     ``tabu_search_table`` makes one per search and drops it on return, so
     nothing is kept between searches.
     """
@@ -137,10 +137,9 @@ class MappingSearch:
         ``initial_mapping`` reads the memo itself and calls this on a miss.
         In a full-device search, a residual of at most
         ``HAMILTONIAN_VERTEX_LIMIT`` vertices with a Hamiltonian path is
-        followed to the end: ``(path, None, 0, 0, ())``.  Otherwise the step
-        draws among the non-cut vertices: ``(None, choices, count, bits,
-        blocks)``, with the choices in ascending order, their count and
-        that count's bit length, and the residual's biconnected blocks as
+        followed to the end: ``(path, None, ())``.  Otherwise the step draws
+        among the non-cut vertices: ``(None, choices, blocks)``, with the
+        choices in ascending order and the residual's biconnected blocks as
         vertex masks.  The non-cut vertices are those in fewer than two
         blocks; at the whole device they are the sorted key qubits.
 
@@ -156,7 +155,7 @@ class MappingSearch:
         if self.full and residual.bit_count() <= HAMILTONIAN_VERTEX_LIMIT:
             path = has_hamiltonian_path(graph, residual)
         if path is not None:
-            entry: Step = path, None, 0, 0, ()
+            entry: Step = path, None, ()
         else:
             if parent_blocks is None:
                 blocks = biconnected_blocks(graph, residual)
@@ -168,30 +167,9 @@ class MappingSearch:
                     elif block.bit_count() > 2:
                         blocks += biconnected_blocks(graph, block & residual)
             choices = tuple(mask_vertices(residual & ~cut_vertices(blocks)))
-            entry = None, choices, len(choices), len(choices).bit_length(), tuple(blocks)
+            entry = None, choices, tuple(blocks)
         self._steps[residual] = entry
         return entry
-
-    def connectivity_product(self, assign: Sequence[int]) -> float:
-        """Product of connectivity factors over the subgraph induced by ``assign``.
-
-        Raises ``ValueError`` naming the ids in ``assign`` that are not
-        vertices of the graph.
-        """
-        key = frozenset(assign)
-        prod = self._product.get(key)
-        if prod is None:
-            mask = 0
-            try:
-                for v in assign:
-                    mask |= 1 << v
-            except ValueError:  # a negative id
-                mask = -1
-            if mask & ~self.graph.vertex_mask:
-                raise ValueError(f"mapping uses unknown vertices {sorted(set(assign) - self.graph.vertices)}")
-            prod = _connectivity_product(self.graph, mask)
-            self._product[key] = prod
-        return prod
 
 
 def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None = None) -> Mapping:
@@ -206,8 +184,9 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
     logical 0 goes to the path's first vertex, nothing is drawn, ``first``
     is ignored, and every construction on the device gives the same mapping.
 
-    Each draw is ``rng.getrandbits`` rejection sampling, the draw that
-    ``rng.randrange(count)`` makes, so it returns the same vertex and
+    Each draw takes the count of the step's choices and its bit length and
+    rejection-samples ``rng.getrandbits(bits)`` below the count: the draw
+    that ``rng.randrange(count)`` makes, so it returns the same vertex and
     leaves the generator in the same state.
 
     Args:
@@ -232,11 +211,13 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
     residual = search.graph.vertex_mask
     blocks = None
     while len(assign) < n:
-        path, choices, count, bits, blocks = steps.get(residual) or search.step(residual, blocks)
+        path, choices, blocks = steps.get(residual) or search.step(residual, blocks)
         if path is not None:
             assign.extend(path)
             break
         if first is None:
+            count = len(choices)
+            bits = count.bit_length()
             r = getrandbits(bits)
             while r >= count:
                 r = getrandbits(bits)
@@ -277,10 +258,11 @@ def replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
 def _shortest_path_data(graph: CouplingGraph, mask: int):
     """All-pairs hop distances, shortest-path counts, and per-vertex totals.
 
-    Computed on the subgraph induced by ``mask``.  ``dist[s][t]`` (-1 when
-    unreachable) and ``sigma[s][t]`` are indexed by vertex id for s in the
-    mask; ``through[v]`` counts, over all vertex pairs (s, t) with s < t and
-    v not in {s, t}, the shortest s-t paths passing through v.  Per source,
+    Returns ``(dist, sigma, through)``, computed on the subgraph induced by
+    ``mask``.  ``dist[s][t]`` (-1 when unreachable) and ``sigma[s][t]`` are
+    indexed by vertex id for s in the mask; ``through[v]`` counts, over all
+    vertex pairs (s, t) with s < t and v not in {s, t}, the shortest s-t
+    paths passing through v.  Per source,
     ``below[v]`` counts the shortest paths from v onward to every farther
     vertex (Brandes' accumulation), so ``sigma[s][v] * below[v]`` counts the
     shortest s-t paths through v over all t; each pair is met from both ends.
@@ -318,38 +300,39 @@ def _shortest_path_data(graph: CouplingGraph, mask: int):
                 through[v] += g[v] * b
         dist[s] = d
         sigma[s] = g
-    return mask, dist, sigma, [t // 2 for t in through]
-
-
-def _pair_factor(data, graph: CouplingGraph, i: int, j: int) -> float:
-    mask, dist, sigma, through = data
-    if graph.has_edge(i, j):
-        return 1.0
-    di, dj, si, sj = dist[i], dist[j], sigma[i], sigma[j]
-    if di[j] < 0:
-        return 0.0
-    total = 0.0
-    for v in mask_vertices(mask):
-        if v == i or v == j:
-            continue
-        cnt = si[v] * sj[v]
-        if cnt and di[v] + dj[v] == di[j]:
-            total += cnt / through[v]
-    return min(1.0, max(0.0, total / si[j]))
+    return dist, sigma, [t // 2 for t in through]
 
 
 def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
-    """Product of connectivity factors over all pairs of the subgraph induced by ``mask``."""
-    data = _shortest_path_data(graph, mask)
+    """Product of connectivity factors over all pairs of the subgraph induced by ``mask``.
+
+    Pairs are taken once each, i < j in ascending order.  An adjacent pair's
+    factor is 1 and an unreachable pair's 0; otherwise it is the sum, over
+    each inner vertex v of an i-j shortest path, of sigma(i, v) *
+    sigma(v, j) / through[v], divided by sigma(i, j) and clamped to [0, 1].
+    """
+    dist, sigma, through = _shortest_path_data(graph, mask)
     verts = list(mask_vertices(mask))
     prod = 1.0
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            prod *= _pair_factor(data, graph, verts[a], verts[b])
+    for a, i in enumerate(verts):
+        di, si = dist[i], sigma[i]
+        for j in verts[a + 1:]:
+            hops = di[j]
+            if hops == 1:
+                continue
+            if hops < 0:
+                return 0.0
+            dj, sj = dist[j], sigma[j]
+            total = 0.0
+            for v in verts:
+                if v == i or v == j:
+                    continue
+                cnt = si[v] * sj[v]
+                if cnt and di[v] + dj[v] == hops:
+                    total += cnt / through[v]
+            prod *= min(1.0, max(0.0, total / si[j]))
             if prod == 0.0:
-                break
-        if prod == 0.0:
-            break
+                return 0.0
     return prod
 
 
@@ -360,11 +343,20 @@ def mapping_objective(search: MappingSearch, mapping: Mapping) -> float:
     the induced subgraph; the second sums (m+1) times the mean error of the
     full-graph edges incident to assign[m].  Later-removed qubits carry more
     weight, so low-error vertices should be kept until the end.  Higher is
-    better.  A mapping that uses ids outside the graph raises ``ValueError``.
+    better.  The connectivity product is memoized in the search, keyed by
+    the set of mapped vertices; on a miss, a mapping that uses ids outside
+    the graph raises ``ValueError`` naming them.
     """
-    score = search.connectivity_product(mapping.assign)
+    assign = mapping.assign
+    key = frozenset(assign)
+    score = search._product.get(key)
+    if score is None:
+        graph = search.graph
+        if not key <= graph.vertices:
+            raise ValueError(f"mapping uses unknown vertices {sorted(key - graph.vertices)}")
+        score = search._product[key] = _connectivity_product(graph, sum(1 << v for v in assign))
     mean_error = search.mean_error
-    for m, v in enumerate(mapping.assign):
+    for m, v in enumerate(assign):
         score -= (m + 1) * mean_error[v]
     return score
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 import sys
 import warnings
 
@@ -60,6 +61,18 @@ class TestCouplingGraph:
         with pytest.raises(ArchError, match="outside"):
             CouplingGraph(range(2), [(0, 1, 1.0)])
 
+    def test_rejects_negative_vertex_id(self):
+        with pytest.raises(ArchError, match="^vertex ids must be non-negative$"):
+            CouplingGraph([0, -1], [(0, -1, 0.01)])
+
+    def test_rejects_edge_to_unknown_vertex(self):
+        with pytest.raises(ArchError, match=r"^edge \(0,2\) references unknown vertex$"):
+            CouplingGraph(range(2), [(0, 2, 0.01)])
+
+    def test_error_of_a_non_edge_raises(self):
+        with pytest.raises(ArchError, match=r"^\(0,2\) is not a coupling edge$"):
+            builtin("quito").error(0, 2)
+
     @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
     def test_rejects_one_qubit_error_outside_unit_interval(self, value):
         with pytest.raises(ArchError, match=f"one-qubit error rate {value} outside"):
@@ -100,12 +113,22 @@ class TestParseWrite:
             parse_arch("qubits 2\nedge 0 1 1.5\n")
 
     def test_duplicate_edge(self):
-        with pytest.raises(ArchError, match=r"^duplicate edge \(0,1\)$"):
+        # Named by its line, as every other bad line is.
+        with pytest.raises(ArchError, match=r"^line 3: duplicate edge \(0,1\)$"):
             parse_arch("qubits 2\nedge 0 1 0.01\nedge 1 0 0.02\n")
+
+    def test_self_loop(self):
+        with pytest.raises(ArchError, match=r"^line 3: self-loop on vertex 1$"):
+            parse_arch("qubits 2\nedge 0 1 0.01\nedge 1 1 0.02\n")
 
     def test_missing_header(self):
         with pytest.raises(ArchError, match="qubits"):
             parse_arch("edge 0 1 0.1\n")
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n"], ids=["empty", "comments-only"])
+    def test_no_qubits_line(self, text):
+        with pytest.raises(ArchError, match="^empty architecture description: missing 'qubits N' line$"):
+            parse_arch(text)
 
     def test_disconnected_parses_without_warning(self):
         # Admission is decided by ``mapping`` alone; parsing neither rejects nor warns.
@@ -131,6 +154,14 @@ class TestParseWrite:
     def test_bad_qubit_count(self):
         with pytest.raises(ArchError, match="qubit count"):
             parse_arch("qubits zero\n")
+
+    def test_zero_qubits(self):
+        with pytest.raises(ArchError, match="^line 1: qubit count must be >= 1$"):
+            parse_arch("qubits 0\n")
+
+    def test_non_numeric_edge_fields(self):
+        with pytest.raises(ArchError, match="^" + re.escape("line 3: malformed edge fields ['1', 'two', '0.01']") + "$"):
+            parse_arch("qubits 3\nedge 0 1 0.01\nedge 1 two 0.01\n")
 
 
 class TestBuiltins:

@@ -188,6 +188,10 @@ class TestQasm:
         with pytest.raises(QasmError, match="version"):
             parse_qasm("OPENQASM 3.0; qreg q[2];")
 
+    def test_empty_register(self):
+        with pytest.raises(QasmError, match="^line 1, col 1: qreg size must be >= 1$"):
+            parse_qasm("qreg q[0];")
+
     @given(circuits())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, circ):

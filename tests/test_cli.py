@@ -73,6 +73,13 @@ class TestArchCommand:
         assert main(["arch", str(p)]) == 0
         assert "qubits: 2" in capsys.readouterr().out
 
+    def test_malformed_arch_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "dup.arch"
+        p.write_text("qubits 2\nedge 0 1 0.01\nedge 1 0 0.02\n", encoding="utf-8")
+        assert main(["arch", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {p}: line 3: duplicate edge (0,1)\n" and captured.out == ""
+
 
 class TestSynthCommand:
     def test_synthesizes_and_verifies(self, tmp_path, capsys):
@@ -172,6 +179,43 @@ class TestSynthCommand:
         captured = capsys.readouterr()
         assert "connected: no" in captured.out and captured.err == ""
 
+    def test_failed_recheck_exits_3(self, tmp_path, monkeypatch, capsys):
+        import cnotsynth.cli
+
+        monkeypatch.setattr(cnotsynth.cli, "circuit_failure", lambda *args: "forced mismatch")
+        out = tmp_path / "out.qasm"
+        assert main(["synth", write_random_qasm(tmp_path / "in.qasm"), "--arch", "quito", *FAST,
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal verification failed: forced mismatch\n" and captured.out == ""
+        assert not out.exists()
+
+    def test_internal_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # A row pass that leaks row 0 into row 1 starves the next pass.
+        import cnotsynth.synth
+
+        real = cnotsynth.synth.eliminate_row
+
+        def leaky(rows, *args):
+            ops = real(rows, *args)
+            rows[1] ^= rows[0]
+            return ops
+
+        monkeypatch.setattr(cnotsynth.synth, "eliminate_row", leaky)
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[2]; cx q[0],q[1];\n", encoding="utf-8")
+        out = tmp_path / "out.qasm"
+        assert main(["synth", str(p), "--arch", "linear(2)", *FAST, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: no rows left to aid elimination of row 1\n" and captured.out == ""
+        assert not out.exists()
+
+    def test_missing_qasm_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.qasm"
+        assert main(["synth", str(missing), "--arch", "quito", *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no such file: {missing}\n" and captured.out == ""
+
     def test_negative_shots_exits_2(self, tmp_path, capsys):
         p = write_random_qasm(tmp_path / "in.qasm")
         out = tmp_path / "out.qasm"
@@ -266,6 +310,14 @@ class TestVerifyCommand:
         inp, out, mapping = self.synth_pair(tmp_path)
         assert main(["verify", inp, str(out), str(mapping)]) == 0
         assert "equivalent" in capsys.readouterr().out
+
+    def test_missing_mapping_file_exits_2(self, tmp_path, capsys):
+        inp, out, _ = self.synth_pair(tmp_path)
+        capsys.readouterr()
+        missing = tmp_path / "missing.json"
+        assert main(["verify", inp, str(out), str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no such file: {missing}\n" and captured.out == ""
 
     def test_tampered_pair_exits_1(self, tmp_path, capsys):
         inp, out, mapping = self.synth_pair(tmp_path)
@@ -478,6 +530,28 @@ class TestBenchCommand:
     def test_bad_size_exits_2(self, capsys):
         assert main(["bench", "--arch", "quito", "--sizes", "ten", "--instances", "1"]) == 2
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--arch", " , ", "--sizes", "5"], "bench needs at least one architecture and one size"),
+        (["--arch", "quito", "--sizes", ","], "bench needs at least one architecture and one size"),
+        (["--arch", "quito", "--sizes", "5", "--instances", "0"], "--instances must be >= 1"),
+    ], ids=["no-arch", "no-size", "no-instance"])
+    def test_empty_sweep_exits_2(self, flags, reason, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *flags, *FAST, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n" and captured.out == ""
+        assert not out.exists()
+
+    def test_failed_recheck_exits_3(self, tmp_path, monkeypatch, capsys):
+        import cnotsynth.cli
+
+        monkeypatch.setattr(cnotsynth.cli, "verification_failure", lambda *args: "forced mismatch")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "1", *FAST, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal verification failed (quito, size 10, instance 0): forced mismatch\n"
+        assert captured.out == "" and not out.exists()
+
     def test_negative_shots_exits_2(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "1",
@@ -539,6 +613,15 @@ class TestFidelityCommand:
         assert main(["fidelity", str(p), "--arch", "quito", "--shots", "-3"]) == 2
         captured = capsys.readouterr()
         assert "--shots" in captured.err and "shots=-3" not in captured.out
+
+    def test_shots_on_mixed_circuit_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.qasm"
+        p.write_text("qreg q[5]; h q[0]; cx q[0],q[1];\n", encoding="utf-8")
+        assert main(["fidelity", str(p), "--arch", "quito", "--shots", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --shots requires a CNOT-only circuit (Monte-Carlo model)\n"
+        assert captured.out == ""
+        assert main(["fidelity", str(p), "--arch", "quito"]) == 0
 
     def test_non_nn_circuit_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.qasm"

@@ -43,7 +43,7 @@ from cnotsynth.mapping import (
     replay_is_valid,
     tabu_search_table,
 )
-from cnotsynth.mapping import _connectivity_product, _pair_factor, _shortest_path_data
+from cnotsynth.mapping import _connectivity_product, _shortest_path_data
 
 
 def brute_force_connectivity_factor(graph, i, j):
@@ -125,6 +125,10 @@ class TestInitialMapping:
         with pytest.raises(ValueError, match="connected"):
             MappingSearch(g, 3)
 
+    @pytest.mark.parametrize("assign", [(5,), (0, 9), (-1, 0)])
+    def test_replay_refuses_vertices_off_the_device(self, assign):
+        assert not replay_is_valid(builtin("quito"), Mapping(assign))
+
     @pytest.mark.parametrize("assign", [(0,), (0, 1)])
     def test_replay_refuses_disconnected_device(self, assign):
         # The whole device is the first residual checked, also for one qubit.
@@ -151,6 +155,10 @@ class TestMappingType:
         with pytest.raises(ValueError, match="injective"):
             Mapping((0, 0, 1))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^mapping must be non-empty$"):
+            Mapping(())
+
 
 class TestConnectivityFactor:
     """The connectivity product over a whole graph, against path enumeration."""
@@ -169,11 +177,13 @@ class TestConnectivityFactor:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_symmetry(self, seed):
-        # The product takes each unordered pair once, in ascending order.
+        # The product takes each unordered pair once, from its smaller id;
+        # reversing the ids reads every pair from its other end.
         g = random_connected_graph(7, 60 + seed)
-        data = _shortest_path_data(g, g.vertex_mask)
-        for i, j in itertools.combinations(sorted(g.vertices), 2):
-            assert _pair_factor(data, g, i, j) == _pair_factor(data, g, j, i)
+        top = max(g.vertices)
+        rev = CouplingGraph([top - v for v in g.vertices], [(top - u, top - v, e) for u, v, e in g.edges()])
+        want = _connectivity_product(g, g.vertex_mask)
+        assert _connectivity_product(rev, rev.vertex_mask) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_against_path_enumeration(self, seed):
@@ -386,11 +396,10 @@ class TestBlockCarriedSteps:
 
     @staticmethod
     def exact(g, residual, entry):
-        path, choices, count, bits, blocks = entry
+        path, choices, blocks = entry
         assert path is None
         assert choices == tuple(mask_vertices(residual & ~articulation_points(g, residual))), hex(residual)
         assert sorted(blocks) == sorted(biconnected_blocks(g, residual)), hex(residual)
-        assert (count, bits) == (len(choices), len(choices).bit_length())
 
     def check(self, g, seed, chains=4):
         rng = random.Random(seed)
@@ -406,7 +415,7 @@ class TestBlockCarriedSteps:
                         assert search.full
                         break
                     self.exact(g, residual, entry)
-                    blocks = entry[4]
+                    blocks = entry[2]
                     residual ^= 1 << rng.choice(entry[1])
 
     @pytest.mark.parametrize("size", range(2, 21))
@@ -457,16 +466,16 @@ class TestWholeDeviceStep:
     """A tabu candidate's seed vertex is the first draw of its construction,
     among the non-cut vertices of the whole device.  For it to be the draw
     that ``randrange`` makes among the sorted key qubits, the whole device's
-    drawing step must list exactly those, with their count and bit length."""
+    drawing step must list exactly those."""
 
     @staticmethod
     def check(g):
         keys = tuple(sorted(key_qubits(g)))
         for n in (g.num_vertices, g.num_vertices - 1):
             search = MappingSearch(g, n)
-            path, choices, count, bits, _ = search.step(g.vertex_mask)
+            path, choices, _ = search.step(g.vertex_mask)
             if path is None:
-                assert (choices, count, bits) == (keys, len(keys), len(keys).bit_length()), n
+                assert choices == keys, n
             else:
                 assert search.full and g.num_vertices <= HAMILTONIAN_VERTEX_LIMIT
 
@@ -518,7 +527,7 @@ class TestShortestPathData:
                 sub = induced_subgraph(g, mask_vertices(mask))
                 disconnected += not sub.is_connected()
                 verts, pos, want_dist, want_sigma, want_through = reference_shortest_path_data(sub)
-                _, dist, sigma, through = _shortest_path_data(g, mask)
+                dist, sigma, through = _shortest_path_data(g, mask)
                 for s in verts:
                     assert [dist[s][t] for t in verts] == [want_dist[pos[s]][pos[t]] for t in verts]
                     assert [sigma[s][t] for t in verts] == [want_sigma[pos[s]][pos[t]] for t in verts]
@@ -532,7 +541,8 @@ class TestShortestPathData:
         search = MappingSearch(g, 16)
         for assign in [(0, 1, 2), (0, 2), (4, 7, 10, 12, 6), tuple(range(16))]:
             sub = induced_subgraph(g, assign)
-            assert search.connectivity_product(assign) == _connectivity_product(sub, sub.vertex_mask)
+            mapping_objective(search, Mapping(assign))
+            assert search._product[frozenset(assign)] == _connectivity_product(sub, sub.vertex_mask)
 
 
 #: ``optimize_mapping(builtin(name), n, TabuConfig(seed=seed)).assign``,
@@ -633,5 +643,7 @@ class TestPartialPlacementScatters:
         table = tabu_search_table(g, n, TabuConfig(seed=0))
         search = MappingSearch(g, n)
         assert len(table) == 20
-        assert [search.connectivity_product(m.assign) for m, _ in table] == [0.0] * 20
+        for m, _ in table:
+            mapping_objective(search, m)
+        assert [search._product[frozenset(m.assign)] for m, _ in table] == [0.0] * 20
         assert len({s for _, s in table}) == distinct
