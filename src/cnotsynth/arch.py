@@ -233,7 +233,7 @@ def _residual_mask(graph: CouplingGraph, mask: int | None) -> tuple[tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# Biconnected blocks / articulation points / key qubits
+# Biconnected blocks / articulation points
 # ---------------------------------------------------------------------------
 
 def biconnected_blocks(graph: CouplingGraph, mask: int | None = None) -> list[int]:
@@ -319,11 +319,6 @@ def articulation_points(graph: CouplingGraph, mask: int | None = None) -> int:
     blocks (``biconnected_blocks``).  Requires a connected input.
     """
     return cut_vertices(biconnected_blocks(graph, mask))
-
-
-def key_qubits(graph: CouplingGraph) -> frozenset[int]:
-    """Non-cut vertices, eligible for priority mapping."""
-    return frozenset(mask_vertices(graph.vertex_mask & ~articulation_points(graph)))
 
 
 # ---------------------------------------------------------------------------

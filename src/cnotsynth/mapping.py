@@ -13,8 +13,10 @@ No residual graph is ever built: it is the base graph's vertex mask with the
 assigned vertices' bits cleared, and its biconnected blocks and Hamiltonian
 path are computed on that mask (see ``arch``).  A residual reached by
 removing one non-cut vertex takes its parent's blocks and decomposes only
-the one that held the vertex.  The objective's subgraph induced by
-the mapped qubits is likewise the mask of those qubits.  Tabu search
+the one that held the vertex, so the whole device is decomposed once per
+search, when the search is made: those blocks give the key qubits and the
+whole device's own step (the root step).  The objective's subgraph
+induced by the mapped qubits is likewise the mask of those qubits.  Tabu search
 perturbs the seed vertex, which each candidate draws as it draws every
 later vertex, and keeps a bounded table of the best-scoring mappings.  A
 ``MappingSearch`` over one graph and qubit count is the one context that
@@ -38,7 +40,6 @@ from .arch import (
     biconnected_blocks,
     cut_vertices,
     has_hamiltonian_path,
-    key_qubits,
     mask_vertices,
 )
 from .arch import articulation_points  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
@@ -98,14 +99,17 @@ class MappingSearch:
     Making one is the only check of a searched device: it raises
     ``ValueError`` unless the graph is connected and ``1 <= n <= N`` for its
     N vertices.  Only a ``full`` search (n = N) follows Hamiltonian paths.
-    A residual graph is an int vertex mask over the base graph.  The base
-    graph's key qubits and per-vertex mean edge errors are computed once.
-    The step memo, keyed by residual mask, holds what a construction does
-    there: follow a Hamiltonian path to the end, or draw among the non-cut
-    vertices.  A drawing step also keeps the residual's biconnected blocks,
-    from which the steps one removal further on are derived.  A second
-    memo, keyed by the set of mapped vertices, holds the connectivity
-    products that ``mapping_objective`` computes.
+    A residual graph is an int vertex mask over the base graph.  Making one
+    also decomposes the whole device into biconnected blocks, once: its key
+    qubits are the vertices in fewer than two blocks, and its step (the
+    root step) is memoized from those blocks at once.  The per-vertex mean
+    edge errors are computed once too.  The step memo, keyed by residual
+    mask, holds what a construction does there: follow a Hamiltonian path
+    to the end, or draw among the non-cut vertices.  A drawing step also
+    keeps the residual's biconnected blocks, from which the steps one
+    removal further on are derived.  A second memo, keyed by the set of
+    mapped vertices, holds the connectivity products that
+    ``mapping_objective`` computes.
     ``tabu_search_table`` makes one per search and drops it on return, so
     nothing is kept between searches.
     """
@@ -121,7 +125,8 @@ class MappingSearch:
         self.graph = graph
         self.n = n
         self.full = n == graph.num_vertices
-        self.keys = key_qubits(graph)
+        blocks = biconnected_blocks(graph)
+        self.keys = frozenset(mask_vertices(graph.vertex_mask & ~cut_vertices(blocks)))
         # Mean error of the full-graph edges at each vertex; 0.0 for an
         # isolated vertex, which adds no cost.
         self.mean_error: dict[int, float] = {}
@@ -130,25 +135,27 @@ class MappingSearch:
             self.mean_error[v] = sum(graph.error(v, w) for w in nbrs) / len(nbrs) if nbrs else 0.0
         self._steps: dict[int, Step] = {}
         self._product: dict[frozenset[int], float] = {}
+        self.step(graph.vertex_mask, blocks)
 
-    def step(self, residual: int, parent_blocks: tuple[int, ...] | None = None) -> Step:
+    def step(self, residual: int, parent_blocks: tuple[int, ...] | list[int]) -> Step:
         """Compute and memoize the construction step at a connected residual graph.
 
-        ``initial_mapping`` reads the memo itself and calls this on a miss.
-        In a full-device search, a residual of at most
-        ``HAMILTONIAN_VERTEX_LIMIT`` vertices with a Hamiltonian path is
-        followed to the end: ``(path, None, ())``.  Otherwise the step draws
-        among the non-cut vertices: ``(None, choices, blocks)``, with the
-        choices in ascending order and the residual's biconnected blocks as
-        vertex masks.  The non-cut vertices are those in fewer than two
+        ``initial_mapping`` reads the memo itself and calls this on a miss;
+        its first lookup, at the whole device, always hits the root step
+        that ``__init__`` memoized.  In a full-device search, a residual of
+        at most ``HAMILTONIAN_VERTEX_LIMIT`` vertices with a Hamiltonian
+        path is followed to the end: ``(path, None, ())``.  Otherwise the
+        step draws among the non-cut vertices: ``(None, choices, blocks)``,
+        with the choices in ascending order and the residual's biconnected
+        blocks as vertex masks.  The non-cut vertices are those in fewer than two
         blocks; at the whole device they are the sorted key qubits.
 
         ``parent_blocks`` are the blocks of the residual this one was
-        reached from by removing one non-cut vertex v; without them (at the
-        whole device) the residual is decomposed whole.  A non-cut v
-        lies in one block, and every other block is still a block once v
-        leaves, so only that one is decomposed again without v; when it is
-        a bridge, nothing of it is left to decompose.
+        reached from by removing one non-cut vertex v.  A non-cut v lies in
+        one block, and every other block is still a block once v leaves, so
+        only that one is decomposed again without v; when it is a bridge,
+        nothing of it is left to decompose.  The root step is given the
+        whole device's own blocks, and keeps them all.
         """
         graph = self.graph
         path = None
@@ -157,15 +164,12 @@ class MappingSearch:
         if path is not None:
             entry: Step = path, None, ()
         else:
-            if parent_blocks is None:
-                blocks = biconnected_blocks(graph, residual)
-            else:
-                blocks = []
-                for block in parent_blocks:
-                    if not block & ~residual:
-                        blocks.append(block)
-                    elif block.bit_count() > 2:
-                        blocks += biconnected_blocks(graph, block & residual)
+            blocks = []
+            for block in parent_blocks:
+                if not block & ~residual:
+                    blocks.append(block)
+                elif block.bit_count() > 2:
+                    blocks += biconnected_blocks(graph, block & residual)
             choices = tuple(mask_vertices(residual & ~cut_vertices(blocks)))
             entry = None, choices, tuple(blocks)
         self._steps[residual] = entry

@@ -28,7 +28,6 @@ from cnotsynth.arch import (
     _residual_mask,
     articulation_points,
     has_hamiltonian_path,
-    key_qubits,
     mask_vertices,
     remove_vertex,
 )
@@ -310,7 +309,7 @@ def reference_initial_mapping(graph: CouplingGraph, n: int, key_order, rng: rand
 class ReferenceMappingSearch:
     def __init__(self, graph: CouplingGraph) -> None:
         self.graph = graph
-        self.keys = key_qubits(graph)
+        self.keys = graph.vertices - reference_articulation_points(graph)
         self.mean_error: dict[int, float] = {}
         for v in graph.vertices:
             nbrs = graph.neighbors(v)
@@ -901,3 +900,63 @@ def reference_parse_qasm(text: str) -> Circuit:
     if qreg is None:
         raise QasmError("missing qreg declaration")
     return Circuit(qreg[1], tuple(gates))
+
+
+# ---------------------------------------------------------------------------
+# Statevector oracle for mixed circuits
+# ---------------------------------------------------------------------------
+# An independent semantic check that shares no code with the package's
+# checker: it replays H/X/Z/CNOT on a complex statevector with one axis per
+# qubit.  Measurements do not collapse the state; each records its qubit's
+# probability of reading 1 into its classical bit, which is that bit's
+# outcome probability when the measurements end the circuit.
+
+def _on(ndim: int, q: int, value: int) -> tuple:
+    """Index of the slice of a statevector where qubit ``q`` reads ``value``."""
+    return (slice(None),) * q + (value,) + (slice(None),) * (ndim - q - 1)
+
+
+def statevector_replay(circuit: Circuit, state: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The state after ``circuit`` and each classical bit's probability of reading 1."""
+    state = state.copy()
+    bits = [0.0] * circuit.clbits
+    for g in circuit.gates:
+        if isinstance(g, CNOT):
+            one = _on(state.ndim, g.control, 1)
+            state[one] = np.flip(state[one], g.target - (g.target > g.control)).copy()
+        elif isinstance(g, Measure):
+            bits[g.clbit] = float(np.sum(np.abs(state[_on(state.ndim, g.qubit, 1)]) ** 2))
+        else:
+            zero, one = _on(state.ndim, g.qubit, 0), _on(state.ndim, g.qubit, 1)
+            a, b = state[zero].copy(), state[one].copy()
+            if g.kind == "h":
+                a, b = (a + b) / np.sqrt(2), (a - b) / np.sqrt(2)
+            elif g.kind == "x":
+                a, b = b, a
+            else:
+                b = -b
+            state[zero], state[one] = a, b
+    return state, bits
+
+
+def mapped_state(state: np.ndarray, assign: tuple[int, ...], width: int) -> np.ndarray:
+    """A logical-qubit state moved onto physical qubits: logical m on ``assign[m]``,
+    every other of the ``width`` qubits in |0>."""
+    placed = np.zeros((2,) * width, dtype=complex)
+    where = tuple(slice(None) if p in assign else 0 for p in range(width))
+    placed[where] = state.transpose([assign.index(p) for p in sorted(assign)])
+    return placed
+
+
+def statevector_equivalent(original: Circuit, output: Circuit, mapping: Mapping, seed: int) -> bool:
+    """Whether ``output`` acts as ``original`` moved through ``mapping`` on a seeded
+    random logical state, spare qubits starting in |0>: the same final state
+    and the same outcome probability for every classical bit."""
+    rng = np.random.default_rng(seed)
+    shape = (2,) * original.n
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    state /= np.linalg.norm(state)
+    want, want_bits = statevector_replay(original, state)
+    got, got_bits = statevector_replay(output, mapped_state(state, mapping.assign, output.n))
+    return (np.allclose(got, mapped_state(want, mapping.assign, output.n), atol=1e-9)
+            and len(got_bits) == len(want_bits) and np.allclose(got_bits, want_bits, atol=1e-9))

@@ -22,7 +22,7 @@ from conftest import (
     tree_path,
     xor_rows,
 )
-from cnotsynth.arch import CouplingGraph, builtin, has_hamiltonian_path, key_qubits
+from cnotsynth.arch import CouplingGraph, builtin, has_hamiltonian_path
 from cnotsynth.circuit import CNOT, Circuit, monte_carlo_fidelity, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
 from cnotsynth.gf2 import ParityMatrix
@@ -106,7 +106,7 @@ def test_criterion_2_gate_count_bound(soundness_corpus):
 
 
 def test_criterion_3_key_qubit_facts():
-    assert key_qubits(builtin("quito")) == {0, 2, 4}
+    assert MappingSearch(builtin("quito"), 1).keys == {0, 2, 4}
     assert has_hamiltonian_path(builtin("quito")) is None
     assert has_hamiltonian_path(builtin("guadalupe")) is None
     _report(3, "key qubits of quito = {0,2,4}; no Hamiltonian path on quito or guadalupe")
@@ -175,8 +175,8 @@ def test_criterion_7_mapping_invariants():
     for name in catalog:
         graph = builtin(name)
         n = graph.num_vertices
-        keys = sorted(key_qubits(graph))
         search = MappingSearch(graph, n)
+        keys = sorted(search.keys)
         for s in range(75):
             m = initial_mapping(search, random.Random(s), keys[s % len(keys)] if s % 3 else None)
             assert replay_is_valid(graph, m)

@@ -27,7 +27,6 @@ from cnotsynth.arch import (
     cut_vertices,
     has_hamiltonian_path,
     induced_subgraph,
-    key_qubits,
     edge_weight,
     mask_vertices,
     parse_arch,
@@ -272,20 +271,22 @@ class TestBiconnectedBlocks:
 
 
 class TestKeyQubits:
+    """A mapping search's key qubits are the whole device's non-cut vertices."""
+
     def test_quito(self):
-        assert key_qubits(builtin("quito")) == {0, 2, 4}
+        assert mapping.MappingSearch(builtin("quito"), 1).keys == {0, 2, 4}
 
     def test_linear2(self):
-        assert key_qubits(builtin("linear(2)")) == {0, 1}
+        assert mapping.MappingSearch(builtin("linear(2)"), 1).keys == {0, 1}
 
     def test_star(self):
-        assert key_qubits(star(5)) == {1, 2, 3, 4, 5}
+        assert mapping.MappingSearch(star(5), 1).keys == {1, 2, 3, 4, 5}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partition(self, seed):
         g = random_connected_graph(9, seed)
         cuts = set(mask_vertices(articulation_points(g)))
-        keys = key_qubits(g)
+        keys = mapping.MappingSearch(g, 1).keys
         assert cuts | keys == g.vertices and not (cuts & keys)
 
 

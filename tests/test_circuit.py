@@ -12,6 +12,7 @@ from conftest import (
     matrix_bits,
     random_connected_graph,
     reference_parse_qasm,
+    statevector_equivalent,
 )
 from cnotsynth.arch import CouplingGraph, builtin
 from cnotsynth.circuit import (
@@ -515,3 +516,69 @@ class TestSegmentation:
         # CNOT(0, 1) and Measure(0, 1) are equal as plain tuples.
         circ = Circuit(2, (Measure(0, 1),))
         assert circuit_failure(circ, Circuit(2, (CNOT(0, 1),)), builtin("quito"), Mapping((0, 1))) is not None
+
+
+def random_mixed_circuit(n, rng):
+    """Up to 30 H/X/Z/CNOT gates on n qubits, then every qubit measured into a
+    permutation of the classical bits, in random order."""
+    gates = []
+    for _ in range(rng.randint(0, 30)):
+        if n > 1 and rng.random() < 0.5:
+            gates.append(CNOT(*rng.sample(range(n), 2)))
+        else:
+            gates.append(OneQubit(rng.choice("hxz"), rng.randrange(n)))
+    bits = rng.sample(range(n), n)
+    gates += [Measure(q, bits[q]) for q in rng.sample(range(n), n)]
+    return Circuit(n, tuple(gates))
+
+
+def tampered(out, graph, rng):
+    """Outputs one edit away from ``out``: a gate dropped, a CNOT flipped, two
+    adjacent gates swapped, a CNOT inserted on a coupling edge."""
+    gates = list(out.gates)
+    k = rng.randrange(len(gates))
+    yield gates[:k] + gates[k + 1:]
+    cnots = [k for k, g in enumerate(gates) if isinstance(g, CNOT)]
+    if cnots:
+        k = rng.choice(cnots)
+        yield gates[:k] + [CNOT(gates[k].target, gates[k].control)] + gates[k + 1:]
+    if len(gates) > 1:
+        k = rng.randrange(len(gates) - 1)
+        yield gates[:k] + [gates[k + 1], gates[k]] + gates[k + 2:]
+    u, v, _ = rng.choice(graph.edges())
+    k = rng.randrange(len(gates) + 1)
+    yield gates[:k] + [CNOT(*rng.sample((u, v), 2))] + gates[k:]
+
+
+def oracle_cases(seeds=range(300)):
+    """(seed, graph, circuit, output, mapping) over random connected devices of
+    2 to 9 qubits, each circuit on 1 to N logical qubits."""
+    for s in seeds:
+        rng = random.Random(s)
+        g = random_connected_graph(2 + s % 8, s)
+        circ = random_mixed_circuit(rng.randint(1, g.num_vertices), rng)
+        out, mapping = segment_and_synthesize(circ, g, TabuConfig(iterations=3, seed=s))
+        yield s, g, circ, out, mapping
+
+
+class TestStatevectorOracle:
+    """Mixed-circuit synthesis and its checker held to a statevector replay
+    (``conftest.statevector_equivalent``), which shares no code with them."""
+
+    def test_synthesis_keeps_the_state_and_the_outcomes(self):
+        for s, g, circ, out, mapping in oracle_cases():
+            assert statevector_equivalent(circ, out, mapping, s), s
+
+    def test_checker_never_accepts_what_the_oracle_rejects(self):
+        # The checker may reject an equivalent output (README); it must
+        # reject every output that the oracle rejects.
+        rejected = total = 0
+        for s, g, circ, out, mapping in oracle_cases():
+            rng = random.Random(s)
+            for gates in tampered(out, g, rng):
+                bad = Circuit(out.n, tuple(gates), out.clbits)
+                total += 1
+                if not statevector_equivalent(circ, bad, mapping, s):
+                    rejected += 1
+                    assert circuit_failure(circ, bad, g, mapping) is not None, (s, gates)
+        assert rejected > total // 2

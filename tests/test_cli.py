@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from cnotsynth.arch import builtin, key_qubits
+from cnotsynth.arch import builtin
 from cnotsynth.circuit import Measure, parse_qasm, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
+from cnotsynth.mapping import MappingSearch
 
 FAST = ["--tabu-len", "4", "--iterations", "2"]
 
@@ -65,7 +66,7 @@ class TestArchCommand:
         graph = builtin(name)
         keys, cuts = payload["key_qubits"], payload["articulation_points"]
         assert sorted(keys + cuts) == sorted(graph.vertices)
-        assert keys == sorted(key_qubits(graph))
+        assert keys == sorted(MappingSearch(graph, 1).keys)
 
     def test_arch_file(self, tmp_path, capsys):
         p = tmp_path / "dev.arch"

@@ -19,7 +19,7 @@ from conftest import (
     reference_shortest_path_data,
     reference_tabu_search_table,
 )
-from cnotsynth import mapping
+from cnotsynth import arch, mapping
 from cnotsynth.arch import (
     HAMILTONIAN_VERTEX_LIMIT,
     CouplingGraph,
@@ -28,7 +28,6 @@ from cnotsynth.arch import (
     builtin,
     has_hamiltonian_path,
     induced_subgraph,
-    key_qubits,
     mask_vertices,
     remove_vertex,
 )
@@ -144,7 +143,7 @@ class TestInitialMapping:
     def test_replay_valid_across_devices(self, name, seed):
         g = builtin(name)
         search = MappingSearch(g, g.num_vertices)
-        for first in (min(key_qubits(g)), None):
+        for first in (min(search.keys), None):
             m = initial_mapping(search, random.Random(seed), first)
             assert replay_is_valid(g, m)
             assert sorted(m.assign) == sorted(g.vertices)
@@ -235,7 +234,8 @@ class TestOptimizeMapping:
         g = builtin("quito")
         cfg = TabuConfig(tabu_len=4, iterations=0, seed=11)
         got = optimize_mapping(g, 5, cfg)
-        seed_map = initial_mapping(MappingSearch(g, 5), random.Random(derive_seed(11, "seed")), min(key_qubits(g)))
+        search = MappingSearch(g, 5)
+        seed_map = initial_mapping(search, random.Random(derive_seed(11, "seed")), min(search.keys))
         assert got == seed_map
 
     @pytest.mark.parametrize("seed", range(5))
@@ -243,7 +243,7 @@ class TestOptimizeMapping:
         g = builtin("quito")
         cfg = TabuConfig(tabu_len=6, iterations=8, seed=seed)
         search = MappingSearch(g, 5)
-        seed_map = initial_mapping(search, random.Random(derive_seed(seed, "seed")), min(key_qubits(g)))
+        seed_map = initial_mapping(search, random.Random(derive_seed(seed, "seed")), min(search.keys))
         best = optimize_mapping(g, 5, cfg)
         assert mapping_objective(search, best) >= mapping_objective(search, seed_map)
         assert replay_is_valid(g, best)
@@ -275,7 +275,7 @@ BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",
 
 
 def _check_against_reference(g, sizes, constructions):
-    keys = sorted(key_qubits(g))
+    keys = sorted(MappingSearch(g, 1).keys)
     assert keys == sorted(g.vertices - reference_articulation_points(g))
     for n in sizes:
         search = MappingSearch(g, n)
@@ -391,8 +391,9 @@ class TestAgainstTwoMemoReference:
 class TestBlockCarriedSteps:
     """A step reached by removing a non-cut vertex carries its parent's
     blocks but the one that held the vertex, and decomposes only that one
-    again.  Its blocks and choices must equal those of a whole lowpoint DFS
-    of the residual."""
+    again.  Its blocks and choices, and those of the root step that a new
+    search holds, must equal those of a whole lowpoint DFS of the
+    residual."""
 
     @staticmethod
     def exact(g, residual, entry):
@@ -406,17 +407,19 @@ class TestBlockCarriedSteps:
         for n in (g.num_vertices, g.num_vertices - 1):
             search = MappingSearch(g, n)
             for _ in range(chains):
-                # A random non-cut removal chain down to the last vertex, or
-                # to a full-device residual with a Hamiltonian path.
-                residual, blocks = g.vertex_mask, None
-                while residual:
-                    entry = search.step(residual, blocks)
+                # A random non-cut removal chain from the root step down to
+                # the last vertex, or to a full-device residual with a
+                # Hamiltonian path.
+                residual, entry = g.vertex_mask, search._steps[g.vertex_mask]
+                while True:
                     if entry[0] is not None:
                         assert search.full
                         break
                     self.exact(g, residual, entry)
-                    blocks = entry[2]
                     residual ^= 1 << rng.choice(entry[1])
+                    if not residual:
+                        break
+                    entry = search.step(residual, entry[2])
 
     @pytest.mark.parametrize("size", range(2, 21))
     def test_random_graphs(self, size):
@@ -466,14 +469,17 @@ class TestWholeDeviceStep:
     """A tabu candidate's seed vertex is the first draw of its construction,
     among the non-cut vertices of the whole device.  For it to be the draw
     that ``randrange`` makes among the sorted key qubits, the whole device's
-    drawing step must list exactly those."""
+    drawing step, which a new search already holds, must list exactly
+    those."""
 
     @staticmethod
     def check(g):
-        keys = tuple(sorted(key_qubits(g)))
+        keys = tuple(sorted(g.vertices - reference_articulation_points(g)))
         for n in (g.num_vertices, g.num_vertices - 1):
             search = MappingSearch(g, n)
-            path, choices, _ = search.step(g.vertex_mask)
+            assert tuple(sorted(search.keys)) == keys
+            assert list(search._steps) == [g.vertex_mask]
+            path, choices, _ = search._steps[g.vertex_mask]
             if path is None:
                 assert choices == keys, n
             else:
@@ -487,6 +493,26 @@ class TestWholeDeviceStep:
     def test_random_graphs(self, size):
         for seed in range(3):
             self.check(random_connected_graph(size, 9700 + 31 * size + seed))
+
+
+class TestOneWholeDecomposition:
+    """One search decomposes its whole device into biconnected blocks once,
+    when it is made: the key qubits and the root step both come from that
+    decomposition.  Calls are counted in the ``arch`` and ``mapping``
+    namespaces alike, so a decomposition through ``articulation_points``
+    counts too."""
+
+    @pytest.mark.parametrize("name,n,iterations", [
+        ("guadalupe", 16, 50), ("guadalupe", 12, 50), ("grid(8,8)", 64, 0), ("tokyo", 20, 50),
+    ])
+    def test_default_search(self, name, n, iterations, monkeypatch):
+        g = builtin(name)
+        masks = []
+        for module in (arch, mapping):
+            monkeypatch.setattr(module, "biconnected_blocks", lambda graph, mask=None, blocks=module.biconnected_blocks:
+                                masks.append(graph.vertex_mask if mask is None else mask) or blocks(graph, mask))
+        tabu_search_table(g, n, TabuConfig(iterations=iterations))
+        assert masks.count(g.vertex_mask) == 1
 
 
 class TestFullDevicePathIgnoresSeedVertex:
@@ -630,8 +656,8 @@ class TestGoldenTabuTables:
 
 
 class TestPartialPlacementScatters:
-    """ROADMAP item 1 (compact placement when the circuit is smaller than the
-    device), as the code stands: a partial construction draws among the
+    """The ROADMAP item "Compact placement when the circuit is smaller than
+    the device", as the code stands: a partial construction draws among the
     non-cut vertices of the whole residual device, so the mapped qubits
     scatter and every default table entry has connectivity product 0.  On
     uniform-error tokyo every candidate then scores the same.  A placement

@@ -167,10 +167,10 @@ class TestEliminateRow:
         g = builtin("guadalupe")
         n = g.num_vertices
         m = random_invertible(n, 8500 + seed)
-        from cnotsynth.arch import key_qubits
         from cnotsynth.mapping import MappingSearch, initial_mapping
 
-        mapping = initial_mapping(MappingSearch(g, n), random.Random(seed), min(key_qubits(g)))
+        search = MappingSearch(g, n)
+        mapping = initial_mapping(search, random.Random(seed), min(search.keys))
         m = physical_matrix(m, g, mapping)
         residual = g
         for q in mapping.assign:
