@@ -13,8 +13,9 @@ never build a new graph.  ``remove_vertex`` (a checked ``induced_subgraph``)
 and ``induced_subgraph`` still build one: nothing in the package calls
 them, but the benchmark's layer tracer wraps both by name and the tests
 rebuild residual graphs with them as references.  A bipartite graph also
-keeps one colour class of a 2-colouring, which lets the Hamiltonian-path
-search reject residuals by counting.  Memoizing mask queries is left to the
+keeps one colour class of a 2-colouring, taken from the breadth-first
+layers of ``bfs_layers``, which lets the Hamiltonian-path search reject
+residuals by counting.  Memoizing mask queries is left to the
 caller (the mapping search keeps one memo per search).
 """
 from __future__ import annotations
@@ -181,28 +182,33 @@ def _flood(nbr: tuple[int, ...], start: int, allowed: int) -> int:
     return reach
 
 
+def bfs_layers(nbr: tuple[int, ...], start: int, allowed: int) -> Iterator[int]:
+    """The breadth-first layers from the ``start`` bits inside ``allowed``, as
+    disjoint masks: layer k holds the vertices at distance k from ``start``,
+    layer 0 is ``start`` itself, and together they are its component.  The
+    colour class and the mapping objective walk these; ``_flood``, which
+    needs only the union, keeps its own inline loop, which is faster."""
+    layer = seen = start
+    while layer:
+        yield layer
+        grow = 0
+        for v in mask_vertices(layer):
+            grow |= nbr[v]
+        layer = grow & allowed & ~seen
+        seen |= layer
+
+
 def _colour_class(nbr: tuple[int, ...], mask: int) -> int | None:
     """Mask of the odd breadth-first layers of each component, or ``None``
     when an edge joins two vertices of one layer (an odd cycle)."""
     side = 0
     while mask:
-        layer = seen = mask & -mask
-        odd = False
-        while layer:
-            grow = 0
-            rest = layer
-            while rest:
-                low = rest & -rest
-                grow |= nbr[low.bit_length() - 1]
-                rest ^= low
-            if grow & layer:
+        for depth, layer in enumerate(bfs_layers(nbr, mask & -mask, mask)):
+            if any(nbr[v] & layer for v in mask_vertices(layer)):
                 return None
-            if odd:
+            if depth & 1:
                 side |= layer
-            layer = grow & ~seen
-            seen |= layer
-            odd = not odd
-        mask &= ~seen
+            mask ^= layer
     return side
 
 

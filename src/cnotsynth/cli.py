@@ -8,6 +8,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -398,9 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first ``main`` call.  Parsing
+    leaves it unchanged, and the commands look up what they call (such as
+    ``circuit_failure``) when they run, so patching those still takes effect."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .arch import (
     HAMILTONIAN_VERTEX_LIMIT,
     CouplingGraph,
+    bfs_layers,
     biconnected_blocks,
     cut_vertices,
     has_hamiltonian_path,
@@ -266,9 +267,11 @@ def _shortest_path_data(graph: CouplingGraph, mask: int):
     ``mask``.  ``dist[s][t]`` (-1 when unreachable) and ``sigma[s][t]`` are
     indexed by vertex id for s in the mask; ``through[v]`` counts, over all
     vertex pairs (s, t) with s < t and v not in {s, t}, the shortest s-t
-    paths passing through v.  Per source,
-    ``below[v]`` counts the shortest paths from v onward to every farther
-    vertex (Brandes' accumulation), so ``sigma[s][v] * below[v]`` counts the
+    paths passing through v.  Per source s, ``arch.bfs_layers`` gives the
+    breadth-first layers: a vertex's distance is its layer index and its
+    sigma the sum over its neighbours in the layer before.  ``below[v]``
+    counts the shortest paths from v onward to every farther vertex
+    (Brandes' accumulation), so ``sigma[s][v] * below[v]`` counts the
     shortest s-t paths through v over all t; each pair is met from both ends.
     """
     nbr = graph.neighbor_masks
@@ -281,21 +284,11 @@ def _shortest_path_data(graph: CouplingGraph, mask: int):
         g = [0] * size
         d[s] = 0
         g[s] = 1
-        layers = [1 << s]
-        seen = 1 << s
-        while True:
-            last = layers[-1]
-            step = 0
-            for v in mask_vertices(last):
-                step |= nbr[v]
-            step &= mask & ~seen
-            if not step:
-                break
-            for w in mask_vertices(step):
-                d[w] = len(layers)
-                g[w] = sum(g[v] for v in mask_vertices(nbr[w] & last))
-            seen |= step
-            layers.append(step)
+        layers = list(bfs_layers(nbr, 1 << s, mask))
+        for k in range(1, len(layers)):
+            for w in mask_vertices(layers[k]):
+                d[w] = k
+                g[w] = sum(g[v] for v in mask_vertices(nbr[w] & layers[k - 1]))
         below = [0] * size
         for k in range(len(layers) - 2, 0, -1):
             farther = layers[k + 1]
@@ -311,10 +304,14 @@ def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
     """Product of connectivity factors over all pairs of the subgraph induced by ``mask``.
 
     Pairs are taken once each, i < j in ascending order.  An adjacent pair's
-    factor is 1 and an unreachable pair's 0; otherwise it is the sum, over
-    each inner vertex v of an i-j shortest path, of sigma(i, v) *
-    sigma(v, j) / through[v], divided by sigma(i, j) and clamped to [0, 1].
+    factor is 1; otherwise it is the sum, over each inner vertex v of an i-j
+    shortest path, of sigma(i, v) * sigma(v, j) / through[v], divided by
+    sigma(i, j) and capped at 1.  An unreachable pair's factor is 0, so a
+    disconnected mask scores 0 after one flood, and only a connected one
+    pays for the all-pairs pass.
     """
+    if not graph.is_connected(mask):
+        return 0.0
     dist, sigma, through = _shortest_path_data(graph, mask)
     verts = list(mask_vertices(mask))
     prod = 1.0
@@ -324,8 +321,6 @@ def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
             hops = di[j]
             if hops == 1:
                 continue
-            if hops < 0:
-                return 0.0
             dj, sj = dist[j], sigma[j]
             total = 0.0
             for v in verts:
@@ -334,9 +329,7 @@ def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
                 cnt = si[v] * sj[v]
                 if cnt and di[v] + dj[v] == hops:
                     total += cnt / through[v]
-            prod *= min(1.0, max(0.0, total / si[j]))
-            if prod == 0.0:
-                return 0.0
+            prod *= min(1.0, total / si[j])
     return prod
 
 

@@ -5,11 +5,13 @@ import random
 import re
 import sys
 import warnings
+from collections import deque
 
 import pytest
 
 from conftest import (
     BLOCK_GRAPHS,
+    bfs_component,
     bfs_connected,
     brute_force_articulation,
     brute_force_hamiltonian,
@@ -481,6 +483,37 @@ def removal_masks(graph, seed, count):
         yield mask
 
 
+class TestBfsLayers:
+    """``bfs_layers`` against a breadth-first search over vertex sets, on
+    random devices and random masks, single- and multi-vertex starts."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_layers_are_the_distance_classes(self, seed):
+        g = random_connected_graph(2 + seed % 12, 900 + seed)
+        rng = random.Random(seed)
+        for _ in range(10):
+            inside = rng.sample(sorted(g.vertices), rng.randint(1, g.num_vertices))
+            mask = sum(1 << v for v in inside)
+            starts = rng.sample(inside, rng.randint(1, min(3, len(inside))))
+            layers = list(arch.bfs_layers(g.neighbor_masks, sum(1 << v for v in starts), mask))
+            # Distances from the starts, by a search that never leaves the mask.
+            dist = dict.fromkeys(starts, 0)
+            queue = deque(starts)
+            while queue:
+                u = queue.popleft()
+                for w in g.neighbors(u):
+                    if mask >> w & 1 and w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+            outside = frozenset(g.vertices) - set(inside)
+            reach = set().union(*(bfs_component(g, v, outside) for v in starts))
+            union = functools.reduce(operator.or_, layers)
+            assert all(layers) and sum(layer.bit_count() for layer in layers) == union.bit_count()
+            assert set(mask_vertices(union)) == reach == set(dist)
+            assert [set(mask_vertices(layer)) for layer in layers] == [
+                {v for v, d in dist.items() if d == k} for k in range(len(layers))]
+
+
 class TestColourClass:
     @pytest.mark.parametrize("g", [builtin("tokyo"), cycle(5), cycle(3)], ids=["tokyo", "cycle5", "cycle3"])
     def test_not_bipartite(self, g):
@@ -741,7 +774,9 @@ class TestFloodCertificate:
 
     def test_default_guadalupe_search(self, flood_calls, monkeypatch):
         # One default full-device search floods 1,177 times without the
-        # certificate; the count covers MappingSearch's connectivity check.
+        # certificate; the count covers MappingSearch's connectivity check
+        # and the objective's one flood of the full-device placement, whose
+        # connectivity product every candidate shares.
         # Each residual is stepped, path-searched and decomposed into blocks
         # at most once; a step decomposes only the block that lost a vertex,
         # so 38 decompositions visit 423 vertices where one whole lowpoint
@@ -754,7 +789,7 @@ class TestFloodCertificate:
         monkeypatch.setattr(mapping, "biconnected_blocks",
                             lambda g, mask=None: decomposed.append(g.vertex_mask if mask is None else mask) or blocks(g, mask))
         mapping.optimize_mapping(builtin("guadalupe"), 16, mapping.TabuConfig(seed=0))
-        assert len(flood_calls) == 173
+        assert len(flood_calls) == 174
         for log in (stepped, searched):
             assert log and len(log) == len(set(log))
         assert 0 < len(decomposed) <= len(stepped)

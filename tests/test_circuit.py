@@ -569,6 +569,15 @@ class TestStatevectorOracle:
         for s, g, circ, out, mapping in oracle_cases():
             assert statevector_equivalent(circ, out, mapping, s), s
 
+    @given(st.sampled_from(range(1, 11)), st.integers(0, 2**16), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_drawn_devices_of_up_to_ten_qubits(self, size, s, data):
+        g = random_connected_graph(size, s)
+        n = size - data.draw(st.integers(0, size - 1), label="spare qubits")
+        circ = random_mixed_circuit(n, data.draw(st.randoms(use_true_random=False)))
+        out, mapping = segment_and_synthesize(circ, g, TabuConfig(iterations=3, seed=s))
+        assert statevector_equivalent(circ, out, mapping, s)
+
     def test_checker_never_accepts_what_the_oracle_rejects(self):
         # The checker may reject an equivalent output (README); it must
         # reject every output that the oracle rejects.

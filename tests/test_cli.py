@@ -756,3 +756,25 @@ class TestGoldenReports:
     def test_report_is_byte_identical(self, case, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run_golden_case(GOLDEN_CASES[case], capsys) == GOLDEN_REPORTS[case]
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch, capsys):
+        import cnotsynth.cli
+
+        builds = []
+        build = cnotsynth.cli.build_parser
+        monkeypatch.setattr(cnotsynth.cli, "build_parser", lambda: builds.append(1) or build())
+        cnotsynth.cli._parser.cache_clear()
+        try:
+            assert main(["arch", "quito"]) == 0
+            assert main(["arch", "manila", "--format", "json"]) == 0
+            assert len(builds) == 1
+            # A command patched after the parser was built still sees the patch.
+            monkeypatch.setattr(cnotsynth.cli, "circuit_failure", lambda *args: "forced mismatch")
+            assert main(["synth", write_random_qasm(tmp_path / "in.qasm"), "--arch", "quito", *FAST,
+                         "--out", str(tmp_path / "out.qasm")]) == 3
+            assert len(builds) == 1
+        finally:
+            cnotsynth.cli._parser.cache_clear()
+        assert "forced mismatch" in capsys.readouterr().err

@@ -571,6 +571,23 @@ class TestShortestPathData:
             assert search._product[frozenset(assign)] == _connectivity_product(sub, sub.vertex_mask)
 
 
+class TestAllPairsPassOnlyWhenConnected:
+    """The objective floods a placement before its all-pairs pass, so a
+    disconnected placement scores 0 without one.  While the pass came first,
+    these default searches ran 966, 999 and 24 passes, 952, 985 and 16 of
+    them on disconnected placements."""
+
+    @pytest.mark.parametrize("name,n,most", [("tokyo", 9, 14), ("grid(5,5)", 10, 14), ("guadalupe", 12, 8)])
+    def test_default_search(self, monkeypatch, name, n, most):
+        g = builtin(name)
+        masks = []
+        data = mapping._shortest_path_data
+        monkeypatch.setattr(mapping, "_shortest_path_data", lambda graph, mask: masks.append(mask) or data(graph, mask))
+        tabu_search_table(g, n, TabuConfig())
+        assert 0 < len(masks) <= most
+        assert all(g.is_connected(mask) for mask in masks)
+
+
 #: ``optimize_mapping(builtin(name), n, TabuConfig(seed=seed)).assign``,
 #: recorded before the search moved to vertex bitmasks.
 GOLDEN_ASSIGN = {
