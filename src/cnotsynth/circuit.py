@@ -16,7 +16,7 @@ from operator import or_
 from typing import NamedTuple, Sequence
 
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
-from .gf2 import ParityMatrix
+from .gf2 import ParityMatrix, gf2_inverse
 
 
 class CNOT(NamedTuple):
@@ -361,7 +361,8 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     out: list[Gate] = []
     for kind, run in segment_runs(circuit.gates):
         if kind == "cnot":
-            out.extend(_eliminate(ParityMatrix.from_circuit(run, circuit.n), graph, mapping).gates)
+            m = ParityMatrix.from_circuit(run, circuit.n)  # always invertible
+            out.extend(_eliminate(m, gf2_inverse(m.rows), graph, mapping).gates)  # type: ignore[arg-type]
         else:
             out.extend(relocate(g, mapping) for g in run)  # type: ignore[arg-type]
     return Circuit(graph.width, tuple(out), circuit.clbits), mapping

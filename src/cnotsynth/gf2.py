@@ -8,7 +8,9 @@ column j is 1 iff the output parity of qubit i includes input qubit j.
 Each row is one Python int whose bit j holds column j, so a row operation is
 one inline XOR on a row list, ``rows[target] ^= rows[control]``: the class
 has no ``row_xor``.  Rank and solve share one bitwise elimination
-(``_basis``).
+(``_basis``).  ``gf2_inverse`` is a separate Gauss–Jordan pass; synthesis
+calls it once per matrix, both to reject a singular matrix and to seed the
+inverse it keeps next to its work rows.
 """
 from __future__ import annotations
 
@@ -139,3 +141,30 @@ def solve_gf2(rows: Sequence[int], y: int) -> int | None:
     rest, mask = _reduce(_basis(rows), y, 0)
     return None if rest else mask
 
+
+def gf2_inverse(rows: Sequence[int]) -> list[int] | None:
+    """Rows of the inverse of the square matrix ``rows``; ``None`` when it is singular.
+
+    Gauss–Jordan: for each column in turn, the first row at or below the
+    diagonal with a 1 there becomes the pivot, and its row is XORed into
+    every other row with that 1.  Every swap and XOR is repeated on an
+    identity, which ends as the inverse.
+    """
+    n = len(rows)
+    work = list(rows)
+    inv = [1 << r for r in range(n)]
+    for col in range(n):
+        bit = 1 << col
+        for p in range(col, n):
+            if work[p] & bit:
+                break
+        else:
+            return None
+        work[col], work[p] = work[p], work[col]
+        inv[col], inv[p] = inv[p], inv[col]
+        pivot, pivot_inv = work[col], inv[col]
+        for r in range(n):
+            if work[r] & bit and r != col:
+                work[r] ^= pivot
+                inv[r] ^= pivot_inv
+    return inv

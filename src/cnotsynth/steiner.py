@@ -12,7 +12,9 @@ search restarts from scratch.  A one-terminal tree is exactly the
 maximum-fidelity path from its root to that terminal, read back along the
 parent links.  All tie-breaking is fixed (fewer hops, then the
 lexicographically smallest vertex sequence; terminals joined in ascending
-id order) so that synthesis output is reproducible.
+id order) so that synthesis output is reproducible.  The returned tree
+keeps the search's parent links without copying them, builds its child
+lists in one pass, and computes its vertex set only when it is read.
 """
 from __future__ import annotations
 
@@ -25,21 +27,30 @@ from .arch import CouplingGraph, _residual_mask, mask_vertices
 class SteinerTree:
     """Rooted tree embedded in a coupling graph.
 
-    ``parent`` maps every non-root vertex to its parent; ``children`` lists
-    each vertex's children in ascending id order.
+    ``parent`` maps every non-root vertex to its parent and is kept as
+    given, not copied.  ``children`` lists each vertex's children in
+    ascending id order, built in one pass over ``parent``.  ``vertices`` is
+    computed when read; elimination never reads it.
     """
 
-    __slots__ = ("root", "parent", "children", "terminals", "vertices")
+    __slots__ = ("root", "parent", "children", "terminals")
 
     def __init__(self, root: int, parent: dict[int, int], terminals: Iterable[int]) -> None:
         self.root = root
-        self.parent = dict(parent)
+        self.parent = parent
         self.terminals = frozenset(terminals)
-        self.vertices = frozenset(self.parent) | {root}
-        kids: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for child, par in self.parent.items():
-            kids[par].append(child)
-        self.children = {v: tuple(sorted(c)) for v, c in kids.items()}
+        children: dict[int, list[int]] = {v: [] for v in parent}
+        children[root] = []
+        for child, par in parent.items():
+            children[par].append(child)
+        for kids in children.values():
+            if len(kids) > 1:
+                kids.sort()
+        self.children = children
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.parent) | {self.root}
 
     def __repr__(self) -> str:
         return f"SteinerTree(root={self.root}, vertices={sorted(self.vertices)})"

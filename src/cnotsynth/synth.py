@@ -12,17 +12,24 @@ Elimination works in physical-qubit space, on a plain list of int work rows
 rows are built: row p and column p belong to physical qubit p, so every
 recorded row operation is already a physical (control, target) pair, applied
 as ``rows[target] ^= rows[control]``, and the synthesized circuit is their
-reverse cascade.  When the matrix is smaller than the device, spare physical
-qubits act as clean ancillas: their rows start as unit vectors, so Steiner
-points and target-aided rows may use them.  An id that is not a vertex gets
-a zero row and is never touched.  The final check requires every mapped row
-to be its unit vector and no spare row to depend on a mapped qubit, which
-guarantees the ancillas return to |0> and never leak into the logical
-qubits.  ``verification_failure`` re-checks a gate list in the same
-physical-qubit space, sharing only that final check: it replays the gates
-on unit rows and compares them with the original matrix moved through the
-mapping, and never eliminates.  ``mapping`` alone decides whether a device,
-a qubit count and a mapping can be used.
+reverse cascade.  Next to the work rows sits ``inv``, their transposed
+inverse: one Gauss–Jordan pass per matrix (``gf2_inverse``) builds it, and
+each recorded row operation is paired with ``inv[control] ^= inv[target]``.
+Each row pass reads its target-aided rows from it, so no layer solves a
+GF(2) system.  A wrong aid set, read from a wrong inverse, leaves row q
+short of its unit vector, and the check after the pass raises.
+
+When the matrix is smaller than the device, spare physical qubits act as
+clean ancillas: their rows start as unit vectors, so Steiner points and
+target-aided rows may use them.  An id that is not a vertex gets a zero row
+and is never touched.  The final check requires every mapped row to be its
+unit vector and no spare row to depend on a mapped qubit, which guarantees
+the ancillas return to |0> and never leak into the logical qubits.
+``verification_failure`` re-checks a gate list in the same physical-qubit
+space, sharing only that final check: it replays the gates on unit rows and
+compares them with the original matrix moved through the mapping, and never
+eliminates.  ``mapping`` alone decides whether a device, a qubit count and a
+mapping can be used.
 """
 from __future__ import annotations
 
@@ -33,7 +40,8 @@ from .arch import CouplingGraph, mask_vertices
 from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 from .circuit import CNOT, Circuit, relocate, segment_runs
 from .circuit import depth as circuit_depth
-from .gf2 import ParityMatrix, solve_gf2
+from .gf2 import ParityMatrix, gf2_inverse
+from .gf2 import solve_gf2  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 from .mapping import Mapping, TabuConfig, mapping_failure, optimize_mapping, replay_is_valid
 from .steiner import min_noise_steiner_tree, postorder, preorder
 
@@ -64,32 +72,6 @@ class SynthesisResult:
 
 
 # ---------------------------------------------------------------------------
-# Target-aided rows
-# ---------------------------------------------------------------------------
-
-def target_aided_rows(rows: list[int], q: int, residual: int) -> set[int]:
-    """Residual rows other than q whose XOR equals row q plus its unit vector.
-
-    Found by solving the GF(2) linear system over those rows, in ascending
-    id.  With column q a unit vector and the layers before q eliminated,
-    they are independent, so the solution exists and is unique.  Returns the
-    empty set when row q is already a unit vector.
-    """
-    y = rows[q] ^ (1 << q)
-    if not y:
-        return set()
-    rest = list(mask_vertices(residual & ~(1 << q)))
-    if not rest:
-        raise RuntimeError(f"no rows left to aid elimination of row {q}")
-    x = solve_gf2([rows[p] for p in rest], y)
-    if x is None:
-        raise RuntimeError(
-            f"no target-aided row set for row {q}; matrix is singular or layers are out of order"
-        )
-    return {rest[j] for j in mask_vertices(x)}
-
-
-# ---------------------------------------------------------------------------
 # Layer elimination
 # ---------------------------------------------------------------------------
 
@@ -113,16 +95,18 @@ def _check_unit_row(rows: list[int], q: int) -> None:
         raise RuntimeError(f"row {q} failed to reduce to a unit vector")
 
 
-def eliminate_column(rows: list[int], graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
+def eliminate_column(rows: list[int], inv: list[int], graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
     """Reduce column q to its unit vector using residual-graph edges only.
 
     The work ``rows`` are indexed by physical qubit and XORed in place, and
-    the residual graph is the subgraph of ``graph`` induced by the vertex
-    mask ``residual``.  A minimum-noise Steiner tree is grown over the
-    qubits whose rows have a 1 in column q, rooted at q.  A postorder pass
-    first fills 0-valued tree vertices from a 1-valued child; a second
-    postorder pass XORs every vertex into each of its children, clearing
-    all entries except the root's.
+    ``inv`` is their transposed inverse, kept so by pairing every
+    ``rows[t] ^= rows[c]`` with ``inv[c] ^= inv[t]``.  The residual graph is
+    the subgraph of ``graph`` induced by the vertex mask ``residual``.  A
+    minimum-noise Steiner tree is grown over the qubits whose rows have a 1
+    in column q, rooted at q.  A postorder pass first fills 0-valued tree
+    vertices from a 1-valued child; a second postorder pass XORs every
+    vertex into each of its children, clearing all entries except the
+    root's.
 
     Returns the recorded (control, target) row operations.
     """
@@ -141,29 +125,36 @@ def eliminate_column(rows: list[int], graph: CouplingGraph, q: int, residual: in
         k = tree.parent[c]
         if not rows[k] & bit and rows[c] & bit:
             rows[k] ^= rows[c]
+            inv[c] ^= inv[k]
             ops.append((c, k))
     for c in order:
         for l in tree.children[c]:
             rows[l] ^= rows[c]
+            inv[c] ^= inv[l]
             ops.append((c, l))
     _check_unit_column(rows, q)
     return ops
 
 
-def eliminate_row(rows: list[int], graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
+def eliminate_row(rows: list[int], inv: list[int], graph: CouplingGraph, q: int, residual: int) -> list[tuple[int, int]]:
     """Reduce row q to its unit vector, assuming column q is already unit.
 
-    ``rows`` and the residual graph are given as in ``eliminate_column``.  The
-    target-aided row set S is located first; a minimum-noise Steiner tree
-    then spans S, rooted at q.  A preorder pass folds every tree vertex
+    ``rows``, ``inv`` and the residual graph are given as in
+    ``eliminate_column``.  The target-aided row set S, the residual rows
+    other than q whose XOR is row q with its unit bit cleared, is read from
+    ``inv``: S holds p exactly when ``inv[p]`` has bit q, since row q of the
+    inverse is the one combination of work rows that gives the unit vector,
+    and the eliminated layers take no part in it.  A minimum-noise Steiner
+    tree then spans S, rooted at q.  A preorder pass folds every tree vertex
     outside S into its parent, and a postorder pass folds every vertex into
     its parent, leaving row q equal to its former value XOR the rows of S,
     i.e. the unit vector.
     """
-    aid = target_aided_rows(rows, q, residual)
+    bit = 1 << q
+    aid = {p for p in mask_vertices(residual & ~bit) if inv[p] & bit}
     if not aid:
+        _check_unit_row(rows, q)
         return []
-    _check_inside(residual, aid | {q})
 
     tree = min_noise_steiner_tree(graph, q, aid | {q}, residual)
     ops: list[tuple[int, int]] = []
@@ -172,12 +163,14 @@ def eliminate_row(rows: list[int], graph: CouplingGraph, q: int, residual: int) 
             continue
         k = tree.parent[r]
         rows[k] ^= rows[r]
+        inv[r] ^= inv[k]
         ops.append((r, k))
     for r in postorder(tree):
         if r == q:
             continue
         k = tree.parent[r]
         rows[k] ^= rows[r]
+        inv[r] ^= inv[k]
         ops.append((r, k))
     _check_unit_row(rows, q)
     _check_unit_column(rows, q)
@@ -219,25 +212,34 @@ def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, ma
     return mapping
 
 
-def _eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> SynthesisResult:
-    """Eliminate the invertible ``m`` layer by layer under a checked mapping.
+def _eliminate(m: ParityMatrix, inverse: list[int], graph: CouplingGraph, mapping: Mapping) -> SynthesisResult:
+    """Eliminate the invertible ``m``, whose inverse has the rows ``inverse``,
+    layer by layer under a checked mapping.
 
     The work rows are ``m``'s rows moved into physical-qubit space, one int
     per device id: logical row r becomes row ``assign[r]`` with bit j moved
     to bit ``assign[j]``, a spare vertex p gets ``1 << p`` and an id that is
-    not a vertex gets 0.  The passes XOR them in place.
+    not a vertex gets 0.  ``inv`` is their transposed inverse, moved the
+    same way with rows and columns swapped: bit j of ``inverse[r]`` becomes
+    bit ``assign[r]`` of ``inv[assign[j]]``.  The passes XOR both in place.
     """
     assign = mapping.assign
     rows = [0] * graph.width
     for p in graph.vertices:
         rows[p] = 1 << p
+    inv = rows.copy()
     for r, row in enumerate(m.rows):
         rows[assign[r]] = sum(1 << assign[j] for j in mask_vertices(row))
+        inv[assign[r]] = 0
+    for r, row in enumerate(inverse):
+        bit = 1 << assign[r]
+        for j in mask_vertices(row):
+            inv[assign[j]] |= bit
     residual = graph.vertex_mask
     recorded: list[tuple[int, int]] = []
     for q in assign:
-        recorded.extend(eliminate_column(rows, graph, q, residual))
-        recorded.extend(eliminate_row(rows, graph, q, residual))
+        recorded.extend(eliminate_column(rows, inv, graph, q, residual))
+        recorded.extend(eliminate_row(rows, inv, graph, q, residual))
         residual &= ~(1 << q)
     if (failure := _block_failure(rows, {p: 1 << p for p in assign}, graph.vertex_mask)) is not None:
         raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
@@ -262,9 +264,10 @@ def synthesize(
     Returns a result whose gate list provably realizes ``m``
     (``verify_equivalence`` re-checks from scratch).
     """
-    if m.rank() != m.n:
+    inverse = gf2_inverse(m.rows)
+    if inverse is None:
         raise ValueError("parity matrix is not invertible")
-    return _eliminate(m, graph, _checked_mapping(graph, m.n, config, mapping))
+    return _eliminate(m, inverse, graph, _checked_mapping(graph, m.n, config, mapping))
 
 
 def verification_failure(

@@ -5,10 +5,12 @@ mapping search that the step memo replaced, the Hamiltonian-path
 search that floods every branch, the triple-loop shortest-path counts that
 the mask accumulation replaced, the restart-per-terminal Steiner tree that
 the resumable one replaced, the extended-logical-order elimination that
-physical-qubit indexing replaced, the numpy GF(2) solver that the bitwise one
-replaced, the per-character QASM reader that the statement splitter and
-keyword grammar replaced, a matrix's entries as a uint8 array, and the
-exact fault-pattern sum that the Monte-Carlo sampler estimates."""
+physical-qubit indexing replaced, the per-layer GF(2) solve for the
+target-aided rows that the tracked inverse replaced, the numpy GF(2) solver
+that the bitwise one replaced and a numpy GF(2) inverse, the per-character
+QASM reader that the statement splitter and keyword grammar replaced, a
+matrix's entries as a uint8 array, and the exact fault-pattern sum that the
+Monte-Carlo sampler estimates."""
 from __future__ import annotations
 
 import heapq
@@ -569,14 +571,42 @@ def physical_matrix(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> 
     return ParityMatrix(bits)
 
 
-def reference_target_aided_rows(rows: list[int], i: int) -> set[int]:
-    y = rows[i] ^ (1 << i)
+def reference_target_aided_rows(rows: list[int], q: int, residual: int) -> set[int]:
+    """Residual rows other than q whose XOR equals row q plus its unit vector.
+
+    The per-layer GF(2) solve that the tracked inverse replaced: it solves
+    the system over those rows, in ascending id.  With column q a unit
+    vector and the layers before q eliminated, they are independent, so the
+    solution exists and is unique.  Returns the empty set when row q is
+    already a unit vector.
+    """
+    y = rows[q] ^ (1 << q)
     if not y:
         return set()
-    x = solve_gf2(rows[i + 1:], y)
+    rest = list(mask_vertices(residual & ~(1 << q)))
+    if not rest:
+        raise RuntimeError(f"no rows left to aid elimination of row {q}")
+    x = solve_gf2([rows[p] for p in rest], y)
     if x is None:
-        raise RuntimeError(f"no target-aided row set for row {i}")
-    return {i + 1 + j for j in range(x.bit_length()) if x >> j & 1}
+        raise RuntimeError(
+            f"no target-aided row set for row {q}; matrix is singular or layers are out of order"
+        )
+    return {rest[j] for j in mask_vertices(x)}
+
+
+def work_inverse(rows: list[int]) -> list[int]:
+    """The transposed inverse of elimination work rows, as ``synth._eliminate``
+    builds it, from the numpy Gauss-Jordan: row p holds column p of the
+    inverse, and a zero row (an id that is not a vertex) stays zero."""
+    n = len(rows)
+    inverse = reference_gf2_inverse([[(row or 1 << p) >> j & 1 for j in range(n)] for p, row in enumerate(rows)])
+    assert inverse is not None, "work rows are singular"
+    return [sum(int(inverse[r, p]) << r for r in range(n)) if row else 0 for p, row in enumerate(rows)]
+
+
+def inverse_aided_rows(inv: list[int], q: int, residual: int) -> set[int]:
+    """The target-aided row set of q read from a tracked inverse, as ``synth.eliminate_row`` reads it."""
+    return {p for p in mask_vertices(residual & ~(1 << q)) if inv[p] >> q & 1}
 
 
 def _reference_column_ones(rows: list[int], i: int) -> list[int]:
@@ -611,7 +641,8 @@ def reference_eliminate_column(rows: list[int], graph: CouplingGraph, assign, i:
 def reference_eliminate_row(rows: list[int], graph: CouplingGraph, assign, i: int, residual: int):
     """Row-indexed row pass; ``assign`` covers every one of ``rows``."""
     phys_to_row = {p: r for r, p in enumerate(assign)}
-    aid = reference_target_aided_rows(rows, i)
+    # Rows before i are eliminated; the rest, ancillas included, are residual.
+    aid = reference_target_aided_rows(rows, i, (1 << len(rows)) - (1 << i))
     if not aid:
         return []
     root = assign[i]
@@ -712,7 +743,7 @@ def xor_rows(matrix, indices) -> np.ndarray:
 
 
 def target_aided_rows_bruteforce(m: ParityMatrix, q: int, residual: int) -> set[int]:
-    """Subset-enumeration oracle for ``target_aided_rows`` (rows <= 10)."""
+    """Subset-enumeration oracle for the target-aided row set (rows <= 10)."""
     if m.n > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute-force matcher limited to {BRUTEFORCE_LIMIT} rows, got {m.n}")
     rows = m.rows
@@ -783,6 +814,24 @@ def reference_solve_gf2(rows, y):
     for i, c in enumerate(pivot_cols):
         x[c] = aug[i, m]
     return x
+
+
+def reference_gf2_inverse(matrix):
+    """Numpy Gauss-Jordan on [A | I] over GF(2): the inverse as a 0/1 array,
+    or ``None`` when ``matrix`` is singular."""
+    mat = np.array(matrix, dtype=np.uint8) % 2
+    n = mat.shape[0]
+    aug = np.concatenate([mat, np.eye(n, dtype=np.uint8)], axis=1)
+    for col in range(n):
+        nonzero = np.flatnonzero(aug[col:, col])
+        if not nonzero.size:
+            return None
+        pivot = col + nonzero[0]
+        aug[[col, pivot]] = aug[[pivot, col]]
+        for r in range(n):
+            if r != col and aug[r, col]:
+                aug[r] ^= aug[col]
+    return aug[:, n:]
 
 
 # The QASM reader before the one-pass rewrite, kept as the oracle of the

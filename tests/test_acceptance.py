@@ -13,13 +13,16 @@ import pytest
 
 from conftest import (
     all_simple_paths,
+    inverse_aided_rows,
     matrix_bits,
     path_esp,
     physical_matrix,
     random_connected_graph,
     random_invertible,
+    reference_target_aided_rows,
     target_aided_rows_bruteforce,
     tree_path,
+    work_inverse,
     xor_rows,
 )
 from cnotsynth.arch import CouplingGraph, builtin, has_hamiltonian_path
@@ -41,7 +44,6 @@ from cnotsynth.synth import (
     eliminate_column,
     eliminate_row,
     synthesize,
-    target_aided_rows,
     verify_equivalence,
 )
 
@@ -129,7 +131,7 @@ def test_criterion_5_column_step_worked_example():
     bits[2, 0] = 1
     bits[4, 0] = 1
     m = physical_matrix(ParityMatrix(bits), graph, mapping)
-    ops = eliminate_column(m.rows, graph, 0, graph.vertex_mask)
+    ops = eliminate_column(m.rows, work_inverse(m.rows), graph, 0, graph.vertex_mask)
     assert ops == [(2, 1), (1, 2), (1, 3), (0, 1)]
     col = matrix_bits(m)[:, 0]
     assert col[0] == 1 and col.sum() == 1
@@ -148,25 +150,27 @@ def test_criterion_6_target_aided_rows_oracle():
         for k in range(40):
             matrices += 1
             m = random_invertible(n, 90_000 + 100 * n + k)
+            inv = work_inverse(m.rows)
             residual = graph
             for i in range(n):
-                eliminate_column(m.rows, residual, i, residual.vertex_mask)
+                eliminate_column(m.rows, inv, residual, i, residual.vertex_mask)
+                assert inv == work_inverse(m.rows)
                 bits = matrix_bits(m)
                 want = bits[i].copy()
                 want[i] ^= 1
-                got = target_aided_rows(m.rows, i, residual.vertex_mask)
+                got = inverse_aided_rows(inv, i, residual.vertex_mask)
                 brute = target_aided_rows_bruteforce(m, i, residual.vertex_mask)
+                assert got == brute == reference_target_aided_rows(m.rows, i, residual.vertex_mask)
                 assert np.array_equal(xor_rows(bits, sorted(got)), want)
-                assert np.array_equal(xor_rows(bits, sorted(brute)), want)
                 checked += 1
-                eliminate_row(m.rows, residual, i, residual.vertex_mask)
+                eliminate_row(m.rows, inv, residual, i, residual.vertex_mask)
                 from cnotsynth.arch import remove_vertex
 
                 residual = remove_vertex(residual, i)
     elapsed = time.perf_counter() - t0
     assert matrices == 200
     assert elapsed < 10.0, f"oracle comparison took {elapsed:.1f}s, budget is 10s"
-    _report(6, f"{matrices} matrices, {checked} layers: solver matches subset enumeration, {elapsed:.1f}s")
+    _report(6, f"{matrices} matrices, {checked} layers: tracked inverse and solver match subset enumeration, {elapsed:.1f}s")
 
 
 def test_criterion_7_mapping_invariants():

@@ -192,7 +192,8 @@ class TestSynthCommand:
         assert not out.exists()
 
     def test_internal_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        # A row pass that leaks row 0 into row 1 starves the next pass.
+        # A row pass that leaks row 0 into row 1, behind the tracked inverse's
+        # back, leaves row 1 short of its unit vector in the next pass.
         import cnotsynth.synth
 
         real = cnotsynth.synth.eliminate_row
@@ -208,7 +209,7 @@ class TestSynthCommand:
         out = tmp_path / "out.qasm"
         assert main(["synth", str(p), "--arch", "linear(2)", *FAST, "--out", str(out)]) == 3
         captured = capsys.readouterr()
-        assert captured.err == "internal error: no rows left to aid elimination of row 1\n" and captured.out == ""
+        assert captured.err == "internal error: row 1 failed to reduce to a unit vector\n" and captured.out == ""
         assert not out.exists()
 
     def test_missing_qasm_file_exits_2(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_bits, random_invertible, reference_gf2_rank, reference_solve_gf2
-from cnotsynth.gf2 import ParityMatrix, gf2_rank, solve_gf2
+from conftest import matrix_bits, random_invertible, reference_gf2_inverse, reference_gf2_rank, reference_solve_gf2
+from cnotsynth.gf2 import ParityMatrix, gf2_inverse, gf2_rank, solve_gf2
 
 
 def mat(rows):
@@ -147,6 +147,38 @@ class TestAgainstNumpyReference:
         else:
             assert got == row_int(want)
         assert gf2_rank(rows) == reference_gf2_rank(a)
+
+    @given(st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_matches(self, n, seed):
+        # Square systems of every rank: full rank only for some seeds.
+        a, _ = dependent_system(n, n, seed)
+        want = reference_gf2_inverse(a)
+        got = gf2_inverse([row_int(row) for row in a])
+        if want is None:
+            assert got is None and reference_gf2_rank(a) < n
+        else:
+            assert got == [row_int(row) for row in want]
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_inverse_of_invertible_matrices(self, n):
+        assert gf2_inverse([1]) == [1]
+        for seed in range(5):
+            m = random_invertible(n, 500 + seed)
+            got = gf2_inverse(m.rows)
+            assert got == [row_int(row) for row in reference_gf2_inverse(matrix_bits(m))]
+            # Row j of the inverse selects the rows of m whose XOR is the unit vector e_j.
+            for j, x in enumerate(got):
+                acc = 0
+                for k, row in enumerate(m.rows):
+                    if x >> k & 1:
+                        acc ^= row
+                assert acc == 1 << j
+
+    @pytest.mark.parametrize("rows", [[0], [0b11, 0b11], [0b01, 0b10, 0b11], [0b001, 0b010, 0b000], [0b110, 0b101, 0b011]])
+    def test_inverse_of_singular_matrices_is_none(self, rows):
+        assert gf2_inverse(rows) is None
+        assert reference_gf2_inverse([[r >> j & 1 for j in range(len(rows))] for r in rows]) is None
 
     def test_duplicate_rows_pick_the_first(self):
         # Rows 0 and 1 are equal: the earlier, independent one is chosen.

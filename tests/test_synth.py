@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import (
+    inverse_aided_rows,
     matrix_bits,
     physical_matrix,
     random_connected_graph,
     random_invertible,
     reference_eliminate,
+    reference_target_aided_rows,
     reference_verification_failure,
     target_aided_rows_bruteforce,
+    work_inverse,
     xor_rows,
 )
-from cnotsynth.arch import CouplingGraph, builtin, remove_vertex
+from cnotsynth.arch import CouplingGraph, builtin, mask_vertices, remove_vertex
 from cnotsynth.gf2 import ParityMatrix
 from cnotsynth.mapping import Mapping, TabuConfig, optimize_mapping
 from cnotsynth.circuit import CNOT, Circuit, OneQubit, random_cnot_circuit
@@ -27,7 +30,6 @@ from cnotsynth.synth import (
     eliminate_column,
     eliminate_row,
     synthesize,
-    target_aided_rows,
     verification_failure,
     verify_equivalence,
 )
@@ -57,13 +59,15 @@ def matched_rows_matrix():
 
 class TestTargetAidedRows:
     def test_unit_row_gives_empty_set(self):
-        assert target_aided_rows(ParityMatrix.identity(4).rows, 2, 0b1111) == set()
+        assert reference_target_aided_rows(ParityMatrix.identity(4).rows, 2, 0b1111) == set()
+        assert inverse_aided_rows(work_inverse(ParityMatrix.identity(4).rows), 2, 0b1111) == set()
 
     def test_matched_pair(self):
         m = matched_rows_matrix()
         residual = 0b11110  # layer 0 has left
-        assert target_aided_rows(m.rows, 1, residual) == {3, 4}
+        assert reference_target_aided_rows(m.rows, 1, residual) == {3, 4}
         assert target_aided_rows_bruteforce(m, 1, residual) == {3, 4}
+        assert inverse_aided_rows(work_inverse(m.rows), 1, residual) == {3, 4}
 
     def test_bruteforce_guardrail(self):
         with pytest.raises(ValueError, match="limited"):
@@ -72,29 +76,139 @@ class TestTargetAidedRows:
     def test_singular_matrix_has_no_solution(self):
         m = ParityMatrix([[1, 1], [0, 0]])
         with pytest.raises(RuntimeError, match="no target-aided row set"):
-            target_aided_rows(m.rows, 0, 0b11)
+            reference_target_aided_rows(m.rows, 0, 0b11)
         with pytest.raises(RuntimeError, match="no target-aided row set"):
             target_aided_rows_bruteforce(m, 0, 0b11)
 
     def test_xor_property_after_column_steps(self):
         # Drive random matrices through the layer loop on a complete graph and
-        # compare the solver against subset enumeration at every layer.
+        # compare the tracked inverse and the solve against subset
+        # enumeration at every layer.
         for seed in range(25):
             n = 4 + seed % 5
             m = random_invertible(n, 3000 + seed)
+            inv = work_inverse(m.rows)
             residual = complete_graph(n)
             for i in range(n):
-                eliminate_column(m.rows, residual, i, residual.vertex_mask)
+                eliminate_column(m.rows, inv, residual, i, residual.vertex_mask)
+                assert inv == work_inverse(m.rows)
                 bits = matrix_bits(m)
                 expected = bits[i].copy()
                 expected[i] ^= 1
-                got = target_aided_rows(m.rows, i, residual.vertex_mask)
+                got = inverse_aided_rows(inv, i, residual.vertex_mask)
                 brute = target_aided_rows_bruteforce(m, i, residual.vertex_mask)
+                assert got == brute == reference_target_aided_rows(m.rows, i, residual.vertex_mask)
                 assert np.array_equal(xor_rows(bits, sorted(got)), expected)
-                assert np.array_equal(xor_rows(bits, sorted(brute)), expected)
-                eliminate_row(m.rows, residual, i, residual.vertex_mask)
+                eliminate_row(m.rows, inv, residual, i, residual.vertex_mask)
                 residual = remove_vertex(residual, i)
             assert m == ParityMatrix.identity(m.n)
+
+
+class TestTrackedInverse:
+    """On devices with spare qubits and id gaps, the tracked inverse names
+    the target-aided rows that the per-layer solve finds
+    (``reference_target_aided_rows``) after every column pass, and ``inv``
+    stays the transposed inverse of the work rows after every pass.  The
+    complete-graph loops of ``TestTargetAidedRows`` and acceptance
+    criterion 6 also hold it to subset enumeration."""
+
+    @staticmethod
+    def _check(g, mapping, m):
+        rows = physical_matrix(m, g, mapping).rows
+        inv = work_inverse(rows)
+        residual = g.vertex_mask
+        for q in mapping.assign:
+            eliminate_column(rows, inv, g, q, residual)
+            assert inv == work_inverse(rows)
+            aid = inverse_aided_rows(inv, q, residual)
+            assert aid == reference_target_aided_rows(rows, q, residual)
+            eliminate_row(rows, inv, g, q, residual)
+            assert inv == work_inverse(rows)
+            residual &= ~(1 << q)
+        assert all(rows[q] == 1 << q for q in mapping.assign)
+
+    @pytest.mark.parametrize("name,n", [("guadalupe", 12), ("grid(4,4)", 16), ("grid(4,4)", 9), ("gapped", 4)])
+    def test_devices_with_and_without_ancillas(self, name, n):
+        g = GAPPED_GRAPH if name == "gapped" else builtin(name)
+        mapping = optimize_mapping(g, n, TabuConfig(iterations=0))
+        for seed in range(4):
+            self._check(g, mapping, random_invertible(n, 3200 + seed))
+
+    @pytest.mark.parametrize("name,n", [("quito", 3), ("guadalupe", 12), ("grid(4,4)", 16), ("gapped", 3)])
+    def test_synthesize_builds_the_transposed_inverse(self, name, n, monkeypatch):
+        # Every pass that synthesize runs starts from the inverse of its rows,
+        # spare qubits and ids that are not vertices included.
+        import cnotsynth.synth
+
+        g = GAPPED_GRAPH if name == "gapped" else builtin(name)
+        passes = []
+        for attr in ("eliminate_column", "eliminate_row"):
+            real = getattr(cnotsynth.synth, attr)
+
+            def checked(rows, inv, *args, real=real):
+                assert inv == work_inverse(rows)
+                passes.append(real)
+                return real(rows, inv, *args)
+
+            monkeypatch.setattr(cnotsynth.synth, attr, checked)
+        m = random_invertible(n, 3300)
+        assert verify_equivalence(m, synthesize(m, g, SMALL_CONFIG))
+        assert len(passes) == 2 * n
+
+
+class TestWrongInverse:
+    """A tracked inverse that goes wrong can only make synthesis fail loudly,
+    never return wrong gates."""
+
+    @staticmethod
+    def _flip_after_column(monkeypatch, layer, flip):
+        """Run ``flip(inv, q, residual)`` after the column pass of the given layer."""
+        import cnotsynth.synth
+
+        real = cnotsynth.synth.eliminate_column
+        calls = []
+
+        def flipping(rows, inv, graph, q, residual):
+            ops = real(rows, inv, graph, q, residual)
+            if len(calls) == layer:
+                flip(inv, q, residual)
+            calls.append(q)
+            return ops
+
+        monkeypatch.setattr(cnotsynth.synth, "eliminate_column", flipping)
+
+    @pytest.mark.parametrize("name,n", [("quito", 5), ("guadalupe", 12), ("grid(4,4)", 16)])
+    @pytest.mark.parametrize("layer", [0, 1, 3])
+    def test_flipped_aid_bit_raises(self, name, n, layer, monkeypatch):
+        # The highest residual row joins or leaves the aid set of the layer's
+        # row pass, so row q ends as its unit vector XOR that row.
+        def flip(inv, q, residual):
+            inv[max(mask_vertices(residual & ~(1 << q)))] ^= 1 << q
+
+        self._flip_after_column(monkeypatch, layer, flip)
+        with pytest.raises(RuntimeError, match=r"^row \d+ failed to reduce to a unit vector$"):
+            synthesize(random_invertible(n, 3400 + layer), builtin(name), SMALL_CONFIG)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_any_flipped_bit_fails_loudly_or_is_harmless(self, seed, monkeypatch):
+        # A flip of any residual bit of any residual row: either a check
+        # raises, or the flip touched only what no later pass reads (a spare
+        # qubit's column, say) and the gates still verify.
+        rng = random.Random(seed)
+        g = builtin(rng.choice(["quito", "guadalupe", "tokyo"]))
+        n = rng.randint(2, g.num_vertices)
+
+        def flip(inv, q, residual):
+            live = list(mask_vertices(residual))
+            inv[rng.choice(live)] ^= 1 << rng.choice(live)
+
+        self._flip_after_column(monkeypatch, rng.randrange(n), flip)
+        m = random_invertible(n, 3500 + seed)
+        try:
+            res = synthesize(m, g, SMALL_CONFIG)
+        except RuntimeError:
+            return
+        assert verify_equivalence(m, res)
 
 
 class TestEliminateColumn:
@@ -107,7 +221,7 @@ class TestEliminateColumn:
         bits[2, 0] = 1
         bits[4, 0] = 1
         m = physical_matrix(ParityMatrix(bits), g, mapping)
-        ops = eliminate_column(m.rows, g, 0, g.vertex_mask)
+        ops = eliminate_column(m.rows, work_inverse(m.rows), g, 0, g.vertex_mask)
         # Logical row ops (4,3), (3,4), (3,2), (0,3) on their qubits.
         assert ops == [(2, 1), (1, 2), (1, 3), (0, 1)]
         assert matrix_bits(m)[:, 0].tolist() == [1, 0, 0, 0, 0]
@@ -115,13 +229,13 @@ class TestEliminateColumn:
     def test_unit_column_no_ops(self):
         m = ParityMatrix.identity(3)
         g = builtin("linear(3)")
-        assert eliminate_column(m.rows, g, 1, g.vertex_mask) == []
+        assert eliminate_column(m.rows, work_inverse(m.rows), g, 1, g.vertex_mask) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_postcondition_on_linear5(self, seed):
         m = random_invertible(5, 7000 + seed)
         g = builtin("linear(5)")
-        ops = eliminate_column(m.rows, g, 0, g.vertex_mask)
+        ops = eliminate_column(m.rows, work_inverse(m.rows), g, 0, g.vertex_mask)
         col = matrix_bits(m)[:, 0]
         assert col[0] == 1 and col.sum() == 1
         for c, t in ops:
@@ -133,23 +247,24 @@ class TestEliminateRow:
         # Row 0 needs row 2; vertex 1 hosts a helper row outside the aid set.
         m = ParityMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
         g = builtin("linear(3)")
-        ops = eliminate_row(m.rows, g, 0, g.vertex_mask)
+        ops = eliminate_row(m.rows, work_inverse(m.rows), g, 0, g.vertex_mask)
         assert ops == [(1, 0), (2, 1), (1, 0)]
         assert matrix_bits(m)[0].tolist() == [1, 0, 0]
 
     def test_unit_row_no_ops(self):
         m = ParityMatrix.identity(4)
         g = builtin("linear(4)")
-        assert eliminate_row(m.rows, g, 2, g.vertex_mask) == []
+        assert eliminate_row(m.rows, work_inverse(m.rows), g, 2, g.vertex_mask) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_postcondition_preserves_earlier_layers(self, seed):
         n = 6
         m = random_invertible(n, 8000 + seed)
+        inv = work_inverse(m.rows)
         residual = builtin("linear(6)")
         for i in range(n):
-            ops = eliminate_column(m.rows, residual, i, residual.vertex_mask)
-            ops += eliminate_row(m.rows, residual, i, residual.vertex_mask)
+            ops = eliminate_column(m.rows, inv, residual, i, residual.vertex_mask)
+            ops += eliminate_row(m.rows, inv, residual, i, residual.vertex_mask)
             # ops must sit on residual-graph edges at emission time
             for c, t in ops:
                 assert residual.has_edge(c, t)
@@ -172,10 +287,11 @@ class TestEliminateRow:
         search = MappingSearch(g, n)
         mapping = initial_mapping(search, random.Random(seed), min(search.keys))
         m = physical_matrix(m, g, mapping)
+        inv = work_inverse(m.rows)
         residual = g
         for q in mapping.assign:
-            ops = eliminate_column(m.rows, residual, q, residual.vertex_mask)
-            ops += eliminate_row(m.rows, residual, q, residual.vertex_mask)
+            ops = eliminate_column(m.rows, inv, residual, q, residual.vertex_mask)
+            ops += eliminate_row(m.rows, inv, residual, q, residual.vertex_mask)
             for c, t in ops:
                 assert residual.has_edge(c, t)
             residual = remove_vertex(residual, q)
@@ -190,11 +306,12 @@ class TestResidualMaskElimination:
     def _check(g, mapping, m):
         m = physical_matrix(m, g, mapping)
         masked, rebuilt = list(m.rows), list(m.rows)
+        masked_inv, rebuilt_inv = work_inverse(m.rows), work_inverse(m.rows)
         residual, residual_graph = g.vertex_mask, g
         for q in mapping.assign:
             for eliminate in (eliminate_column, eliminate_row):
-                got = eliminate(masked, g, q, residual)
-                assert got == eliminate(rebuilt, residual_graph, q, residual_graph.vertex_mask)
+                got = eliminate(masked, masked_inv, g, q, residual)
+                assert got == eliminate(rebuilt, rebuilt_inv, residual_graph, q, residual_graph.vertex_mask)
             residual &= ~(1 << q)
             residual_graph = remove_vertex(residual_graph, q)
         assert masked == rebuilt == ParityMatrix.identity(len(masked)).rows
@@ -220,7 +337,7 @@ class TestResidualMaskElimination:
     def test_qubit_outside_mask_detected(self):
         m = ParityMatrix.from_circuit([(0, 4)], 5)
         with pytest.raises(RuntimeError, match="residual"):
-            eliminate_column(m.rows, builtin("quito"), 0, 0b01111)
+            eliminate_column(m.rows, work_inverse(m.rows), builtin("quito"), 0, 0b01111)
 
 
 # Ids 1, 3, 4, 6 and 8 are not vertices.
@@ -418,7 +535,7 @@ class TestSynthesize:
         m = ParityMatrix.from_circuit([(0, 4)], 5)
         residual = remove_vertex(builtin("quito"), 4)
         with pytest.raises(RuntimeError, match="residual"):
-            eliminate_column(m.rows, residual, 0, residual.vertex_mask)
+            eliminate_column(m.rows, work_inverse(m.rows), residual, 0, residual.vertex_mask)
 
     def test_rejects_invalid_mapping(self):
         # Removing vertex 0 first strands nothing on quito, but removing 1 does.
@@ -432,11 +549,12 @@ class TestSynthesize:
         m = random_invertible(5, 77)
         res = synthesize(m, g, SMALL_CONFIG)
         work = physical_matrix(m, g, res.mapping)
+        inv = work_inverse(work.rows)
         residual = g.vertex_mask
         recorded = []
         for q in res.mapping.assign:
-            recorded += eliminate_column(work.rows, g, q, residual)
-            recorded += eliminate_row(work.rows, g, q, residual)
+            recorded += eliminate_column(work.rows, inv, g, q, residual)
+            recorded += eliminate_row(work.rows, inv, g, q, residual)
             residual &= ~(1 << q)
         assert work == ParityMatrix.identity(work.n)
         assert [(gate.control, gate.target) for gate in res.gates] == recorded[::-1]
