@@ -16,7 +16,7 @@ from operator import or_
 from typing import NamedTuple, Sequence
 
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
-from .gf2 import ParityMatrix, gf2_inverse
+from .gf2 import ParityMatrix
 
 
 class CNOT(NamedTuple):
@@ -64,21 +64,28 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
+        n = self.n
         top = 0  # one past the highest measured classical bit
         for k, g in enumerate(self.gates):
             if isinstance(g, CNOT):
-                if g.control == g.target:
-                    raise ValueError(f"gate {k}: control and target coincide ({g.control})")
+                c, t = g
+                if c == t:
+                    raise ValueError(f"gate {k}: control and target coincide ({c})")
+                if not 0 <= c < n:
+                    raise ValueError(f"gate {k}: qubit {c} outside [0,{n})")
+                q = t  # range-checked below, like every gate's last qubit
             elif isinstance(g, OneQubit):
                 if g.kind not in _ONE_QUBIT_KINDS:
                     raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
+                q = g.qubit
             elif g.clbit < 0:
                 raise ValueError(f"gate {k}: negative classical bit {g.clbit}")
             else:
-                top = max(top, g.clbit + 1)
-            for q in gate_qubits(g):
-                if not 0 <= q < self.n:
-                    raise ValueError(f"gate {k}: qubit {q} outside [0,{self.n})")
+                q = g.qubit
+                if g.clbit >= top:
+                    top = g.clbit + 1
+            if not 0 <= q < n:
+                raise ValueError(f"gate {k}: qubit {q} outside [0,{n})")
         if self.clbits is None:
             object.__setattr__(self, "clbits", max(self.n, top))
         elif self.clbits < max(top, 1):
@@ -353,7 +360,8 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     serves every CNOT run; H/X/Z gates and measurements move to their mapped
     physical qubits, a measurement keeping its classical bit.  Returns the
     circuit over the device's qubits, runs in original order and with the
-    input's classical register, and the mapping.
+    input's classical register, and the mapping.  A run's parity matrix
+    needs no Gauss–Jordan pass for its inverse: the run reversed builds it.
     """
     from .synth import _checked_mapping, _eliminate
 
@@ -361,8 +369,10 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     out: list[Gate] = []
     for kind, run in segment_runs(circuit.gates):
         if kind == "cnot":
-            m = ParityMatrix.from_circuit(run, circuit.n)  # always invertible
-            out.extend(_eliminate(m, gf2_inverse(m.rows), graph, mapping).gates)  # type: ignore[arg-type]
+            m = ParityMatrix.from_circuit(run, circuit.n)
+            # Each CNOT is its own inverse, so the reversed run builds m's inverse.
+            inverse = ParityMatrix.from_circuit(run[::-1], circuit.n).rows
+            out.extend(_eliminate(m, inverse, graph, mapping).gates)  # type: ignore[arg-type]
         else:
             out.extend(relocate(g, mapping) for g in run)  # type: ignore[arg-type]
     return Circuit(graph.width, tuple(out), circuit.clbits), mapping

@@ -8,9 +8,10 @@ column j is 1 iff the output parity of qubit i includes input qubit j.
 Each row is one Python int whose bit j holds column j, so a row operation is
 one inline XOR on a row list, ``rows[target] ^= rows[control]``: the class
 has no ``row_xor``.  Rank and solve share one bitwise elimination
-(``_basis``).  ``gf2_inverse`` is a separate Gauss–Jordan pass; synthesis
+(``_basis``).  ``gf2_inverse`` is a separate Gauss–Jordan pass; ``synthesize``
 calls it once per matrix, both to reject a singular matrix and to seed the
-inverse it keeps next to its work rows.
+inverse it keeps next to its work rows.  ``segment_and_synthesize`` needs no
+such pass: a CNOT run's inverse is the matrix of the run reversed.
 """
 from __future__ import annotations
 

@@ -81,14 +81,16 @@ def min_noise_steiner_tree(
     the search had restarted from it.
     """
     _, mask = _residual_mask(graph, mask)
-    terms = frozenset(int(t) for t in terminals)
+    root = int(root)
+    terms = 0
+    for t in map(int, terminals):
+        terms |= 1 << t
     if not terms:
         raise ValueError("terminals must be non-empty")
     if not mask >> root & 1:
         raise ValueError(f"root {root} not in graph")
-    missing = sorted(t for t in terms if not mask >> t & 1)
-    if missing:
-        raise ValueError(f"terminals {missing} not in graph")
+    if missing := terms & ~mask:
+        raise ValueError(f"terminals {list(mask_vertices(missing))} not in graph")
 
     rows = graph.weight_rows
     label: list[tuple[float, int, tuple[int, ...]] | None] = [None] * len(rows)
@@ -96,7 +98,7 @@ def min_noise_steiner_tree(
     heap = [source]
     tree = 1 << root
     parent: dict[int, int] = {}
-    for t in sorted(terms):
+    for t in mask_vertices(terms):
         if tree >> t & 1:
             continue
         while heap and (label[t] is None or heap[0] < label[t]):
@@ -125,7 +127,7 @@ def min_noise_steiner_tree(
             tree |= 1 << b
             label[b] = source = (0.0, 0, (b,))
             heappush(heap, source)
-    return SteinerTree(root, parent, terms)
+    return SteinerTree(root, parent, mask_vertices(terms))
 
 
 def preorder(tree: SteinerTree) -> list[int]:

@@ -13,11 +13,16 @@ rows are built: row p and column p belong to physical qubit p, so every
 recorded row operation is already a physical (control, target) pair, applied
 as ``rows[target] ^= rows[control]``, and the synthesized circuit is their
 reverse cascade.  Next to the work rows sits ``inv``, their transposed
-inverse: one Gauss–Jordan pass per matrix (``gf2_inverse``) builds it, and
-each recorded row operation is paired with ``inv[control] ^= inv[target]``.
-Each row pass reads its target-aided rows from it, so no layer solves a
-GF(2) system.  A wrong aid set, read from a wrong inverse, leaves row q
-short of its unit vector, and the check after the pass raises.
+inverse, moved from the matrix's inverse: ``synthesize`` finds that with one
+Gauss–Jordan pass (``gf2_inverse``), and ``segment_and_synthesize`` builds
+it from each CNOT run reversed.  Each recorded row operation is paired with
+``inv[control] ^= inv[target]``.  Each row pass reads its target-aided rows
+from it, so no layer solves a GF(2) system.  A wrong aid set, read from a
+wrong inverse, leaves row q short of its unit vector, and the check after
+the pass raises.  A column pass reads its terminals and their mask in one
+scan of the rows, and a column that is already its unit vector builds no
+Steiner tree: a root-only tree records no operation.  The recorded pairs
+become the output's ``CNOT`` gates in one bulk step.
 
 When the matrix is smaller than the device, spare physical qubits act as
 clean ancillas: their rows start as unit vectors, so Steiner points and
@@ -34,6 +39,7 @@ mapping can be used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .arch import CouplingGraph, mask_vertices
@@ -75,18 +81,9 @@ class SynthesisResult:
 # Layer elimination
 # ---------------------------------------------------------------------------
 
-def _check_inside(residual: int, qubits: set[int]) -> None:
-    outside = sorted(q for q in qubits if not residual >> q & 1)
-    if outside:
-        raise RuntimeError(f"qubits {outside} outside residual graph; mapping replay invariant violated")
-
-
-def _column_ones(rows: list[int], q: int) -> list[int]:
-    return [p for p, row in enumerate(rows) if row >> q & 1]
-
-
 def _check_unit_column(rows: list[int], q: int) -> None:
-    if _column_ones(rows, q) != [q]:
+    bit = 1 << q
+    if sum([row & bit for row in rows]) != bit or not rows[q] & bit:
         raise RuntimeError(f"column {q} failed to reduce to a unit vector")
 
 
@@ -101,37 +98,48 @@ def eliminate_column(rows: list[int], inv: list[int], graph: CouplingGraph, q: i
     The work ``rows`` are indexed by physical qubit and XORed in place, and
     ``inv`` is their transposed inverse, kept so by pairing every
     ``rows[t] ^= rows[c]`` with ``inv[c] ^= inv[t]``.  The residual graph is
-    the subgraph of ``graph`` induced by the vertex mask ``residual``.  A
-    minimum-noise Steiner tree is grown over the qubits whose rows have a 1
-    in column q, rooted at q.  A postorder pass first fills 0-valued tree
+    the subgraph of ``graph`` induced by the vertex mask ``residual``.  One
+    scan of the rows gives the terminals, the qubits whose rows have a 1 in
+    column q, in ascending order, and their mask; q and every terminal must
+    lie in the residual.  A minimum-noise Steiner tree is grown over the
+    terminals, rooted at q.  A postorder pass first fills 0-valued tree
     vertices from a 1-valued child; a second postorder pass XORs every
     vertex into each of its children, clearing all entries except the
-    root's.
+    root's.  A column that is already its unit vector (terminals ``[q]``)
+    builds no tree, since a root-only tree records no operation; the
+    unit-column check runs either way.
 
     Returns the recorded (control, target) row operations.
     """
-    terminals = set(_column_ones(rows, q))
+    bit = 1 << q
+    terminals: list[int] = []
+    tmask = 0
+    for p, row in enumerate(rows):
+        if row & bit:
+            terminals.append(p)
+            tmask |= 1 << p
     if not terminals:
         raise RuntimeError(f"column {q} is all zeros; matrix is singular")
-    _check_inside(residual, terminals | {q})
+    if outside := (tmask | bit) & ~residual:
+        raise RuntimeError(f"qubits {list(mask_vertices(outside))} outside residual graph; mapping replay invariant violated")
 
-    tree = min_noise_steiner_tree(graph, q, terminals, residual)
-    order = postorder(tree)
-    bit = 1 << q
     ops: list[tuple[int, int]] = []
-    for c in order:
-        if c == q:
-            continue
-        k = tree.parent[c]
-        if not rows[k] & bit and rows[c] & bit:
-            rows[k] ^= rows[c]
-            inv[c] ^= inv[k]
-            ops.append((c, k))
-    for c in order:
-        for l in tree.children[c]:
-            rows[l] ^= rows[c]
-            inv[c] ^= inv[l]
-            ops.append((c, l))
+    if terminals != [q]:
+        tree = min_noise_steiner_tree(graph, q, terminals, residual)
+        order = postorder(tree)
+        for c in order:
+            if c == q:
+                continue
+            k = tree.parent[c]
+            if not rows[k] & bit and rows[c] & bit:
+                rows[k] ^= rows[c]
+                inv[c] ^= inv[k]
+                ops.append((c, k))
+        for c in order:
+            for l in tree.children[c]:
+                rows[l] ^= rows[c]
+                inv[c] ^= inv[l]
+                ops.append((c, l))
     _check_unit_column(rows, q)
     return ops
 
@@ -151,12 +159,13 @@ def eliminate_row(rows: list[int], inv: list[int], graph: CouplingGraph, q: int,
     i.e. the unit vector.
     """
     bit = 1 << q
-    aid = {p for p in mask_vertices(residual & ~bit) if inv[p] & bit}
+    others = residual & ~bit
+    aid = {p for p, col in enumerate(inv) if col & bit and others >> p & 1}
     if not aid:
         _check_unit_row(rows, q)
         return []
 
-    tree = min_noise_steiner_tree(graph, q, aid | {q}, residual)
+    tree = min_noise_steiner_tree(graph, q, (*aid, q), residual)
     ops: list[tuple[int, int]] = []
     for r in preorder(tree):
         if r == q or r in aid:
@@ -202,9 +211,21 @@ def _block_failure(rows: list[int], want: dict[int, int], vertex_mask: int) -> s
 
 def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, mapping: Mapping | None) -> Mapping:
     """The tabu-search mapping of ``n`` qubits on ``graph``, whose ``MappingSearch`` checks both,
-    or the caller's once ``mapping_failure`` and ``replay_is_valid`` pass it."""
+    or the caller's once ``mapping_failure`` and ``replay_is_valid`` pass it.
+
+    A caller's ids are read through ``operator.index`` first, so integer ids
+    of any type (numpy's among them) become Python ints, and a non-integral
+    id raises ``ValueError``.
+    """
     if mapping is None:
         return optimize_mapping(graph, n, config)
+    assign = []
+    for p in mapping.assign:
+        try:
+            assign.append(index(p))
+        except TypeError:
+            raise ValueError(f"mapping id {p!r} is not an integer") from None
+    mapping = Mapping(tuple(assign))
     if (failure := mapping_failure(graph, mapping, n)) is not None:
         raise ValueError(failure)
     if not replay_is_valid(graph, mapping):
@@ -224,15 +245,18 @@ def _eliminate(m: ParityMatrix, inverse: list[int], graph: CouplingGraph, mappin
     bit ``assign[r]`` of ``inv[assign[j]]``.  The passes XOR both in place.
     """
     assign = mapping.assign
+    bits = [1 << p for p in assign]
     rows = [0] * graph.width
     for p in graph.vertices:
         rows[p] = 1 << p
     inv = rows.copy()
-    for r, row in enumerate(m.rows):
-        rows[assign[r]] = sum(1 << assign[j] for j in mask_vertices(row))
-        inv[assign[r]] = 0
-    for r, row in enumerate(inverse):
-        bit = 1 << assign[r]
+    for p, row in zip(assign, m.rows):
+        moved = 0
+        for j in mask_vertices(row):
+            moved |= bits[j]
+        rows[p] = moved
+        inv[p] = 0
+    for bit, row in zip(bits, inverse):
         for j in mask_vertices(row):
             inv[assign[j]] |= bit
     residual = graph.vertex_mask
@@ -241,9 +265,10 @@ def _eliminate(m: ParityMatrix, inverse: list[int], graph: CouplingGraph, mappin
         recorded.extend(eliminate_column(rows, inv, graph, q, residual))
         recorded.extend(eliminate_row(rows, inv, graph, q, residual))
         residual &= ~(1 << q)
-    if (failure := _block_failure(rows, {p: 1 << p for p in assign}, graph.vertex_mask)) is not None:
+    if (failure := _block_failure(rows, dict(zip(assign, bits)), graph.vertex_mask)) is not None:
         raise RuntimeError(f"elimination finished without reaching the identity: {failure}")
-    return SynthesisResult(gates=tuple(CNOT(c, t) for c, t in reversed(recorded)), mapping=mapping, graph=graph)
+    new = tuple.__new__  # a CNOT per pair without a call to its Python-level __new__
+    return SynthesisResult(gates=tuple([new(CNOT, op) for op in reversed(recorded)]), mapping=mapping, graph=graph)
 
 
 def synthesize(

@@ -240,6 +240,7 @@ class TestCircuitValidation:
     def test_classical_register_width(self):
         assert Circuit(3).clbits == 3
         assert Circuit(3, (Measure(0, 4),)).clbits == 5
+        assert Circuit(3, (Measure(0, 4), Measure(1, 2))).clbits == 5
         assert Circuit(3, (Measure(0, 1),), clbits=2).clbits == 2
         assert parse_qasm("qreg q[5]; creg c[2]; measure q[4] -> c[1];").clbits == 2
         with pytest.raises(ValueError, match="needs at least 5 bits, got 3"):
@@ -250,6 +251,28 @@ class TestCircuitValidation:
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             Circuit(0)
+
+    @pytest.mark.parametrize(
+        "gates,message",
+        [
+            ((CNOT(0, 2),), "gate 0: qubit 2 outside [0,2)"),
+            # The control is checked before the target.
+            ((CNOT(5, 7),), "gate 0: qubit 5 outside [0,2)"),
+            ((CNOT(-1, 0),), "gate 0: qubit -1 outside [0,2)"),
+            # Coincident qubits are reported before any range check.
+            ((CNOT(5, 5),), "gate 0: control and target coincide (5)"),
+            ((CNOT(0, 1), CNOT(1, 3)), "gate 1: qubit 3 outside [0,2)"),
+            ((OneQubit("h", 1), Measure(0, 0), OneQubit("x", 2)), "gate 2: qubit 2 outside [0,2)"),
+            # An unsupported kind and a negative classical bit come before the qubit's range.
+            ((OneQubit("t", 9),), "gate 0: unsupported single-qubit kind 't'"),
+            ((Measure(9, -1),), "gate 0: negative classical bit -1"),
+            ((Measure(9, 0),), "gate 0: qubit 9 outside [0,2)"),
+        ],
+    )
+    def test_validation_messages_and_order(self, gates, message):
+        with pytest.raises(ValueError) as exc:
+            Circuit(2, gates)
+        assert str(exc.value) == message
 
 
 class TestDepth:
@@ -484,6 +507,29 @@ class TestSegmentation:
         circ = Circuit(len(assign), (OneQubit("h", 0),))
         with pytest.raises(ValueError, match="removal-replay"):
             segment_and_synthesize(circ, g, mapping=Mapping(assign))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_run_is_eliminated_with_its_inverse(self, seed, monkeypatch):
+        # The reversed run gives exactly the Gauss-Jordan inverse of the run's matrix.
+        import cnotsynth.synth
+        from cnotsynth.gf2 import gf2_inverse
+
+        real, runs = cnotsynth.synth._eliminate, []
+
+        def checked(m, inverse, *args):
+            assert inverse == gf2_inverse(m.rows)
+            runs.append(m)
+            return real(m, inverse, *args)
+
+        monkeypatch.setattr(cnotsynth.synth, "_eliminate", checked)
+        rng = random.Random(seed)
+        gates = []
+        for _ in range(5):
+            gates += random_cnot_circuit(7, rng.randint(1, 12), rng.randrange(1 << 30)).gates
+            gates.append(OneQubit("h", rng.randrange(7)))
+        out, mapping = segment_and_synthesize(Circuit(7, tuple(gates)), builtin("guadalupe"), SMALL_CONFIG)
+        assert len(runs) == 5
+        assert circuit_failure(Circuit(7, tuple(gates)), out, builtin("guadalupe"), mapping) is None
 
     def test_caller_mapping_is_replay_checked_once_per_circuit(self, monkeypatch):
         import cnotsynth.synth

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -96,6 +97,32 @@ class TestMinNoiseSteinerTree:
     def test_chain(self):
         t = min_noise_steiner_tree(builtin("linear(4)"), 0, {3})
         assert t.parent == {1: 0, 2: 1, 3: 2}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_terminal_container_does_not_matter(self, seed):
+        # Terminals are joined in ascending id order whatever iterable holds them.
+        rng = random.Random(seed)
+        g = builtin("guadalupe")
+        root, *terms = rng.sample(sorted(g.vertices), rng.randint(3, 8))
+        trees = [
+            min_noise_steiner_tree(g, root, given)
+            for given in (terms, terms[::-1], set(terms), (t for t in terms), np.array(terms))
+        ]
+        assert all(t.parent == trees[0].parent and t.terminals == set(terms) for t in trees)
+
+    @pytest.mark.parametrize("name", ["quito", "grid(8,8)"])
+    def test_numpy_root_gives_the_int_root_tree(self, name):
+        g = builtin(name)
+        top = max(g.vertices)
+        want = min_noise_steiner_tree(g, top, {0, top // 2})
+        got = min_noise_steiner_tree(g, np.int64(top), {0, top // 2})
+        assert got.parent == want.parent and got.root == want.root
+        assert all(type(v) is int for edge in got.parent.items() for v in edge)
+        assert type(got.root) is int
+
+    def test_terminals_outside_mask_named_in_ascending_order(self):
+        with pytest.raises(ValueError, match=r"^terminals \[3, 4\] not in graph$"):
+            min_noise_steiner_tree(builtin("quito"), 0, [4, 1, 3], 0b00111)
 
     def test_empty_terminals(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -231,6 +231,39 @@ class TestEliminateColumn:
         g = builtin("linear(3)")
         assert eliminate_column(m.rows, work_inverse(m.rows), g, 1, g.vertex_mask) == []
 
+    def test_unit_column_builds_no_tree(self, monkeypatch):
+        import cnotsynth.synth
+
+        trees = []
+        real = cnotsynth.synth.min_noise_steiner_tree
+
+        def counted(*args):
+            trees.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cnotsynth.synth, "min_noise_steiner_tree", counted)
+        g = builtin("quito")
+        rows = ParityMatrix.from_circuit([(1, 2), (3, 4)], 5).rows
+        assert eliminate_column(rows, work_inverse(rows), g, 0, g.vertex_mask) == []
+        assert trees == []
+        # A column with another 1 still builds its tree.
+        assert eliminate_column(rows, work_inverse(rows), g, 1, g.vertex_mask) == [(1, 2)]
+        assert len(trees) == 1
+
+    def test_zero_column_is_singular(self):
+        g = builtin("quito")
+        rows = [0b00001, 0b00010, 0b01000, 0b01000, 0b10000]
+        with pytest.raises(RuntimeError, match=r"^column 2 is all zeros; matrix is singular$"):
+            eliminate_column(rows, [0b00001, 0b00010, 0, 0, 0b10000], g, 2, g.vertex_mask)
+
+    def test_outside_qubits_named_in_ascending_order(self):
+        g = builtin("quito")
+        rows = ParityMatrix.from_circuit([(0, 3), (0, 4)], 5).rows
+        with pytest.raises(
+            RuntimeError, match=r"^qubits \[3, 4\] outside residual graph; mapping replay invariant violated$"
+        ):
+            eliminate_column(rows, work_inverse(rows), g, 0, 0b00111)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_postcondition_on_linear5(self, seed):
         m = random_invertible(5, 7000 + seed)
@@ -255,6 +288,15 @@ class TestEliminateRow:
         m = ParityMatrix.identity(4)
         g = builtin("linear(4)")
         assert eliminate_row(m.rows, work_inverse(m.rows), g, 2, g.vertex_mask) == []
+
+    @pytest.mark.parametrize("gates", [[(0, 1), (1, 0)], [(2, 0), (0, 1)]])
+    def test_column_not_unit_after_row_pass_raises(self, gates):
+        # Column 0 is not unit: its one 1 sits in row 1, not row 0, or it
+        # has two 1s.  The row pass cannot mend it, and the check says so.
+        g = builtin("quito")
+        rows = ParityMatrix.from_circuit(gates, 5).rows
+        with pytest.raises(RuntimeError, match=r"^column 0 failed to reduce to a unit vector$"):
+            eliminate_row(rows, work_inverse(rows), g, 0, g.vertex_mask)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_postcondition_preserves_earlier_layers(self, seed):
@@ -611,6 +653,43 @@ class TestSynthesize:
         m = ParityMatrix.from_circuit(circ.cnot_pairs(), 36)
         res = synthesize(m, g, TabuConfig(tabu_len=3, iterations=1, seed=0))
         assert verify_equivalence(m, res)
+
+
+class TestCallerMappingIds:
+    """A caller's mapping may hold integer ids of any type: numpy's give the
+    gates that Python ints give, and a non-integral id is refused."""
+
+    @pytest.mark.parametrize("name", ["quito", "grid(8,8)"])
+    def test_numpy_ids_synthesize_like_ints(self, name):
+        g = builtin(name)
+        n = g.num_vertices
+        m = random_invertible(n, 4100)
+        mapping = optimize_mapping(g, n, TabuConfig(iterations=0))
+        numpy_mapping = Mapping(tuple(np.array(mapping.assign)))
+        assert isinstance(numpy_mapping.assign[0], np.integer)
+        res = synthesize(m, g, mapping=numpy_mapping)
+        assert res.gates == synthesize(m, g, mapping=mapping).gates
+        assert all(type(p) is int for p in res.mapping.assign)
+        assert verify_equivalence(m, res)
+
+    def test_numpy_ids_segment_like_ints(self):
+        from cnotsynth.circuit import Measure, segment_and_synthesize
+
+        g = builtin("guadalupe")
+        mapping = optimize_mapping(g, 12, TabuConfig(iterations=0))
+        rng = random.Random(4200)
+        gates = []
+        for _ in range(6):
+            gates += [CNOT(*rng.sample(range(12), 2)) for _ in range(rng.randint(3, 8))]
+            gates.append(OneQubit(rng.choice("hxz"), rng.randrange(12)))
+        circ = Circuit(12, tuple(gates) + tuple(Measure(q) for q in range(12)))
+        out, used = segment_and_synthesize(circ, g, mapping=Mapping(tuple(np.array(mapping.assign))))
+        assert out == segment_and_synthesize(circ, g, mapping=mapping)[0]
+        assert all(type(p) is int for p in used.assign)
+
+    def test_float_id_is_refused(self):
+        with pytest.raises(ValueError, match=r"^mapping id 0\.0 is not an integer$"):
+            synthesize(ParityMatrix.identity(2), builtin("quito"), mapping=Mapping((0.0, 1.0)))
 
 
 class TestVerifyEquivalence:
