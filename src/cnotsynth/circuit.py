@@ -361,7 +361,7 @@ def segment_and_synthesize(circuit: Circuit, graph: CouplingGraph, config=None, 
     physical qubits, a measurement keeping its classical bit.  Returns the
     circuit over the device's qubits, runs in original order and with the
     input's classical register, and the mapping.  A run's parity matrix
-    needs no Gauss–Jordan pass for its inverse: the run reversed builds it.
+    needs no elimination for its inverse: the run reversed builds it.
     """
     from .synth import _checked_mapping, _eliminate
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -262,7 +264,8 @@ MEAN_FIELDS = ("cnot", "depth", "esp", "mc_fidelity", "ms")
 def cmd_bench(args: argparse.Namespace) -> int:
     # Each instance samples with its own derived, non-negative seed.
     _check_shots(args.shots, None)
-    arch_names = [a.strip() for a in args.arch.split(",") if a.strip()]
+    # Commas inside parentheses belong to a parametric name such as grid(4,4).
+    arch_names = [a.strip() for a in re.split(r",(?![^(]*\))", args.arch) if a.strip()]
     sizes = []
     for tok in args.sizes.split(","):
         tok = tok.strip()
@@ -313,7 +316,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             widths = [width for _, width, _ in BENCH_COLUMNS]
             text = "".join(" ".join(map(str.ljust, line, widths)) + "\n" for line in lines)
         else:
-            text = "".join(",".join(line) + "\n" for line in lines)
+            import csv  # imported here: no other command loads it, synth's start-up included
+
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows(lines)
+            text = out.getvalue()
     _write_text(args.out, text)
     return EXIT_OK
 

@@ -7,11 +7,13 @@ column j is 1 iff the output parity of qubit i includes input qubit j.
 
 Each row is one Python int whose bit j holds column j, so a row operation is
 one inline XOR on a row list, ``rows[target] ^= rows[control]``: the class
-has no ``row_xor``.  Rank and solve share one bitwise elimination
-(``_basis``).  ``gf2_inverse`` is a separate Gauss–Jordan pass; ``synthesize``
-calls it once per matrix, both to reject a singular matrix and to seed the
-inverse it keeps next to its work rows.  ``segment_and_synthesize`` needs no
-such pass: a CNOT run's inverse is the matrix of the run reversed.
+has no ``row_xor``.  Rank, solve and inverse share one bitwise elimination:
+``_basis`` builds an echelon basis whose entries carry the masks of the
+input rows they sum, and ``_reduce`` reads a vector's mask off it.
+``synthesize`` calls ``gf2_inverse`` once per matrix, both to reject a
+singular matrix and to seed the inverse it keeps next to its work rows.
+``segment_and_synthesize`` needs no elimination: a CNOT run's inverse is
+the matrix of the run reversed.
 """
 from __future__ import annotations
 
@@ -144,28 +146,15 @@ def solve_gf2(rows: Sequence[int], y: int) -> int | None:
 
 
 def gf2_inverse(rows: Sequence[int]) -> list[int] | None:
-    """Rows of the inverse of the square matrix ``rows``; ``None`` when it is singular.
+    """Rows of the inverse of ``rows``, n rows of n bits each as in every
+    ``ParityMatrix``; ``None`` when the matrix is singular.
 
-    Gauss–Jordan: for each column in turn, the first row at or below the
-    diagonal with a 1 there becomes the pivot, and its row is XORed into
-    every other row with that 1.  Every swap and XOR is repeated on an
-    identity, which ends as the inverse.
+    Row j of the inverse is the mask of the rows whose XOR is the unit
+    vector ``1 << j``: ``solve_gf2(rows, 1 << j)``, read off one basis.  The
+    matrix is invertible exactly when that basis has n pivots, and then
+    every unit vector reduces to zero.
     """
-    n = len(rows)
-    work = list(rows)
-    inv = [1 << r for r in range(n)]
-    for col in range(n):
-        bit = 1 << col
-        for p in range(col, n):
-            if work[p] & bit:
-                break
-        else:
-            return None
-        work[col], work[p] = work[p], work[col]
-        inv[col], inv[p] = inv[p], inv[col]
-        pivot, pivot_inv = work[col], inv[col]
-        for r in range(n):
-            if work[r] & bit and r != col:
-                work[r] ^= pivot
-                inv[r] ^= pivot_inv
-    return inv
+    basis = _basis(rows)
+    if len(basis) < len(rows):
+        return None
+    return [_reduce(basis, 1 << j, 0)[1] for j in range(len(rows))]

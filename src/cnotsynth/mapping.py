@@ -25,14 +25,15 @@ and is dropped when the search returns.
 
 This module alone decides whether a device, a qubit count and a mapping can
 be used: ``MappingSearch`` refuses a disconnected device or a qubit count
-outside ``1..N``, and a caller's mapping must pass ``mapping_failure`` and
-``replay_is_valid``.
+outside ``1..N``, and a caller's mapping is read through ``integer_mapping``
+and must pass ``mapping_failure`` and ``replay_is_valid``.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .arch import (
     HAMILTONIAN_VERTEX_LIMIT,
@@ -231,6 +232,19 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
             v, first = first, None
         assign.append(v)
         residual ^= 1 << v
+    return Mapping(tuple(assign))
+
+
+def integer_mapping(mapping: Mapping) -> Mapping:
+    """``mapping`` with its ids read through ``operator.index``, so integer ids
+    of any type (numpy's among them) become Python ints; a non-integral id
+    raises ``ValueError``."""
+    assign = []
+    for p in mapping.assign:
+        try:
+            assign.append(index(p))
+        except TypeError:
+            raise ValueError(f"mapping id {p!r} is not an integer") from None
     return Mapping(tuple(assign))
 
 

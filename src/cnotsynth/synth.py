@@ -13,16 +13,17 @@ rows are built: row p and column p belong to physical qubit p, so every
 recorded row operation is already a physical (control, target) pair, applied
 as ``rows[target] ^= rows[control]``, and the synthesized circuit is their
 reverse cascade.  Next to the work rows sits ``inv``, their transposed
-inverse, moved from the matrix's inverse: ``synthesize`` finds that with one
-Gauss–Jordan pass (``gf2_inverse``), and ``segment_and_synthesize`` builds
-it from each CNOT run reversed.  Each recorded row operation is paired with
-``inv[control] ^= inv[target]``.  Each row pass reads its target-aided rows
-from it, so no layer solves a GF(2) system.  A wrong aid set, read from a
-wrong inverse, leaves row q short of its unit vector, and the check after
-the pass raises.  A column pass reads its terminals and their mask in one
-scan of the rows, and a column that is already its unit vector builds no
-Steiner tree: a root-only tree records no operation.  The recorded pairs
-become the output's ``CNOT`` gates in one bulk step.
+inverse, moved from the matrix's inverse: ``synthesize`` reads that off the
+echelon basis that GF(2) rank and solve share (``gf2_inverse``), and
+``segment_and_synthesize`` builds it from each CNOT run reversed.  Each
+recorded row operation is paired with ``inv[control] ^= inv[target]``.  Each
+row pass reads its target-aided rows from it, so no layer solves a GF(2)
+system.  A wrong aid set, read from a wrong inverse, leaves row q short of
+its unit vector, and the check after the pass raises.  A column pass reads
+its terminals and their mask in one scan of the rows, and a column that is
+already its unit vector builds no Steiner tree: a root-only tree records no
+operation.  The recorded pairs become the output's ``CNOT`` gates in one bulk
+step.
 
 When the matrix is smaller than the device, spare physical qubits act as
 clean ancillas: their rows start as unit vectors, so Steiner points and
@@ -39,7 +40,6 @@ mapping can be used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Sequence
 
 from .arch import CouplingGraph, mask_vertices
@@ -48,7 +48,7 @@ from .circuit import CNOT, Circuit, relocate, segment_runs
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix, gf2_inverse
 from .gf2 import solve_gf2  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
-from .mapping import Mapping, TabuConfig, mapping_failure, optimize_mapping, replay_is_valid
+from .mapping import Mapping, TabuConfig, integer_mapping, mapping_failure, optimize_mapping, replay_is_valid
 from .steiner import min_noise_steiner_tree, postorder, preorder
 
 
@@ -213,19 +213,12 @@ def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, ma
     """The tabu-search mapping of ``n`` qubits on ``graph``, whose ``MappingSearch`` checks both,
     or the caller's once ``mapping_failure`` and ``replay_is_valid`` pass it.
 
-    A caller's ids are read through ``operator.index`` first, so integer ids
-    of any type (numpy's among them) become Python ints, and a non-integral
-    id raises ``ValueError``.
+    A caller's ids are read through ``integer_mapping`` first, so a
+    non-integral id raises ``ValueError``.
     """
     if mapping is None:
         return optimize_mapping(graph, n, config)
-    assign = []
-    for p in mapping.assign:
-        try:
-            assign.append(index(p))
-        except TypeError:
-            raise ValueError(f"mapping id {p!r} is not an integer") from None
-    mapping = Mapping(tuple(assign))
+    mapping = integer_mapping(mapping)
     if (failure := mapping_failure(graph, mapping, n)) is not None:
         raise ValueError(failure)
     if not replay_is_valid(graph, mapping):
@@ -307,8 +300,13 @@ def verification_failure(
     replays the gates on unit rows indexed by physical qubit, checking that
     each sits on a coupling edge.  Logical row r, with bit j moved to bit
     ``assign[j]``, is the row expected of qubit ``assign[r]``; spare vertices
-    are ancillas that must start and end clean.
+    are ancillas that must start and end clean.  Ids are read through
+    ``integer_mapping``; a non-integral one is the failure.
     """
+    try:
+        mapping = integer_mapping(mapping)
+    except ValueError as exc:
+        return str(exc)
     if (failure := mapping_failure(graph, mapping, m_original.n)) is not None:
         return failure
     rows = [1 << p for p in range(graph.width)]
@@ -329,8 +327,13 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
     output's CNOTs at that point (possibly none) under
     ``verification_failure``, and each other gate must come next, relocated
     through ``mapping``.  An empty original is one empty CNOT run.  A
-    reordered but equivalent output is reported.
+    reordered but equivalent output is reported.  Ids are read through
+    ``integer_mapping``; a non-integral one is the failure.
     """
+    try:
+        mapping = integer_mapping(mapping)
+    except ValueError as exc:
+        return str(exc)
     if (failure := mapping_failure(graph, mapping, original.n)) is not None:
         return failure
     for r, p in enumerate(mapping.assign):

@@ -510,7 +510,7 @@ class TestSegmentation:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_run_is_eliminated_with_its_inverse(self, seed, monkeypatch):
-        # The reversed run gives exactly the Gauss-Jordan inverse of the run's matrix.
+        # The reversed run gives exactly the inverse that gf2_inverse reads off the basis.
         import cnotsynth.synth
         from cnotsynth.gf2 import gf2_inverse
 

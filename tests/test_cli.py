@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -528,6 +529,23 @@ class TestBenchCommand:
             rows = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+    def test_parametric_arch_names(self, tmp_path):
+        # A comma inside grid(2,3) belongs to the name, and the CSV quotes it.
+        argv = ["bench", "--arch", "grid(2,3),quito", "--sizes", "10", "--instances", "1", *FAST]
+        reports = {}
+        for fmt in ("csv", "table", "json"):
+            out = tmp_path / f"bench.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+            reports[fmt] = out.read_text()
+        with open(tmp_path / "bench.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 8 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["grid(2,3)", "grid(2,3):mean", "quito", "quito:mean"]
+        assert [row[1] for row in rows[1:]] == ["6", "6", "5", "5"]
+        table_names = [line.split()[0] for line in reports["table"].splitlines()[1:]]
+        assert table_names == ["grid(2,3)", "grid(2,3):mean", "quito", "quito:mean"]
+        assert [row["arch"] for row in json.loads(reports["json"])] == table_names
 
     def test_bad_size_exits_2(self, capsys):
         assert main(["bench", "--arch", "quito", "--sizes", "ten", "--instances", "1"]) == 2

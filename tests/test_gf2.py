@@ -174,6 +174,7 @@ class TestAgainstNumpyReference:
                     if x >> k & 1:
                         acc ^= row
                 assert acc == 1 << j
+                assert x == solve_gf2(m.rows, 1 << j)
 
     @pytest.mark.parametrize("rows", [[0], [0b11, 0b11], [0b01, 0b10, 0b11], [0b001, 0b010, 0b000], [0b110, 0b101, 0b011]])
     def test_inverse_of_singular_matrices_is_none(self, rows):

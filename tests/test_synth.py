@@ -691,6 +691,34 @@ class TestCallerMappingIds:
         with pytest.raises(ValueError, match=r"^mapping id 0\.0 is not an integer$"):
             synthesize(ParityMatrix.identity(2), builtin("quito"), mapping=Mapping((0.0, 1.0)))
 
+    @pytest.mark.parametrize("name", ["quito", "grid(8,8)"])
+    def test_checkers_read_numpy_ids_like_ints(self, name):
+        from cnotsynth.circuit import segment_and_synthesize
+
+        g = builtin(name)
+        n = g.num_vertices
+        mapping = optimize_mapping(g, n, TabuConfig(iterations=0))
+        numpy_mapping = Mapping(tuple(np.array(mapping.assign)))
+        circ = random_cnot_circuit(n, 4 * n, seed=4300)
+        m = ParityMatrix.from_circuit(circ.cnot_pairs(), n)
+        out, _ = segment_and_synthesize(circ, g, mapping=mapping)
+        res = synthesize(m, g, mapping=mapping)
+        # A sound output and one short of its last gate: both verdicts match the int ids'.
+        for gates in (res.gates, res.gates[:-1]):
+            want = verification_failure(m, g, mapping, gates)
+            assert verification_failure(m, g, numpy_mapping, gates) == want
+            assert verify_equivalence(m, dataclasses.replace(res, gates=gates, mapping=numpy_mapping)) is (want is None)
+        for output in (out, Circuit(out.n, out.gates[:-1])):
+            assert circuit_failure(circ, output, g, numpy_mapping) == circuit_failure(circ, output, g, mapping)
+        assert circuit_failure(circ, out, g, numpy_mapping) is None
+        assert verification_failure(m, g, mapping, res.gates[:-1]) is not None
+
+    def test_checkers_report_a_float_id(self):
+        g, float_mapping = builtin("quito"), Mapping((0.0, 1.0))
+        want = "mapping id 0.0 is not an integer"
+        assert verification_failure(ParityMatrix.identity(2), g, float_mapping, []) == want
+        assert circuit_failure(Circuit(2, ()), Circuit(5, ()), g, float_mapping) == want
+
 
 class TestVerifyEquivalence:
     @pytest.mark.parametrize("check", [
