@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
-from operator import or_
+from operator import index, or_
 from typing import NamedTuple, Sequence
 
 from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
@@ -49,12 +49,23 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     return (gate.qubit,)
 
 
+def _check_ids(k: int, what: str, *ids) -> None:
+    """Raise ``ValueError`` naming gate ``k`` and its first id that ``operator.index`` refuses."""
+    for x in ids:
+        try:
+            index(x)
+        except TypeError:
+            raise ValueError(f"gate {k}: {what} {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over qubits 0..n-1 and a classical register of ``clbits`` bits.
 
-    ``clbits`` defaults to one bit per qubit, or more when a measurement
-    targets a higher bit.
+    Each gate is a ``CNOT``, ``OneQubit`` or ``Measure``, and its qubit and
+    classical-bit ids are integers: ints, or any type that
+    ``operator.index`` reads (numpy's among them).  ``clbits`` defaults to
+    one bit per qubit, or more when a measurement targets a higher bit.
     """
 
     n: int
@@ -69,21 +80,31 @@ class Circuit:
         for k, g in enumerate(self.gates):
             if isinstance(g, CNOT):
                 c, t = g
+                if type(c) is not int or type(t) is not int:
+                    _check_ids(k, "qubit", c, t)
                 if c == t:
                     raise ValueError(f"gate {k}: control and target coincide ({c})")
                 if not 0 <= c < n:
                     raise ValueError(f"gate {k}: qubit {c} outside [0,{n})")
                 q = t  # range-checked below, like every gate's last qubit
             elif isinstance(g, OneQubit):
+                q = g.qubit
+                if type(q) is not int:
+                    _check_ids(k, "qubit", q)
                 if g.kind not in _ONE_QUBIT_KINDS:
                     raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
-                q = g.qubit
-            elif g.clbit < 0:
-                raise ValueError(f"gate {k}: negative classical bit {g.clbit}")
+            elif isinstance(g, Measure):
+                q, b = g
+                if type(q) is not int:
+                    _check_ids(k, "qubit", q)
+                if type(b) is not int:
+                    _check_ids(k, "classical bit", b)
+                if b < 0:
+                    raise ValueError(f"gate {k}: negative classical bit {b}")
+                if b >= top:
+                    top = b + 1
             else:
-                q = g.qubit
-                if g.clbit >= top:
-                    top = g.clbit + 1
+                raise ValueError(f"gate {k}: {g!r} is not a CNOT, OneQubit or Measure")
             if not 0 <= q < n:
                 raise ValueError(f"gate {k}: qubit {q} outside [0,{n})")
         if self.clbits is None:

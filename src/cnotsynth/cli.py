@@ -39,7 +39,7 @@ from .circuit import (
 )
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix
-from .mapping import Mapping, TabuConfig, derive_seed, mapping_failure, optimize_mapping
+from .mapping import Mapping, TabuConfig, admitted_mapping, derive_seed, optimize_mapping
 from .synth import circuit_failure, synthesize, verification_failure
 
 EXIT_OK = 0
@@ -63,10 +63,9 @@ def load_arch(name_or_path: str) -> CouplingGraph:
         raise InputError(f"no such file {name_or_path!r}, and not a built-in: {builtin_error}")
     try:
         graph = parse_arch(path.read_text(encoding="utf-8"))
-    except ArchError as exc:
+    except (ArchError, UnicodeDecodeError) as exc:
         raise InputError(f"{name_or_path}: {exc}") from exc
-    if graph.name is None:
-        graph.name = path.name
+    graph.name = path.name
     return graph
 
 
@@ -76,7 +75,7 @@ def _read_circuit(path: str) -> Circuit:
         raise InputError(f"no such file: {path}")
     try:
         return parse_qasm(p.read_text(encoding="utf-8"))
-    except QasmError as exc:
+    except (QasmError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -224,8 +223,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"{args.mapping}: malformed mapping file ({exc})") from exc
     graph = load_arch(arch_spec)
 
-    if (failure := mapping_failure(graph, mapping, original.n)) is not None:
-        raise InputError(f"{args.mapping}: {failure}")
+    try:
+        mapping = admitted_mapping(graph, mapping, original.n)
+    except ValueError as exc:
+        raise InputError(f"{args.mapping}: {exc}") from exc
     for k, g in enumerate(synthesized.gates):
         if not set(gate_qubits(g)) <= graph.vertices:
             raise InputError(f"gate {k}: {g} uses a qubit outside the device")

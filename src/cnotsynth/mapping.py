@@ -25,8 +25,9 @@ and is dropped when the search returns.
 
 This module alone decides whether a device, a qubit count and a mapping can
 be used: ``MappingSearch`` refuses a disconnected device or a qubit count
-outside ``1..N``, and a caller's mapping is read through ``integer_mapping``
-and must pass ``mapping_failure`` and ``replay_is_valid``.
+outside ``1..N``, ``admitted_mapping`` reads a caller's mapping ids as ints
+and checks its qubit count and device membership in one call, and
+``replay_is_valid`` checks its removal replay.
 """
 from __future__ import annotations
 
@@ -235,26 +236,24 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
     return Mapping(tuple(assign))
 
 
-def integer_mapping(mapping: Mapping) -> Mapping:
-    """``mapping`` with its ids read through ``operator.index``, so integer ids
-    of any type (numpy's among them) become Python ints; a non-integral id
-    raises ``ValueError``."""
+def admitted_mapping(graph: CouplingGraph, mapping: Mapping, n: int) -> Mapping:
+    """``mapping`` admitted to place ``n`` logical qubits on ``graph``, its ids
+    read through ``operator.index`` (so numpy's become Python ints).
+
+    Raises ``ValueError`` naming the first fault: a non-integral id, the
+    wrong qubit count, then a vertex outside the device.
+    """
     assign = []
     for p in mapping.assign:
         try:
             assign.append(index(p))
         except TypeError:
             raise ValueError(f"mapping id {p!r} is not an integer") from None
-    return Mapping(tuple(assign))
-
-
-def mapping_failure(graph: CouplingGraph, mapping: Mapping, n: int) -> str | None:
-    """Why ``mapping`` cannot place ``n`` logical qubits on ``graph``; None if it can."""
-    if mapping.n != n:
-        return f"mapping covers {mapping.n} qubits, {n} needed"
-    if not set(mapping.assign) <= graph.vertices:
-        return "mapping uses vertices outside the device"
-    return None
+    if (mapping := Mapping(tuple(assign))).n != n:
+        raise ValueError(f"mapping covers {mapping.n} qubits, {n} needed")
+    if not set(assign) <= graph.vertices:
+        raise ValueError("mapping uses vertices outside the device")
+    return mapping
 
 
 def replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:

@@ -48,7 +48,7 @@ from .circuit import CNOT, Circuit, relocate, segment_runs
 from .circuit import depth as circuit_depth
 from .gf2 import ParityMatrix, gf2_inverse
 from .gf2 import solve_gf2  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
-from .mapping import Mapping, TabuConfig, integer_mapping, mapping_failure, optimize_mapping, replay_is_valid
+from .mapping import Mapping, TabuConfig, admitted_mapping, optimize_mapping, replay_is_valid
 from .steiner import min_noise_steiner_tree, postorder, preorder
 
 
@@ -211,16 +211,12 @@ def _block_failure(rows: list[int], want: dict[int, int], vertex_mask: int) -> s
 
 def _checked_mapping(graph: CouplingGraph, n: int, config: TabuConfig | None, mapping: Mapping | None) -> Mapping:
     """The tabu-search mapping of ``n`` qubits on ``graph``, whose ``MappingSearch`` checks both,
-    or the caller's once ``mapping_failure`` and ``replay_is_valid`` pass it.
-
-    A caller's ids are read through ``integer_mapping`` first, so a
-    non-integral id raises ``ValueError``.
+    or the caller's once ``admitted_mapping`` admits it (ids read as ints,
+    ``ValueError`` on a fault) and ``replay_is_valid`` passes it.
     """
     if mapping is None:
         return optimize_mapping(graph, n, config)
-    mapping = integer_mapping(mapping)
-    if (failure := mapping_failure(graph, mapping, n)) is not None:
-        raise ValueError(failure)
+    mapping = admitted_mapping(graph, mapping, n)
     if not replay_is_valid(graph, mapping):
         raise ValueError("mapping fails the removal-replay connectivity check")
     return mapping
@@ -300,15 +296,13 @@ def verification_failure(
     replays the gates on unit rows indexed by physical qubit, checking that
     each sits on a coupling edge.  Logical row r, with bit j moved to bit
     ``assign[j]``, is the row expected of qubit ``assign[r]``; spare vertices
-    are ancillas that must start and end clean.  Ids are read through
-    ``integer_mapping``; a non-integral one is the failure.
+    are ancillas that must start and end clean.  The mapping is read through
+    ``admitted_mapping``, and its refusal is the failure.
     """
     try:
-        mapping = integer_mapping(mapping)
+        mapping = admitted_mapping(graph, mapping, m_original.n)
     except ValueError as exc:
         return str(exc)
-    if (failure := mapping_failure(graph, mapping, m_original.n)) is not None:
-        return failure
     rows = [1 << p for p in range(graph.width)]
     for k, (c, t) in enumerate(gates):
         if not graph.has_edge(c, t):
@@ -327,15 +321,13 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
     output's CNOTs at that point (possibly none) under
     ``verification_failure``, and each other gate must come next, relocated
     through ``mapping``.  An empty original is one empty CNOT run.  A
-    reordered but equivalent output is reported.  Ids are read through
-    ``integer_mapping``; a non-integral one is the failure.
+    reordered but equivalent output is reported.  The mapping is read
+    through ``admitted_mapping``, and its refusal is the failure.
     """
     try:
-        mapping = integer_mapping(mapping)
+        mapping = admitted_mapping(graph, mapping, original.n)
     except ValueError as exc:
         return str(exc)
-    if (failure := mapping_failure(graph, mapping, original.n)) is not None:
-        return failure
     for r, p in enumerate(mapping.assign):
         if p >= output.n:
             return f"logical qubit {r} sits on physical qubit {p}, past the output's {output.n} qubits"

@@ -267,6 +267,15 @@ class TestCircuitValidation:
             ((OneQubit("t", 9),), "gate 0: unsupported single-qubit kind 't'"),
             ((Measure(9, -1),), "gate 0: negative classical bit -1"),
             ((Measure(9, 0),), "gate 0: qubit 9 outside [0,2)"),
+            # An entry that is not a gate, and an id that operator.index refuses,
+            # are refused first, whatever else is wrong with the gate.
+            (((0, 1),), "gate 0: (0, 1) is not a CNOT, OneQubit or Measure"),
+            ((CNOT(0, 1.0),), "gate 0: qubit 1.0 is not an integer"),
+            ((CNOT(1, 1.0),), "gate 0: qubit 1.0 is not an integer"),
+            ((OneQubit("h", 0.0),), "gate 0: qubit 0.0 is not an integer"),
+            ((OneQubit("t", 0.5),), "gate 0: qubit 0.5 is not an integer"),
+            ((CNOT(0, 1), Measure(0, 0.5)), "gate 1: classical bit 0.5 is not an integer"),
+            ((Measure(0.0, -1),), "gate 0: qubit 0.0 is not an integer"),
         ],
     )
     def test_validation_messages_and_order(self, gates, message):

@@ -231,6 +231,15 @@ class TestSynthCommand:
         p.write_text("qreg q[2]; bogus q[0];", encoding="utf-8")
         assert main(["synth", str(p), "--arch", "quito", *FAST]) == 2
 
+    @pytest.mark.parametrize("bad", ["qasm", "arch"])
+    def test_undecodable_file_is_named(self, bad, tmp_path, capsys):
+        files = {"qasm": write_random_qasm(tmp_path / "in.qasm"), "arch": "quito"}
+        files[bad] = str(tmp_path / f"bad.{bad}")
+        Path(files[bad]).write_bytes(b"\xffqreg q[2];\n")
+        assert main(["synth", files["qasm"], "--arch", files["arch"], *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {files[bad]}: 'utf-8' codec can't decode byte 0xff") and captured.out == ""
+
     def test_negative_seed_with_shots_exits_2(self, tmp_path, capsys):
         p = write_random_qasm(tmp_path / "in.qasm")
         out = tmp_path / "out.qasm"

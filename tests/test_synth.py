@@ -657,7 +657,8 @@ class TestSynthesize:
 
 class TestCallerMappingIds:
     """A caller's mapping may hold integer ids of any type: numpy's give the
-    gates that Python ints give, and a non-integral id is refused."""
+    gates that Python ints give, and a bad mapping (a non-integral id among
+    them) gets the same verdict from synthesis and both checkers."""
 
     @pytest.mark.parametrize("name", ["quito", "grid(8,8)"])
     def test_numpy_ids_synthesize_like_ints(self, name):
@@ -713,11 +714,24 @@ class TestCallerMappingIds:
         assert circuit_failure(circ, out, g, numpy_mapping) is None
         assert verification_failure(m, g, mapping, res.gates[:-1]) is not None
 
-    def test_checkers_report_a_float_id(self):
-        g, float_mapping = builtin("quito"), Mapping((0.0, 1.0))
-        want = "mapping id 0.0 is not an integer"
-        assert verification_failure(ParityMatrix.identity(2), g, float_mapping, []) == want
-        assert circuit_failure(Circuit(2, ()), Circuit(5, ()), g, float_mapping) == want
+    @pytest.mark.parametrize("assign,want", [
+        ((0.0, 1.0), "mapping id 0.0 is not an integer"),
+        ((0, 1, 2), "mapping covers 3 qubits, 2 needed"),
+        ((0, 7), "mapping uses vertices outside the device"),
+    ], ids=["float-id", "wrong-count", "off-device"])
+    def test_one_verdict_per_bad_mapping(self, assign, want):
+        from cnotsynth.circuit import segment_and_synthesize
+
+        g, bad = builtin("quito"), Mapping(assign)
+        for synthesis in (
+            lambda: synthesize(ParityMatrix.identity(2), g, mapping=bad),
+            lambda: segment_and_synthesize(Circuit(2, (CNOT(0, 1),)), g, mapping=bad),
+        ):
+            with pytest.raises(ValueError) as exc:
+                synthesis()
+            assert str(exc.value) == want
+        assert verification_failure(ParityMatrix.identity(2), g, bad, []) == want
+        assert circuit_failure(Circuit(2, ()), Circuit(5, ()), g, bad) == want
 
 
 class TestVerifyEquivalence:
