@@ -1,11 +1,14 @@
 """Error-weighted coupling graphs: parsing, device catalog, blocks and cut points, Hamiltonian paths.
 
 A coupling graph describes which physical-qubit pairs support a CNOT and at
-what error rate.  Graphs are immutable after construction, but for the
-display ``name``: ``cli.load_arch`` names a device file that has none after
-the file.  Each graph keeps one adjacency, as bitmasks: one int neighbour
-mask per vertex id and one mask of all vertices, plus one weight row per
-vertex id holding the ``-ln(1 - e)`` routing weight of each incident edge.
+what error rate.  ``CouplingGraph``'s constructor checks every vertex and
+edge; ``parse_arch`` only reads the lines of a device file and prefixes
+the constructor's message with the line of the edge it refuses.  Graphs
+are immutable after construction, but for the display ``name``:
+``cli.load_arch`` names a device file that has none after the file.  Each
+graph keeps one adjacency, as bitmasks: one int neighbour mask per vertex
+id and one mask of all vertices, plus one weight row per vertex id holding
+the ``-ln(1 - e)`` routing weight of each incident edge.
 A residual graph, in the mapping search, in layer elimination and in the
 mapping objective, is an int vertex mask over one base graph; connectivity,
 biconnected blocks, cut points and Hamiltonian paths take that mask and
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import index
 from typing import Iterable, Iterator
 
 HAMILTONIAN_VERTEX_LIMIT = 32
@@ -36,6 +40,14 @@ class ArchError(ValueError):
     """Malformed architecture description."""
 
 
+def _vertex_id(v) -> int:
+    """``v`` read through ``operator.index``; an int pays one type test."""
+    try:
+        return v if type(v) is int else index(v)
+    except TypeError:
+        raise ArchError(f"vertex id {v!r} is not an integer") from None
+
+
 def edge_weight(error: float) -> float:
     """Additive routing weight -ln(1 - e); zero-error edges weigh 0."""
     return -math.log1p(-error)
@@ -47,6 +59,14 @@ class CouplingGraph:
     Vertices are integer ids (not necessarily contiguous once vertices have
     been removed).  Equality and hashing cover vertices, edges and error
     rates but ignore the display ``name`` and calibration extras.
+
+    The constructor is the one check of a device's vertices and edges, for
+    built-in devices, device files (``parse_arch``) and callers alike.
+    Every vertex id and edge end is read through ``operator.index``, so
+    numpy integers pass and a float or string id is refused (``vertex id
+    1.7 is not an integer``).  Each edge is then checked in turn for a
+    self-loop, an unknown vertex, an error rate outside [0,1) and a
+    duplicate, and the first fault raises ``ArchError``.
 
     ``neighbor_masks[v]`` has bit w set iff (v, w) is an edge, and bit v of
     ``vertex_mask`` is set iff v is a vertex.  ``weight_rows[v]`` lists
@@ -69,7 +89,7 @@ class CouplingGraph:
         name: str | None = None,
         one_qubit_error: float | None = None,
     ) -> None:
-        vset = frozenset(int(v) for v in vertices)
+        vset = frozenset(map(_vertex_id, vertices))
         if any(v < 0 for v in vset):
             raise ArchError("vertex ids must be non-negative")
         if one_qubit_error is not None and not 0.0 <= one_qubit_error <= 1.0:
@@ -79,7 +99,7 @@ class CouplingGraph:
         nbr = [0] * width
         rows: list[list[tuple[int, float]]] = [[] for _ in range(width)]
         for u, v, err in edges:
-            u, v = int(u), int(v)
+            u, v = _vertex_id(u), _vertex_id(v)
             if u == v:
                 raise ArchError(f"self-loop on vertex {u}")
             if u not in vset or v not in vset:
@@ -221,7 +241,7 @@ def remove_vertex(graph: CouplingGraph, v: int) -> CouplingGraph:
 
 def induced_subgraph(graph: CouplingGraph, vertices: Iterable[int]) -> CouplingGraph:
     """Subgraph induced by ``vertices`` (must all exist in the graph)."""
-    keep = frozenset(int(v) for v in vertices)
+    keep = frozenset(map(_vertex_id, vertices))
     missing = keep - graph.vertices
     if missing:
         raise ArchError(f"vertices {sorted(missing)} not in graph")
@@ -441,48 +461,45 @@ def has_hamiltonian_path(graph: CouplingGraph, mask: int | None = None) -> tuple
 def parse_arch(text: str) -> CouplingGraph:
     """Parse the architecture file format.
 
-    Line 1 is ``qubits N``; each following line is ``edge U V ERR`` with
-    0 <= U,V < N and ERR a decimal in [0,1).  ``#`` starts a comment.
+    Line 1 is ``qubits N``; each following line is ``edge U V ERR`` with U
+    and V integers and ERR a decimal.  ``#`` starts a comment.  This reads
+    lines only: the edges go one by one, in file order, to
+    ``CouplingGraph(range(N), ...)``, which checks them as it checks any
+    caller's edges, so the first bad line is reported, by its number and
+    the constructor's message (``line 3: edge (1,7) references unknown
+    vertex``).
     """
-    n: int | None = None
-    triples: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "qubits":
-                raise ArchError(f"line {lineno}: expected 'qubits N', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ArchError(f"line {lineno}: invalid qubit count {parts[1]!r}") from None
-            if n < 1:
-                raise ArchError(f"line {lineno}: qubit count must be >= 1")
-            continue
-        if parts[0] != "edge" or len(parts) != 4:
-            raise ArchError(f"line {lineno}: expected 'edge U V ERR', got {line!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-            err = float(parts[3])
-        except ValueError:
-            raise ArchError(f"line {lineno}: malformed edge fields {parts[1:]}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ArchError(f"line {lineno}: edge endpoint outside [0,{n})")
-        if not (0.0 <= err < 1.0):
-            raise ArchError(f"line {lineno}: error rate {err} outside [0,1)")
-        if u == v:
-            raise ArchError(f"line {lineno}: self-loop on vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ArchError(f"line {lineno}: duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
-        triples.append((u, v, err))
-    if n is None:
+    lines = ((k, raw.split("#", 1)[0].strip()) for k, raw in enumerate(text.splitlines(), start=1))
+    lines = ((k, line) for k, line in lines if line)
+    k, header = next(lines, (0, ""))  # k: the line being read
+    if not header:
         raise ArchError("empty architecture description: missing 'qubits N' line")
-    return CouplingGraph(range(n), triples)
+
+    def edges() -> Iterator[tuple[int, int, float]]:
+        nonlocal k
+        for k, line in lines:
+            parts = line.split()
+            if parts[0] != "edge" or len(parts) != 4:
+                raise ArchError(f"expected 'edge U V ERR', got {line!r}")
+            try:
+                edge = int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise ArchError(f"malformed edge fields {parts[1:]}") from None
+            yield edge
+
+    try:
+        parts = header.split()
+        if len(parts) != 2 or parts[0] != "qubits":
+            raise ArchError(f"expected 'qubits N', got {header!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise ArchError(f"invalid qubit count {parts[1]!r}") from None
+        if n < 1:
+            raise ArchError("qubit count must be >= 1")
+        return CouplingGraph(range(n), edges())
+    except ArchError as exc:
+        raise ArchError(f"line {k}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,25 @@ def _check_ids(k: int, what: str, *ids) -> None:
             raise ValueError(f"gate {k}: {what} {x!r} is not an integer") from None
 
 
+def _index_field(circuit: Circuit, field: str) -> None:
+    """Store ``circuit``'s ``field`` as the int ``operator.index`` reads, or raise ``ValueError`` naming it."""
+    value = getattr(circuit, field)
+    try:
+        object.__setattr__(circuit, field, index(value))
+    except TypeError:
+        raise ValueError(f"{field} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over qubits 0..n-1 and a classical register of ``clbits`` bits.
 
     Each gate is a ``CNOT``, ``OneQubit`` or ``Measure``, and its qubit and
     classical-bit ids are integers: ints, or any type that
-    ``operator.index`` reads (numpy's among them).  ``clbits`` defaults to
-    one bit per qubit, or more when a measurement targets a higher bit.
+    ``operator.index`` reads (numpy's among them).  ``n`` and ``clbits``
+    are read the same way and stored as ints (``n 2.5 is not an integer``).
+    ``clbits`` defaults to one bit per qubit, or more when a measurement
+    targets a higher bit.
     """
 
     n: int
@@ -73,6 +84,10 @@ class Circuit:
     clbits: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            _index_field(self, "n")
+        if self.clbits is not None and type(self.clbits) is not int:
+            _index_field(self, "clbits")
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
         n = self.n

@@ -234,8 +234,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"synthesized circuit declares {synthesized.n} qubits, wider than the device's {graph.width}")
 
     failure = circuit_failure(original, synthesized, graph, mapping)
-    if failure is None and synthesized.clbits != original.clbits:
-        failure = f"classical register has {synthesized.clbits} bits, original has {original.clbits}"
     if failure is not None:
         print(f"mismatch: {failure}")
         return EXIT_VERIFY

@@ -322,7 +322,9 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
     ``verification_failure``, and each other gate must come next, relocated
     through ``mapping``.  An empty original is one empty CNOT run.  A
     reordered but equivalent output is reported.  The mapping is read
-    through ``admitted_mapping``, and its refusal is the failure.
+    through ``admitted_mapping``, and its refusal is the failure.  Once
+    every gate matches, the output's classical register must be as wide as
+    the original's.
     """
     try:
         mapping = admitted_mapping(graph, mapping, original.n)
@@ -351,6 +353,8 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
             k += 1
     if k < len(gates):
         return f"gate {k}: {gates[k]} has no counterpart in the original"
+    if output.clbits != original.clbits:
+        return f"classical register has {output.clbits} bits, original has {original.clbits}"
     return None
 
 

@@ -7,6 +7,7 @@ import sys
 import warnings
 from collections import deque
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -149,7 +150,7 @@ class TestParseWrite:
         assert parse_arch(arch_text(g)) == g
 
     def test_endpoint_outside_range(self):
-        with pytest.raises(ArchError, match="outside"):
+        with pytest.raises(ArchError, match="unknown vertex"):
             parse_arch("qubits 2\nedge 0 5 0.1\n")
 
     def test_bad_qubit_count(self):
@@ -163,6 +164,59 @@ class TestParseWrite:
     def test_non_numeric_edge_fields(self):
         with pytest.raises(ArchError, match="^" + re.escape("line 3: malformed edge fields ['1', 'two', '0.01']") + "$"):
             parse_arch("qubits 3\nedge 0 1 0.01\nedge 1 two 0.01\n")
+
+
+class TestOneDeviceValidator:
+    """``CouplingGraph`` is the one check of a device's vertices and edges: a
+    device file's fault is the constructor's message for the same edge,
+    prefixed with the line that holds it."""
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(1, 1, 0.01), (1, 7, 0.01), (0, 2, 1.5), (2, 1, 0.02), (1, 1, 1.5)],
+        ids=["self-loop", "unknown-vertex", "error-rate", "duplicate", "self-loop-and-error-rate"],
+    )
+    def test_file_and_constructor_agree(self, edge):
+        edges = [(0, 1, 0.01), (1, 2, 0.01), edge, (2, 3, 0.01), (3, 4, 0.01)]
+        with pytest.raises(ArchError) as built:
+            CouplingGraph(range(5), edges)
+        text = "qubits 5\n" + "".join(f"edge {u} {v} {e}\n" for u, v, e in edges)
+        with pytest.raises(ArchError) as parsed:
+            parse_arch(text)
+        assert str(parsed.value) == f"line 4: {built.value}"
+
+    @pytest.mark.parametrize(
+        "vertices,edges,bad",
+        [
+            ([0, 1, 2.0], [(0, 1, 0.01)], "2.0"),
+            (range(3), [(0, 1.7, 0.01)], "1.7"),
+            (range(3), [("0", 1, 0.01)], "'0'"),
+        ],
+        ids=["float-vertex", "float-edge-end", "str-edge-end"],
+    )
+    def test_non_integral_ids_are_refused(self, vertices, edges, bad):
+        with pytest.raises(ArchError, match=f"^vertex id {re.escape(bad)} is not an integer$"):
+            CouplingGraph(vertices, edges)
+
+    def test_numpy_ids_build_the_same_graph(self):
+        quito = builtin("quito")
+        g = CouplingGraph(np.arange(5), [(np.int64(u), np.int32(v), e) for u, v, e in quito.edges()])
+        assert g == quito and g.neighbor_masks == quito.neighbor_masks
+        assert all(type(v) is int for v in g.vertices)
+        assert all(type(u) is int and type(v) is int for u, v in g.edge_error)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [("edge 1 7 0.01", "edge (1,7) references unknown vertex"), ("edge 1 0 0.01", "duplicate edge (0,1)")],
+        ids=["unknown-vertex", "duplicate"],
+    )
+    def test_first_bad_line_wins(self, fault, message):
+        # The graph meets the edges in file order, so a fault on line 3 is
+        # reported before the malformed line 5 is read.
+        text = f"qubits 5\nedge 0 1 0.01\n{fault}\nedge 2 3 0.01\nedge 3 four 0.01\n"
+        with pytest.raises(ArchError) as exc:
+            parse_arch(text)
+        assert str(exc.value) == f"line 3: {message}"
 
 
 class TestBuiltins:

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,7 +150,7 @@ class TestQasm:
         assert pickle.loads(pickle.dumps(Measure(2, 5))) == Measure(2, 5)
         assert pickle.loads(pickle.dumps(m)).clbit == 3
         # An output written with the bit spelled out checks against the short form.
-        original, output = Circuit(2, (Measure(0),)), Circuit(5, (Measure(0, 0),))
+        original, output = Circuit(2, (Measure(0),)), Circuit(5, (Measure(0, 0),), clbits=2)
         assert circuit_failure(original, output, builtin("quito"), Mapping((0, 1))) is None
 
     def test_negative_classical_bit_rejected(self):
@@ -247,6 +248,27 @@ class TestCircuitValidation:
             Circuit(3, (Measure(0, 4),), clbits=3)
         with pytest.raises(ValueError, match="needs at least 1 bits, got 0"):
             Circuit(3, clbits=0)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(n=2.5, gates=(CNOT(0, 2),)), "n 2.5 is not an integer"),
+            (dict(n="2"), "n '2' is not an integer"),
+            (dict(n=2, clbits=2.5), "clbits 2.5 is not an integer"),
+        ],
+        ids=["float-n", "str-n", "float-clbits"],
+    )
+    def test_register_sizes_are_integers(self, kwargs, message):
+        # write_qasm would write qreg q[2.5], which parse_qasm cannot read back.
+        with pytest.raises(ValueError) as exc:
+            Circuit(**kwargs)
+        assert str(exc.value) == message
+
+    def test_numpy_register_sizes_are_stored_as_ints(self):
+        c = Circuit(np.int64(3), (CNOT(0, 2),), clbits=np.int8(2))
+        assert type(c.n) is int and type(c.clbits) is int
+        assert c == Circuit(3, (CNOT(0, 2),), clbits=2)
+        assert write_qasm(c) == write_qasm(Circuit(3, (CNOT(0, 2),), clbits=2))
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):

@@ -655,6 +655,25 @@ class TestSynthesize:
         assert verify_equivalence(m, res)
 
 
+class TestClassicalRegisterWidth:
+    """``circuit_failure``, the library's checker, compares the classical
+    register widths itself, after every gate has matched, so it agrees with
+    ``cnotsynth verify`` on an output that declares a wider register."""
+
+    def test_wider_register_is_reported_after_the_gates(self):
+        from cnotsynth.circuit import parse_qasm, segment_and_synthesize
+
+        g = builtin("quito")
+        original = parse_qasm("qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; measure q[0] -> c[2];")
+        out, mapping = segment_and_synthesize(original, g)
+        assert circuit_failure(original, out, g, mapping) is None
+        wide = Circuit(out.n, out.gates, 9)
+        assert circuit_failure(original, wide, g, mapping) == "classical register has 9 bits, original has 3"
+        # A gate mismatch is still the message reported first.
+        failure = circuit_failure(original, Circuit(out.n, out.gates[:-1], 9), g, mapping)
+        assert failure is not None and failure.startswith("gate ")
+
+
 class TestCallerMappingIds:
     """A caller's mapping may hold integer ids of any type: numpy's give the
     gates that Python ints give, and a bad mapping (a non-integral id among
