@@ -1,10 +1,16 @@
 """Error-weighted coupling graphs: parsing, device catalog, blocks and cut points, Hamiltonian paths.
 
 A coupling graph describes which physical-qubit pairs support a CNOT and at
-what error rate.  ``CouplingGraph``'s constructor checks every vertex and
-edge; ``parse_arch`` only reads the lines of a device file and prefixes
-the constructor's message with the line of the edge it refuses.  Graphs
-are immutable after construction, but for the display ``name``:
+what error rate.  ``integer`` is the package's one reader of the ids and
+counts a caller passes in (vertex ids here, gate ids and register sizes in
+``circuit``, mapping ids, qubit counts and tabu settings in ``mapping``,
+Steiner roots and terminals in ``steiner``): an int passes after one type
+test, a numpy integer becomes an int, and a float or string raises naming
+the value.
+``CouplingGraph``'s constructor checks every vertex and edge;
+``parse_arch`` only reads the lines of a device file and prefixes the
+constructor's message with the line of the edge it refuses.  Graphs are
+immutable after construction, but for the display ``name``:
 ``cli.load_arch`` names a device file that has none after the file.  Each
 graph keeps one adjacency, as bitmasks: one int neighbour mask per vertex
 id and one mask of all vertices, plus one weight row per vertex id holding
@@ -40,12 +46,17 @@ class ArchError(ValueError):
     """Malformed architecture description."""
 
 
-def _vertex_id(v) -> int:
-    """``v`` read through ``operator.index``; an int pays one type test."""
+def integer(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int: an int after one type test, else what
+    ``operator.index`` reads (numpy integers among them).  Any other value
+    raises ``error`` naming it: ``{what} {value!r} is not an integer``.
+    """
+    if type(value) is int:
+        return value
     try:
-        return v if type(v) is int else index(v)
+        return index(value)
     except TypeError:
-        raise ArchError(f"vertex id {v!r} is not an integer") from None
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 def edge_weight(error: float) -> float:
@@ -62,11 +73,11 @@ class CouplingGraph:
 
     The constructor is the one check of a device's vertices and edges, for
     built-in devices, device files (``parse_arch``) and callers alike.
-    Every vertex id and edge end is read through ``operator.index``, so
-    numpy integers pass and a float or string id is refused (``vertex id
-    1.7 is not an integer``).  Each edge is then checked in turn for a
-    self-loop, an unknown vertex, an error rate outside [0,1) and a
-    duplicate, and the first fault raises ``ArchError``.
+    Every vertex id and edge end is read by ``integer``, so numpy integers
+    pass and a float or string id is refused (``vertex id 1.7 is not an
+    integer``).  Each edge is then checked in turn for a self-loop, an
+    unknown vertex, an error rate outside [0,1) and a duplicate, and the
+    first fault raises ``ArchError``.
 
     ``neighbor_masks[v]`` has bit w set iff (v, w) is an edge, and bit v of
     ``vertex_mask`` is set iff v is a vertex.  ``weight_rows[v]`` lists
@@ -89,7 +100,7 @@ class CouplingGraph:
         name: str | None = None,
         one_qubit_error: float | None = None,
     ) -> None:
-        vset = frozenset(map(_vertex_id, vertices))
+        vset = frozenset([integer(v, "vertex id", ArchError) for v in vertices])
         if any(v < 0 for v in vset):
             raise ArchError("vertex ids must be non-negative")
         if one_qubit_error is not None and not 0.0 <= one_qubit_error <= 1.0:
@@ -99,7 +110,7 @@ class CouplingGraph:
         nbr = [0] * width
         rows: list[list[tuple[int, float]]] = [[] for _ in range(width)]
         for u, v, err in edges:
-            u, v = _vertex_id(u), _vertex_id(v)
+            u, v = integer(u, "vertex id", ArchError), integer(v, "vertex id", ArchError)
             if u == v:
                 raise ArchError(f"self-loop on vertex {u}")
             if u not in vset or v not in vset:
@@ -241,7 +252,7 @@ def remove_vertex(graph: CouplingGraph, v: int) -> CouplingGraph:
 
 def induced_subgraph(graph: CouplingGraph, vertices: Iterable[int]) -> CouplingGraph:
     """Subgraph induced by ``vertices`` (must all exist in the graph)."""
-    keep = frozenset(map(_vertex_id, vertices))
+    keep = frozenset([integer(v, "vertex id", ArchError) for v in vertices])
     missing = keep - graph.vertices
     if missing:
         raise ArchError(f"vertices {sorted(missing)} not in graph")

@@ -1,6 +1,9 @@
 """Circuit model, OpenQASM-subset I/O, benchmark generation and fidelity metrics.
 
 Supported gate set: CNOT, the single-qubit gates H/X/Z, and measurement.
+A ``Circuit`` reads its register sizes and every gate's ids by
+``arch.integer`` and stores them as ints, rebuilding only a gate whose ids
+were not all ints, so a measurement's classical bit is always an int.
 Fidelity comes in two flavors: the analytic product of per-gate success
 probabilities (ESP) and a seeded Monte-Carlo estimate that propagates
 classical bit flips through a CNOT-only circuit.
@@ -12,10 +15,10 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
-from operator import index, or_
+from operator import or_
 from typing import NamedTuple, Sequence
 
-from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph
+from .arch import DEFAULT_ONE_QUBIT_ERROR, CouplingGraph, integer
 from .gf2 import ParityMatrix
 
 
@@ -49,32 +52,15 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     return (gate.qubit,)
 
 
-def _check_ids(k: int, what: str, *ids) -> None:
-    """Raise ``ValueError`` naming gate ``k`` and its first id that ``operator.index`` refuses."""
-    for x in ids:
-        try:
-            index(x)
-        except TypeError:
-            raise ValueError(f"gate {k}: {what} {x!r} is not an integer") from None
-
-
-def _index_field(circuit: Circuit, field: str) -> None:
-    """Store ``circuit``'s ``field`` as the int ``operator.index`` reads, or raise ``ValueError`` naming it."""
-    value = getattr(circuit, field)
-    try:
-        object.__setattr__(circuit, field, index(value))
-    except TypeError:
-        raise ValueError(f"{field} {value!r} is not an integer") from None
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over qubits 0..n-1 and a classical register of ``clbits`` bits.
 
     Each gate is a ``CNOT``, ``OneQubit`` or ``Measure``, and its qubit and
-    classical-bit ids are integers: ints, or any type that
-    ``operator.index`` reads (numpy's among them).  ``n`` and ``clbits``
-    are read the same way and stored as ints (``n 2.5 is not an integer``).
+    classical-bit ids are integers: ints, or any type that ``arch.integer``
+    reads (numpy's among them), stored as ints (``gate 0: qubit 1.0 is not
+    an integer``).  ``n`` and ``clbits`` are read the same way and stored as
+    ints (``n 2.5 is not an integer``).
     ``clbits`` defaults to one bit per qubit, or more when a measurement
     targets a higher bit.
     """
@@ -85,18 +71,19 @@ class Circuit:
 
     def __post_init__(self) -> None:
         if type(self.n) is not int:
-            _index_field(self, "n")
+            object.__setattr__(self, "n", integer(self.n, "n"))
         if self.clbits is not None and type(self.clbits) is not int:
-            _index_field(self, "clbits")
+            object.__setattr__(self, "clbits", integer(self.clbits, "clbits"))
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
         n = self.n
         top = 0  # one past the highest measured classical bit
+        rebuilt: dict[int, Gate] = {}  # gate index -> the gate with its ids read as ints
         for k, g in enumerate(self.gates):
             if isinstance(g, CNOT):
                 c, t = g
                 if type(c) is not int or type(t) is not int:
-                    _check_ids(k, "qubit", c, t)
+                    c, t = rebuilt[k] = CNOT(integer(c, f"gate {k}: qubit"), integer(t, f"gate {k}: qubit"))
                 if c == t:
                     raise ValueError(f"gate {k}: control and target coincide ({c})")
                 if not 0 <= c < n:
@@ -105,15 +92,14 @@ class Circuit:
             elif isinstance(g, OneQubit):
                 q = g.qubit
                 if type(q) is not int:
-                    _check_ids(k, "qubit", q)
+                    q = integer(q, f"gate {k}: qubit")
+                    rebuilt[k] = OneQubit(g.kind, q)
                 if g.kind not in _ONE_QUBIT_KINDS:
                     raise ValueError(f"gate {k}: unsupported single-qubit kind {g.kind!r}")
             elif isinstance(g, Measure):
                 q, b = g
-                if type(q) is not int:
-                    _check_ids(k, "qubit", q)
-                if type(b) is not int:
-                    _check_ids(k, "classical bit", b)
+                if type(q) is not int or type(b) is not int:
+                    q, b = rebuilt[k] = Measure(integer(q, f"gate {k}: qubit"), integer(b, f"gate {k}: classical bit"))
                 if b < 0:
                     raise ValueError(f"gate {k}: negative classical bit {b}")
                 if b >= top:
@@ -122,6 +108,8 @@ class Circuit:
                 raise ValueError(f"gate {k}: {g!r} is not a CNOT, OneQubit or Measure")
             if not 0 <= q < n:
                 raise ValueError(f"gate {k}: qubit {q} outside [0,{n})")
+        if rebuilt:
+            object.__setattr__(self, "gates", tuple([rebuilt.get(k, g) for k, g in enumerate(self.gates)]))
         if self.clbits is None:
             object.__setattr__(self, "clbits", max(self.n, top))
         elif self.clbits < max(top, 1):

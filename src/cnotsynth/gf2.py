@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .arch import integer
+
 
 class ParityMatrix:
     """Square GF(2) matrix; bit j of ``rows[r]`` is entry (r, j).
@@ -77,15 +79,29 @@ class ParityMatrix:
         Returns:
             The matrix obtained by applying ``row[target] ^= row[control]``
             to the identity, gate by gate.  Always invertible.
+
+        Raises:
+            ValueError: naming the first gate whose ids are out of range,
+                coincide or are not integers (``gate 0: qubit 0.0 is not an
+                integer``); ``arch.integer`` reads them only once a replay
+                step has failed, so int ids cost nothing extra.
         """
         m = cls.identity(n)
         rows = m.rows
-        for k, (control, target) in enumerate(gates):
-            if not (0 <= control < n and 0 <= target < n):
-                raise ValueError(f"gate {k}: qubit index out of range for n={n}: ({control},{target})")
-            if control == target:
-                raise ValueError(f"gate {k}: control and target coincide ({control})")
-            rows[target] ^= rows[control]
+        k = control = target = 0
+        try:
+            for k, (control, target) in enumerate(gates):
+                if not (0 <= control < n and 0 <= target < n):
+                    raise ValueError(f"gate {k}: qubit index out of range for n={n}: ({control},{target})")
+                if control == target:
+                    raise ValueError(f"gate {k}: control and target coincide ({control})")
+                rows[target] ^= rows[control]
+        except TypeError:
+            # An id that is not an integer is named; any other fault (a gate
+            # that is not a pair) keeps its TypeError.
+            integer(control, f"gate {k}: qubit")
+            integer(target, f"gate {k}: qubit")
+            raise
         return m
 
     def rank(self) -> int:

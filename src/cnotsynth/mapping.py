@@ -25,16 +25,18 @@ and is dropped when the search returns.
 
 This module alone decides whether a device, a qubit count and a mapping can
 be used: ``MappingSearch`` refuses a disconnected device or a qubit count
-outside ``1..N``, ``admitted_mapping`` reads a caller's mapping ids as ints
-and checks its qubit count and device membership in one call, and
-``replay_is_valid`` checks its removal replay.
+outside ``1..N``, ``admitted_mapping`` reads a caller's mapping ids by
+``arch.integer`` and checks its qubit count and device membership in one
+call, and ``replay_is_valid`` checks its removal replay.  A search's
+qubit count and ``TabuConfig``'s three settings are read by
+``arch.integer`` too, so a numpy seed derives the generator seeds that the
+equal int does.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass
-from operator import index
 
 from .arch import (
     HAMILTONIAN_VERTEX_LIMIT,
@@ -43,6 +45,7 @@ from .arch import (
     biconnected_blocks,
     cut_vertices,
     has_hamiltonian_path,
+    integer,
     mask_vertices,
 )
 from .arch import articulation_points  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
@@ -72,13 +75,17 @@ class Mapping:
 
 @dataclass(frozen=True)
 class TabuConfig:
-    """Tabu-table length, iteration budget and the RNG seed."""
+    """Tabu-table length, iteration budget and the RNG seed, each read by
+    ``arch.integer`` and stored as an int (``iterations 1.5 is not an
+    integer``), so a numpy seed derives the seeds that the int does."""
 
     tabu_len: int = 20
     iterations: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in ("tabu_len", "iterations", "seed"):
+            object.__setattr__(self, field, integer(getattr(self, field), field))
         if self.tabu_len < 1:
             raise ValueError("tabu_len must be >= 1")
         if self.iterations < 0:
@@ -100,8 +107,8 @@ class MappingSearch:
     """The one context of a mapping search: its graph, qubit count and shared state.
 
     Making one is the only check of a searched device: it raises
-    ``ValueError`` unless the graph is connected and ``1 <= n <= N`` for its
-    N vertices.  Only a ``full`` search (n = N) follows Hamiltonian paths.
+    ``ValueError`` unless the graph is connected and ``n``, read by
+    ``arch.integer``, satisfies ``1 <= n <= N`` for its N vertices.  Only a ``full`` search (n = N) follows Hamiltonian paths.
     A residual graph is an int vertex mask over the base graph.  Making one
     also decomposes the whole device into biconnected blocks, once: its key
     qubits are the vertices in fewer than two blocks, and its step (the
@@ -123,6 +130,7 @@ class MappingSearch:
         if not graph.is_connected():
             raise ValueError(
                 f"mapping search requires a connected coupling graph; {graph.name or 'the graph'} is disconnected")
+        n = integer(n, "qubit count")
         if not 1 <= n <= graph.num_vertices:
             raise ValueError(f"{n} logical qubits but device has {graph.num_vertices} qubits")
         self.graph = graph
@@ -238,20 +246,15 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
 
 def admitted_mapping(graph: CouplingGraph, mapping: Mapping, n: int) -> Mapping:
     """``mapping`` admitted to place ``n`` logical qubits on ``graph``, its ids
-    read through ``operator.index`` (so numpy's become Python ints).
+    read by ``arch.integer`` (so numpy's become Python ints).
 
     Raises ``ValueError`` naming the first fault: a non-integral id, the
     wrong qubit count, then a vertex outside the device.
     """
-    assign = []
-    for p in mapping.assign:
-        try:
-            assign.append(index(p))
-        except TypeError:
-            raise ValueError(f"mapping id {p!r} is not an integer") from None
-    if (mapping := Mapping(tuple(assign))).n != n:
+    mapping = Mapping(tuple([p if type(p) is int else integer(p, "mapping id") for p in mapping.assign]))
+    if mapping.n != n:
         raise ValueError(f"mapping covers {mapping.n} qubits, {n} needed")
-    if not set(assign) <= graph.vertices:
+    if not set(mapping.assign) <= graph.vertices:
         raise ValueError("mapping uses vertices outside the device")
     return mapping
 

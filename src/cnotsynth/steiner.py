@@ -12,16 +12,18 @@ search restarts from scratch.  A one-terminal tree is exactly the
 maximum-fidelity path from its root to that terminal, read back along the
 parent links.  All tie-breaking is fixed (fewer hops, then the
 lexicographically smallest vertex sequence; terminals joined in ascending
-id order) so that synthesis output is reproducible.  The returned tree
-keeps the search's parent links without copying them, builds its child
-lists in one pass, and computes its vertex set only when it is read.
+id order) so that synthesis output is reproducible.  The root and the
+terminals are read by ``arch.integer``: a float is refused, not truncated.
+The returned tree keeps the search's parent links without copying them,
+builds its child lists in one pass, and computes its vertex set only when
+it is read.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Iterable
 
-from .arch import CouplingGraph, _residual_mask, mask_vertices
+from .arch import CouplingGraph, _residual_mask, integer, mask_vertices
 
 
 class SteinerTree:
@@ -81,10 +83,10 @@ def min_noise_steiner_tree(
     the search had restarted from it.
     """
     _, mask = _residual_mask(graph, mask)
-    root = int(root)
+    root = root if type(root) is int else integer(root, "root")
     terms = 0
-    for t in map(int, terminals):
-        terms |= 1 << t
+    for t in terminals:
+        terms |= 1 << (t if type(t) is int else integer(t, "terminal"))
     if not terms:
         raise ValueError("terminals must be non-empty")
     if not mask >> root & 1:

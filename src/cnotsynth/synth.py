@@ -303,13 +303,17 @@ def verification_failure(
         mapping = admitted_mapping(graph, mapping, m_original.n)
     except ValueError as exc:
         return str(exc)
+    return _replay_failure(m_original, graph, mapping.assign, gates)
+
+
+def _replay_failure(m: ParityMatrix, graph: CouplingGraph, assign: Sequence[int], gates: Sequence[CNOT]) -> str | None:
+    """``verification_failure`` under an admitted assignment: the gates replayed on unit rows."""
     rows = [1 << p for p in range(graph.width)]
     for k, (c, t) in enumerate(gates):
         if not graph.has_edge(c, t):
             return f"gate {k}: CNOT({c},{t}) is not a coupling edge"
         rows[t] ^= rows[c]
-    assign = mapping.assign
-    want = {q: sum(1 << p for j, p in enumerate(assign) if row >> j & 1) for q, row in zip(assign, m_original.rows)}
+    want = {q: sum(1 << p for j, p in enumerate(assign) if row >> j & 1) for q, row in zip(assign, m.rows)}
     return _block_failure(rows, want, graph.vertex_mask)
 
 
@@ -322,7 +326,8 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
     ``verification_failure``, and each other gate must come next, relocated
     through ``mapping``.  An empty original is one empty CNOT run.  A
     reordered but equivalent output is reported.  The mapping is read
-    through ``admitted_mapping``, and its refusal is the failure.  Once
+    through ``admitted_mapping`` once, and its refusal is the failure; each
+    run is replayed under the admitted assignment.  Once
     every gate matches, the output's classical register must be as wide as
     the original's.
     """
@@ -341,7 +346,7 @@ def circuit_failure(original: Circuit, output: Circuit, graph: CouplingGraph, ma
             while k < len(gates) and isinstance(gates[k], CNOT):
                 k += 1
             m = ParityMatrix.from_circuit(run, original.n)
-            failure = verification_failure(m, graph, mapping, gates[start:k])  # type: ignore[arg-type]
+            failure = _replay_failure(m, graph, mapping.assign, gates[start:k])  # type: ignore[arg-type]
             if failure is not None:
                 return f"in the CNOT run from output gate {start}, {failure}" if start else failure
             continue

@@ -270,6 +270,22 @@ class TestCircuitValidation:
         assert c == Circuit(3, (CNOT(0, 2),), clbits=2)
         assert write_qasm(c) == write_qasm(Circuit(3, (CNOT(0, 2),), clbits=2))
 
+    def test_numpy_gate_ids_are_stored_as_ints(self):
+        gates = (CNOT(np.int64(0), 1), OneQubit("h", np.int8(1)), Measure(np.int64(0), np.int64(5)), Measure(1))
+        c = Circuit(2, gates)
+        assert type(c.clbits) is int and c.clbits == 6
+        assert c.gates == (CNOT(0, 1), OneQubit("h", 1), Measure(0, 5), Measure(1))
+        assert all(type(x) is int for g in c.gates for x in g if not isinstance(x, str))
+        assert [type(g) for g in c.gates] == [CNOT, OneQubit, Measure, Measure]
+        # A gate of int ids is kept as given, not rebuilt.
+        assert c.gates[3] is gates[3]
+
+    def test_relocated_measurements_keep_int_clbits(self):
+        circ = Circuit(3, (CNOT(np.int64(0), np.int64(1)), Measure(np.int64(2), np.int64(4))))
+        out, _ = segment_and_synthesize(circ, builtin("quito"), SMALL_CONFIG)
+        assert type(out.clbits) is int
+        assert all(type(g.clbit) is int for g in out.gates if isinstance(g, Measure))
+
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             Circuit(0)

@@ -48,6 +48,20 @@ class TestFromCircuit:
         with pytest.raises(ValueError, match="coincide"):
             ParityMatrix.from_circuit([(1, 1)], 2)
 
+    @pytest.mark.parametrize("gates,message", [
+        ([(0.0, 1)], "gate 0: qubit 0.0 is not an integer"),
+        ([(0, 1), (1, 0.5)], "gate 1: qubit 0.5 is not an integer"),
+        ([(0, "1")], "gate 0: qubit '1' is not an integer"),
+    ], ids=["float-control", "float-target", "str-target"])
+    def test_non_integral_id_names_its_gate(self, gates, message):
+        with pytest.raises(ValueError) as exc:
+            ParityMatrix.from_circuit(gates, 2)
+        assert str(exc.value) == message
+
+    def test_numpy_ids_build_the_int_matrix(self):
+        gates = [(0, 1), (2, 0), (1, 2)]
+        assert ParityMatrix.from_circuit(np.array(gates), 3) == ParityMatrix.from_circuit(gates, 3)
+
     def test_composition(self):
         first = [(0, 1), (2, 0)]
         second = [(1, 2), (0, 2)]

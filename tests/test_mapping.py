@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -268,6 +269,27 @@ class TestOptimizeMapping:
             TabuConfig(tabu_len=0)
         with pytest.raises(ValueError):
             TabuConfig(iterations=-1)
+
+    def test_numpy_seed_gives_the_int_seed_table(self):
+        # derive_seed hashes repr((seed, key)), and numpy writes np.int64(1) there.
+        g = builtin("guadalupe")
+        config = TabuConfig(tabu_len=np.int32(20), iterations=np.int64(50), seed=np.int64(1))
+        assert all(type(getattr(config, f)) is int for f in ("tabu_len", "iterations", "seed"))
+        assert config == TabuConfig(seed=1)
+        assert tabu_search_table(g, 12, config) == tabu_search_table(g, 12, TabuConfig(seed=1))
+
+    def test_qubit_count_is_an_integer(self):
+        with pytest.raises(ValueError) as exc:
+            optimize_mapping(builtin("quito"), 2.5)
+        assert str(exc.value) == "qubit count 2.5 is not an integer"
+        config = TabuConfig(iterations=2)
+        assert optimize_mapping(builtin("quito"), np.int64(3), config) == optimize_mapping(builtin("quito"), 3, config)
+
+    @pytest.mark.parametrize("field", ["tabu_len", "iterations", "seed"])
+    def test_non_integral_field_is_refused(self, field):
+        with pytest.raises(ValueError) as exc:
+            TabuConfig(**{field: 1.5})
+        assert str(exc.value) == f"{field} 1.5 is not an integer"
 
 
 BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",

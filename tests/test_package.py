@@ -108,6 +108,19 @@ def test_every_definition_serves_the_package():
     assert unused == []
 
 
+def test_one_integer_reader():
+    """``arch`` is the only module that imports ``operator.index``: every
+    other module reads caller ids and counts through ``arch.integer``."""
+    importers = sorted(
+        path.stem for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "operator"
+        and any(alias.name == "index" for alias in node.names)
+        or isinstance(node, ast.Import) and any(alias.name == "operator" for alias in node.names)
+    )
+    assert importers == ["arch"]
+
+
 def test_every_public_method_serves_the_package():
     """Each public method or property of a class in ``__all__`` is named as an
     attribute by package code, or as ``.name`` or ```name`` by the benchmark

@@ -120,6 +120,16 @@ class TestMinNoiseSteinerTree:
         assert all(type(v) is int for edge in got.parent.items() for v in edge)
         assert type(got.root) is int
 
+    @pytest.mark.parametrize("root,terminals,message", [
+        (1.7, [3], "root 1.7 is not an integer"),
+        (1, [3.9], "terminal 3.9 is not an integer"),
+        (1, [0, "3"], "terminal '3' is not an integer"),
+    ], ids=["float-root", "float-terminal", "str-terminal"])
+    def test_non_integral_ids_are_refused(self, root, terminals, message):
+        with pytest.raises(ValueError) as exc:
+            min_noise_steiner_tree(builtin("quito"), root, terminals)
+        assert str(exc.value) == message
+
     def test_terminals_outside_mask_named_in_ascending_order(self):
         with pytest.raises(ValueError, match=r"^terminals \[3, 4\] not in graph$"):
             min_noise_steiner_tree(builtin("quito"), 0, [4, 1, 3], 0b00111)

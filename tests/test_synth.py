@@ -23,7 +23,7 @@ from conftest import (
 )
 from cnotsynth.arch import CouplingGraph, builtin, mask_vertices, remove_vertex
 from cnotsynth.gf2 import ParityMatrix
-from cnotsynth.mapping import Mapping, TabuConfig, optimize_mapping
+from cnotsynth.mapping import Mapping, TabuConfig, admitted_mapping, optimize_mapping
 from cnotsynth.circuit import CNOT, Circuit, OneQubit, random_cnot_circuit
 from cnotsynth.synth import (
     circuit_failure,
@@ -751,6 +751,27 @@ class TestCallerMappingIds:
             assert str(exc.value) == want
         assert verification_failure(ParityMatrix.identity(2), g, bad, []) == want
         assert circuit_failure(Circuit(2, ()), Circuit(5, ()), g, bad) == want
+
+    def test_circuit_failure_admits_the_mapping_once(self, monkeypatch):
+        from cnotsynth import synth
+        from cnotsynth.circuit import segment_and_synthesize
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return admitted_mapping(*args)
+
+        g = builtin("quito")
+        gates = []
+        for r in range(6):
+            gates += [CNOT(r % 3, (r + 1) % 3), OneQubit("h", r % 3)]
+        circ = Circuit(3, tuple(gates))
+        out, mapping = segment_and_synthesize(circ, g, SMALL_CONFIG)
+        monkeypatch.setattr(synth, "admitted_mapping", counted)
+        assert circuit_failure(circ, out, g, mapping) is None
+        assert circuit_failure(circ, Circuit(out.n, out.gates[:-1]), g, mapping) is not None
+        assert len(calls) == 2
 
 
 class TestVerifyEquivalence:
