@@ -247,7 +247,11 @@ def write_qasm(circuit: Circuit) -> str:
 
 
 def random_cnot_circuit(n: int, m: int, seed: int) -> Circuit:
-    """Seeded random CNOT circuit: m gates uniform over ordered distinct pairs."""
+    """Seeded random CNOT circuit: m gates uniform over ordered distinct pairs.
+
+    ``n``, ``m`` and ``seed`` are read by ``arch.integer``, so a numpy seed
+    gives the circuit that the equal int does."""
+    n, m, seed = integer(n, "qubit count"), integer(m, "gate count"), integer(seed, "seed")
     if n < 2:
         raise ValueError("random CNOT circuits need at least 2 qubits")
     if m < 0:
@@ -326,7 +330,9 @@ def monte_carlo_fidelity(circuit: Circuit, graph: CouplingGraph, shots: int, see
     and one ``random.Random(seed)`` draws every bit (README, "Monte-Carlo
     model").  Every gate must sit on a coupling edge, so the state is no
     wider than the device's ids, however wide the circuit's register.
+    ``shots`` and ``seed`` are read by ``arch.integer``.
     """
+    shots, seed = integer(shots, "shots"), integer(seed, "Monte-Carlo seed")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not circuit.is_cnot_only():

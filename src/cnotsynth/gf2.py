@@ -64,6 +64,7 @@ class ParityMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ParityMatrix":
+        n = integer(n, "qubit count")
         if n < 1:
             raise ValueError("qubit count must be >= 1")
         return cls.from_rows(1 << i for i in range(n))

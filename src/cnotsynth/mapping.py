@@ -11,12 +11,14 @@ every full-device construction the same mapping, whatever its seed vertex).
 
 No residual graph is ever built: it is the base graph's vertex mask with the
 assigned vertices' bits cleared, and its biconnected blocks and Hamiltonian
-path are computed on that mask (see ``arch``).  A residual reached by
-removing one non-cut vertex takes its parent's blocks and decomposes only
-the one that held the vertex, so the whole device is decomposed once per
-search, when the search is made: those blocks give the key qubits and the
-whole device's own step (the root step).  The objective's subgraph
-induced by the mapped qubits is likewise the mask of those qubits.  Tabu search
+path are computed on that mask (see ``arch``); a residual whose blocks
+are all bridges, a tree, has its path (or none) read off the blocks with no
+search.  A residual reached by removing one non-cut vertex takes its
+parent's blocks and decomposes only the one that held the vertex, so the
+whole device is decomposed once per search, when the search is made:
+those blocks give the key qubits and the whole device's own step (the root
+step).  The objective's subgraph induced by the mapped qubits is likewise
+the mask of those qubits.  Tabu search
 perturbs the seed vertex, which each candidate draws as it draws every
 later vertex, and keeps a bounded table of the best-scoring mappings.  A
 ``MappingSearch`` over one graph and qubit count is the one context that
@@ -151,7 +153,7 @@ class MappingSearch:
     def step(self, residual: int, parent_blocks: tuple[int, ...] | list[int]) -> Step:
         """Compute and memoize the construction step at a connected residual graph.
 
-        ``initial_mapping`` reads the memo itself and calls this on a miss;
+        A construction reads the memo itself and calls this on a miss;
         its first lookup, at the whole device, always hits the root step
         that ``__init__`` memoized.  In a full-device search, a residual of
         at most ``HAMILTONIAN_VERTEX_LIMIT`` vertices with a Hamiltonian
@@ -167,24 +169,57 @@ class MappingSearch:
         only that one is decomposed again without v; when it is a bridge,
         nothing of it is left to decompose.  The root step is given the
         whole device's own blocks, and keeps them all.
+
+        The blocks settle most path questions without a search.  A connected
+        graph's blocks, less one vertex each, add up to its vertices less
+        one, so every block is a bridge (the residual is a tree) exactly
+        when there is one block fewer than vertices.  A tree has a
+        Hamiltonian path exactly when it is a path graph, no vertex lying
+        in three or more blocks; the step then walks it from its smaller
+        end, which is the path ``has_hamiltonian_path`` returns (it tries
+        starts in ascending order, and only the two ends can start).  Only
+        a residual with a cycle, a block of three or more vertices, is
+        searched.
         """
         graph = self.graph
+        blocks = []
+        for block in parent_blocks:
+            if not block & ~residual:
+                blocks.append(block)
+            elif block.bit_count() > 2:
+                blocks += biconnected_blocks(graph, block & residual)
+        # The vertices in two or more blocks (cut points), and in three or more.
+        seen = cut = branch = 0
+        for block in blocks:
+            branch |= cut & block
+            cut |= seen & block
+            seen |= block
         path = None
-        if self.full and residual.bit_count() <= HAMILTONIAN_VERTEX_LIMIT:
-            path = has_hamiltonian_path(graph, residual)
+        size = residual.bit_count()
+        if self.full and size <= HAMILTONIAN_VERTEX_LIMIT:
+            if len(blocks) != size - 1:
+                path = has_hamiltonian_path(graph, residual)
+            elif not branch:
+                path = _walk(graph.neighbor_masks, residual & ~cut, residual)
         if path is not None:
             entry: Step = path, None, ()
         else:
-            blocks = []
-            for block in parent_blocks:
-                if not block & ~residual:
-                    blocks.append(block)
-                elif block.bit_count() > 2:
-                    blocks += biconnected_blocks(graph, block & residual)
-            choices = tuple(mask_vertices(residual & ~cut_vertices(blocks)))
-            entry = None, choices, tuple(blocks)
+            entry = None, tuple(mask_vertices(residual & ~cut)), tuple(blocks)
         self._steps[residual] = entry
         return entry
+
+
+def _walk(nbr: tuple[int, ...], ends: int, residual: int) -> tuple[int, ...]:
+    """The path graph ``residual`` walked from the smaller of its ``ends``."""
+    v = (ends & -ends).bit_length() - 1
+    path = [v]
+    left = residual ^ (1 << v)
+    while left:
+        bit = nbr[v] & left
+        left ^= bit
+        v = bit.bit_length() - 1
+        path.append(v)
+    return tuple(path)
 
 
 def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None = None) -> Mapping:
@@ -214,7 +249,11 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
     """
     if first is not None and first not in search.keys:
         raise ValueError(f"seed vertex {first} is a cut point or absent")
+    return Mapping(_assignment(search, rng, first))
 
+
+def _assignment(search: MappingSearch, rng: random.Random, first: int | None) -> tuple[int, ...]:
+    """The assignment that ``initial_mapping`` wraps, from a valid or drawn ``first``."""
     # Following the path decides the mapping, not just its cost: drawing on
     # to the last vertex instead gives 7-13% more CNOTs on tokyo, grid(4,4)
     # and grid(5,5).  Beyond the exhaustive-search guardrail, key-qubit
@@ -241,7 +280,7 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
             v, first = first, None
         assign.append(v)
         residual ^= 1 << v
-    return Mapping(tuple(assign))
+    return tuple(assign)
 
 
 def admitted_mapping(graph: CouplingGraph, mapping: Mapping, n: int) -> Mapping:
@@ -360,8 +399,11 @@ def mapping_objective(search: MappingSearch, mapping: Mapping) -> float:
     the set of mapped vertices; on a miss, a mapping that uses ids outside
     the graph raises ``ValueError`` naming them.
     """
-    assign = mapping.assign
-    key = frozenset(assign)
+    return _score(search, mapping.assign, frozenset(mapping.assign))
+
+
+def _score(search: MappingSearch, assign: tuple[int, ...], key: frozenset[int]) -> float:
+    """``mapping_objective`` of ``assign``, whose set of vertices is ``key``."""
     score = search._product.get(key)
     if score is None:
         graph = search.graph
@@ -391,23 +433,34 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     Candidates absent from the table whose score is at least the current
     table average are admitted; the table is trimmed back to ``tabu_len`` by
     dropping its lowest-scoring entry.
+
+    Candidates are bare assignment tuples, scored as ``mapping_objective``
+    scores them; only the returned table's entries become ``Mapping``s.
+    Every full-device candidate maps the whole device, so its connectivity
+    product is read under ``graph.vertices``.  When the whole device of a
+    full search has a Hamiltonian path (its root step is a path), every
+    construction follows that path and gives the seed mapping, so the table
+    is that one entry and no candidate is drawn.
     """
     search = MappingSearch(graph, n)
     rng = random.Random(derive_seed(config.seed, "seed"))
-    seed_map = initial_mapping(search, rng, min(search.keys))
+    seed_map = _assignment(search, rng, min(search.keys))
+    every = graph.vertices if search.full else None
 
     # Assignment -> score.  Insertion order is the table order, which fixes
     # the float sum of the mean and the first-minimum choice of the worst.
-    table = {seed_map.assign: mapping_objective(search, seed_map)}
-    for it in range(config.iterations):
+    table = {seed_map: _score(search, seed_map, every or frozenset(seed_map))}
+    # A root step that is a path gives every construction the seed mapping.
+    iterations = config.iterations if search._steps[graph.vertex_mask][0] is None else 0
+    for it in range(iterations):
         for k in range(config.tabu_len):
             rng.seed(derive_seed(config.seed, it, k))
-            cand = initial_mapping(search, rng)
-            if cand.assign in table:
+            cand = _assignment(search, rng, None)
+            if cand in table:
                 continue
-            s = mapping_objective(search, cand)
+            s = _score(search, cand, every or frozenset(cand))
             if s >= sum(table.values()) / len(table):
-                table[cand.assign] = s
+                table[cand] = s
                 if len(table) > config.tabu_len:
                     del table[min(table, key=table.__getitem__)]
     return [(Mapping(a), s) for a, s in table.items()]

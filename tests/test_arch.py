@@ -828,8 +828,10 @@ class TestFloodCertificate:
 
     def test_default_guadalupe_search(self, flood_calls, monkeypatch):
         # One default full-device search floods 1,177 times without the
-        # certificate; the count covers MappingSearch's connectivity check
-        # and the objective's one flood of the full-device placement, whose
+        # certificate, and 174 times while every stepped residual was
+        # path-searched; now only the 15 residuals with a cycle are.  The
+        # count covers MappingSearch's connectivity check and the
+        # objective's one flood of the full-device placement, whose
         # connectivity product every candidate shares.
         # Each residual is stepped, path-searched and decomposed into blocks
         # at most once; a step decomposes only the block that lost a vertex,
@@ -843,7 +845,7 @@ class TestFloodCertificate:
         monkeypatch.setattr(mapping, "biconnected_blocks",
                             lambda g, mask=None: decomposed.append(g.vertex_mask if mask is None else mask) or blocks(g, mask))
         mapping.optimize_mapping(builtin("guadalupe"), 16, mapping.TabuConfig(seed=0))
-        assert len(flood_calls) == 174
+        assert len(flood_calls) == 16
         for log in (stepped, searched):
             assert log and len(log) == len(set(log))
         assert 0 < len(decomposed) <= len(stepped)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,13 @@ class TestRandomCircuit:
         with pytest.raises(ValueError):
             random_cnot_circuit(3, -1, 0)
 
+    def test_reads_its_arguments_as_integers(self):
+        # A numpy seed seeded no generator, and a float seed seeded one silently.
+        assert random_cnot_circuit(np.int64(5), np.int64(30), np.int64(9)) == random_cnot_circuit(5, 30, 9)
+        for args, what in [((4, 3, 1.5), "seed 1.5"), ((4, 2.5, 1), "gate count 2.5"), ((2.5, 3, 1), "qubit count 2.5")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(what)} is not an integer$"):
+                random_cnot_circuit(*args)
+
 
 class TestCircuitValidation:
     def test_rejects_out_of_range_qubit(self):
@@ -389,6 +397,15 @@ class TestMonteCarlo:
 
     def test_empty_circuit(self):
         assert monte_carlo_fidelity(Circuit(3), builtin("linear(3)"), shots=10, seed=0) == 1.0
+
+    def test_reads_shots_and_seed_as_integers(self):
+        g = builtin("quito")
+        c = Circuit(5, (CNOT(0, 1), CNOT(1, 2)))
+        want = monte_carlo_fidelity(c, g, shots=300, seed=5)
+        assert monte_carlo_fidelity(c, g, shots=np.int64(300), seed=np.int64(5)) == want
+        for kwargs, what in [({"shots": 10, "seed": 1.5}, "Monte-Carlo seed 1.5"), ({"shots": 2.5, "seed": 1}, "shots 2.5")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(what)} is not an integer$"):
+                monte_carlo_fidelity(c, g, **kwargs)
 
     def test_reproducible(self):
         g = builtin("quito")

@@ -230,6 +230,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParityMatrix.identity(0)
 
+    def test_identity_reads_its_size_as_an_integer(self):
+        assert ParityMatrix.identity(np.int64(3)) == ParityMatrix.identity(3)
+        with pytest.raises(ValueError, match=r"^qubit count 2\.5 is not an integer$"):
+            ParityMatrix.identity(2.5)
+
     def test_values_reduced_mod_2(self):
         assert ParityMatrix([[3, 0], [2, 1]]) == mat([[1, 0], [0, 1]])
 

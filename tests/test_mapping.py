@@ -399,15 +399,17 @@ class TestAgainstTwoMemoReference:
                 assert initial_mapping(search, random.Random(k)) == want, (k, n)
 
     def test_calls_per_candidate(self, monkeypatch):
-        # The layer tracer counts these calls by name in mapping's namespace.
+        # One construction per candidate and at most one score, both on bare
+        # assignment tuples: the search calls neither public wrapper.
         calls = Counter()
-        for name in ("initial_mapping", "mapping_objective"):
+        for name in ("_assignment", "_score", "initial_mapping", "mapping_objective"):
             fn = getattr(mapping, name)
             monkeypatch.setattr(mapping, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
         config = TabuConfig(tabu_len=6, iterations=4, seed=2)
         table = tabu_search_table(builtin("guadalupe"), 16, config)
-        assert calls["initial_mapping"] == 1 + config.iterations * config.tabu_len
-        assert len(table) <= calls["mapping_objective"] <= calls["initial_mapping"]
+        assert calls["_assignment"] == 1 + config.iterations * config.tabu_len
+        assert len(table) <= calls["_score"] <= calls["_assignment"]
+        assert calls["initial_mapping"] == calls["mapping_objective"] == 0
 
 
 class TestBlockCarriedSteps:
@@ -557,6 +559,100 @@ class TestFullDevicePathIgnoresSeedVertex:
             assert initial_mapping(search, random.Random(k), first).assign == path
         table = tabu_search_table(g, g.num_vertices, TabuConfig(iterations=5))
         assert [m.assign for m, _ in table] == [path]
+
+
+class TestPathRootShortcut:
+    """When a full search's root step is a path, every construction follows
+    it and gives the seed mapping, so the search returns that one-entry
+    table after the seed mapping's construction: no candidate is drawn and
+    the generator is seeded once, when it is made."""
+
+    @pytest.mark.parametrize("name,n", [("tokyo", 20), ("manila", 5), ("grid(4,4)", 16)])
+    def test_one_construction(self, name, n, monkeypatch):
+        calls = Counter()
+        construct, seed = mapping._assignment, random.Random.seed
+        monkeypatch.setattr(mapping, "_assignment", lambda *args: calls.update(["construct"]) or construct(*args))
+        monkeypatch.setattr(random.Random, "seed", lambda self, *args: calls.update(["seed"]) or seed(self, *args))
+        g = builtin(name)
+        table = tabu_search_table(g, n, TabuConfig())
+        assert calls == {"construct": 1, "seed": 1}
+        path = has_hamiltonian_path(g)
+        assert [(m.assign, s) for m, s in table] == [(path, mapping_objective(MappingSearch(g, n), Mapping(path)))]
+
+
+class TestTreeRule:
+    """A full search settles a residual whose blocks are all bridges (a
+    tree) without a path search: a path graph is walked from its smaller
+    end, and a tree with a vertex in three blocks has no path.  Either way
+    the step's path must be the one ``has_hamiltonian_path`` returns."""
+
+    @staticmethod
+    def connected_masks(g, rng, count):
+        """``count`` connected vertex masks, each grown from a random vertex
+        by random neighbours up to a random size."""
+        nbr, verts = g.neighbor_masks, sorted(g.vertices)
+        for _ in range(count):
+            mask = 1 << rng.choice(verts)
+            for _ in range(rng.randrange(len(verts))):
+                frontier = 0
+                for v in mask_vertices(mask):
+                    frontier |= nbr[v]
+                frontier &= ~mask
+                if not frontier:
+                    break
+                mask |= 1 << rng.choice(list(mask_vertices(frontier)))
+            yield mask
+
+    @pytest.mark.parametrize("size", range(2, 22))
+    def test_bridge_only_residuals(self, size, monkeypatch):
+        searched = []
+        search_path = mapping.has_hamiltonian_path
+        monkeypatch.setattr(mapping, "has_hamiltonian_path", lambda g, mask: searched.append(mask) or search_path(g, mask))
+        found = Counter()
+        for seed in range(6):
+            # Random trees, and random graphs with cycles whose sampled
+            # residuals are trees only now and then.
+            g = random_connected_graph(size, 9900 + 31 * size + seed, extra_edges=0 if seed % 2 else None)
+            search = MappingSearch(g, size)
+            searched.clear()
+            for mask in self.connected_masks(g, random.Random(seed), 40):
+                blocks = biconnected_blocks(g, mask)
+                if any(block.bit_count() > 2 for block in blocks):
+                    continue
+                path = search.step(mask, blocks)[0]
+                assert not searched and path == has_hamiltonian_path(g, mask), hex(mask)
+                found[path is not None] += 1
+        assert found[True] and (size < 5 or found[False])
+
+    @pytest.mark.parametrize("name", ["guadalupe", "quito"])
+    def test_default_search_memo(self, name, monkeypatch):
+        searches = []
+
+        class Recorded(MappingSearch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(mapping, "MappingSearch", Recorded)
+        g = builtin(name)
+        tabu_search_table(g, g.num_vertices, TabuConfig())
+        [search] = searches
+        trees = 0
+        for residual, (path, _, _) in search._steps.items():
+            assert path == has_hamiltonian_path(g, residual), hex(residual)
+            trees += all(block.bit_count() == 2 for block in biconnected_blocks(g, residual))
+        assert trees
+
+    def test_default_guadalupe_path_searches(self, monkeypatch):
+        # Before the rule every one of the search's 644 stepped residuals
+        # was path-searched; 629 of them are trees.
+        searched = []
+        search = mapping.has_hamiltonian_path
+        monkeypatch.setattr(mapping, "has_hamiltonian_path", lambda g, mask: searched.append(mask) or search(g, mask))
+        g = builtin("guadalupe")
+        tabu_search_table(g, 16, TabuConfig())
+        assert len(searched) == 15
+        assert all(any(block.bit_count() > 2 for block in biconnected_blocks(g, mask)) for mask in searched)
 
 
 class TestShortestPathData:
