@@ -265,6 +265,10 @@ def _residual_mask(graph: CouplingGraph, mask: int | None) -> tuple[tuple[int, .
     if mask is None:
         return nbr, full
     if mask & ~full:
+        # A negative mask has infinitely many bits set, so it is refused
+        # before ``mask_vertices`` would list them without end.
+        if mask < 0:
+            raise ArchError(f"vertex mask {mask} is negative")
         raise ArchError(f"vertices {list(mask_vertices(mask & ~full))} not in graph")
     return nbr, mask
 

@@ -23,7 +23,11 @@ perturbs the seed vertex, which each candidate draws as it draws every
 later vertex, and keeps a bounded table of the best-scoring mappings.  A
 ``MappingSearch`` over one graph and qubit count is the one context that
 constructions and scores take: it holds the graph and memos keyed by mask,
-and is dropped when the search returns.
+and is dropped when the search returns.  A construction is
+``initial_mapping`` and a score is ``mapping_objective``, for the tabu
+search as for any other caller: both work on bare assignment tuples
+(``assign[m]`` hosts logical m, every id distinct), and only the table
+that the search returns wraps them in ``Mapping``.
 
 This module alone decides whether a device, a qubit count and a mapping can
 be used: ``MappingSearch`` refuses a disconnected device or a qubit count
@@ -50,9 +54,8 @@ from .arch import (
     integer,
     mask_vertices,
 )
-from .arch import articulation_points  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
-from .arch import induced_subgraph  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
-from .arch import remove_vertex  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
+# perfbench/tracing.py wraps these three in this namespace.
+from .arch import articulation_points, induced_subgraph, remove_vertex  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,7 @@ def _walk(nbr: tuple[int, ...], ends: int, residual: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None = None) -> Mapping:
+def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None = None) -> tuple[int, ...]:
     """Key-qubit priority initial mapping of ``search.n`` logical qubits.
 
     Each step assigns the next logical index to a uniformly random non-cut
@@ -245,15 +248,12 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
         first: seed vertex, a key qubit of the graph; drawn when ``None``.
 
     Returns:
-        A mapping whose removal replay keeps the residual graph connected.
+        The assignment tuple, ``assign[m]`` hosting logical m: injective,
+        and its removal replay keeps the residual graph connected.
+        ``Mapping(assign)`` wraps it for ``synthesize``.
     """
     if first is not None and first not in search.keys:
         raise ValueError(f"seed vertex {first} is a cut point or absent")
-    return Mapping(_assignment(search, rng, first))
-
-
-def _assignment(search: MappingSearch, rng: random.Random, first: int | None) -> tuple[int, ...]:
-    """The assignment that ``initial_mapping`` wraps, from a valid or drawn ``first``."""
     # Following the path decides the mapping, not just its cost: drawing on
     # to the last vertex instead gives 7-13% more CNOTs on tokyo, grid(4,4)
     # and grid(5,5).  Beyond the exhaustive-search guardrail, key-qubit
@@ -388,32 +388,43 @@ def _connectivity_product(graph: CouplingGraph, mask: int) -> float:
     return prod
 
 
-def mapping_objective(search: MappingSearch, mapping: Mapping) -> float:
-    """Mapping score: connectivity product minus position-weighted error cost.
+def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
+    """Score of the injective assignment ``assign``: connectivity product
+    minus position-weighted error cost.
 
-    The first term multiplies connectivity factors over all mapped pairs on
-    the induced subgraph; the second sums (m+1) times the mean error of the
-    full-graph edges incident to assign[m].  Later-removed qubits carry more
-    weight, so low-error vertices should be kept until the end.  Higher is
-    better.  The connectivity product is memoized in the search, keyed by
-    the set of mapped vertices; on a miss, a mapping that uses ids outside
-    the graph raises ``ValueError`` naming them.
+    ``assign`` is a construction's tuple or a ``Mapping``'s ``.assign``; its
+    ids must be distinct, which is not checked.  The first term multiplies
+    connectivity factors over all mapped pairs on the induced subgraph; the
+    second sums (m+1) times the mean error of the full-graph edges incident
+    to assign[m].  Later-removed qubits carry more weight, so low-error
+    vertices should be kept until the end.  Higher is better.
+
+    The connectivity product is memoized in the search, keyed by the set of
+    mapped vertices: ``graph.vertices`` itself when ``assign`` is as long as
+    the device, so a full-device score builds no set.  A mapping that uses
+    ids outside the graph raises ``ValueError`` naming them: on a miss
+    before the product is computed, and on a hit of the whole-device key
+    when the error cost meets the unknown id.
     """
-    return _score(search, mapping.assign, frozenset(mapping.assign))
-
-
-def _score(search: MappingSearch, assign: tuple[int, ...], key: frozenset[int]) -> float:
-    """``mapping_objective`` of ``assign``, whose set of vertices is ``key``."""
+    graph = search.graph
+    key = graph.vertices if len(assign) == len(graph.vertices) else frozenset(assign)
     score = search._product.get(key)
     if score is None:
-        graph = search.graph
-        if not key <= graph.vertices:
-            raise ValueError(f"mapping uses unknown vertices {sorted(key - graph.vertices)}")
-        score = search._product[key] = _connectivity_product(graph, sum(1 << v for v in assign))
+        if not graph.vertices.issuperset(assign):
+            raise _unknown_vertices(graph, assign)
+        score = search._product[key] = _connectivity_product(graph, sum(1 << v for v in key))
     mean_error = search.mean_error
-    for m, v in enumerate(assign):
-        score -= (m + 1) * mean_error[v]
+    try:
+        for m, v in enumerate(assign):
+            score -= (m + 1) * mean_error[v]
+    except KeyError:
+        raise _unknown_vertices(graph, assign) from None
     return score
+
+
+def _unknown_vertices(graph: CouplingGraph, assign: tuple[int, ...]) -> ValueError:
+    """The error naming the ids of ``assign`` that are not vertices of ``graph``."""
+    return ValueError(f"mapping uses unknown vertices {sorted(set(assign) - graph.vertices)}")
 
 
 # ---------------------------------------------------------------------------
@@ -434,31 +445,29 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     table average are admitted; the table is trimmed back to ``tabu_len`` by
     dropping its lowest-scoring entry.
 
-    Candidates are bare assignment tuples, scored as ``mapping_objective``
-    scores them; only the returned table's entries become ``Mapping``s.
-    Every full-device candidate maps the whole device, so its connectivity
-    product is read under ``graph.vertices``.  When the whole device of a
-    full search has a Hamiltonian path (its root step is a path), every
-    construction follows that path and gives the seed mapping, so the table
-    is that one entry and no candidate is drawn.
+    Candidates are the assignment tuples that ``initial_mapping`` returns,
+    scored by ``mapping_objective``; only the returned table's entries
+    become ``Mapping``s.  When the whole device of a full search has a
+    Hamiltonian path (its root step is a path), every construction follows
+    that path and gives the seed mapping, so the table is that one entry
+    and no candidate is drawn.
     """
     search = MappingSearch(graph, n)
     rng = random.Random(derive_seed(config.seed, "seed"))
-    seed_map = _assignment(search, rng, min(search.keys))
-    every = graph.vertices if search.full else None
+    seed_map = initial_mapping(search, rng, min(search.keys))
 
     # Assignment -> score.  Insertion order is the table order, which fixes
     # the float sum of the mean and the first-minimum choice of the worst.
-    table = {seed_map: _score(search, seed_map, every or frozenset(seed_map))}
+    table = {seed_map: mapping_objective(search, seed_map)}
     # A root step that is a path gives every construction the seed mapping.
     iterations = config.iterations if search._steps[graph.vertex_mask][0] is None else 0
     for it in range(iterations):
         for k in range(config.tabu_len):
             rng.seed(derive_seed(config.seed, it, k))
-            cand = _assignment(search, rng, None)
+            cand = initial_mapping(search, rng)
             if cand in table:
                 continue
-            s = _score(search, cand, every or frozenset(cand))
+            s = mapping_objective(search, cand)
             if s >= sum(table.values()) / len(table):
                 table[cand] = s
                 if len(table) > config.tabu_len:

@@ -13,10 +13,11 @@ maximum-fidelity path from its root to that terminal, read back along the
 parent links.  All tie-breaking is fixed (fewer hops, then the
 lexicographically smallest vertex sequence; terminals joined in ascending
 id order) so that synthesis output is reproducible.  The root and the
-terminals are read by ``arch.integer``: a float is refused, not truncated.
-The returned tree keeps the search's parent links without copying them,
-builds its child lists in one pass, and computes its vertex set only when
-it is read.
+terminals are read by ``arch.integer``: a float is refused, not truncated,
+and a negative id is named as not in the graph.  The returned tree keeps
+the search's parent links and terminal mask without copying them, builds
+its child lists in one pass, and computes its vertex and terminal sets
+only when they are read.
 """
 from __future__ import annotations
 
@@ -31,16 +32,17 @@ class SteinerTree:
 
     ``parent`` maps every non-root vertex to its parent and is kept as
     given, not copied.  ``children`` lists each vertex's children in
-    ascending id order, built in one pass over ``parent``.  ``vertices`` is
-    computed when read; elimination never reads it.
+    ascending id order, built in one pass over ``parent``.  The terminals
+    are given as a vertex mask.  ``vertices`` and ``terminals`` are computed
+    when read; elimination reads neither.
     """
 
-    __slots__ = ("root", "parent", "children", "terminals")
+    __slots__ = ("root", "parent", "children", "_terminal_mask")
 
-    def __init__(self, root: int, parent: dict[int, int], terminals: Iterable[int]) -> None:
+    def __init__(self, root: int, parent: dict[int, int], terminal_mask: int) -> None:
         self.root = root
         self.parent = parent
-        self.terminals = frozenset(terminals)
+        self._terminal_mask = terminal_mask
         children: dict[int, list[int]] = {v: [] for v in parent}
         children[root] = []
         for child, par in parent.items():
@@ -53,6 +55,10 @@ class SteinerTree:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self.parent) | {self.root}
+
+    @property
+    def terminals(self) -> frozenset[int]:
+        return frozenset(mask_vertices(self._terminal_mask))
 
     def __repr__(self) -> str:
         return f"SteinerTree(root={self.root}, vertices={sorted(self.vertices)})"
@@ -84,12 +90,21 @@ def min_noise_steiner_tree(
     """
     _, mask = _residual_mask(graph, mask)
     root = root if type(root) is int else integer(root, "root")
-    terms = 0
-    for t in terminals:
-        terms |= 1 << (t if type(t) is int else integer(t, "terminal"))
+    terms = t = 0
+    try:
+        for t in terminals:
+            if type(t) is not int:
+                t = integer(t, "terminal")
+            terms |= 1 << t
+    except ValueError:
+        # Only a negative id fails its shift; a non-integer id, or the
+        # iterable itself, raised its own error, which goes on.
+        if type(t) is not int or t >= 0:
+            raise
+        raise ValueError(f"terminals [{t}] not in graph") from None
     if not terms:
         raise ValueError("terminals must be non-empty")
-    if not mask >> root & 1:
+    if root < 0 or not mask >> root & 1:
         raise ValueError(f"root {root} not in graph")
     if missing := terms & ~mask:
         raise ValueError(f"terminals {list(mask_vertices(missing))} not in graph")
@@ -129,7 +144,7 @@ def min_noise_steiner_tree(
             tree |= 1 << b
             label[b] = source = (0.0, 0, (b,))
             heappush(heap, source)
-    return SteinerTree(root, parent, mask_vertices(terms))
+    return SteinerTree(root, parent, terms)
 
 
 def preorder(tree: SteinerTree) -> list[int]:

@@ -548,7 +548,7 @@ def reference_min_noise_steiner_tree(graph: CouplingGraph, root: int, terminals,
             if b not in tree:
                 parent[b] = a
                 tree.add(b)
-    return SteinerTree(root, parent, terms)
+    return SteinerTree(root, parent, sum(1 << t for t in terms))
 
 
 # ---------------------------------------------------------------------------

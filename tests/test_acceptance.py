@@ -183,14 +183,14 @@ def test_criterion_7_mapping_invariants():
         keys = sorted(search.keys)
         for s in range(75):
             m = initial_mapping(search, random.Random(s), keys[s % len(keys)] if s % 3 else None)
-            assert replay_is_valid(graph, m)
+            assert replay_is_valid(graph, Mapping(m))
             runs += 1
         for s in range(9):
             cfg = TabuConfig(tabu_len=4, iterations=2, seed=s)
             seed_map = initial_mapping(search, random.Random(derive_seed(s, "seed")), keys[0])
             best = optimize_mapping(graph, n, cfg)
             assert replay_is_valid(graph, best)
-            assert mapping_objective(search, best) >= mapping_objective(search, seed_map)
+            assert mapping_objective(search, best.assign) >= mapping_objective(search, seed_map)
             runs += 1
     assert runs >= 500
     _report(7, f"{runs} mapping runs: removal replay stays connected, tabu never worse than its seed")

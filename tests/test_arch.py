@@ -1,11 +1,15 @@
 import functools
 import itertools
+import json
 import operator
+import os
 import random
 import re
+import subprocess
 import sys
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,6 +503,37 @@ class TestResidualMasks:
         assert has_hamiltonian_path(g, (1 << 32) - 1) == tuple(range(32))
         with pytest.raises(ArchError, match="limited"):
             has_hamiltonian_path(g, (1 << 33) - 1)
+
+    #: Every mask query, called with ``g`` and ``mask`` in scope.
+    NEGATIVE_MASK_QUERIES = {
+        "is_connected": "g.is_connected(mask)",
+        "biconnected_blocks": "arch.biconnected_blocks(g, mask)",
+        "articulation_points": "arch.articulation_points(g, mask)",
+        "has_hamiltonian_path": "arch.has_hamiltonian_path(g, mask)",
+        "min_noise_steiner_tree": "steiner.min_noise_steiner_tree(g, 0, [1], mask)",
+    }
+
+    @pytest.mark.parametrize("query", sorted(NEGATIVE_MASK_QUERIES))
+    def test_negative_mask_is_refused_promptly(self, query):
+        # Listing a negative mask's bits for the error message never ended,
+        # so each query runs in its own interpreter under a timeout.
+        code = (
+            "import json\n"
+            "from cnotsynth import arch, steiner\n"
+            "g, mask = arch.builtin('quito'), ~(1 << 3)\n"
+            "try:\n"
+            f"    {self.NEGATIVE_MASK_QUERIES[query]}\n"
+            "except arch.ArchError as exc:\n"
+            "    print(json.dumps(str(exc)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{query} given a negative mask ran past 20 s")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == "vertex mask -9 is negative"
 
 
 def random_bipartite_graph(left, right, seed, extra_edges):

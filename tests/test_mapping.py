@@ -97,12 +97,12 @@ def independent_objective(graph, assign):
 class TestInitialMapping:
     def test_linear3_follows_hamiltonian_path(self):
         m = initial_mapping(MappingSearch(builtin("linear(3)"), 3), random.Random(0), 0)
-        assert m.assign == (0, 1, 2)
+        assert m == (0, 1, 2)
 
     def test_quito_replay_valid(self):
         g = builtin("quito")
         m = initial_mapping(MappingSearch(g, 5), random.Random(123), 0)
-        assert replay_is_valid(g, m)
+        assert replay_is_valid(g, Mapping(m))
 
     def test_cut_point_seed_rejected(self):
         with pytest.raises(ValueError, match="cut point"):
@@ -118,7 +118,7 @@ class TestInitialMapping:
     def test_truncates_when_fewer_logical_qubits(self):
         g = builtin("linear(5)")
         m = initial_mapping(MappingSearch(g, 2), random.Random(4), 0)
-        assert m.n == 2 and len(set(m.assign)) == 2
+        assert len(m) == 2 and len(set(m)) == 2
 
     def test_requires_connected_graph(self):
         g = CouplingGraph(range(3), [(0, 1, 0.01)])
@@ -146,8 +146,8 @@ class TestInitialMapping:
         search = MappingSearch(g, g.num_vertices)
         for first in (min(search.keys), None):
             m = initial_mapping(search, random.Random(seed), first)
-            assert replay_is_valid(g, m)
-            assert sorted(m.assign) == sorted(g.vertices)
+            assert replay_is_valid(g, Mapping(m))
+            assert sorted(m) == sorted(g.vertices)
 
 
 class TestMappingType:
@@ -197,37 +197,46 @@ class TestConnectivityFactor:
 class TestObjective:
     def test_single_edge_hand_value(self):
         g = CouplingGraph(range(2), [(0, 1, 0.01)])
-        assert mapping_objective(MappingSearch(g, 2), Mapping((0, 1))) == pytest.approx(0.97)
+        assert mapping_objective(MappingSearch(g, 2), (0, 1)) == pytest.approx(0.97)
 
     def test_zero_error_complete_graph(self):
         g = CouplingGraph(range(4), [(u, v, 0.0) for u, v in itertools.combinations(range(4), 2)])
-        assert mapping_objective(MappingSearch(g, 4), Mapping((0, 1, 2, 3))) == pytest.approx(1.0)
+        assert mapping_objective(MappingSearch(g, 4), (0, 1, 2, 3)) == pytest.approx(1.0)
 
     def test_quito_identity_against_independent_evaluator(self):
         g = builtin("quito")
         assign = (0, 1, 2, 3, 4)
-        assert mapping_objective(MappingSearch(g, 5), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
+        assert mapping_objective(MappingSearch(g, 5), assign) == pytest.approx(independent_objective(g, assign))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mappings_against_independent_evaluator(self, seed):
         g = builtin("guadalupe")
         rng = random.Random(seed)
         assign = tuple(rng.sample(sorted(g.vertices), 8))
-        assert mapping_objective(MappingSearch(g, 8), Mapping(assign)) == pytest.approx(independent_objective(g, assign))
+        assert mapping_objective(MappingSearch(g, 8), assign) == pytest.approx(independent_objective(g, assign))
 
     def test_deterministic(self):
         g = builtin("quito")
-        m = Mapping((0, 2, 1, 3, 4))
+        m = (0, 2, 1, 3, 4)
         assert mapping_objective(MappingSearch(g, 5), m) == mapping_objective(MappingSearch(g, 5), m)
 
     @pytest.mark.parametrize("assign,unknown", [
         ((0, 9), [9]), ((5, 0), [5]), ((-1, 0), [-1]), ((0, -3, 7, 1), [-3, 7]), ((2, 1), [2]),
+        ((0, 1, 2, 4), [2]), ((3, 4, 1, -1), [-1]),
     ])
     def test_unknown_vertices_named(self, assign, unknown):
         # Vertex 2 is removed, so its id lies inside the device's id range.
         g = remove_vertex(builtin("quito"), 2)
-        with pytest.raises(ValueError, match=rf"^mapping uses unknown vertices {re.escape(str(unknown))}$"):
-            mapping_objective(MappingSearch(g, len(assign)), Mapping(assign))
+        message = rf"^mapping uses unknown vertices {re.escape(str(unknown))}$"
+        with pytest.raises(ValueError, match=message):
+            mapping_objective(MappingSearch(g, len(assign)), assign)
+        # With the whole-device product memoized, a device-long assignment
+        # hits it, and its error cost meets the unknown id.
+        search = MappingSearch(g, g.num_vertices)
+        mapping_objective(search, (0, 1, 3, 4))
+        assert g.vertices in search._product
+        with pytest.raises(ValueError, match=message):
+            mapping_objective(search, assign)
 
 
 class TestOptimizeMapping:
@@ -237,7 +246,7 @@ class TestOptimizeMapping:
         got = optimize_mapping(g, 5, cfg)
         search = MappingSearch(g, 5)
         seed_map = initial_mapping(search, random.Random(derive_seed(11, "seed")), min(search.keys))
-        assert got == seed_map
+        assert got.assign == seed_map
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_worse_than_seed(self, seed):
@@ -246,7 +255,7 @@ class TestOptimizeMapping:
         search = MappingSearch(g, 5)
         seed_map = initial_mapping(search, random.Random(derive_seed(seed, "seed")), min(search.keys))
         best = optimize_mapping(g, 5, cfg)
-        assert mapping_objective(search, best) >= mapping_objective(search, seed_map)
+        assert mapping_objective(search, best.assign) >= mapping_objective(search, seed_map)
         assert replay_is_valid(g, best)
 
     def test_deterministic(self):
@@ -262,7 +271,7 @@ class TestOptimizeMapping:
         best = optimize_mapping(g, 16, cfg)
         assert len(table) <= cfg.tabu_len
         assert any(best == m for m, _ in table)
-        assert mapping_objective(MappingSearch(g, 16), best) == max(score for _, score in table)
+        assert mapping_objective(MappingSearch(g, 16), best.assign) == max(score for _, score in table)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -306,8 +315,8 @@ def _check_against_reference(g, sizes, constructions):
             shared = initial_mapping(search, random.Random(k), order[0])
             fresh = initial_mapping(MappingSearch(g, n), random.Random(k), order[0])
             want = reference_initial_mapping(g, n, order, random.Random(k))
-            assert shared == fresh == want
-            assert replay_is_valid(g, shared) and reference_replay_is_valid(g, shared)
+            assert shared == fresh == want.assign
+            assert replay_is_valid(g, Mapping(shared)) and reference_replay_is_valid(g, Mapping(shared))
     # Arbitrary vertex orders fail the replay check often; verdicts must agree.
     rng = random.Random(g.num_vertices)
     for _ in range(20):
@@ -393,23 +402,23 @@ class TestAgainstTwoMemoReference:
             for k in range(12):
                 first = keys[k % len(keys)]
                 got = initial_mapping(search, random.Random(k), first)
-                assert got == reference_search_initial_mapping(reference, n, first, random.Random(k)), (k, n)
+                assert got == reference_search_initial_mapping(reference, n, first, random.Random(k)).assign, (k, n)
                 rng = random.Random(k)
                 want = reference_search_initial_mapping(reference, n, keys[rng.randrange(len(keys))], rng)
-                assert initial_mapping(search, random.Random(k)) == want, (k, n)
+                assert initial_mapping(search, random.Random(k)) == want.assign, (k, n)
 
     def test_calls_per_candidate(self, monkeypatch):
-        # One construction per candidate and at most one score, both on bare
-        # assignment tuples: the search calls neither public wrapper.
+        # One construction per candidate and at most one score, through the
+        # public functions, which have no private twins beside them.
         calls = Counter()
-        for name in ("_assignment", "_score", "initial_mapping", "mapping_objective"):
+        for name in ("initial_mapping", "mapping_objective"):
             fn = getattr(mapping, name)
             monkeypatch.setattr(mapping, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
         config = TabuConfig(tabu_len=6, iterations=4, seed=2)
         table = tabu_search_table(builtin("guadalupe"), 16, config)
-        assert calls["_assignment"] == 1 + config.iterations * config.tabu_len
-        assert len(table) <= calls["_score"] <= calls["_assignment"]
-        assert calls["initial_mapping"] == calls["mapping_objective"] == 0
+        assert calls["initial_mapping"] == 1 + config.iterations * config.tabu_len
+        assert len(table) <= calls["mapping_objective"] <= calls["initial_mapping"]
+        assert not hasattr(mapping, "_assignment") and not hasattr(mapping, "_score")
 
 
 class TestBlockCarriedSteps:
@@ -547,7 +556,7 @@ class TestFullDevicePathIgnoresSeedVertex:
 
     def test_linear_from_the_far_end(self):
         g = builtin("linear(7)")
-        assert initial_mapping(MappingSearch(g, 7), random.Random(0), 6).assign == tuple(range(7))
+        assert initial_mapping(MappingSearch(g, 7), random.Random(0), 6) == tuple(range(7))
 
     @pytest.mark.parametrize("name", ["linear(7)", "grid(4,4)", "tokyo"])
     def test_every_candidate_is_the_path(self, name):
@@ -556,7 +565,7 @@ class TestFullDevicePathIgnoresSeedVertex:
         assert path[0] == 0
         search = MappingSearch(g, g.num_vertices)
         for k, first in enumerate([*sorted(search.keys), None]):
-            assert initial_mapping(search, random.Random(k), first).assign == path
+            assert initial_mapping(search, random.Random(k), first) == path
         table = tabu_search_table(g, g.num_vertices, TabuConfig(iterations=5))
         assert [m.assign for m, _ in table] == [path]
 
@@ -570,14 +579,14 @@ class TestPathRootShortcut:
     @pytest.mark.parametrize("name,n", [("tokyo", 20), ("manila", 5), ("grid(4,4)", 16)])
     def test_one_construction(self, name, n, monkeypatch):
         calls = Counter()
-        construct, seed = mapping._assignment, random.Random.seed
-        monkeypatch.setattr(mapping, "_assignment", lambda *args: calls.update(["construct"]) or construct(*args))
+        construct, seed = mapping.initial_mapping, random.Random.seed
+        monkeypatch.setattr(mapping, "initial_mapping", lambda *args: calls.update(["construct"]) or construct(*args))
         monkeypatch.setattr(random.Random, "seed", lambda self, *args: calls.update(["seed"]) or seed(self, *args))
         g = builtin(name)
         table = tabu_search_table(g, n, TabuConfig())
         assert calls == {"construct": 1, "seed": 1}
         path = has_hamiltonian_path(g)
-        assert [(m.assign, s) for m, s in table] == [(path, mapping_objective(MappingSearch(g, n), Mapping(path)))]
+        assert [(m.assign, s) for m, s in table] == [(path, mapping_objective(MappingSearch(g, n), path))]
 
 
 class TestTreeRule:
@@ -685,7 +694,7 @@ class TestShortestPathData:
         search = MappingSearch(g, 16)
         for assign in [(0, 1, 2), (0, 2), (4, 7, 10, 12, 6), tuple(range(16))]:
             sub = induced_subgraph(g, assign)
-            mapping_objective(search, Mapping(assign))
+            mapping_objective(search, assign)
             assert search._product[frozenset(assign)] == _connectivity_product(sub, sub.vertex_mask)
 
 
@@ -805,6 +814,6 @@ class TestPartialPlacementScatters:
         search = MappingSearch(g, n)
         assert len(table) == 20
         for m, _ in table:
-            mapping_objective(search, m)
+            mapping_objective(search, m.assign)
         assert [search._product[frozenset(m.assign)] for m, _ in table] == [0.0] * 20
         assert len({s for _, s in table}) == distinct

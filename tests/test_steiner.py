@@ -130,6 +130,27 @@ class TestMinNoiseSteinerTree:
             min_noise_steiner_tree(builtin("quito"), root, terminals)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("root,terminals,message", [
+        (-1, [3], "root -1 not in graph"),
+        (np.int64(-1), [3], "root -1 not in graph"),
+        (1, [-2], "terminals [-2] not in graph"),
+        (1, [0, np.int64(-2), 3], "terminals [-2] not in graph"),
+        (1, [4, 2, -3, -1], "terminals [-3] not in graph"),
+    ], ids=["root", "numpy-root", "terminal", "numpy-terminal", "first-negative-terminal"])
+    def test_negative_ids_are_not_in_graph(self, root, terminals, message):
+        # A negative id once reached a shift and raised "negative shift count".
+        with pytest.raises(ValueError) as exc:
+            min_noise_steiner_tree(builtin("quito"), root, terminals)
+        assert str(exc.value) == message
+
+    def test_iterable_error_goes_on(self):
+        def terminals():
+            yield 3
+            raise ValueError("from the iterable")
+
+        with pytest.raises(ValueError, match="^from the iterable$"):
+            min_noise_steiner_tree(builtin("quito"), 1, terminals())
+
     def test_terminals_outside_mask_named_in_ascending_order(self):
         with pytest.raises(ValueError, match=r"^terminals \[3, 4\] not in graph$"):
             min_noise_steiner_tree(builtin("quito"), 0, [4, 1, 3], 0b00111)
@@ -277,8 +298,8 @@ class TestMatchesReference:
 
 
 class TestTraversals:
-    def tree(self, parent, root=0, terminals=()):
-        return SteinerTree(root, parent, terminals)
+    def tree(self, parent, root=0, terminal_mask=0):
+        return SteinerTree(root, parent, terminal_mask)
 
     def test_single_vertex(self):
         t = self.tree({}, root=7)

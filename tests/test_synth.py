@@ -327,7 +327,7 @@ class TestEliminateRow:
         from cnotsynth.mapping import MappingSearch, initial_mapping
 
         search = MappingSearch(g, n)
-        mapping = initial_mapping(search, random.Random(seed), min(search.keys))
+        mapping = Mapping(initial_mapping(search, random.Random(seed), min(search.keys)))
         m = physical_matrix(m, g, mapping)
         inv = work_inverse(m.rows)
         residual = g
