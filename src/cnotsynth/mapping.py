@@ -392,39 +392,48 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
     """Score of the injective assignment ``assign``: connectivity product
     minus position-weighted error cost.
 
-    ``assign`` is a construction's tuple or a ``Mapping``'s ``.assign``; its
-    ids must be distinct, which is not checked.  The first term multiplies
-    connectivity factors over all mapped pairs on the induced subgraph; the
-    second sums (m+1) times the mean error of the full-graph edges incident
-    to assign[m].  Later-removed qubits carry more weight, so low-error
-    vertices should be kept until the end.  Higher is better.
+    ``assign`` is a construction's tuple or a ``Mapping``'s ``.assign``.  The
+    first term multiplies connectivity factors over all mapped pairs on the
+    induced subgraph; the second sums (m+1) times the mean error of the
+    full-graph edges incident to assign[m].  Later-removed qubits carry more
+    weight, so low-error vertices should be kept until the end.  Higher is
+    better.
 
     The connectivity product is memoized in the search, keyed by the set of
     mapped vertices: ``graph.vertices`` itself when ``assign`` is as long as
-    the device, so a full-device score builds no set.  A mapping that uses
-    ids outside the graph raises ``ValueError`` naming them: on a miss
-    before the product is computed, and on a hit of the whole-device key
-    when the error cost meets the unknown id.
+    the device, else ``frozenset(assign)``.  An assignment that repeats an
+    id or uses ids outside the graph raises ``ValueError``, which names any
+    unknown ids.  A device-long assignment is checked by its id set, which
+    must equal the vertices; a shorter one by its key, which must be as long
+    as itself and, on a miss, a subset of the vertices.
     """
     graph = search.graph
-    key = graph.vertices if len(assign) == len(graph.vertices) else frozenset(assign)
+    if len(assign) == len(graph.vertices):
+        key = graph.vertices
+        if set(assign) != key:
+            raise _assignment_error(graph, assign)
+    else:
+        key = frozenset(assign)
+        if len(key) != len(assign):
+            raise _assignment_error(graph, assign)
     score = search._product.get(key)
     if score is None:
-        if not graph.vertices.issuperset(assign):
-            raise _unknown_vertices(graph, assign)
+        if not graph.vertices.issuperset(key):
+            raise _assignment_error(graph, assign)
         score = search._product[key] = _connectivity_product(graph, sum(1 << v for v in key))
     mean_error = search.mean_error
-    try:
-        for m, v in enumerate(assign):
-            score -= (m + 1) * mean_error[v]
-    except KeyError:
-        raise _unknown_vertices(graph, assign) from None
+    for m, v in enumerate(assign):
+        score -= (m + 1) * mean_error[v]
     return score
 
 
-def _unknown_vertices(graph: CouplingGraph, assign: tuple[int, ...]) -> ValueError:
-    """The error naming the ids of ``assign`` that are not vertices of ``graph``."""
-    return ValueError(f"mapping uses unknown vertices {sorted(set(assign) - graph.vertices)}")
+def _assignment_error(graph: CouplingGraph, assign: tuple[int, ...]) -> ValueError:
+    """The error naming the ids of ``assign`` that are not vertices of
+    ``graph``, or, when every id is one, its repeat."""
+    unknown = sorted(set(assign) - graph.vertices)
+    if unknown:
+        return ValueError(f"mapping uses unknown vertices {unknown}")
+    return ValueError("mapping must be injective")
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,16 @@ def enumerate_shortest_paths(graph: CouplingGraph, s: int, t: int) -> list[list[
     return [p for p in paths if len(p) == best]
 
 
+# The mapping references below fall into two groups.  Draw-order copies:
+# ``reference_initial_mapping``, ``ReferenceMappingSearch``,
+# ``reference_search_initial_mapping`` and ``reference_tabu_search_table``
+# replay the tabu search's generator draws, so a change to which draws the
+# search makes, or in what order, changes them in step; they check the
+# library's bitmask bookkeeping, not its draws.  Independent oracles: replay
+# validity, the objective, the path search (cut points and Hamiltonian
+# paths), Steiner trees, elimination and the checker; they hold for any draw
+# order and stay as they are when it changes.
+
 # ---------------------------------------------------------------------------
 # Reference mapping construction over rebuilt residual graphs
 # ---------------------------------------------------------------------------

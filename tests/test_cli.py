@@ -595,22 +595,6 @@ class TestBenchCommand:
         payload = json.loads(out.read_text())
         assert payload[0]["arch"] == "quito" and payload[-1]["aggregate"] is True
 
-    def test_golden_json_report(self, tmp_path):
-        # Captured before the instance seeds moved onto mapping.derive_seed;
-        # every field except the wall-clock ms.
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "2",
-                     "--seed", "1", "--format", "json", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        for row in payload:
-            del row["ms"]
-        common = {"input_gates": 10, "mc_fidelity": None, "n": 5}
-        assert payload == [
-            {**common, "aggregate": False, "arch": "quito", "cnot": 17, "depth": 15, "esp": 0.8515874413057307},
-            {**common, "aggregate": False, "arch": "quito", "cnot": 4, "depth": 4, "esp": 0.9609437000963355},
-            {**common, "aggregate": True, "arch": "quito:mean", "cnot": 10.5, "depth": 9.5, "esp": 0.9062655707010331},
-        ]
-
     def test_quito_sweep_up_to_10000_gates_stays_bounded(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["bench", "--arch", "quito", "--sizes", "10,100,1000,10000",
@@ -701,89 +685,6 @@ class TestFidelityCommand:
         mc = json.loads(capsys.readouterr().out)["mc_fidelity"]
         assert main([*flags, "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines() == ["esp,mc_fidelity,shots,seed", f"0.983690,{mc:.6f},2000,4"]
-
-
-# Every report the CLI prints, byte for byte, in each --format.  Only the
-# wall-clock ``ms`` of bench rows is masked.  Placeholders: IN (random
-# CNOT-only circuit), MIXED (H/CNOT/measure circuit), PHYS and PHYS_CX
-# (circuits over quito's physical qubits), ARCH (a device file), OUT (a
-# report or QASM file, recorded with the stdout and stderr).
-GOLDEN_REPORTS = json.loads((Path(__file__).parent / "golden_cli_reports.json").read_text(encoding="utf-8"))
-FORMATS = ("table", "csv", "json")
-GOLDEN_CASES = {
-    **{f"arch-quito-{f}": ["arch", "quito", "--format", f] for f in FORMATS},
-    **{f"arch-file-{f}": ["arch", "ARCH", "--format", f] for f in FORMATS},
-    **{f"arch-grid66-{f}": ["arch", "grid(6,6)", "--format", f, "--out", "OUT"] for f in FORMATS},
-    **{f"synth-cnot-{f}": ["synth", "IN", "--arch", "quito", "--seed", "7", *FAST, "--format", f] for f in FORMATS},
-    **{f"synth-shots-{f}": ["synth", "IN", "--arch", "quito", "--seed", "3", *FAST, "--shots", "500",
-                            "--format", f, "--out", "OUT"] for f in FORMATS},
-    **{f"synth-mixed-{f}": ["synth", "MIXED", "--arch", "guadalupe", *FAST, "--format", f, "--out", "OUT"]
-       for f in FORMATS},
-    **{f"fidelity-{f}": ["fidelity", "PHYS", "--arch", "quito", "--format", f] for f in FORMATS},
-    **{f"fidelity-one-q-{f}": ["fidelity", "PHYS", "--arch", "quito", "--one-q-error", "0.01", "--format", f]
-       for f in FORMATS},
-    **{f"fidelity-shots-{f}": ["fidelity", "PHYS_CX", "--arch", "quito", "--shots", "2000", "--seed", "4",
-                               "--format", f] for f in FORMATS},
-    **{f"bench-{f}": ["bench", "--arch", "quito,linear(5)", "--sizes", "0,10,25", "--instances", "2",
-                      "--seed", "3", *FAST, "--format", f] for f in FORMATS},
-    **{f"bench-shots-{f}": ["bench", "--arch", "ARCH", "--sizes", "12", "--instances", "3", "--seed", "2",
-                            *FAST, "--shots", "300", "--format", f, "--out", "OUT"] for f in FORMATS},
-}
-MS_PATTERNS = {
-    "table": (re.compile(r"\d+\.\d{3} *$", re.M), "MS"),
-    "csv": (re.compile(r",\d+\.\d{3}$", re.M), ",MS"),
-    "json": (re.compile(r'"ms": [-+.\deE]+'), '"ms": "MS"'),
-}
-
-
-def run_golden_case(argv, capsys):
-    """Run one CLI invocation in the current directory, which the input files
-    are written to (so that no report names a temporary path); return its
-    exit code, stdout, stderr and OUT file."""
-    files = {
-        "IN": "in.qasm",
-        "MIXED": "mixed.qasm",
-        "PHYS": "phys.qasm",
-        "PHYS_CX": "phys_cx.qasm",
-        "ARCH": "dev.arch",
-        "OUT": "report.out",
-    }
-    write_random_qasm(Path(files["IN"]), n=5, m=40, seed=3)
-    Path(files["MIXED"]).write_text(
-        "qreg q[4]; creg c[4];\nh q[0];\ncx q[0],q[2]; cx q[1],q[2]; cx q[3],q[0];\nh q[1];\nx q[3];\n"
-        "cx q[2],q[3];\nmeasure q[2] -> c[0];\nmeasure q[0] -> c[3];\n",
-        encoding="utf-8",
-    )
-    Path(files["PHYS"]).write_text("qreg q[5];\nh q[0];\ncx q[0],q[1];\nz q[3];\ncx q[3],q[4];\ncx q[1],q[2];\n",
-                                   encoding="utf-8")
-    Path(files["PHYS_CX"]).write_text("qreg q[5];\ncx q[0],q[1];\ncx q[1],q[3];\ncx q[3],q[4];\n", encoding="utf-8")
-    Path(files["ARCH"]).write_text("qubits 4\nedge 0 1 0.01\nedge 1 2 0.02\nedge 2 3 0.015\nedge 1 3 0.03\n",
-                                   encoding="utf-8")
-    code = main([files.get(arg, arg) for arg in argv])
-    captured = capsys.readouterr()
-    out_file = Path(files["OUT"])
-    record = {
-        "code": code,
-        "stdout": captured.out,
-        "stderr": captured.err,
-        "out": out_file.read_text(encoding="utf-8") if out_file.exists() else None,
-    }
-    if argv[0] == "bench":
-        pattern, mask = MS_PATTERNS[argv[argv.index("--format") + 1]]
-        for key in ("stdout", "out"):
-            if record[key] is not None:
-                record[key] = pattern.sub(mask, record[key])
-    return record
-
-
-class TestGoldenReports:
-    def test_cases_match_golden_file(self):
-        assert sorted(GOLDEN_CASES) == sorted(GOLDEN_REPORTS)
-
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_report_is_byte_identical(self, case, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert run_golden_case(GOLDEN_CASES[case], capsys) == GOLDEN_REPORTS[case]
 
 
 class TestParserBuiltOnce:
