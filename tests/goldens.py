@@ -79,9 +79,9 @@ MAPPING_CASES = {
     **{f"guadalupe 16 {seed}": ("guadalupe", 16, seed) for seed in SEEDS},
     # tokyo 20: the whole device has a path, so every construction follows it.
     **{f"tokyo 20 {seed}": ("tokyo", 20, seed) for seed in SEEDS},
-    # grid(5,5): the largest built-in grid whose whole-device path is searched.
+    # grid(5,5): a grid whose whole-device path, the snake, is searched and followed.
     **{f"grid(5,5) 25 {seed}": ("grid(5,5)", 25, seed) for seed in SEEDS},
-    # linear(40): past the 32-vertex path-search limit, a path never searched.
+    # linear(40): a chain past the 32-vertex path-search limit, so no path is searched.
     **{f"linear(40) 40 {seed}": ("linear(40)", 40, seed) for seed in SEEDS},
     # grid(8,8): the largest bipartite built-in whose searches the parity checks cut.
     "grid(8,8) 64 0": ("grid(8,8)", 64, 0),
@@ -100,9 +100,9 @@ def tabu_table(name: str, n: int, config: TabuConfig) -> list[list]:
 
 
 TABU_CASES = {
-    # quito: a table of one entry, every candidate equal to the seed mapping.
+    # quito: the final table keeps only the seed mapping.
     **{f"quito 5 {seed}": ("quito", 5, TabuConfig(seed=seed)) for seed in SEEDS},
-    # guadalupe 12: partial placements, scattered, with 20 distinct scores.
+    # guadalupe 12: partial placements, which scatter (TestPartialPlacementScatters).
     **{f"guadalupe 12 {seed}": ("guadalupe", 12, TabuConfig(seed=seed)) for seed in SEEDS},
     # guadalupe 16: full placements on a device without a path.
     **{f"guadalupe 16 {seed}": ("guadalupe", 16, TabuConfig(seed=seed)) for seed in SEEDS},
@@ -151,7 +151,7 @@ SYNTHESIS_CASES = {
     **{f"guadalupe 12 {seed}": ("guadalupe", seed) for seed in SEEDS},
     # tokyo 20: a dense device, full.
     **{f"tokyo 20 {seed}": ("tokyo", seed) for seed in SEEDS},
-    # grid(5,5): the largest built-in matrices of the family, along the snake.
+    # grid(5,5): the largest matrices of the family, 25 x 25, along the snake.
     **{f"grid(5,5) 25 {seed}": ("grid(5,5)", seed) for seed in SEEDS},
     # linear(16): every Steiner tree is a path.
     **{f"linear(16) 16 {seed}": ("linear(16)", seed) for seed in SEEDS},
@@ -177,7 +177,7 @@ CLI_FILES = {
     "PHYS_CX": ("phys_cx.qasm", "qreg q[5];\ncx q[0],q[1];\ncx q[1],q[3];\ncx q[3],q[4];\n"),
     "ARCH": ("dev.arch", "qubits 4\nedge 0 1 0.01\nedge 1 2 0.02\nedge 2 3 0.015\nedge 1 3 0.03\n"),
 }
-OUT = "report.out"
+PLACEHOLDERS = {key: file_name for key, (file_name, _) in CLI_FILES.items()} | {"OUT": "report.out"}
 MS_PATTERNS = {
     "table": (re.compile(r"\d+\.\d{3} *$", re.M), "MS"),
     "csv": (re.compile(r",\d+\.\d{3}$", re.M), ",MS"),
@@ -196,10 +196,9 @@ def cli_report(*argv: str) -> dict:
         try:
             for file_name, text in CLI_FILES.values():
                 Path(file_name).write_text(text, encoding="utf-8")
-            names = {key: file_name for key, (file_name, _) in CLI_FILES.items()}
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main([OUT if arg == "OUT" else names.get(arg, arg) for arg in argv])
-            out_file = Path(OUT)
+                code = cli_main([PLACEHOLDERS.get(arg, arg) for arg in argv])
+            out_file = Path(PLACEHOLDERS["OUT"])
             record = {
                 "code": code,
                 "stdout": stdout.getvalue(),
