@@ -428,8 +428,9 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
 
 
 def _assignment_error(graph: CouplingGraph, assign: tuple[int, ...]) -> ValueError:
-    """The error naming the ids of ``assign`` that are not vertices of
-    ``graph``, or, when every id is one, its repeat."""
+    """The error for an ``assign`` that ``mapping_objective`` refuses: it
+    names the ids that are not vertices of ``graph`` or, when every id is
+    one, says that an id repeats."""
     unknown = sorted(set(assign) - graph.vertices)
     if unknown:
         return ValueError(f"mapping uses unknown vertices {unknown}")
