@@ -27,8 +27,9 @@ class ParityMatrix:
 
     The constructor takes n rows, each read as n entry bytes by ``bytes(row)``
     (lists of ints 0..255, uint8 or bool array rows) and reduced mod 2;
-    ``from_rows`` wraps int rows directly.  There is no ``row_xor``: callers
-    XOR ``rows`` entries inline.  ``rank`` never modifies the matrix.
+    ``from_rows`` wraps int rows directly and reads any other row by
+    ``arch.integer``.  There is no ``row_xor``: callers XOR ``rows`` entries
+    inline.  ``rank`` never modifies the matrix.
     """
 
     __slots__ = ("rows",)
@@ -50,12 +51,20 @@ class ParityMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "ParityMatrix":
-        """Matrix over a copy of ``rows``; bit j of row r is entry (r, j)."""
+        """Matrix over a copy of ``rows``; bit j of row r is entry (r, j).
+
+        A row that is not an int is read by ``arch.integer``, so numpy
+        integer rows become Python ints and a float row is refused, naming
+        its index and value (``row 1: 1.5 is not an integer``); an int row
+        pays one type test, inside the range check.
+        """
         m = cls.__new__(cls)
-        m.rows = list(rows)
-        n = len(m.rows)
-        if n < 1 or any(r < 0 or r >> n for r in m.rows):
-            raise ValueError(f"expected 1 or more rows of {n} bits each")
+        m.rows = rows = list(rows)
+        n = len(rows)
+        if n < 1 or any(type(r) is not int or r < 0 or r >> n for r in rows):
+            m.rows = rows = [integer(r, f"row {k}:") for k, r in enumerate(rows)]
+            if n < 1 or any(r < 0 or r >> n for r in rows):
+                raise ValueError(f"expected 1 or more rows of {n} bits each")
         return m
 
     @property

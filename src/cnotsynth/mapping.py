@@ -34,9 +34,9 @@ be used: ``MappingSearch`` refuses a disconnected device or a qubit count
 outside ``1..N``, ``admitted_mapping`` reads a caller's mapping ids by
 ``arch.integer`` and checks its qubit count and device membership in one
 call, and ``replay_is_valid`` checks its removal replay.  A search's
-qubit count and ``TabuConfig``'s three settings are read by
-``arch.integer`` too, so a numpy seed derives the generator seeds that the
-equal int does.
+qubit count, a construction's seed vertex and ``TabuConfig``'s three
+settings are read by ``arch.integer`` too, so a numpy seed derives the
+generator seeds that the equal int does.
 """
 from __future__ import annotations
 
@@ -245,15 +245,19 @@ def initial_mapping(search: MappingSearch, rng: random.Random, first: int | None
     Args:
         search: the search over a connected coupling graph and qubit count.
         rng: source of the non-cut vertex choices.
-        first: seed vertex, a key qubit of the graph; drawn when ``None``.
+        first: seed vertex, a key qubit of the graph, read by
+            ``arch.integer`` (``seed vertex 1.5 is not an integer``); drawn
+            when ``None``.
 
     Returns:
         The assignment tuple, ``assign[m]`` hosting logical m: injective,
         and its removal replay keeps the residual graph connected.
         ``Mapping(assign)`` wraps it for ``synthesize``.
     """
-    if first is not None and first not in search.keys:
-        raise ValueError(f"seed vertex {first} is a cut point or absent")
+    if first is not None:
+        first = integer(first, "seed vertex")
+        if first not in search.keys:
+            raise ValueError(f"seed vertex {first} is a cut point or absent")
     # Following the path decides the mapping, not just its cost: drawing on
     # to the last vertex instead gives 7-13% more CNOTs on tokyo, grid(4,4)
     # and grid(5,5).  Beyond the exhaustive-search guardrail, key-qubit
@@ -400,25 +404,20 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
     better.
 
     The connectivity product is memoized in the search, keyed by the set of
-    mapped vertices: ``graph.vertices`` itself when ``assign`` is as long as
-    the device, else ``frozenset(assign)``.  An assignment that repeats an
-    id or uses ids outside the graph raises ``ValueError``, which names any
-    unknown ids.  A device-long assignment is checked by its id set, which
-    must equal the vertices; a shorter one by its key, which must be as long
-    as itself and, on a miss, a subset of the vertices.
+    mapped vertices, ``frozenset(assign)``, whatever the length of
+    ``assign``.  That key is checked twice, both refusals raising
+    ``ValueError`` through ``_assignment_error``: before the lookup it must
+    be non-empty and as long as ``assign`` (no id repeats), and on a miss
+    it must be a subset of the graph's vertices.  A key found in the memo
+    passed that subset check when it was stored.
     """
     graph = search.graph
-    if len(assign) == len(graph.vertices):
-        key = graph.vertices
-        if set(assign) != key:
-            raise _assignment_error(graph, assign)
-    else:
-        key = frozenset(assign)
-        if len(key) != len(assign):
-            raise _assignment_error(graph, assign)
+    key = frozenset(assign)
+    if not key or len(key) != len(assign):
+        raise _assignment_error(graph, assign)
     score = search._product.get(key)
     if score is None:
-        if not graph.vertices.issuperset(key):
+        if not key <= graph.vertices:
             raise _assignment_error(graph, assign)
         score = search._product[key] = _connectivity_product(graph, sum(1 << v for v in key))
     mean_error = search.mean_error
@@ -429,8 +428,10 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
 
 def _assignment_error(graph: CouplingGraph, assign: tuple[int, ...]) -> ValueError:
     """The error for an ``assign`` that ``mapping_objective`` refuses: it
-    names the ids that are not vertices of ``graph`` or, when every id is
-    one, says that an id repeats."""
+    says that an empty one is empty, names the ids that are not vertices of
+    ``graph`` or, when every id is one, says that an id repeats."""
+    if not assign:
+        return ValueError("mapping must be non-empty")
     unknown = sorted(set(assign) - graph.vertices)
     if unknown:
         return ValueError(f"mapping uses unknown vertices {unknown}")

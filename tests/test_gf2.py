@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_bits, random_invertible, reference_gf2_inverse, reference_gf2_rank, reference_solve_gf2
+from cnotsynth.arch import builtin
 from cnotsynth.gf2 import ParityMatrix, gf2_inverse, gf2_rank, solve_gf2
+from cnotsynth.mapping import Mapping
+from cnotsynth.synth import synthesize
 
 
 def mat(rows):
@@ -249,6 +252,17 @@ class TestConstruction:
             ParityMatrix.from_rows([1, -1])
         with pytest.raises(ValueError):
             ParityMatrix.from_rows([])
+
+    def test_from_rows_reads_numpy_rows_as_ints(self):
+        m = random_invertible(5, 3)
+        numpy_rows = ParityMatrix.from_rows(np.array(m.rows, dtype=np.int64))
+        assert numpy_rows == m and all(type(r) is int for r in numpy_rows.rows)
+        quito, mapping = builtin("quito"), Mapping((0, 2, 1, 3, 4))
+        assert synthesize(numpy_rows, quito, mapping=mapping).gates == synthesize(m, quito, mapping=mapping).gates
+
+    def test_from_rows_names_a_float_row(self):
+        with pytest.raises(ValueError, match=r"^row 1: 1\.5 is not an integer$"):
+            ParityMatrix.from_rows([1, 1.5])
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
     def test_bits_round_trip(self, n):

@@ -106,6 +106,19 @@ class TestInitialMapping:
         with pytest.raises(ValueError, match="cut point"):
             initial_mapping(MappingSearch(builtin("quito"), 5), random.Random(0), 1)
 
+    @pytest.mark.parametrize("name,n,first", [("guadalupe", 16, 0), ("guadalupe", 12, 0), ("grid(8,8)", 64, 63)])
+    def test_numpy_seed_vertex_gives_the_int_mapping(self, name, n, first):
+        # The seed vertex is read as an int: a numpy id would otherwise reach
+        # the residual mask's bit operations.
+        search = MappingSearch(builtin(name), n)
+        got = initial_mapping(search, random.Random(1), np.int64(first))
+        assert got == initial_mapping(search, random.Random(1), first)
+        assert all(type(v) is int for v in got)
+
+    def test_float_seed_vertex_refused(self):
+        with pytest.raises(ValueError, match=r"^seed vertex 1\.5 is not an integer$"):
+            initial_mapping(MappingSearch(builtin("guadalupe"), 16), random.Random(1), 1.5)
+
     def test_deterministic_per_seed(self):
         g = builtin("guadalupe")
         for first in (0, None):
@@ -228,13 +241,20 @@ class TestObjective:
         message = rf"^mapping uses unknown vertices {re.escape(str(unknown))}$"
         with pytest.raises(ValueError, match=message):
             mapping_objective(MappingSearch(g, len(assign)), assign)
-        # With the whole-device product memoized, a device-long assignment
-        # would hit it; its id set is checked first.
+        # With the whole-device product memoized too, each is refused: a
+        # repeat before the lookup, an unknown id on the miss, since no key
+        # holding one is ever stored.
         search = MappingSearch(g, g.num_vertices)
         mapping_objective(search, (0, 1, 3, 4))
         assert g.vertices in search._product
         with pytest.raises(ValueError, match=message):
             mapping_objective(search, assign)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_empty_assignment_refused(self, n):
+        search = MappingSearch(builtin("quito"), n)
+        with pytest.raises(ValueError, match="^mapping must be non-empty$"):
+            mapping_objective(search, ())
 
     @pytest.mark.parametrize("name,assign", [
         ("quito", (0, 0, 1, 2, 3)),
