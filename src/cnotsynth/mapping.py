@@ -36,7 +36,7 @@ outside ``1..N``, ``admitted_mapping`` reads a caller's mapping ids by
 call, and ``replay_is_valid`` checks its removal replay.  A search's
 qubit count, a construction's seed vertex and ``TabuConfig``'s three
 settings are read by ``arch.integer`` too, so a numpy seed derives the
-generator seeds that the equal int does.
+search's one generator seed that the equal int does.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ class Mapping:
 class TabuConfig:
     """Tabu-table length, iteration budget and the RNG seed, each read by
     ``arch.integer`` and stored as an int (``iterations 1.5 is not an
-    integer``), so a numpy seed derives the seeds that the int does."""
+    integer``), so a numpy seed derives the seed that the int does."""
 
     tabu_len: int = 20
     iterations: int = 50
@@ -98,7 +98,7 @@ class TabuConfig:
 
 
 def derive_seed(seed: int, *key) -> int:
-    """64-bit seed derived from (seed, key) by hashing; reproducible in isolation."""
+    """64-bit seed derived from (seed, key) by hashing ``repr((seed, key))``."""
     digest = hashlib.blake2b(repr((seed, key)).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -448,13 +448,12 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     The table is seeded with the initial mapping from the smallest key
     qubit.  Every iteration builds ``tabu_len`` candidates, each a
     construction that draws its own seed vertex among the key qubits.  One
-    generator serves the whole search, re-seeded with
-    ``derive_seed(config.seed, *key)`` before each construction (key
-    ``"seed"`` for the seed mapping, ``it, k`` for candidate k of iteration
-    it), so every construction's draws are reproducible in isolation.
-    Candidates absent from the table whose score is at least the current
-    table average are admitted; the table is trimmed back to ``tabu_len`` by
-    dropping its lowest-scoring entry.
+    generator, seeded once with ``derive_seed(config.seed, "seed")``, serves
+    the whole search: the seed mapping draws from its stream first, then
+    each candidate in turn, so the table is fixed by the graph, ``n`` and
+    ``config``.  Candidates absent from the table whose score is at least
+    the current table average are admitted; the table is trimmed back to
+    ``tabu_len`` by dropping its lowest-scoring entry.
 
     Candidates are the assignment tuples that ``initial_mapping`` returns,
     scored by ``mapping_objective``; only the returned table's entries
@@ -472,17 +471,15 @@ def tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[
     table = {seed_map: mapping_objective(search, seed_map)}
     # A root step that is a path gives every construction the seed mapping.
     iterations = config.iterations if search._steps[graph.vertex_mask][0] is None else 0
-    for it in range(iterations):
-        for k in range(config.tabu_len):
-            rng.seed(derive_seed(config.seed, it, k))
-            cand = initial_mapping(search, rng)
-            if cand in table:
-                continue
-            s = mapping_objective(search, cand)
-            if s >= sum(table.values()) / len(table):
-                table[cand] = s
-                if len(table) > config.tabu_len:
-                    del table[min(table, key=table.__getitem__)]
+    for _ in range(iterations * config.tabu_len):
+        cand = initial_mapping(search, rng)
+        if cand in table:
+            continue
+        s = mapping_objective(search, cand)
+        if s >= sum(table.values()) / len(table):
+            table[cand] = s
+            if len(table) > config.tabu_len:
+                del table[min(table, key=table.__getitem__)]
     return [(Mapping(a), s) for a, s in table.items()]
 
 

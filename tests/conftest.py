@@ -197,10 +197,13 @@ def enumerate_shortest_paths(graph: CouplingGraph, s: int, t: int) -> list[list[
 # ``reference_search_initial_mapping`` and ``reference_tabu_search_table``
 # replay the tabu search's generator draws, so a change to which draws the
 # search makes, or in what order, changes them in step; they check the
-# library's bitmask bookkeeping, not its draws.  Independent oracles: replay
-# validity, the objective, the path search (cut points and Hamiltonian
-# paths), Steiner trees, elimination and the checker; they hold for any draw
-# order and stay as they are when it changes.
+# library's bitmask bookkeeping, not its draws.  The search seeds one
+# generator and every construction draws from it in turn (the seed mapping,
+# then the candidates in loop order), so ``reference_tabu_search_table``
+# passes its one ``random.Random`` along the same way.  Independent oracles:
+# replay validity, the objective, the path search (cut points and
+# Hamiltonian paths), Steiner trees, elimination and the checker; they hold
+# for any draw order and stay as they are when it changes.
 
 # ---------------------------------------------------------------------------
 # Reference mapping construction over rebuilt residual graphs
@@ -310,13 +313,13 @@ def reference_initial_mapping(graph: CouplingGraph, n: int, key_order, rng: rand
 
 
 # ---------------------------------------------------------------------------
-# Reference mapping search: two memos and one new RNG per candidate
+# Reference mapping search: two memos and one generator stream
 # ---------------------------------------------------------------------------
 # The mask-based search as it was before its step memo: non-cut vertices and
-# Hamiltonian paths in two memos shared by both construction modes, a new
-# ``random.Random(derive_seed(seed, *key))`` for each construction, and a
-# set difference for the unknown-vertex check.  Only the cut points are read
-# from the mask that ``articulation_points`` now returns.
+# Hamiltonian paths in two memos shared by both construction modes, one
+# ``random.Random(derive_seed(seed, "seed"))`` that every construction draws
+# from in turn, and a set difference for the unknown-vertex check.  Only the
+# cut points are read from the mask that ``articulation_points`` now returns.
 
 class ReferenceMappingSearch:
     def __init__(self, graph: CouplingGraph) -> None:
@@ -393,7 +396,6 @@ def reference_tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig
     table = {seed_map.assign: reference_mapping_objective(search, seed_map)}
     for it in range(config.iterations):
         for k in range(config.tabu_len):
-            rng = random.Random(derive_seed(config.seed, it, k))
             cand = reference_search_initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
             if cand.assign in table:
                 continue

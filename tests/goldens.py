@@ -8,8 +8,8 @@ purpose rewrites every file with
 
     PYTHONPATH=src python tests/goldens.py
 
-and explains each moved value in ``CHANGES.md``.  The output digests in
-``perfbench/baseline.json`` are not among these files.
+and explains each moved value in ``CHANGES.md``.  The perfbench output
+digests are not among these files: ``tests/digests.py`` records them.
 """
 from __future__ import annotations
 

@@ -870,8 +870,8 @@ class TestFloodCertificate:
         # connectivity product every candidate shares.
         # Each residual is stepped, path-searched and decomposed into blocks
         # at most once; a step decomposes only the block that lost a vertex,
-        # so 38 decompositions visit 423 vertices where one whole lowpoint
-        # DFS per drawing step (482 of them) would visit 5,320.
+        # so at seed 0, 26 decompositions visit 291 vertices where one whole
+        # lowpoint DFS per drawing step (481 of them) would visit 5,309.
         stepped, searched, decomposed = [], [], []
         step, search, blocks = mapping.MappingSearch.step, mapping.has_hamiltonian_path, mapping.biconnected_blocks
         monkeypatch.setattr(mapping.MappingSearch, "step",
@@ -884,4 +884,4 @@ class TestFloodCertificate:
         for log in (stepped, searched):
             assert log and len(log) == len(set(log))
         assert 0 < len(decomposed) <= len(stepped)
-        assert (len(decomposed), sum(mask.bit_count() for mask in decomposed)) == (38, 423)
+        assert (len(decomposed), sum(mask.bit_count() for mask in decomposed)) == (26, 291)

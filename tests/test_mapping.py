@@ -397,9 +397,9 @@ class TestAgainstRebuiltResidualReference:
 
 
 class TestAgainstTwoMemoReference:
-    """The one step memo per search and the one re-seeded generator give the
-    tables of the search with two memos and one new generator per candidate
-    (``conftest.reference_tabu_search_table``)."""
+    """The one step memo per search gives the tables of the search with two
+    memos (``conftest.reference_tabu_search_table``), both drawing every
+    construction from one generator stream."""
 
     @staticmethod
     def check(g, n):
@@ -533,6 +533,15 @@ class TestDraws:
                     r = ours.getrandbits(bits)
                 assert r == theirs.randrange(count), count
             assert ours.getstate() == theirs.getstate(), count
+
+    def test_one_seeding_per_search(self, monkeypatch):
+        # A search seeds its one generator as it makes it, and every
+        # construction draws on from that stream: no candidate re-seeds it.
+        seeds = []
+        seed = random.Random.seed
+        monkeypatch.setattr(random.Random, "seed", lambda self, *args: seeds.append(args) or seed(self, *args))
+        tabu_search_table(builtin("guadalupe"), 16, TabuConfig(seed=0))
+        assert seeds == [(derive_seed(0, "seed"),)]
 
 
 class TestWholeDeviceStep:
@@ -690,8 +699,8 @@ class TestTreeRule:
         assert trees
 
     def test_default_guadalupe_path_searches(self, monkeypatch):
-        # Before the rule every one of the search's 644 stepped residuals
-        # was path-searched; 629 of them are trees.
+        # Without the rule every one of the search's 641 stepped residuals
+        # would be path-searched; 626 of them are trees.
         searched = []
         search = mapping.has_hamiltonian_path
         monkeypatch.setattr(mapping, "has_hamiltonian_path", lambda g, mask: searched.append(mask) or search(g, mask))
@@ -756,17 +765,22 @@ class TestPartialPlacementScatters:
     """The ROADMAP item "Compact placement when the circuit is smaller than
     the device", as the code stands: a partial construction draws among the
     non-cut vertices of the whole residual device, so the mapped qubits
-    scatter and every default table entry has connectivity product 0.  On
-    uniform-error tokyo every candidate then scores the same.  A placement
-    fix changes these figures and must update this test on purpose."""
+    scatter and nearly every default table entry has connectivity product 0.
+    At seed 0 one guadalupe entry of twenty, the third, is connected, with a
+    product of 1.05e-49; every tokyo entry is 0, so on uniform-error tokyo
+    every candidate scores the same.  A placement fix changes these figures
+    and must update this test on purpose."""
 
-    @pytest.mark.parametrize("name,n,distinct", [("guadalupe", 12, 20), ("tokyo", 9, 1)])
-    def test_seed0_default_table(self, name, n, distinct):
+    @pytest.mark.parametrize("name,n,connected,distinct", [
+        ("guadalupe", 12, {2: 1.0467038856770478e-49}, 20), ("tokyo", 9, {}, 1),
+    ], ids=["guadalupe-12-20", "tokyo-9-1"])
+    def test_seed0_default_table(self, name, n, connected, distinct):
         g = builtin(name)
         table = tabu_search_table(g, n, TabuConfig(seed=0))
         search = MappingSearch(g, n)
         assert len(table) == 20
         for m, _ in table:
             mapping_objective(search, m.assign)
-        assert [search._product[frozenset(m.assign)] for m, _ in table] == [0.0] * 20
+        products = [search._product[frozenset(m.assign)] for m, _ in table]
+        assert products == [connected.get(k, 0.0) for k in range(20)]
         assert len({s for _, s in table}) == distinct
