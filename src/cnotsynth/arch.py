@@ -48,15 +48,18 @@ class ArchError(ValueError):
 
 def integer(value, what: str, error: type[ValueError] = ValueError) -> int:
     """``value`` as an int: an int after one type test, else what
-    ``operator.index`` reads (numpy integers among them).  Any other value
-    raises ``error`` naming it: ``{what} {value!r} is not an integer``.
+    ``operator.index`` reads (numpy integers among them).  Any other value,
+    a ``bool`` too (as ``operator.index`` refuses numpy's), raises ``error``
+    naming it: ``{what} {value!r} is not an integer``.
     """
     if type(value) is int:
         return value
-    try:
-        return index(value)
-    except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
+    if type(value) is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} {value!r} is not an integer")
 
 
 def edge_weight(error: float) -> float:

@@ -9,8 +9,8 @@ physical-qubit indexing replaced, the per-layer GF(2) solve for the
 target-aided rows that the tracked inverse replaced, the numpy GF(2) solver
 that the bitwise one replaced and a numpy GF(2) inverse, the per-character
 QASM reader that the statement splitter and keyword grammar replaced, a
-matrix's entries as a uint8 array, and the exact fault-pattern sum that the
-Monte-Carlo sampler estimates."""
+matrix's entries as a uint8 array, the exact fault-pattern sum that the
+Monte-Carlo sampler estimates, and QASM inputs that the CLI tests share."""
 from __future__ import annotations
 
 import heapq
@@ -37,6 +37,20 @@ from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError, esp, 
 from cnotsynth.gf2 import ParityMatrix, solve_gf2
 from cnotsynth.mapping import Mapping, TabuConfig, _connectivity_product, derive_seed
 from cnotsynth.steiner import SteinerTree, min_noise_steiner_tree, postorder, preorder
+
+QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+#: A mixed circuit whose measurements permute the classical bits.
+MIXED_QASM = (
+    QASM_HEADER + "qreg q[3];\ncreg c[3];\n"
+    "h q[0];\ncx q[0],q[1];\nx q[2];\ncx q[1],q[2];\n"
+    "measure q[0] -> c[2];\nmeasure q[1] -> c[0];\nmeasure q[2] -> c[1];\n"
+)
+
+
+def cnot_ring_qasm(n: int, a: int, b: int) -> str:
+    """QASM of n CNOTs on an n-qubit register, the i-th from qubit i onto qubit (a*i + b) % n."""
+    return QASM_HEADER + f"qreg q[{n}];\n" + "".join(f"cx q[{i}],q[{(a * i + b) % n}];\n" for i in range(n))
 
 
 def random_connected_graph(n: int, seed: int, extra_edges: int | None = None) -> CouplingGraph:

@@ -4,9 +4,10 @@ command that records them.
     python3 tests/digests.py
 
 runs every workload of ``BENCHMARK.json`` at seeds 1 and 2 from the root of
-this checkout (``perfbench/run.py --seconds 1 --trace 0``, the runs the job
-makes), refuses a run whose outputs the benchmark's checker rejected, and
-rewrites ``tests/golden_digests.json`` as ``{workload: {seed: digest}}``.
+this checkout (``perfbench/run.py --seconds 1 --trace 0``), refuses a run
+whose outputs the benchmark's checker rejected, and rewrites
+``tests/golden_digests.json`` as ``{workload: {seed: digest}}``.  The job
+runs this script and fails when ``git diff`` shows the file changed.
 It needs numpy, as the benchmark does, and takes about a minute.  A change
 that moves an output on purpose runs it and commits the file with the
 goldens of ``tests/goldens.py``.  ``perfbench/baseline.json`` keeps its own

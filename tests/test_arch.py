@@ -195,8 +195,9 @@ class TestOneDeviceValidator:
             ([0, 1, 2.0], [(0, 1, 0.01)], "2.0"),
             (range(3), [(0, 1.7, 0.01)], "1.7"),
             (range(3), [("0", 1, 0.01)], "'0'"),
+            (range(3), [(0, True, 0.01)], "True"),
         ],
-        ids=["float-vertex", "float-edge-end", "str-edge-end"],
+        ids=["float-vertex", "float-edge-end", "str-edge-end", "bool-edge-end"],
     )
     def test_non_integral_ids_are_refused(self, vertices, edges, bad):
         with pytest.raises(ArchError, match=f"^vertex id {re.escape(bad)} is not an integer$"):

@@ -322,6 +322,9 @@ class TestCircuitValidation:
             ((OneQubit("t", 0.5),), "gate 0: qubit 0.5 is not an integer"),
             ((CNOT(0, 1), Measure(0, 0.5)), "gate 1: classical bit 0.5 is not an integer"),
             ((Measure(0.0, -1),), "gate 0: qubit 0.0 is not an integer"),
+            # A bool is refused too, not read as 0 or 1.
+            ((CNOT(True, 0),), "gate 0: qubit True is not an integer"),
+            ((Measure(0, True),), "gate 0: classical bit True is not an integer"),
         ],
     )
     def test_validation_messages_and_order(self, gates, message):

@@ -1,11 +1,13 @@
 import csv
 import json
 import re
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+from conftest import MIXED_QASM, cnot_ring_qasm
 from cnotsynth.arch import builtin
 from cnotsynth.circuit import Measure, parse_qasm, random_cnot_circuit, write_qasm
 from cnotsynth.cli import main
@@ -230,6 +232,13 @@ class TestSynthCommand:
         p = tmp_path / "bad.qasm"
         p.write_text("qreg q[2]; bogus q[0];", encoding="utf-8")
         assert main(["synth", str(p), "--arch", "quito", *FAST]) == 2
+        # The error names the file and the line and column of the statement.
+        p.write_text("qreg q[2];\ncx q[0],q[1];\ncx q[1],q[0]\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["synth", str(p), "--arch", "quito", *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {p}: line 3, col 1: statement missing terminating ';': 'cx q[1],q[0]'\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("bad", ["qasm", "arch"])
     def test_undecodable_file_is_named(self, bad, tmp_path, capsys):
@@ -299,6 +308,18 @@ class TestSynthCommand:
         assert captured.out.startswith("OPENQASM 2.0;")
         assert "cnot=" not in captured.out
         assert "cnot=" in captured.err
+
+    @pytest.mark.parametrize("arch,n,a,b", [("grid(6,6)", 36, 7, 5), ("grid(8,8)", 64, 9, 7)], ids=["grid66", "grid88"])
+    def test_full_grid_compiles_inside_a_minute(self, arch, n, a, b, tmp_path, capsys):
+        # With the default flags, grid(6,6)'s full-device constructions search
+        # residuals of up to 32 vertices for a Hamiltonian path, and grid(8,8)'s
+        # compute the cut points of residuals of up to 64 vertices.
+        inp, out, mapping = tmp_path / "in.qasm", tmp_path / "out.qasm", tmp_path / "map.json"
+        inp.write_text(cnot_ring_qasm(n, a, b), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["synth", str(inp), "--arch", arch, "--out", str(out), "--map-out", str(mapping)]) == 0
+        assert main(["verify", str(inp), str(out), str(mapping)]) == 0
+        assert time.perf_counter() - start < 60
 
     def test_verify_with_ancilla_qubits(self, tmp_path, capsys):
         # 3 logical qubits on a 5-qubit device: spare qubits may carry gates.
@@ -436,13 +457,6 @@ class TestVerifyCommand:
         assert "malformed mapping file" in capsys.readouterr().err
 
 
-MIXED_QASM = (
-    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
-    "h q[0];\ncx q[0],q[1];\nx q[2];\ncx q[1],q[2];\n"
-    "measure q[0] -> c[2];\nmeasure q[1] -> c[0];\nmeasure q[2] -> c[1];\n"
-)
-
-
 def _edit_first(prefix, edit, skip=0):
     """A tamper that replaces the first line starting with ``prefix``, after ``skip`` such lines, by ``edit(line)``."""
     def tamper(lines):
@@ -555,6 +569,14 @@ class TestBenchCommand:
         table_names = [line.split()[0] for line in reports["table"].splitlines()[1:]]
         assert table_names == ["grid(2,3)", "grid(2,3):mean", "quito", "quito:mean"]
         assert [row["arch"] for row in json.loads(reports["json"])] == table_names
+
+    def test_dense_sixteen_qubit_rows_pass_the_recheck(self, tmp_path):
+        # 300 gates give dense 16 x 16 matrices, which go through synthesize's
+        # inverse and bench's own recheck (exit 3 on a failure).
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--arch", "grid(4,4),guadalupe", "--sizes", "300", "--instances", "3",
+                     "--iterations", "2", "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith('"grid(4,4)",16,300,')
 
     def test_bad_size_exits_2(self, capsys):
         assert main(["bench", "--arch", "quito", "--sizes", "ten", "--instances", "1"]) == 2

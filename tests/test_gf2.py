@@ -261,8 +261,9 @@ class TestConstruction:
         assert synthesize(numpy_rows, quito, mapping=mapping).gates == synthesize(m, quito, mapping=mapping).gates
 
     def test_from_rows_names_a_float_row(self):
-        with pytest.raises(ValueError, match=r"^row 1: 1\.5 is not an integer$"):
-            ParityMatrix.from_rows([1, 1.5])
+        for row, name in [(1.5, r"1\.5"), (True, "True")]:
+            with pytest.raises(ValueError, match=rf"^row 1: {name} is not an integer$"):
+                ParityMatrix.from_rows([1, row])
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
     def test_bits_round_trip(self, n):

@@ -116,8 +116,9 @@ class TestInitialMapping:
         assert all(type(v) is int for v in got)
 
     def test_float_seed_vertex_refused(self):
-        with pytest.raises(ValueError, match=r"^seed vertex 1\.5 is not an integer$"):
-            initial_mapping(MappingSearch(builtin("guadalupe"), 16), random.Random(1), 1.5)
+        for seed, name in [(1.5, r"1\.5"), (True, "True")]:
+            with pytest.raises(ValueError, match=rf"^seed vertex {name} is not an integer$"):
+                initial_mapping(MappingSearch(builtin("guadalupe"), 16), random.Random(1), seed)
 
     def test_deterministic_per_seed(self):
         g = builtin("guadalupe")
@@ -333,9 +334,10 @@ class TestOptimizeMapping:
 
     @pytest.mark.parametrize("field", ["tabu_len", "iterations", "seed"])
     def test_non_integral_field_is_refused(self, field):
-        with pytest.raises(ValueError) as exc:
-            TabuConfig(**{field: 1.5})
-        assert str(exc.value) == f"{field} 1.5 is not an integer"
+        for value in (1.5, True):
+            with pytest.raises(ValueError) as exc:
+                TabuConfig(**{field: value})
+            assert str(exc.value) == f"{field} {value} is not an integer"
 
 
 BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",

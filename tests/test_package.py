@@ -1,6 +1,7 @@
 """The package surface: the public API, the names the benchmark's layer
 tracer wraps in each cnotsynth module, no code kept for the tests alone,
-and that it runs with numpy unimportable."""
+that it runs with numpy unimportable, and that the command line writes the
+same files under any hash seed."""
 import ast
 import importlib
 import importlib.util
@@ -11,8 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cnotsynth
+from conftest import MIXED_QASM, QASM_HEADER, cnot_ring_qasm
 from cnotsynth.circuit import Circuit, monte_carlo_fidelity, parse_qasm, random_cnot_circuit, write_qasm
+from cnotsynth.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "perfbench"
@@ -121,6 +126,18 @@ def test_one_integer_reader():
     assert importers == ["arch"]
 
 
+def test_no_module_imports_numpy():
+    """Every import statement of the package, function-local ones included,
+    names a module other than numpy: the package runs on the standard library."""
+    imports = [
+        (path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert imports == []
+
+
 def test_every_public_method_serves_the_package():
     """Each public method or property of a class in ``__all__`` is named as an
     attribute by package code, or as ``.name`` or ```name`` by the benchmark
@@ -141,16 +158,22 @@ def test_every_public_method_serves_the_package():
     assert unused == []
 
 
-def _fresh(code: str, cwd: Path) -> object:
-    """Run ``code`` in a fresh interpreter with ``src`` first on the path; it
-    prints one JSON value as its last line of stdout, which is returned."""
+def _python(args: list[str], cwd: Path, **env: str) -> str:
+    """Run a fresh interpreter on ``args`` with ``src`` first on the path and
+    ``env`` added to the environment; it must exit 0, and its stdout is returned."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def _fresh(code: str, cwd: Path) -> object:
+    """Run ``code`` in a fresh interpreter; it prints one JSON value as its
+    last line of stdout, which is returned."""
+    return json.loads(_python(["-c", code], cwd).splitlines()[-1])
 
 
 def _fresh_without_numpy(code: str, cwd: Path) -> object:
@@ -230,3 +253,59 @@ print(json.dumps([steps, report["mc_fidelity"]]))
     steps, mc_fidelity = _fresh_without_numpy(code, tmp_path)
     assert steps == {"fidelity": 0, "synth": 0, "bench": 0}
     assert mc_fidelity == monte_carlo_fidelity(circuit, cnotsynth.builtin("quito"), 10, 1)
+
+
+def _runs_qasm() -> str:
+    """A 12-qubit mixed circuit: 30 runs of 3 to 8 CNOTs, each followed by an
+    H, X or Z, then every qubit measured into a permutation of the bits."""
+    lines = [QASM_HEADER, "qreg q[12];\ncreg c[12];\n"]
+    for r in range(30):
+        for k in range(1, 4 + r % 6):
+            c = (7 * r + 5 * k) % 12
+            lines.append(f"cx q[{c}],q[{(c + 1 + (3 * r + k) % 11) % 12}];\n")
+        lines.append(f"{'hxz'[r % 3]} q[{5 * r % 12}];\n")
+    lines += [f"measure q[{i}] -> c[{(5 * i + 7) % 12}];\n" for i in range(12)]
+    return "".join(lines)
+
+
+#: A 20-qubit caterpillar, a tree: a 10-qubit spine with one leg per spine qubit.
+CATERPILLAR = "qubits 20\n" + "".join(
+    [f"edge {i} {i + 1} 0.0{1 + i % 5}\n" for i in range(9)]
+    + [f"edge {i} {i + 10} 0.0{1 + (i + 2) % 5}\n" for i in range(10)]
+)
+
+#: Synthesis jobs with the default flags: the device and the input circuit.
+HASH_SEED_JOBS = {
+    # guadalupe has no Hamiltonian path: a full circuit draws its candidates,
+    "g16": ("guadalupe", cnot_ring_qasm(16, 5, 3)),
+    # and a 12-qubit one leaves four spare qubits, so every construction is partial.
+    "g12": ("guadalupe", cnot_ring_qasm(12, 5, 3)),
+    # Short CNOT runs between one-qubit gates, eliminated run by run with spare ancillas.
+    "runs12": ("guadalupe", _runs_qasm()),
+    "mixed": ("quito", MIXED_QASM),
+    # tokyo has a Hamiltonian path, which every full construction follows;
+    "t20": ("tokyo", cnot_ring_qasm(20, 7, 3)),
+    # with eleven spare qubits nearly every candidate placement is disconnected.
+    "t9": ("tokyo", cnot_ring_qasm(9, 4, 1)),
+    # A tree: every residual's path question is settled from its blocks.
+    "c20": ("caterpillar.arch", cnot_ring_qasm(20, 7, 3)),
+}
+
+
+@pytest.mark.parametrize("job", list(HASH_SEED_JOBS))
+def test_synth_files_do_not_depend_on_the_hash_seed(job, tmp_path, monkeypatch, capsys):
+    """``python -m cnotsynth.cli synth`` under ``PYTHONHASHSEED`` 0 and 1
+    writes byte-identical circuits and mappings, and they pass ``verify``."""
+    arch, text = HASH_SEED_JOBS[job]
+    (tmp_path / "in.qasm").write_text(text, encoding="utf-8")
+    (tmp_path / "caterpillar.arch").write_text(CATERPILLAR, encoding="utf-8")
+    files = []
+    for hash_seed in ("0", "1"):
+        out, mapping = f"out{hash_seed}.qasm", f"map{hash_seed}.json"
+        argv = ["-m", "cnotsynth.cli", "synth", "in.qasm", "--arch", arch, "--out", out, "--map-out", mapping]
+        _python(argv, tmp_path, PYTHONHASHSEED=hash_seed)
+        files.append(((tmp_path / out).read_bytes(), (tmp_path / mapping).read_bytes()))
+    assert files[0] == files[1]
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "in.qasm", "out0.qasm", "map0.json"]) == 0
+    assert capsys.readouterr().out.endswith("equivalent\n")

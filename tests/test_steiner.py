@@ -124,7 +124,9 @@ class TestMinNoiseSteinerTree:
         (1.7, [3], "root 1.7 is not an integer"),
         (1, [3.9], "terminal 3.9 is not an integer"),
         (1, [0, "3"], "terminal '3' is not an integer"),
-    ], ids=["float-root", "float-terminal", "str-terminal"])
+        (True, [3], "root True is not an integer"),
+        (0, [True], "terminal True is not an integer"),
+    ], ids=["float-root", "float-terminal", "str-terminal", "bool-root", "bool-terminal"])
     def test_non_integral_ids_are_refused(self, root, terminals, message):
         with pytest.raises(ValueError) as exc:
             min_noise_steiner_tree(builtin("quito"), root, terminals)

@@ -735,7 +735,8 @@ class TestCallerMappingIds:
         ((0.0, 1.0), "mapping id 0.0 is not an integer"),
         ((0, 1, 2), "mapping covers 3 qubits, 2 needed"),
         ((0, 7), "mapping uses vertices outside the device"),
-    ], ids=["float-id", "wrong-count", "off-device"])
+        ((0, True), "mapping id True is not an integer"),
+    ], ids=["float-id", "wrong-count", "off-device", "bool-id"])
     def test_one_verdict_per_bad_mapping(self, assign, want):
         from cnotsynth.circuit import segment_and_synthesize
 
