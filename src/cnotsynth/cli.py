@@ -38,9 +38,9 @@ from .circuit import (
     write_qasm,
 )
 from .circuit import depth as circuit_depth
-from .gf2 import ParityMatrix
 from .mapping import Mapping, TabuConfig, admitted_mapping, derive_seed, optimize_mapping
-from .synth import circuit_failure, synthesize, verification_failure
+from .synth import circuit_failure
+from .synth import verification_failure  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -289,15 +289,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for j in range(args.instances):
                 cseed = derive_seed(args.seed, name, size, j)
                 circ = random_cnot_circuit(n, size, cseed)
-                m = ParityMatrix.from_circuit(circ.cnot_pairs(), n)
                 t0 = time.perf_counter()
-                res = synthesize(m, graph, mapping=mapping)
+                out_circuit, _ = segment_and_synthesize(circ, graph, mapping=mapping)
                 ms = (time.perf_counter() - t0) * 1e3
-                failure = verification_failure(m, graph, mapping, res.gates)
+                failure = circuit_failure(circ, out_circuit, graph, mapping)
                 if failure is not None:
                     print(f"internal verification failed ({name}, size {size}, instance {j}): {failure}", file=sys.stderr)
                     return EXIT_INTERNAL
-                metrics = _metrics(res.physical_circuit(), graph, args.shots, cseed)
+                metrics = _metrics(out_circuit, graph, args.shots, cseed)
                 group.append({"arch": name, "n": n, "input_gates": size, **metrics, "ms": ms, "aggregate": False})
             mean = {
                 key: None if group[0][key] is None else sum(row[key] for row in group) / len(group)

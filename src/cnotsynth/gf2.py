@@ -91,27 +91,23 @@ class ParityMatrix:
             to the identity, gate by gate.  Always invertible.
 
         Raises:
-            ValueError: naming the first gate whose ids are out of range,
-                coincide or are not integers (``gate 0: qubit 0.0 is not an
-                integer``); ``arch.integer`` reads them only once a replay
-                step has failed, so int ids cost nothing extra.
+            ValueError: naming the first gate whose ids are not integers
+                (``gate 0: qubit True is not an integer``), are out of range
+                or coincide.  A gate whose ids are not both ints is read by
+                ``arch.integer``, so an int id pays one type test and a
+                ``bool`` is refused.
         """
         m = cls.identity(n)
         rows = m.rows
-        k = control = target = 0
-        try:
-            for k, (control, target) in enumerate(gates):
-                if not (0 <= control < n and 0 <= target < n):
-                    raise ValueError(f"gate {k}: qubit index out of range for n={n}: ({control},{target})")
-                if control == target:
-                    raise ValueError(f"gate {k}: control and target coincide ({control})")
-                rows[target] ^= rows[control]
-        except TypeError:
-            # An id that is not an integer is named; any other fault (a gate
-            # that is not a pair) keeps its TypeError.
-            integer(control, f"gate {k}: qubit")
-            integer(target, f"gate {k}: qubit")
-            raise
+        for k, (control, target) in enumerate(gates):
+            if type(control) is not int or type(target) is not int:
+                control = integer(control, f"gate {k}: qubit")
+                target = integer(target, f"gate {k}: qubit")
+            if not (0 <= control < n and 0 <= target < n):
+                raise ValueError(f"gate {k}: qubit index out of range for n={n}: ({control},{target})")
+            if control == target:
+                raise ValueError(f"gate {k}: control and target coincide ({control})")
+            rows[target] ^= rows[control]
         return m
 
     def rank(self) -> int:

@@ -408,8 +408,9 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
     ``assign``.  That key is checked twice, both refusals raising
     ``ValueError`` through ``_assignment_error``: before the lookup it must
     be non-empty and as long as ``assign`` (no id repeats), and on a miss
-    it must be a subset of the graph's vertices.  A key found in the memo
-    passed that subset check when it was stored.
+    it must be a subset of the graph's vertices holding only ints, so a
+    float or ``bool`` id equal to a vertex is refused.  A key found in the
+    memo passed those checks when it was stored.
     """
     graph = search.graph
     key = frozenset(assign)
@@ -417,7 +418,7 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
         raise _assignment_error(graph, assign)
     score = search._product.get(key)
     if score is None:
-        if not key <= graph.vertices:
+        if not key <= graph.vertices or any(type(v) is not int for v in key):
             raise _assignment_error(graph, assign)
         score = search._product[key] = _connectivity_product(graph, sum(1 << v for v in key))
     mean_error = search.mean_error
@@ -428,10 +429,14 @@ def mapping_objective(search: MappingSearch, assign: tuple[int, ...]) -> float:
 
 def _assignment_error(graph: CouplingGraph, assign: tuple[int, ...]) -> ValueError:
     """The error for an ``assign`` that ``mapping_objective`` refuses: it
-    says that an empty one is empty, names the ids that are not vertices of
-    ``graph`` or, when every id is one, says that an id repeats."""
+    says that an empty one is empty, names its first id that is not an int,
+    the ids that are not vertices of ``graph`` or, when every id is one,
+    says that an id repeats."""
     if not assign:
         return ValueError("mapping must be non-empty")
+    for v in assign:
+        if type(v) is not int:
+            return ValueError(f"mapping id {v!r} is not an integer")
     unknown = sorted(set(assign) - graph.vertices)
     if unknown:
         return ValueError(f"mapping uses unknown vertices {unknown}")

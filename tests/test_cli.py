@@ -596,7 +596,7 @@ class TestBenchCommand:
     def test_failed_recheck_exits_3(self, tmp_path, monkeypatch, capsys):
         import cnotsynth.cli
 
-        monkeypatch.setattr(cnotsynth.cli, "verification_failure", lambda *args: "forced mismatch")
+        monkeypatch.setattr(cnotsynth.cli, "circuit_failure", lambda *args: "forced mismatch")
         out = tmp_path / "bench.csv"
         assert main(["bench", "--arch", "quito", "--sizes", "10", "--instances", "1", *FAST, "--out", str(out)]) == 3
         captured = capsys.readouterr()

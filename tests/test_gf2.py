@@ -55,7 +55,8 @@ class TestFromCircuit:
         ([(0.0, 1)], "gate 0: qubit 0.0 is not an integer"),
         ([(0, 1), (1, 0.5)], "gate 1: qubit 0.5 is not an integer"),
         ([(0, "1")], "gate 0: qubit '1' is not an integer"),
-    ], ids=["float-control", "float-target", "str-target"])
+        ([(0, True)], "gate 0: qubit True is not an integer"),
+    ], ids=["float-control", "float-target", "str-target", "bool-target"])
     def test_non_integral_id_names_its_gate(self, gates, message):
         with pytest.raises(ValueError) as exc:
             ParityMatrix.from_circuit(gates, 2)

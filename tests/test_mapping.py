@@ -251,6 +251,15 @@ class TestObjective:
         with pytest.raises(ValueError, match=message):
             mapping_objective(search, assign)
 
+    @pytest.mark.parametrize("assign,message", [
+        ((0.0, 2), "mapping id 0.0 is not an integer"),
+        ((True, 3), "mapping id True is not an integer"),
+    ], ids=["float", "bool"])
+    def test_non_integral_id_refused(self, assign, message):
+        # Each id equals a vertex, so only the id-type test on the miss refuses it.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mapping_objective(MappingSearch(builtin("quito"), 2), assign)
+
     @pytest.mark.parametrize("n", [1, 5])
     def test_empty_assignment_refused(self, n):
         search = MappingSearch(builtin("quito"), n)

@@ -89,6 +89,39 @@ def test_tracer_hooks_exist():
     assert callable(_module("gf2").ParityMatrix.rank)
 
 
+#: Names a module imports from the package only so that the layer tracer
+#: can wrap them in its namespace; the module itself never uses them.
+TRACER_ONLY_BINDINGS = [
+    ("cli", "verification_failure"),
+    ("mapping", "articulation_points"),
+    ("mapping", "induced_subgraph"),
+    ("mapping", "remove_vertex"),
+    ("synth", "remove_vertex"),
+    ("synth", "solve_gf2"),
+]
+
+
+def test_tracer_only_bindings_are_pinned():
+    """The names that a module other than the package's ``__init__`` imports
+    from the package and never refers to are exactly
+    ``TRACER_ONLY_BINDINGS``, and the tracer wraps each one in that module.
+    A binding that is added, or starts being used, fails here."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(
+            (path.stem, alias.asname or alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if (alias.asname or alias.name) not in names
+        )
+    assert sorted(unused) == TRACER_ONLY_BINDINGS
+    wrapped = {(caller, attr) for _, _, attr, callers in _span_points() for caller in callers}
+    assert set(TRACER_ONLY_BINDINGS) <= wrapped
+
+
 def test_every_definition_serves_the_package():
     """Each module-level function or class is referred to by other package
     code (a name in its module outside its own definition, or an import),

@@ -672,6 +672,29 @@ class TestClassicalRegisterWidth:
         assert failure is not None and failure.startswith("gate ")
 
 
+class TestOneRunMatchesSynthesize:
+    """A CNOT-only circuit is one run, and the run reversed builds the one
+    inverse that ``gf2_inverse`` finds, so ``segment_and_synthesize`` emits
+    exactly the gates that ``synthesize`` emits for the circuit's matrix under
+    the same mapping; ``cnotsynth bench`` compiles through the former."""
+
+    @pytest.mark.parametrize("name,n", [
+        ("quito", 5), ("guadalupe", 16), ("guadalupe", 12), ("tokyo", 20), ("grid(4,4)", 16), ("gapped", 4),
+    ])
+    def test_same_gates(self, name, n):
+        from cnotsynth.circuit import segment_and_synthesize
+
+        g = GAPPED_GRAPH if name == "gapped" else builtin(name)
+        mapping = optimize_mapping(g, n, TabuConfig(iterations=0))
+        for seed, size in enumerate((0, 1, n, 10 * n)):
+            circ = random_cnot_circuit(n, size, seed=4100 + seed)
+            out, used = segment_and_synthesize(circ, g, mapping=mapping)
+            res = synthesize(ParityMatrix.from_circuit(circ.cnot_pairs(), n), g, mapping=mapping)
+            assert used == res.mapping == mapping
+            assert out.gates == res.gates
+            assert size or out.gates == ()
+
+
 class TestCallerMappingIds:
     """A caller's mapping may hold integer ids of any type: numpy's give the
     gates that Python ints give, and a bad mapping (a non-integral id among
