@@ -1,19 +1,23 @@
-"""Shared test helpers: seeded random graphs and invertible matrices, the
-maximum-fidelity path and its ESP, brute-force oracles, a reference
-mapping construction that rebuilds every residual graph, the two-memo
-mapping search that the step memo replaced, the Hamiltonian-path
-search that floods every branch, the triple-loop shortest-path counts that
-the mask accumulation replaced, the restart-per-terminal Steiner tree that
-the resumable one replaced, the extended-logical-order elimination that
-physical-qubit indexing replaced, the per-layer GF(2) solve for the
-target-aided rows that the tracked inverse replaced, the numpy GF(2) solver
-that the bitwise one replaced and a numpy GF(2) inverse, the per-character
-QASM reader that the statement splitter and keyword grammar replaced, a
-matrix's entries as a uint8 array, the exact fault-pattern sum that the
-Monte-Carlo sampler estimates, and QASM inputs that the CLI tests share."""
+"""Shared test helpers and oracles.
+
+Helpers: seeded random graphs and invertible matrices, the maximum-fidelity
+path and its ESP, a matrix's entries as a uint8 array, and QASM inputs that
+the CLI tests share.  Oracles, each an answer that no draw, tie or visit
+order of the package can change: brute-force cut points, simple paths and
+Hamiltonian paths, the backtracking Hamiltonian path, the removal replay
+over rebuilt residual graphs, the triple-loop shortest-path counts that the
+mask accumulation replaced, a matrix moved onto physical qubits, the
+per-layer GF(2) solve for the target-aided rows that the tracked inverse
+replaced, the logical-order checker that the physical-qubit one replaced,
+the numpy GF(2) rank, solve and inverse, the per-character QASM reader that
+the statement splitter and keyword grammar replaced, the exact fault-pattern
+sum that the Monte-Carlo sampler estimates, and a statevector replay.  The
+outputs that the package's order decides (constructions, tabu tables,
+path-search nodes, Steiner trees and gate lists) are pinned by the
+``random_devices`` family of ``goldens.py``, not by copies of the package
+here."""
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 import re
@@ -23,20 +27,11 @@ from operator import xor
 
 import numpy as np
 
-from cnotsynth.arch import (
-    HAMILTONIAN_VERTEX_LIMIT,
-    CouplingGraph,
-    _flood,
-    _residual_mask,
-    articulation_points,
-    has_hamiltonian_path,
-    mask_vertices,
-    remove_vertex,
-)
-from cnotsynth.circuit import CNOT, Circuit, Measure, OneQubit, QasmError, esp, random_cnot_circuit
+from cnotsynth.arch import CouplingGraph, mask_vertices, remove_vertex
+from cnotsynth.circuit import CNOT, Circuit, Gate, Measure, OneQubit, QasmError, esp, random_cnot_circuit
 from cnotsynth.gf2 import ParityMatrix, solve_gf2
-from cnotsynth.mapping import Mapping, TabuConfig, _connectivity_product, derive_seed
-from cnotsynth.steiner import SteinerTree, min_noise_steiner_tree, postorder, preorder
+from cnotsynth.mapping import Mapping
+from cnotsynth.steiner import min_noise_steiner_tree
 
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -189,7 +184,10 @@ def all_simple_paths(graph: CouplingGraph, s: int, t: int):
 
 
 def brute_force_hamiltonian(graph: CouplingGraph):
-    """Check Hamiltonian-path existence by trying every vertex permutation."""
+    """The lexicographically first Hamiltonian path, by trying every vertex
+    permutation in ``itertools.permutations`` order; ``None`` if there is none.
+    ``has_hamiltonian_path`` tries starts and neighbours in ascending order,
+    so it returns this path too."""
     verts = sorted(graph.vertices)
     for perm in itertools.permutations(verts):
         if all(graph.has_edge(a, b) for a, b in zip(perm, perm[1:])):
@@ -206,68 +204,13 @@ def enumerate_shortest_paths(graph: CouplingGraph, s: int, t: int) -> list[list[
     return [p for p in paths if len(p) == best]
 
 
-# The mapping references below fall into two groups.  Draw-order copies:
-# ``reference_initial_mapping``, ``ReferenceMappingSearch``,
-# ``reference_search_initial_mapping`` and ``reference_tabu_search_table``
-# replay the tabu search's generator draws, so a change to which draws the
-# search makes, or in what order, changes them in step; they check the
-# library's bitmask bookkeeping, not its draws.  The search seeds one
-# generator and every construction draws from it in turn (the seed mapping,
-# then the candidates in loop order), so ``reference_tabu_search_table``
-# passes its one ``random.Random`` along the same way.  Independent oracles:
-# replay validity, the objective, the path search (cut points and
-# Hamiltonian paths), Steiner trees, elimination and the checker; they hold
-# for any draw order and stay as they are when it changes.
-
 # ---------------------------------------------------------------------------
-# Reference mapping construction over rebuilt residual graphs
+# Mapping oracles
 # ---------------------------------------------------------------------------
-# These walk ``CouplingGraph`` objects, building a new graph for every
-# removed vertex.  The library runs the same algorithms on vertex bitmasks;
-# the tests require identical results.
-
-def reference_articulation_points(graph: CouplingGraph) -> frozenset[int]:
-    """Iterative lowpoint DFS, neighbours in ascending order."""
-    assert bfs_connected(graph)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    points: set[int] = set()
-    verts = sorted(graph.vertices)
-    if not verts:
-        return frozenset()
-    root = verts[0]
-    disc[root] = low[root] = 0
-    timer = 1
-    root_children = 0
-    stack = [(root, None, iter(graph.neighbors(root)))]
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if w in disc:
-                low[v] = min(low[v], disc[w])
-                continue
-            disc[w] = low[w] = timer
-            timer += 1
-            if v == root:
-                root_children += 1
-            stack.append((w, v, iter(graph.neighbors(w))))
-            advanced = True
-            break
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            p = stack[-1][0]
-            low[p] = min(low[p], low[v])
-            if p != root and low[v] >= disc[p]:
-                points.add(p)
-    if root_children > 1:
-        points.add(root)
-    return frozenset(points)
-
+# Answers that no draw, tie or visit order can change: the lexicographically
+# first Hamiltonian path, the removal replay's verdict and shortest-path
+# counts.  The outputs that the order decides are pinned by the
+# ``random_devices`` golden family of ``goldens.py`` instead.
 
 def reference_hamiltonian_path(graph: CouplingGraph):
     """Backtracking with starts and neighbours in ascending order, and the
@@ -302,175 +245,6 @@ def reference_hamiltonian_path(graph: CouplingGraph):
         if extend(start):
             return tuple(path)
     return None
-
-
-def reference_initial_mapping(graph: CouplingGraph, n: int, key_order, rng: random.Random) -> Mapping:
-    """Key-qubit priority construction that rebuilds each residual graph."""
-    order = [int(v) for v in key_order]
-    assign: list[int] = []
-    residual = graph
-    while len(assign) < n:
-        quota = n - len(assign)
-        if residual.num_vertices == quota and quota <= HAMILTONIAN_VERTEX_LIMIT:
-            path = reference_hamiltonian_path(residual)
-            if path is not None:
-                assign.extend(path)
-                break
-        if not assign:
-            v = order[0]
-        else:
-            choices = sorted(residual.vertices - reference_articulation_points(residual))
-            v = choices[rng.randrange(len(choices))]
-        assign.append(v)
-        residual = remove_vertex(residual, v)
-    return Mapping(tuple(assign))
-
-
-# ---------------------------------------------------------------------------
-# Reference mapping search: two memos and one generator stream
-# ---------------------------------------------------------------------------
-# The mask-based search as it was before its step memo: non-cut vertices and
-# Hamiltonian paths in two memos shared by both construction modes, one
-# ``random.Random(derive_seed(seed, "seed"))`` that every construction draws
-# from in turn, and a set difference for the unknown-vertex check.  Only the
-# cut points are read from the mask that ``articulation_points`` now returns.
-
-class ReferenceMappingSearch:
-    def __init__(self, graph: CouplingGraph) -> None:
-        self.graph = graph
-        self.keys = graph.vertices - reference_articulation_points(graph)
-        self.mean_error: dict[int, float] = {}
-        for v in graph.vertices:
-            nbrs = graph.neighbors(v)
-            self.mean_error[v] = sum(graph.error(v, w) for w in nbrs) / len(nbrs) if nbrs else 0.0
-        self._non_cut: dict[int, tuple[int, ...]] = {}
-        self._path: dict[int, tuple[int, ...] | None] = {}
-        self._product: dict[int, float] = {}
-
-    def non_cut(self, residual: int) -> tuple[int, ...]:
-        choices = self._non_cut.get(residual)
-        if choices is None:
-            cuts = articulation_points(self.graph, residual)
-            choices = tuple(v for v in mask_vertices(residual) if not cuts >> v & 1)
-            self._non_cut[residual] = choices
-        return choices
-
-    def hamiltonian_path(self, residual: int) -> tuple[int, ...] | None:
-        if residual not in self._path:
-            self._path[residual] = has_hamiltonian_path(self.graph, residual)
-        return self._path[residual]
-
-    def connectivity_product(self, assign) -> float:
-        mask = 0
-        for v in assign:
-            mask |= 1 << v
-        prod = self._product.get(mask)
-        if prod is None:
-            prod = _connectivity_product(self.graph, mask)
-            self._product[mask] = prod
-        return prod
-
-
-def reference_search_initial_mapping(search: ReferenceMappingSearch, n: int, first: int, rng: random.Random) -> Mapping:
-    graph = search.graph
-    full = n == graph.num_vertices
-    assign: list[int] = []
-    residual = graph.vertex_mask
-    while len(assign) < n:
-        if full and n - len(assign) <= HAMILTONIAN_VERTEX_LIMIT:
-            path = search.hamiltonian_path(residual)
-            if path is not None:
-                assign.extend(path)
-                break
-        if not assign:
-            v = first
-        else:
-            choices = search.non_cut(residual)
-            v = choices[rng.randrange(len(choices))]
-        assign.append(v)
-        residual &= ~(1 << v)
-    return Mapping(tuple(assign))
-
-
-def reference_mapping_objective(search: ReferenceMappingSearch, mapping: Mapping) -> float:
-    missing = set(mapping.assign) - search.graph.vertices
-    if missing:
-        raise ValueError(f"mapping uses unknown vertices {sorted(missing)}")
-    score = search.connectivity_product(mapping.assign)
-    for m, v in enumerate(mapping.assign):
-        score -= (m + 1) * search.mean_error[v]
-    return score
-
-
-def reference_tabu_search_table(graph: CouplingGraph, n: int, config: TabuConfig) -> list[tuple[Mapping, float]]:
-    search = ReferenceMappingSearch(graph)
-    base_order = sorted(search.keys)
-    rng = random.Random(derive_seed(config.seed, "seed"))
-    seed_map = reference_search_initial_mapping(search, n, base_order[0], rng)
-    table = {seed_map.assign: reference_mapping_objective(search, seed_map)}
-    for it in range(config.iterations):
-        for k in range(config.tabu_len):
-            cand = reference_search_initial_mapping(search, n, base_order[rng.randrange(len(base_order))], rng)
-            if cand.assign in table:
-                continue
-            s = reference_mapping_objective(search, cand)
-            if s >= sum(table.values()) / len(table):
-                table[cand.assign] = s
-                if len(table) > config.tabu_len:
-                    del table[min(table, key=table.__getitem__)]
-    return [(Mapping(a), s) for a, s in table.items()]
-
-
-# ---------------------------------------------------------------------------
-# Reference Hamiltonian-path search: a connectivity flood at every branch
-# ---------------------------------------------------------------------------
-
-def reference_flooding_path_search(graph: CouplingGraph, mask: int):
-    """The library's search with its parity checks and endpoint rule but no
-    local connectivity certificate: every branch that passes the endpoint
-    rule floods.  Returns the path (or ``None``) and the number of
-    backtracking nodes, that is, calls of the recursive step."""
-    nbr = graph.neighbor_masks
-    n = mask.bit_count()
-    starts = mask
-    side = graph.colour_mask
-    if side is not None:
-        surplus = 2 * (mask & side).bit_count() - n
-        if abs(surplus) > 1:
-            return None, 0
-        if surplus:
-            starts = mask & side if surplus > 0 else mask & ~side
-    ends = sum(1 << v for v in mask_vertices(mask) if (nbr[v] & mask).bit_count() == 1)
-    if ends.bit_count() > 2:
-        return None, 0
-    if ends.bit_count() == 2:
-        starts &= ends
-    path: list[int] = []
-    nodes = 0
-
-    def extend(v: int, unvisited: int, ends: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        path.append(v)
-        if not unvisited:
-            return True
-        allowed = unvisited | (1 << v)
-        if not ends & (ends - 1) and _flood(nbr, 1 << v, allowed) == allowed:
-            step = nbr[v] & unvisited
-            ends &= ~step
-            for w in mask_vertices(step):
-                if (nbr[w] & unvisited).bit_count() == 1:
-                    ends |= 1 << w
-            for w in mask_vertices(step):
-                if extend(w, unvisited ^ (1 << w), ends & ~(1 << w)):
-                    return True
-        path.pop()
-        return False
-
-    for start in mask_vertices(starts):
-        if extend(start, mask & ~(1 << start), ends & ~(1 << start)):
-            return tuple(path), nodes
-    return None, nodes
 
 
 def reference_replay_is_valid(graph: CouplingGraph, mapping: Mapping) -> bool:
@@ -523,67 +297,8 @@ def reference_shortest_path_data(graph: CouplingGraph):
 
 
 # ---------------------------------------------------------------------------
-# Reference Steiner tree: a fresh Dijkstra from the whole tree per terminal
+# Elimination oracles
 # ---------------------------------------------------------------------------
-
-def reference_dijkstra_path(graph: CouplingGraph, sources, target: int, mask: int) -> list[int]:
-    """Min-weight path from any source to target through vertices set in ``mask``.
-
-    Labels are (weight, hops, path) tuples, so ties resolve to fewer hops and
-    then to the lexicographically smallest vertex sequence.
-    """
-    heap = [(0.0, 0, (s,)) for s in sorted(set(sources))]
-    if not heap:
-        raise ValueError("at least one source vertex required")
-    heapq.heapify(heap)
-    rows = graph.weight_rows
-    unsettled = mask
-    while heap:
-        dist, hops, path = heapq.heappop(heap)
-        v = path[-1]
-        if not unsettled >> v & 1:
-            continue
-        unsettled ^= 1 << v
-        if v == target:
-            return list(path)
-        for w, weight in rows[v]:
-            if unsettled >> w & 1:
-                heapq.heappush(heap, (dist + weight, hops + 1, path + (w,)))
-    raise ValueError(f"vertex {target} unreachable from {sorted(set(sources))}")
-
-
-def reference_min_noise_steiner_tree(graph: CouplingGraph, root: int, terminals, mask: int | None = None) -> SteinerTree:
-    """Greedy minimum-noise Steiner tree that reruns Dijkstra from every tree
-    vertex for each terminal it joins (ascending id order)."""
-    _, mask = _residual_mask(graph, mask)
-    terms = frozenset(int(t) for t in terminals)
-    if not terms:
-        raise ValueError("terminals must be non-empty")
-    if not mask >> root & 1:
-        raise ValueError(f"root {root} not in graph")
-    missing = sorted(t for t in terms if not mask >> t & 1)
-    if missing:
-        raise ValueError(f"terminals {missing} not in graph")
-    tree: set[int] = {root}
-    parent: dict[int, int] = {}
-    for t in sorted(terms):
-        if t in tree:
-            continue
-        path = reference_dijkstra_path(graph, tree, t, mask)
-        for a, b in zip(path, path[1:]):
-            if b not in tree:
-                parent[b] = a
-                tree.add(b)
-    return SteinerTree(root, parent, sum(1 << t for t in terms))
-
-
-# ---------------------------------------------------------------------------
-# Elimination in extended-logical row order
-# ---------------------------------------------------------------------------
-# The elimination that physical-qubit indexing replaced, kept as the oracle of
-# the differential tests in test_synth.py.  Work row k belongs to logical
-# qubit k; spare vertices follow as ancilla rows in ascending id order, and
-# every row operation is translated to a CNOT at the end.
 
 def physical_matrix(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> ParityMatrix:
     """``m`` indexed by physical qubit: entry (assign[r], assign[j]) is m's
@@ -635,92 +350,14 @@ def inverse_aided_rows(inv: list[int], q: int, residual: int) -> set[int]:
     return {p for p in mask_vertices(residual & ~(1 << q)) if inv[p] >> q & 1}
 
 
-def _reference_column_ones(rows: list[int], i: int) -> list[int]:
-    return [r for r, row in enumerate(rows) if row >> i & 1]
-
-
-def reference_eliminate_column(rows: list[int], graph: CouplingGraph, assign, i: int, residual: int):
-    """Row-indexed column pass; ``assign`` covers every one of ``rows``."""
-    phys_to_row = {p: r for r, p in enumerate(assign)}
-    root = assign[i]
-    terminals = {assign[j] for j in _reference_column_ones(rows, i)}
-    tree = min_noise_steiner_tree(graph, root, terminals, residual)
-    order = postorder(tree)
-    bit = 1 << i
-    ops = []
-    for c_phys in order:
-        if c_phys == root:
-            continue
-        c, k = phys_to_row[c_phys], phys_to_row[tree.parent[c_phys]]
-        if not rows[k] & bit and rows[c] & bit:
-            rows[k] ^= rows[c]
-            ops.append((c, k))
-    for c_phys in order:
-        for l_phys in tree.children[c_phys]:
-            c, l = phys_to_row[c_phys], phys_to_row[l_phys]
-            rows[l] ^= rows[c]
-            ops.append((c, l))
-    assert _reference_column_ones(rows, i) == [i]
-    return ops
-
-
-def reference_eliminate_row(rows: list[int], graph: CouplingGraph, assign, i: int, residual: int):
-    """Row-indexed row pass; ``assign`` covers every one of ``rows``."""
-    phys_to_row = {p: r for r, p in enumerate(assign)}
-    # Rows before i are eliminated; the rest, ancillas included, are residual.
-    aid = reference_target_aided_rows(rows, i, (1 << len(rows)) - (1 << i))
-    if not aid:
-        return []
-    root = assign[i]
-    aid_phys = {assign[k] for k in aid}
-    tree = min_noise_steiner_tree(graph, root, aid_phys | {root}, residual)
-    ops = []
-    for r_phys in preorder(tree):
-        if r_phys == root or r_phys in aid_phys:
-            continue
-        r, k = phys_to_row[r_phys], phys_to_row[tree.parent[r_phys]]
-        rows[k] ^= rows[r]
-        ops.append((r, k))
-    for r_phys in postorder(tree):
-        if r_phys == root:
-            continue
-        r, k = phys_to_row[r_phys], phys_to_row[tree.parent[r_phys]]
-        rows[k] ^= rows[r]
-        ops.append((r, k))
-    assert rows[i] == 1 << i and _reference_column_ones(rows, i) == [i]
-    return ops
-
-
-def extended_assign(graph: CouplingGraph, mapping: Mapping) -> tuple[int, ...]:
-    """Mapping extended to all device qubits; spare vertices follow in ascending order."""
-    spare = sorted(graph.vertices - set(mapping.assign))
-    return tuple(mapping.assign) + tuple(spare)
-
-
-def reference_eliminate(m: ParityMatrix, graph: CouplingGraph, mapping: Mapping) -> tuple[CNOT, ...]:
-    """Gates of the row-indexed elimination of ``m`` under ``mapping``."""
-    n = m.n
-    assign = extended_assign(graph, mapping)
-    work = m.rows + [1 << r for r in range(n, graph.num_vertices)]
-    residual = graph.vertex_mask
-    recorded = []
-    for i in range(n):
-        recorded += reference_eliminate_column(work, graph, assign, i, residual)
-        recorded += reference_eliminate_row(work, graph, assign, i, residual)
-        residual &= ~(1 << assign[i])
-    logical = (1 << n) - 1
-    assert all(work[r] == 1 << r for r in range(n))
-    assert not any(row & logical for row in work[n:])
-    return tuple(CNOT(assign[c], assign[t]) for c, t in reversed(recorded))
-
-
 # ---------------------------------------------------------------------------
 # Verification in extended-logical row order
 # ---------------------------------------------------------------------------
 # The checker that physical-qubit indexing replaced, kept as the oracle of the
-# differential tests in test_synth.py.  It rebuilds the parity matrix in the
-# order of ``extended_assign`` and names rows in that order, so only its
-# verdict, not its message, is comparable.
+# differential tests in test_synth.py.  It rebuilds the parity matrix with
+# logical row r on ``assign[r]`` and the spare vertices after them in
+# ascending order, and names rows in that order, so only its verdict, not
+# its message, is comparable.
 
 def _reference_block_failure(rows: list[int], logical_rows: list[int]) -> str | None:
     n = len(logical_rows)
@@ -745,7 +382,7 @@ def reference_verification_failure(m_original: ParityMatrix, graph: CouplingGrap
     for k, g in enumerate(gates):
         if not graph.has_edge(g.control, g.target):
             return f"gate {k}: CNOT({g.control},{g.target}) is not a coupling edge"
-    phys_to_row = {p: r for r, p in enumerate(extended_assign(graph, mapping))}
+    phys_to_row = {p: r for r, p in enumerate((*mapping.assign, *sorted(graph.vertices - set(mapping.assign))))}
     rebuilt = [1 << r for r in range(graph.num_vertices)]
     for g in gates:
         rebuilt[phys_to_row[g.target]] ^= rebuilt[phys_to_row[g.control]]

@@ -10,25 +10,45 @@ purpose rewrites every file with
 
 and explains each moved value in ``CHANGES.md``.  The perfbench output
 digests are not among these files: ``tests/digests.py`` records them.
+
+The ``random_devices`` family pins, as one digest per case, what the draw,
+tie and visit order of the package decide on seeded random and built-in
+devices.  Its loops and their input builders live here, and the tests that
+check properties of the same outputs import them from this module.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import re
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
-from conftest import random_invertible
-from cnotsynth.arch import builtin
+import cnotsynth.mapping
+from conftest import random_connected_graph, random_invertible, tree_path
+from cnotsynth.arch import (
+    CouplingGraph,
+    _flood,
+    articulation_points,
+    builtin,
+    has_hamiltonian_path,
+    induced_subgraph,
+    mask_vertices,
+)
 from cnotsynth.circuit import random_cnot_circuit, write_qasm
 from cnotsynth.cli import main as cli_main
-from cnotsynth.mapping import Mapping, TabuConfig, optimize_mapping, tabu_search_table
+from cnotsynth.mapping import Mapping, MappingSearch, TabuConfig, initial_mapping, optimize_mapping, tabu_search_table
+from cnotsynth.steiner import min_noise_steiner_tree
 from cnotsynth.synth import synthesize, verify_equivalence
 
 HERE = Path(__file__).parent
@@ -252,6 +272,326 @@ CLI_CASES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Random devices
+# ---------------------------------------------------------------------------
+# The inputs on which the tests once compared the package with copies of the
+# implementations it replaced, copies that replayed its draw, tie and visit
+# order: key-qubit constructions, tabu tables, Hamiltonian-path searches,
+# Steiner trees and elimination, on seeded random graphs and built-in
+# devices.  Each loop yields its inputs and, last, the package's output, and
+# a case's value is the sha256 of the JSON of every output its loop yields.
+# The property tests run the same loops and check each output against an
+# oracle that no choice of order can change, so a change that moves these
+# outputs on purpose re-records the digests and ports no test.
+
+#: Built-in devices of the construction cases.
+BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",
+                   "linear(7)", "linear(40)", "grid(3,4)", "grid(5,5)"]
+
+
+def cycle(n):
+    return CouplingGraph(range(n), [(i, (i + 1) % n, 0.01) for i in range(n)])
+
+
+def ladder(rungs):
+    """Two paths of ``rungs`` vertices joined rung by rung: 0..k-1 and k..2k-1."""
+    edges = [(i, i + 1, 0.01) for i in range(rungs - 1)]
+    edges += [(rungs + i, rungs + i + 1, 0.01) for i in range(rungs - 1)]
+    edges += [(i, rungs + i, 0.01) for i in range(rungs)]
+    return CouplingGraph(range(2 * rungs), edges)
+
+
+def cycle_with_tails(size, tails):
+    """A cycle of ``size`` vertices with one pendant path per (vertex, length) in ``tails``."""
+    edges = [(i, (i + 1) % size, 0.01) for i in range(size)]
+    n = size
+    for at, length in tails:
+        for k in range(length):
+            edges.append((at if k == 0 else n - 1, n, 0.01))
+            n += 1
+    return CouplingGraph(range(n), edges)
+
+
+def residual_masks(graph, seed, count=25):
+    """Random vertex subsets of ``graph`` as (induced subgraph, mask) pairs."""
+    rng = random.Random(seed)
+    verts = sorted(graph.vertices)
+    for _ in range(count):
+        keep = rng.sample(verts, rng.randint(1, len(verts)))
+        yield induced_subgraph(graph, keep), sum(1 << v for v in keep)
+
+
+def removal_masks(graph, seed, count):
+    """Residuals of random non-cut removal sequences, as the mapping search
+    makes them: connected, of every size from the whole graph down to one vertex."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mask = graph.vertex_mask
+        for _ in range(rng.randrange(graph.num_vertices)):
+            cuts = set(mask_vertices(articulation_points(graph, mask)))
+            mask &= ~(1 << rng.choice([v for v in mask_vertices(mask) if v not in cuts]))
+        yield mask
+
+
+def search_masks(graph, seed, count=20):
+    """The empty and the whole mask, ``count`` removal residuals and ``count`` random subsets."""
+    return [0, graph.vertex_mask, *removal_masks(graph, seed, count), *(m for _, m in residual_masks(graph, seed, count))]
+
+
+def masked_trees(g, seed, count=10):
+    """Random (mask, induced subgraph, root, terminals) draws; the terminals
+    lie in the root's component of the subgraph."""
+    rng = random.Random(seed)
+    verts = sorted(g.vertices)
+    for _ in range(count):
+        keep = rng.sample(verts, rng.randint(1, len(verts)))
+        mask = sum(1 << v for v in keep)
+        root = rng.choice(keep)
+        comp = list(mask_vertices(_flood(g.neighbor_masks, 1 << root, mask)))
+        yield mask, induced_subgraph(g, keep), root, rng.sample(comp, rng.randint(1, len(comp)))
+
+
+def reweighted(g, errors, seed):
+    """``g`` with every edge error drawn from the few values in ``errors``."""
+    rng = random.Random(seed)
+    return CouplingGraph(g.vertices, [(u, v, rng.choice(errors)) for u, v, _ in g.edges()])
+
+
+# Ids 1, 3, 4, 6 and 8 are not vertices.
+GAPPED_GRAPH = CouplingGraph(
+    [0, 2, 5, 7, 9],
+    [(0, 2, 0.01), (2, 5, 0.02), (5, 7, 0.01), (7, 9, 0.03), (0, 9, 0.02), (2, 7, 0.015)],
+    name="gapped",
+)
+
+#: The code object of the path search's recursive step; each call is one node.
+_EXTEND = next(c for c in has_hamiltonian_path.__code__.co_consts if getattr(c, "co_name", "") == "extend")
+
+
+def search_nodes(g, mask):
+    """``has_hamiltonian_path(g, mask)`` and the number of its backtracking nodes."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code is _EXTEND
+
+    sys.setprofile(profile)
+    try:
+        path = has_hamiltonian_path(g, mask)
+    finally:
+        sys.setprofile(None)
+    return path, nodes
+
+
+def once(loop):
+    """``loop`` run once per process for each argument tuple, its items kept
+    as a tuple: the golden digest and the property tests read one run."""
+
+    @functools.cache
+    @functools.wraps(loop)
+    def items(*args):
+        return tuple(loop(*args))
+
+    return items
+
+
+@once
+def constructions(device):
+    """Key-qubit constructions from each key qubit in turn, on one search per
+    qubit count: (graph, n, k, seed vertex, assignment).  An int ``device``
+    stands for three random graphs of that many vertices."""
+    if isinstance(device, int):
+        graphs = [(random_connected_graph(device, 7000 + 31 * device + seed), 3) for seed in range(3)]
+    else:
+        graphs = [(builtin(device), 2)]
+    for g, count in graphs:
+        v = g.num_vertices
+        keys = sorted(MappingSearch(g, 1).keys)
+        for n in sorted({1, max(1, v // 2), v - 1, v}):
+            search = MappingSearch(g, n)
+            for k in range(count):
+                first = keys[k % len(keys)]
+                yield g, n, k, first, initial_mapping(search, random.Random(k), first)
+
+
+@once
+def tables(device, n=None):
+    """Tabu tables at seeds 0-4 and three iterations: (graph, n, config,
+    [(assignment, score hex), ...]).  An int ``device`` stands for two random
+    graphs of that many vertices, each at three qubit counts."""
+    if isinstance(device, int):
+        runs = [(random_connected_graph(device, 8000 + 31 * device + seed), n)
+                for seed in range(2) for n in sorted({device, device - 1, device // 2})]
+    else:
+        runs = [(builtin(device), n)]
+    for g, n in runs:
+        for seed in range(5):
+            config = TabuConfig(seed=seed, iterations=3)
+            yield g, n, config, [(m.assign, score.hex()) for m, score in tabu_search_table(g, n, config)]
+
+
+@once
+def modes(device):
+    """Both construction modes, full-device and partial, on the one search of
+    each qubit count, from a given seed vertex and from a drawn one: (graph, n,
+    seed vertex, (from it, drawn))."""
+    g = random_connected_graph(device, 9000 + device) if isinstance(device, int) else builtin(device)
+    big = g.num_vertices
+    for n in (big, big - 1, max(1, big // 2)):
+        search = MappingSearch(g, n)
+        keys = sorted(search.keys)
+        for k in range(12):
+            first = keys[k % len(keys)]
+            yield g, n, first, (initial_mapping(search, random.Random(k), first), initial_mapping(search, random.Random(k)))
+
+
+TAILED_CYCLES = [(4, [(0, 1)]), (5, [(0, 2)]), (6, [(0, 1), (3, 1)]), (6, [(0, 3), (2, 1)]),
+                 (8, [(0, 2), (4, 2)]), (9, [(1, 1), (2, 1), (5, 3)]), (12, [(0, 4), (6, 4)])]
+
+
+@once
+def floods(family, size=None):
+    """The graphs of a Hamiltonian-path search family, each with the masks
+    searched on it: (graph, masks)."""
+    if family == "cycle":
+        g = cycle(size)
+        yield g, search_masks(g, size)
+    elif family == "ladders":
+        for rungs in range(2, 10):
+            g = ladder(rungs)
+            yield g, search_masks(g, rungs)
+    elif family == "tails":
+        for n, tails in TAILED_CYCLES:
+            g = cycle_with_tails(n, tails)
+            yield g, search_masks(g, n)
+    elif family == "sparse":
+        for seed in range(3):
+            g = random_connected_graph(size, 1200 + 10 * size + seed, extra_edges=size // 2)
+            yield g, search_masks(g, seed, count=15)
+    else:
+        g = builtin(family)
+        yield g, [g.vertex_mask, *removal_masks(g, 3, 40)]
+
+
+#: Edge errors that few distinct weights make tie: equal float sums along different paths.
+TIED_ERRORS = (0.007, 0.01, 0.013, 0.02, 0.03, 0.1)
+
+
+@once
+def trees(family, device):
+    """Steiner trees of ``masked_trees`` draws: (graph, mask, root,
+    terminals, [(child, parent), ...] ascending)."""
+    if family == "random":
+        graphs = [(random_connected_graph(device, 7000 + 37 * device + seed), seed) for seed in range(4)]
+    elif family == "tied":
+        graphs = [(reweighted(random_connected_graph(device, 8000 + 41 * device + seed, extra_edges=2 * device),
+                              TIED_ERRORS, seed), seed) for seed in range(4)]
+    elif family == "uniform":
+        graphs = [(builtin(device), seed) for seed in range(4)]
+    else:
+        # Weight-0 edges tie labels on weight, so hops and paths decide.
+        g = builtin(device)
+        graphs = [(CouplingGraph(g.vertices, [(u, v, 0.0) for u, v, _ in g.edges()]), 1),
+                  (reweighted(g, (0.0, 0.0, 0.01), 2), 2)]
+    for g, seed in graphs:
+        for mask, _, root, terms in masked_trees(g, seed, 12):
+            yield g, mask, root, terms, sorted(min_noise_steiner_tree(g, root, terms, mask).parent.items())
+
+
+@once
+def best_paths(name):
+    """The maximum-fidelity path between every ordered vertex pair: (graph, s, t, path)."""
+    g = builtin(name)
+    for s, t in itertools.permutations(sorted(g.vertices), 2):
+        yield g, s, t, tree_path(g, s, t)
+
+
+@once
+def eliminations(family, device, n=None):
+    """Synthesis of seeded random invertible matrices under the device's
+    seed-0 mapping: (graph, mapping, matrix seed, matrix, gates)."""
+    if family == "full":
+        g = builtin(device)
+        runs = [(g, g.num_vertices, range(9100, 9103), 1)]
+    elif family == "partial":
+        runs = [(builtin(device), n, range(9200, 9203), 0)]
+    elif family == "random":
+        runs = [(random_connected_graph(device, 9300 + device + seed), n, [9400 + seed], 0)
+                for seed in range(2) for n in sorted({device, max(2, device // 2)})]
+    else:
+        runs = [(GAPPED_GRAPH, device, range(9500, 9506), 1)]
+    for g, n, seeds, iterations in runs:
+        placed = optimize_mapping(g, n, TabuConfig(iterations=iterations, seed=0))
+        for seed in seeds:
+            m = random_invertible(n, seed)
+            yield g, placed, seed, m, synthesize(m, g, mapping=placed).gates
+
+
+def search_counts(name, n, seed):
+    """One default search's block decompositions, the vertices they visit,
+    and its Hamiltonian-path searches."""
+    module = cnotsynth.mapping
+    with mock.patch.object(module, "biconnected_blocks", wraps=module.biconnected_blocks) as blocks, \
+            mock.patch.object(module, "has_hamiltonian_path", wraps=module.has_hamiltonian_path) as paths:
+        optimize_mapping(builtin(name), n, TabuConfig(seed=seed))
+    masks = [call.args[1] if len(call.args) > 1 else call.args[0].vertex_mask for call in blocks.call_args_list]
+    return {"decompositions": len(masks), "decomposed vertices": sum(mask.bit_count() for mask in masks),
+            "path searches": paths.call_count}
+
+
+LOOPS = {"constructions": constructions, "tables": tables, "modes": modes,
+         "trees": trees, "paths": best_paths, "eliminations": eliminations}
+
+
+def random_devices(kind: str, *args):
+    """The sha256 of every output of one case's loop; a default search's counts as they are."""
+    if kind == "search counts":
+        return search_counts(*args)
+    if kind == "floods":
+        outputs = [search_nodes(g, mask) for g, masks in floods(*args) for mask in masks]
+    else:
+        outputs = [item[-1] for item in LOOPS[kind](*args)]
+    return hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+
+
+RANDOM_DEVICE_CASES = {
+    # Constructions on random graphs of 2-20 vertices and on built-ins.
+    **{f"constructions random {size}": ("constructions", size) for size in range(2, 21)},
+    **{f"constructions {name}": ("constructions", name) for name in BUILTIN_DEVICES},
+    # Tabu tables on built-ins, full and partial, and on random graphs.
+    **{f"tables {name} {n}": ("tables", name, n) for name, n in [
+        ("guadalupe", 16), ("guadalupe", 12), ("tokyo", 20), ("tokyo", 9), ("grid(4,4)", 16), ("grid(4,4)", 7),
+        ("linear(7)", 7), ("linear(7)", 3), ("scq10", 10), ("scq10", 6)]},
+    **{f"tables random {size}": ("tables", size) for size in range(4, 17, 2)},
+    **{f"modes {device}": ("modes", device)
+       for device in ["guadalupe", "tokyo", "grid(4,4)", "linear(7)", "scq10", *range(5, 13)]},
+    # Path searches where the flood certificate often fails and the flood decides.
+    **{f"floods cycle {size}": ("floods", "cycle", size) for size in range(5, 14)},
+    "floods ladders": ("floods", "ladders"),
+    "floods tails": ("floods", "tails"),
+    **{f"floods sparse {n}": ("floods", "sparse", n) for n in range(5, 21)},
+    "floods grid(4,5)": ("floods", "grid(4,5)"),
+    # Steiner trees in random masks; uniform and zero errors exercise the tie-break.
+    **{f"trees random {size}": ("trees", "random", size) for size in range(2, 31)},
+    **{f"trees tied {size}": ("trees", "tied", size) for size in [4, 8, 12, 16, 20, 24, 30]},
+    **{f"trees uniform {name}": ("trees", "uniform", name) for name in ["tokyo", "grid(4,4)", "grid(6,6)", "grid(8,8)"]},
+    **{f"trees zero {name}": ("trees", "zero", name) for name in ["guadalupe", "grid(5,5)"]},
+    **{f"paths {name}": ("paths", name) for name in ["quito", "guadalupe", "tokyo", "grid(4,4)"]},
+    # Elimination on full and partial mappings, random graphs and ids with gaps.
+    **{f"eliminations full {name}": ("eliminations", "full", name)
+       for name in ["quito", "guadalupe", "tokyo", "grid(4,4)", "linear(7)"]},
+    **{f"eliminations partial {name} {n}": ("eliminations", "partial", name, n) for name, n in [
+        ("quito", 3), ("guadalupe", 12), ("guadalupe", 7), ("tokyo", 9), ("grid(4,4)", 10), ("linear(7)", 4),
+        ("grid(8,8)", 20)]},
+    **{f"eliminations random {size}": ("eliminations", "random", size) for size in range(2, 15)},
+    **{f"eliminations gapped {n}": ("eliminations", "gapped", n) for n in [2, 3, 5]},
+    # The default guadalupe search at seed 0: each count depends on its draws.
+    "search counts guadalupe 16 0": ("search counts", "guadalupe", 16, 0),
+}
+
+
 FAMILIES = {
     family.name: family
     for family in (
@@ -259,6 +599,7 @@ FAMILIES = {
         Family("tabu_tables", TABU_CASES, tabu_table),
         Family("synthesis", SYNTHESIS_CASES, synthesis),
         Family("cli_reports", CLI_CASES, cli_report),
+        Family("random_devices", RANDOM_DEVICE_CASES, random_devices),
     )
 }
 

@@ -21,9 +21,9 @@ from conftest import (
     brute_force_articulation,
     brute_force_hamiltonian,
     random_connected_graph,
-    reference_flooding_path_search,
     reference_hamiltonian_path,
 )
+from goldens import cycle, floods, removal_masks, residual_masks, search_masks
 from cnotsynth import arch, mapping
 from cnotsynth.arch import (
     ArchError,
@@ -44,10 +44,6 @@ from cnotsynth.arch import (
 def arch_text(g):
     """``g`` in the architecture file format, error rates at full precision."""
     return f"qubits {g.num_vertices}\n" + "".join(f"edge {u} {v} {e!r}\n" for u, v, e in g.edges())
-
-
-def cycle(n):
-    return CouplingGraph(range(n), [(i, (i + 1) % n, 0.01) for i in range(n)])
 
 
 def star(leaves):
@@ -416,15 +412,6 @@ class TestInducedSubgraph:
             induced_subgraph(builtin("quito"), [0, 9])
 
 
-def residual_masks(graph, seed, count=25):
-    """Random vertex subsets of ``graph`` as (induced subgraph, mask) pairs."""
-    rng = random.Random(seed)
-    verts = sorted(graph.vertices)
-    for _ in range(count):
-        keep = rng.sample(verts, rng.randint(1, len(verts)))
-        yield induced_subgraph(graph, keep), sum(1 << v for v in keep)
-
-
 class TestResidualMasks:
     def test_mask_view(self):
         g = remove_vertex(builtin("quito"), 1)
@@ -453,10 +440,8 @@ class TestResidualMasks:
         g = random_connected_graph(4 + seed % 5, seed + 100)  # up to 8 vertices
         for sub, mask in residual_masks(g, seed):
             found = has_hamiltonian_path(g, mask)
-            assert found == reference_hamiltonian_path(sub)
-            if found is None:
-                assert brute_force_hamiltonian(sub) is None
-            else:
+            assert found == reference_hamiltonian_path(sub) == brute_force_hamiltonian(sub)
+            if found is not None:
                 assert sorted(found) == sorted(sub.vertices)
                 assert all(g.has_edge(a, b) for a, b in zip(found, found[1:]))
 
@@ -559,18 +544,6 @@ def random_bipartite_graph(left, right, seed, extra_edges):
 def is_proper_colouring(g, side):
     """Whether ``side`` is a set of vertices that every edge has exactly one end in."""
     return side & ~g.vertex_mask == 0 and all((side >> u & 1) != (side >> v & 1) for u, v, _ in g.edges())
-
-
-def removal_masks(graph, seed, count):
-    """Residuals of random non-cut removal sequences, as the mapping search
-    makes them: connected, of every size from the whole graph down to one vertex."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        mask = graph.vertex_mask
-        for _ in range(rng.randrange(graph.num_vertices)):
-            cuts = set(mask_vertices(articulation_points(graph, mask)))
-            mask &= ~(1 << rng.choice([v for v in mask_vertices(mask) if v not in cuts]))
-        yield mask
 
 
 class TestBfsLayers:
@@ -725,21 +698,17 @@ class TestEndpointRule:
             crowded += sum((g.neighbor_masks[v] & mask).bit_count() == 1 for v in mask_vertices(mask)) > 2
         return found, crowded
 
-    @staticmethod
-    def masks(g, seed, count=20):
-        return [0, g.vertex_mask, *removal_masks(g, seed, count), *(m for _, m in residual_masks(g, seed, count))]
-
     @pytest.mark.parametrize("seed", range(10))
     def test_trees(self, seed):
         g = random_connected_graph(8 + seed, seed + 700, extra_edges=0)
-        found, crowded = self.check(g, self.masks(g, seed))
+        found, crowded = self.check(g, search_masks(g, seed))
         assert found and crowded
 
     @pytest.mark.parametrize("spine,legs,extra", [(6, 6, 0), (8, 8, 3), (10, 6, 5), (5, 12, 8), (12, 8, 4)])
     @pytest.mark.parametrize("seed", range(3))
     def test_caterpillars(self, spine, legs, extra, seed):
         g = caterpillar(spine, legs, seed, extra)
-        found, crowded = self.check(g, self.masks(g, seed))
+        found, crowded = self.check(g, search_masks(g, seed))
         assert found and crowded
 
     @pytest.mark.parametrize("seed", range(3))
@@ -753,7 +722,7 @@ class TestEndpointRule:
     def test_random_graphs(self, n):
         for seed in range(3):
             g = random_connected_graph(n, 900 + 10 * n + seed, extra_edges=[0, 2, None][seed])
-            self.check(g, self.masks(g, seed, count=10))
+            self.check(g, search_masks(g, seed, count=10))
 
     def test_path_starts_at_a_degree_one_vertex(self, flood_calls):
         # The path 3-0-1-2: its degree-1 vertices 2 and 3 are the only
@@ -774,105 +743,58 @@ class TestEndpointRule:
         assert len(flood_calls) <= 6_000
 
 
-def ladder(rungs):
-    """Two paths of ``rungs`` vertices joined rung by rung: 0..k-1 and k..2k-1."""
-    edges = [(i, i + 1, 0.01) for i in range(rungs - 1)]
-    edges += [(rungs + i, rungs + i + 1, 0.01) for i in range(rungs - 1)]
-    edges += [(i, rungs + i, 0.01) for i in range(rungs)]
-    return CouplingGraph(range(2 * rungs), edges)
-
-
-def cycle_with_tails(size, tails):
-    """A cycle of ``size`` vertices with one pendant path per (vertex, length) in ``tails``."""
-    edges = [(i, (i + 1) % size, 0.01) for i in range(size)]
-    n = size
-    for at, length in tails:
-        for k in range(length):
-            edges.append((at if k == 0 else n - 1, n, 0.01))
-            n += 1
-    return CouplingGraph(range(n), edges)
-
-
-#: The code object of the search's recursive step; each call is one node.
-_EXTEND = next(c for c in arch.has_hamiltonian_path.__code__.co_consts if getattr(c, "co_name", "") == "extend")
-
-
-def search_nodes(g, mask):
-    """``has_hamiltonian_path(g, mask)`` and the number of its backtracking nodes."""
-    nodes = 0
-
-    def profile(frame, event, arg):
-        nonlocal nodes
-        nodes += event == "call" and frame.f_code is _EXTEND
-
-    sys.setprofile(profile)
-    try:
-        path = has_hamiltonian_path(g, mask)
-    finally:
-        sys.setprofile(None)
-    return path, nodes
-
-
 class TestFloodCertificate:
     """A step into head ``v`` off head ``u`` skips its flood when every other
     unvisited neighbour of ``u`` lies within two steps of ``v``.  On these
     graphs the check often fails and the flood must decide; the search must
-    still find the reference paths and expand exactly the nodes of the
-    search that floods every branch."""
+    still find the reference paths.  The ``floods`` cases of the
+    ``random_devices`` golden family pin each path and its number of
+    backtracking nodes."""
 
     @staticmethod
-    def check(g, flood_calls, masks):
-        """Assert agreement on every mask; the number of floods of a branch
-        (not a start) that the certificate left to the flood."""
+    def check(flood_calls, *case):
+        """Assert agreement on every mask of a ``goldens.floods`` case; the
+        number of floods of a branch (not a start) that the certificate left
+        to the flood."""
         fallbacks = 0
-        for mask in masks:
-            before = len(flood_calls)
-            path, nodes = search_nodes(g, mask)
-            assert path == reference_hamiltonian_path(induced_subgraph(g, mask_vertices(mask))), hex(mask)
-            assert (path, nodes) == reference_flooding_path_search(g, mask), hex(mask)
-            fallbacks += sum(allowed != mask for _, allowed in flood_calls[before:])
+        for g, masks in floods(*case):
+            for mask in masks:
+                before = len(flood_calls)
+                path = has_hamiltonian_path(g, mask)
+                assert path == reference_hamiltonian_path(induced_subgraph(g, mask_vertices(mask))), hex(mask)
+                fallbacks += sum(allowed != mask for _, allowed in flood_calls[before:])
         return fallbacks
-
-    masks = staticmethod(TestEndpointRule.masks)
 
     @pytest.mark.parametrize("size", range(5, 14))
     def test_cycles(self, flood_calls, size):
-        assert self.check(cycle(size), flood_calls, self.masks(cycle(size), size))
+        assert self.check(flood_calls, "cycle", size)
 
     def test_ladders(self, flood_calls):
-        assert sum(self.check(ladder(rungs), flood_calls, self.masks(ladder(rungs), rungs)) for rungs in range(2, 10))
+        assert self.check(flood_calls, "ladders")
 
     def test_cycles_with_tails(self, flood_calls):
-        fallbacks = 0
-        for size, tails in [(4, [(0, 1)]), (5, [(0, 2)]), (6, [(0, 1), (3, 1)]), (6, [(0, 3), (2, 1)]),
-                            (8, [(0, 2), (4, 2)]), (9, [(1, 1), (2, 1), (5, 3)]), (12, [(0, 4), (6, 4)])]:
-            g = cycle_with_tails(size, tails)
-            fallbacks += self.check(g, flood_calls, self.masks(g, size))
-        assert fallbacks
+        assert self.check(flood_calls, "tails")
 
     @pytest.mark.parametrize("n", range(5, 21))
     def test_random_sparse_graphs(self, flood_calls, n):
-        fallbacks = 0
-        for seed in range(3):
-            g = random_connected_graph(n, 1200 + 10 * n + seed, extra_edges=n // 2)
-            fallbacks += self.check(g, flood_calls, self.masks(g, seed, count=15))
-        assert fallbacks
+        assert self.check(flood_calls, "sparse", n)
 
     def test_grid_removal_residuals(self, flood_calls):
-        g = builtin("grid(4,5)")
-        assert self.check(g, flood_calls, [g.vertex_mask, *removal_masks(g, 3, 40)])
+        assert self.check(flood_calls, "grid(4,5)")
 
     def test_default_guadalupe_search(self, flood_calls, monkeypatch):
         # One default full-device search floods 1,177 times without the
         # certificate, and 174 times while every stepped residual was
-        # path-searched; now only the 15 residuals with a cycle are.  The
+        # path-searched; now only the residuals with a cycle are.  The
         # count covers MappingSearch's connectivity check and the
         # objective's one flood of the full-device placement, whose
         # connectivity product every candidate shares.
         # Each residual is stepped, path-searched and decomposed into blocks
-        # at most once; a step decomposes only the block that lost a vertex,
-        # so at seed 0, 26 decompositions visit 291 vertices where one whole
-        # lowpoint DFS per drawing step (481 of them) would visit 5,309.
+        # at most once; a step decomposes only the block that lost a vertex.
+        # The golden case "search counts guadalupe 16 0" pins how many
+        # decompositions the draws lead to and the vertices they visit (26
+        # and 291 when recorded, where one whole lowpoint DFS per drawing step,
+        # 481 of them, would visit 5,309).
         stepped, searched, decomposed = [], [], []
         step, search, blocks = mapping.MappingSearch.step, mapping.has_hamiltonian_path, mapping.biconnected_blocks
         monkeypatch.setattr(mapping.MappingSearch, "step",
@@ -885,4 +807,3 @@ class TestFloodCertificate:
         for log in (stepped, searched):
             assert log and len(log) == len(set(log))
         assert 0 < len(decomposed) <= len(stepped)
-        assert (len(decomposed), sum(mask.bit_count() for mask in decomposed)) == (26, 291)

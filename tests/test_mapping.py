@@ -8,16 +8,13 @@ import pytest
 
 from conftest import (
     BLOCK_GRAPHS,
-    ReferenceMappingSearch,
+    brute_force_articulation,
     enumerate_shortest_paths,
     random_connected_graph,
-    reference_articulation_points,
-    reference_initial_mapping,
     reference_replay_is_valid,
-    reference_search_initial_mapping,
     reference_shortest_path_data,
-    reference_tabu_search_table,
 )
+from goldens import BUILTIN_DEVICES, constructions, modes, tables
 from cnotsynth import arch, mapping
 from cnotsynth.arch import (
     HAMILTONIAN_VERTEX_LIMIT,
@@ -349,43 +346,45 @@ class TestOptimizeMapping:
             assert str(exc.value) == f"{field} {value} is not an integer"
 
 
-BUILTIN_DEVICES = ["quito", "guadalupe", "manila", "wuyuan2", "scq10", "tokyo",
-                   "linear(7)", "linear(40)", "grid(3,4)", "grid(5,5)"]
-
-
-def _check_against_reference(g, sizes, constructions):
-    keys = sorted(MappingSearch(g, 1).keys)
-    assert keys == sorted(g.vertices - reference_articulation_points(g))
-    for n in sizes:
-        search = MappingSearch(g, n)
-        for k in range(constructions):
-            order = keys[k % len(keys):] + keys[:k % len(keys)]
-            shared = initial_mapping(search, random.Random(k), order[0])
-            fresh = initial_mapping(MappingSearch(g, n), random.Random(k), order[0])
-            want = reference_initial_mapping(g, n, order, random.Random(k))
-            assert shared == fresh == want.assign
-            assert replay_is_valid(g, Mapping(shared)) and reference_replay_is_valid(g, Mapping(shared))
-    # Arbitrary vertex orders fail the replay check often; verdicts must agree.
-    rng = random.Random(g.num_vertices)
-    for _ in range(20):
-        assign = tuple(rng.sample(sorted(g.vertices), rng.randint(1, g.num_vertices)))
-        assert replay_is_valid(g, Mapping(assign)) == reference_replay_is_valid(g, Mapping(assign))
-
-
 class TestAgainstRebuiltResidualReference:
-    """The mask-based construction equals the one that rebuilds residual graphs."""
+    """The ``constructions`` golden cases pin these key-qubit constructions,
+    which the draws decide.  Whatever the draws, each is injective, passes
+    the removal replay over rebuilt residual graphs, and places every vertex
+    while it is a non-cut vertex of its rebuilt residual; a fresh search
+    gives the construction that the search shared by a qubit count gave.
+    The key qubits are the non-cut vertices, and the replay agrees with the
+    rebuilt one on arbitrary vertex orders."""
+
+    @staticmethod
+    def check(device):
+        graphs, cuts = {}, {}
+        for g, n, k, first, assign in constructions(device):
+            graphs[g.name] = g
+            assert len(set(assign)) == len(assign) == n
+            assert reference_replay_is_valid(g, Mapping(assign))
+            residual = g
+            for v in assign:
+                # Constructions from one seed vertex share their first residuals.
+                if (g.name, residual.vertices) not in cuts:
+                    cuts[g.name, residual.vertices] = brute_force_articulation(residual)
+                assert v not in cuts[g.name, residual.vertices], (assign, v)
+                residual = remove_vertex(residual, v)
+            assert initial_mapping(MappingSearch(g, n), random.Random(k), first) == assign
+        for g in graphs.values():
+            assert sorted(MappingSearch(g, 1).keys) == sorted(g.vertices - brute_force_articulation(g))
+            # Arbitrary vertex orders fail the replay check often; verdicts must agree.
+            rng = random.Random(g.num_vertices)
+            for _ in range(20):
+                assign = Mapping(tuple(rng.sample(sorted(g.vertices), rng.randint(1, g.num_vertices))))
+                assert replay_is_valid(g, assign) == reference_replay_is_valid(g, assign)
 
     @pytest.mark.parametrize("size", range(2, 21))
     def test_random_graphs(self, size):
-        for seed in range(3):
-            g = random_connected_graph(size, 7000 + 31 * size + seed)
-            _check_against_reference(g, sorted({1, max(1, size // 2), size - 1, size}), 3)
+        self.check(size)
 
     @pytest.mark.parametrize("name", BUILTIN_DEVICES)
     def test_builtin_devices(self, name):
-        g = builtin(name)
-        v = g.num_vertices
-        _check_against_reference(g, sorted({1, v // 2, v - 1, v}), 2)
+        self.check(name)
 
     def test_replay_verdicts_on_disconnected_graphs(self):
         # MappingSearch refuses a disconnected graph, so only replay verdicts compare.
@@ -408,52 +407,40 @@ class TestAgainstRebuiltResidualReference:
 
 
 class TestAgainstTwoMemoReference:
-    """The one step memo per search gives the tables of the search with two
-    memos (``conftest.reference_tabu_search_table``), both drawing every
-    construction from one generator stream."""
+    """Tables and constructions once compared with those of the two-memo
+    search that the step memo replaced.  The ``tables`` and ``modes`` golden
+    cases now pin them, since the draws decide them.  Whatever the draws,
+    each table holds at most ``tabu_len`` distinct entries, each scored as a
+    fresh search scores it, and each construction, from a given seed vertex
+    or a drawn one, passes the replay and starts at its seed vertex unless
+    it follows the whole device's Hamiltonian path."""
 
     @staticmethod
-    def check(g, n):
-        for seed in range(5):
-            config = TabuConfig(seed=seed, iterations=3)
-            got = [(m.assign, s.hex()) for m, s in tabu_search_table(g, n, config)]
-            assert got == [(m.assign, s.hex()) for m, s in reference_tabu_search_table(g, n, config)], seed
+    def check(*device):
+        for g, n, config, table in tables(*device):
+            search = MappingSearch(g, n)
+            assert 0 < len(table) <= config.tabu_len
+            assert len({assign for assign, _ in table}) == len(table)
+            assert all(mapping_objective(search, assign).hex() == score for assign, score in table)
 
     @pytest.mark.parametrize("name,n", [
         ("guadalupe", 16), ("guadalupe", 12), ("tokyo", 20), ("tokyo", 9), ("grid(4,4)", 16), ("grid(4,4)", 7),
         ("linear(7)", 7), ("linear(7)", 3), ("scq10", 10), ("scq10", 6),
     ])
     def test_builtin_tables(self, name, n):
-        self.check(builtin(name), n)
+        self.check(name, n)
 
     @pytest.mark.parametrize("size", range(4, 17, 2))
     def test_random_graph_tables(self, size):
-        for seed in range(2):
-            g = random_connected_graph(size, 8000 + 31 * size + seed)
-            for n in sorted({size, size - 1, size // 2}):
-                self.check(g, n)
+        self.check(size)
 
-    @pytest.mark.parametrize("g", [
-        builtin("guadalupe"), builtin("tokyo"), builtin("grid(4,4)"), builtin("linear(7)"), builtin("scq10"),
-        *(random_connected_graph(size, 9000 + size) for size in range(5, 13)),
-    ], ids=lambda g: g.name)
-    def test_one_search_for_both_modes(self, g):
-        # Each mode, full-device and partial, on the one search of its qubit
-        # count.  Given seed vertices alternate with drawn ones; a drawn one
-        # must be the randrange draw among the sorted key qubits that
-        # conftest.reference_tabu_search_table makes.
-        reference = ReferenceMappingSearch(g)
-        big = g.num_vertices
-        for n in (big, big - 1, max(1, big // 2)):
-            search = MappingSearch(g, n)
-            keys = sorted(search.keys)
-            for k in range(12):
-                first = keys[k % len(keys)]
-                got = initial_mapping(search, random.Random(k), first)
-                assert got == reference_search_initial_mapping(reference, n, first, random.Random(k)).assign, (k, n)
-                rng = random.Random(k)
-                want = reference_search_initial_mapping(reference, n, keys[rng.randrange(len(keys))], rng)
-                assert initial_mapping(search, random.Random(k)) == want.assign, (k, n)
+    @pytest.mark.parametrize("device", ["guadalupe", "tokyo", "grid(4,4)", "linear(7)", "scq10", *range(5, 13)],
+                             ids=lambda d: f"rand{d}-{9000 + d}" if isinstance(d, int) else d)
+    def test_one_search_for_both_modes(self, device):
+        for g, n, first, (given, drawn) in modes(device):
+            for assign in (given, drawn):
+                assert len(set(assign)) == len(assign) == n and replay_is_valid(g, Mapping(assign))
+            assert given[0] == first or n == g.num_vertices and has_hamiltonian_path(g) == given
 
     def test_calls_per_candidate(self, monkeypatch):
         # One construction per candidate and at most one score, through the
@@ -564,7 +551,7 @@ class TestWholeDeviceStep:
 
     @staticmethod
     def check(g):
-        keys = tuple(sorted(g.vertices - reference_articulation_points(g)))
+        keys = tuple(sorted(g.vertices - brute_force_articulation(g)))
         for n in (g.num_vertices, g.num_vertices - 1):
             search = MappingSearch(g, n)
             assert tuple(sorted(search.keys)) == keys
@@ -710,15 +697,15 @@ class TestTreeRule:
         assert trees
 
     def test_default_guadalupe_path_searches(self, monkeypatch):
-        # Without the rule every one of the search's 641 stepped residuals
-        # would be path-searched; 626 of them are trees.
+        # Without the rule every stepped residual would be path-searched, 641
+        # of them at seed 0, 626 of them trees; the golden case "search
+        # counts guadalupe 16 0" pins how many are (15 when recorded).
         searched = []
         search = mapping.has_hamiltonian_path
         monkeypatch.setattr(mapping, "has_hamiltonian_path", lambda g, mask: searched.append(mask) or search(g, mask))
         g = builtin("guadalupe")
         tabu_search_table(g, 16, TabuConfig())
-        assert len(searched) == 15
-        assert all(any(block.bit_count() > 2 for block in biconnected_blocks(g, mask)) for mask in searched)
+        assert searched and all(any(block.bit_count() > 2 for block in biconnected_blocks(g, mask)) for mask in searched)
 
 
 class TestShortestPathData:

@@ -1,7 +1,8 @@
 """The package surface: the public API, the names the benchmark's layer
-tracer wraps in each cnotsynth module, no code kept for the tests alone,
-that it runs with numpy unimportable, and that the command line writes the
-same files under any hash seed."""
+tracer wraps in each cnotsynth module, no code kept for the tests alone and
+no copy of the package kept in the tests, that it runs with numpy
+unimportable, and that the command line writes the same files under any
+hash seed."""
 import ast
 import importlib
 import importlib.util
@@ -144,6 +145,34 @@ def test_every_definition_serves_the_package():
         if isinstance(top, kinds) and (module, top.name) not in used and ("", top.name) not in used
     ]
     assert unused == []
+
+
+#: The copies of replaced implementations that replayed the package's draw,
+#: tie and visit order; the ``random_devices`` golden family pins what they
+#: pinned, so an output-changing change re-records it and ports no copy.
+ORDER_REPLAYING_COPIES = {
+    "ReferenceMappingSearch", "_reference_column_ones", "extended_assign", "reference_articulation_points",
+    "reference_dijkstra_path", "reference_eliminate", "reference_eliminate_column", "reference_eliminate_row",
+    "reference_flooding_path_search", "reference_initial_mapping", "reference_mapping_objective",
+    "reference_min_noise_steiner_tree", "reference_search_initial_mapping", "reference_tabu_search_table",
+}
+
+
+def test_conftest_keeps_no_order_replaying_copy():
+    """``tests/conftest.py`` defines none of those copies and imports no
+    underscore-prefixed package name, which only a copy of package
+    internals would need."""
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    private = sorted(
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cnotsynth"
+        for alias in node.names if alias.name.startswith("_")
+    )
+    assert sorted(defined & ORDER_REPLAYING_COPIES) == []
+    assert private == []
 
 
 def test_one_integer_reader():
